@@ -30,7 +30,7 @@ from .errors import (ConfigError, DegenerateFixedPointError, QcycleError,
 from .limitcycle import (channel_matrix, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
-from .reversal import (choi_matrix, choi_output_trace, kraus_channel_matrix,
+from .reversal import (choi_from_matrix, choi_output_trace, kraus_channel_matrix,
                        kraus_from_choi, reverse_channel, sequence_probability)
 from .thermo import limit_cycle_report
 
@@ -324,24 +324,23 @@ def cmd_report(cfg: RunConfig):
 def _reverse_one(cfg: RunConfig, channel):
     cm = channel_matrix(channel)
     spectral = fixed_point_spectral(cm)
-    j = choi_matrix(channel)
-    kraus = kraus_from_choi(j)
+    j = choi_from_matrix(cm)
+    kraus = kraus_from_choi(j)  # raises NotCPError
     rev = reverse_channel(kraus, spectral.rho_star, fp_tol=cfg.tol)
 
     d = channel.dim
     recon = float(np.linalg.norm(cm.matrix - kraus_channel_matrix(kraus).matrix, 2))
     tp_residual = float(np.abs(choi_output_trace(j, d) - np.eye(d)).max())
-    rev_fp_dist = trace_distance(rev.apply(spectral.rho_star), spectral.rho_star)
+    rev_fp_dist = trace_distance(rev.apply(rev.rho_star), rev.rho_star)
 
     rng = np.random.default_rng(cfg.seed)
     n_ops = len(kraus.operators)
     pairs = rng.integers(0, n_ops, size=(50, 2))
     balance = 0.0
     for a1, a2 in pairs:
-        p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]],
-                                     spectral.rho_star)
+        p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]], rev.rho_star)
         p_rev = sequence_probability([rev.kraus.operators[a2], rev.kraus.operators[a1]],
-                                     spectral.rho_star)
+                                     rev.rho_star)
         balance = max(balance, abs(p_fwd - p_rev))
 
     return {

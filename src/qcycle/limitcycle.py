@@ -1,13 +1,16 @@
 """Cycle superoperators, their matrix representation, and fixed-point solvers.
 
-Two channels cover the two natural anchorings of the cycle:
+The CB (sites 2..n) and AC (sites 1..n-1) cycle channels compose the same
+two half-cycles, each of which tensors in one bath qubit, evolves the chain
+and traces out the qubit at the other end. With sigma_a = sum_a p_a
+|v_a><v_a| and sigma_b = sum_b q_b |w_b><w_b|, the half-cycles have the
+d x d (d = 2^(n-1)) Kraus operators
 
-  * the CB channel acts on sites 2..n, anchored just after the A
-    thermalization: tensor the fresh A Gibbs state on the left, run strokes
-    2-3-4, trace out A;
-  * the AC channel acts on sites 1..n-1, anchored just after the B
-    thermalization: tensor the fresh B Gibbs state on the right, run stroke
-    4, thermalize A, run stroke 2, trace out B.
+    cold, CB -> AC:  A_{a beta}  = sqrt(p_a) <beta|_B  U1 |v_a>_A
+    hot,  AC -> CB:  B_{b alpha} = sqrt(q_b) <alpha|_A U2 |w_b>_B
+
+2 bath eigenvectors times 2 traced-out basis states make 4 operators per
+half-cycle, so CB = {B A} and AC = {A B} have 16 operators each.
 
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
-from .engine import CycleParams, CycleState, cycle_operators, replace_first_factor, replace_last_factor
+from .engine import CycleParams, CycleState, cycle_operators, replace_last_factor
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import hermitian_part, hermitize, kron, partial_trace, trace_distance
 
@@ -40,11 +43,13 @@ class Channel:
 
     ``apply`` must be linear (no normalization inside), so it can be
     tabulated on matrix units to build matrix and Choi representations.
+    ``kraus`` is the (k, dim, dim) operator stack ``apply`` sums over, if any.
     """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    kraus: np.ndarray | None = None
 
 
 @dataclass
@@ -85,52 +90,65 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams) -> Channel:
-    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1."""
-    n = parts.n
-    dims = [2] * n
+def kraus_channel(kraus, label: str = "") -> Channel:
+    """The channel rho -> sum_k K_k rho K_k^* of a (k, d, d) operator stack."""
+    kraus = np.asarray(kraus, dtype=complex)
+    k, d, _ = kraus.shape
+    stacked = kraus.reshape(k * d, d)                             # row (k, i) is row i of K_k
+    adjoints = kraus.conj().transpose(0, 2, 1).reshape(k * d, d)  # row (k, m) is row m of K_k^*
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        left = (stacked @ np.asarray(rho, dtype=complex)).reshape(k, d, d)
+        return left.transpose(1, 0, 2).reshape(d, k * d) @ adjoints
+
+    return Channel(dim=d, apply=apply, label=label, kraus=kraus)
+
+
+def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
+    """Operators sqrt(p_e) <t|_out u |v_e>_bath, the bath entering as site 1 or n."""
+    p, v = np.linalg.eigh(sigma)
+    bath = v * np.sqrt(np.clip(p, 0.0, None))  # column e is sqrt(p_e) v_e
+    d = u.shape[0] // 2
+    # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
+    # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
+    shape, spec = ((d, 2, 2, d), "itxj,xe->etij") if bath_first else ((2, d, d, 2), "tijx,xe->etij")
+    return np.einsum(spec, u.reshape(shape), bath).reshape(4, d, d)
+
+
+def _cycle_kraus(parts: HamiltonianParts, params: CycleParams, cold_first: bool) -> np.ndarray:
+    """The 16 products S F of the half-cycles, F = cold (CB) or hot (AC) acting first."""
     ops = cycle_operators(parts, params)
-    u1d = ops.u1.conj().T
-    u2d = ops.u2.conj().T
+    cold = _half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True)
+    hot = _half_cycle_kraus(ops.u2, ops.sigma_b, bath_first=False)
+    first, second = (cold, hot) if cold_first else (hot, cold)
+    return (second[:, None] @ first[None, :]).reshape(16, *cold.shape[1:])
 
-    def apply(rho_cb: np.ndarray) -> np.ndarray:
-        full = kron(ops.sigma_a, rho_cb)
-        full = ops.u1 @ full @ u1d
-        full = replace_last_factor(full, ops.sigma_b, dims)
-        full = ops.u2 @ full @ u2d
-        return partial_trace(full, range(1, n), dims)
 
-    return Channel(dim=2 ** (n - 1), apply=apply, label="cycle_cb")
+def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams) -> Channel:
+    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}."""
+    return kraus_channel(_cycle_kraus(parts, params, cold_first=True), label="cycle_cb")
 
 
 def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams) -> Channel:
-    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3."""
-    n = parts.n
-    dims = [2] * n
-    ops = cycle_operators(parts, params)
-    u1d = ops.u1.conj().T
-    u2d = ops.u2.conj().T
-
-    def apply(rho_ac: np.ndarray) -> np.ndarray:
-        full = kron(rho_ac, ops.sigma_b)
-        full = ops.u2 @ full @ u2d
-        full = replace_first_factor(full, ops.sigma_a, dims)
-        full = ops.u1 @ full @ u1d
-        return partial_trace(full, range(0, n - 1), dims)
-
-    return Channel(dim=2 ** (n - 1), apply=apply, label="cycle_ac")
+    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}."""
+    return kraus_channel(_cycle_kraus(parts, params, cold_first=False), label="cycle_ac")
 
 
 def channel_matrix(ch: Channel) -> ChannelMatrix:
-    """Tabulate the channel on matrix units; column j is vec(ch(unvec(e_j)))."""
+    """Column-stacking matrix of the channel, sum_k conj(K_k) (x) K_k for a Kraus stack.
+
+    A Kraus stack flattened row-major to F (k x d^2) gives it as the single
+    product F^* F, reshuffled; a bare callable is tabulated on matrix units,
+    column j being vec(ch(unvec(e_j))).
+    """
     d = ch.dim
-    m = np.empty((d * d, d * d), dtype=complex)
-    for col in range(d):
-        for row in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[row, col] = 1.0
-            m[:, row + col * d] = ch.apply(unit).reshape(-1, order="F")
-    return ChannelMatrix(matrix=m, dim=d, label=ch.label)
+    if ch.kraus is None:
+        m = np.column_stack([vec(ch.apply(unvec(e, d))) for e in np.eye(d * d)])
+        return ChannelMatrix(matrix=m, dim=d, label=ch.label)
+    f = ch.kraus.reshape(-1, d * d)
+    # g[c, c', r, r'] = sum_k conj(K_k[c, c']) K_k[r, r'], wanted at [c*d + r, c'*d + r']
+    g = (f.conj().T @ f).reshape(d, d, d, d)
+    return ChannelMatrix(g.transpose(0, 2, 1, 3).reshape(d * d, d * d), d, ch.label)
 
 
 def _estimate_gap(deltas) -> float:

@@ -5,6 +5,10 @@ i.e. the output leg is the first Kronecker factor. J is PSD iff the channel
 is completely positive, and tracing out the output leg returns the identity
 iff the channel is trace preserving.
 
+J reshuffles the column-stacking channel matrix M: ch(E_ij)[k, l] sits at
+M[l*d + k, j*d + i] and at J[k*d + i, l*d + j], so with M as the array
+M4[l, k, j, i], J = M4.transpose(1, 3, 0, 2).reshape(d*d, d*d).
+
 Kraus operators come from the eigendecomposition of J (descending
 eigenvalue order fixes the gauge). The time reversal of a channel around a
 full-rank state r it fixes conjugates each Kraus operator:
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import Channel, ChannelMatrix
+from .limitcycle import Channel, ChannelMatrix, channel_matrix, kraus_channel
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
@@ -46,19 +50,18 @@ class KrausSet:
         return float(np.abs(acc - np.eye(self.dim)).max())
 
 
+def choi_from_matrix(cm: ChannelMatrix) -> np.ndarray:
+    """Choi matrix by the index reshuffle of the channel matrix (module docstring)."""
+    return cm.matrix.reshape((cm.dim,) * 4).transpose(1, 3, 0, 2).reshape(cm.matrix.shape)
+
+
 def choi_matrix(ch: Channel) -> np.ndarray:
-    """Tabulate the channel on matrix units into its Choi matrix.
+    """Choi matrix of the channel, reshuffled from :func:`channel_matrix`.
 
     Raises :class:`NotCPError` when the result has an eigenvalue below
     -1e-8, which means the channel construction itself is broken.
     """
-    d = ch.dim
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for row in range(d):
-        for col in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[row, col] = 1.0
-            j += np.kron(ch.apply(unit), unit)
+    j = choi_from_matrix(channel_matrix(ch))
     min_eig = float(np.linalg.eigvalsh(hermitian_part(j)).min())
     if min_eig < -CP_ATOL:
         raise NotCPError(min_eig)
@@ -115,8 +118,7 @@ def kraus_adjoint_apply(operators, x: np.ndarray) -> np.ndarray:
 
 def kraus_channel_matrix(kraus: KrausSet) -> ChannelMatrix:
     """Column-stacking matrix representation sum conj(A) (x) A of the Kraus map."""
-    m = sum(np.kron(a.conj(), a) for a in kraus.operators)
-    return ChannelMatrix(matrix=m, dim=kraus.dim, label="kraus")
+    return channel_matrix(kraus_channel(kraus.operators, label="kraus"))
 
 
 def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
@@ -177,7 +179,8 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
     kraus : KrausSet of the forward channel.
     rho_star : claimed fixed point; must be full rank (else
         :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
-        (else :class:`NotFixedPointError`).
+        (else :class:`NotFixedPointError`). It is refined by two steps of the
+        forward map, and the reversal is built around the refined state.
     rank_tol : relative eigenvalue cutoff for the rank check.
     fp_tol : solver tolerance the fixed point was computed at.
 
@@ -186,11 +189,17 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
     the adjoint-sandwich route on seeded random states.
     """
     rho_star = np.asarray(rho_star, dtype=complex)
-    sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)
-
+    psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)  # rank check
     residual = trace_distance(kraus_apply(kraus.operators, rho_star), rho_star)
     if residual > 100.0 * fp_tol:
         raise NotFixedPointError(residual, 100.0 * fp_tol)
+
+    # The solver's absolute error reaches the reversed set amplified by cond(rho_star);
+    # two steps of the map leave only the map's own rounding.
+    for _ in range(2):
+        rho_star = hermitian_part(kraus_apply(kraus.operators, rho_star))
+        rho_star = rho_star / np.trace(rho_star).real
+    sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)
 
     reversed_ops = [sqrt @ a.conj().T @ invsqrt for a in kraus.operators]
     rev = ReversedChannel(

@@ -3,7 +3,10 @@
 Deliberately shares no code paths with the package: Kronecker products and
 partial traces are explicit index loops, matrix exponentials come from
 scipy.linalg.expm instead of a Hermitian eigendecomposition, and the chain
-Hamiltonian is reassembled from scratch. Slow and only meant for n = 3.
+Hamiltonian is reassembled from scratch. Slow and only meant for n <= 5.
+
+``naive_choi`` is the defining Choi sum over matrix units, the reference
+for the package's reshuffled Choi matrix.
 """
 
 import numpy as np
@@ -103,3 +106,15 @@ class NaiveCycle:
         full = naive_kron(self.sigma_a, rest)
         full = self.u1 @ full @ self.u1.conj().T
         return naive_ptrace_last(full, 2 ** (self.n - 1), 2)
+
+
+def naive_choi(ch):
+    """J = sum_ij ch(E_ij) (x) E_ij, one Kronecker product per matrix unit."""
+    d = ch.dim
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for row in range(d):
+        for col in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[row, col] = 1.0
+            j += np.kron(ch.apply(unit), unit)
+    return j

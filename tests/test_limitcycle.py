@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     build_hamiltonian, channel_matrix, check_density_matrix,
@@ -9,6 +10,7 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     trace_distance, unvec, vec)
 from qcycle import CycleParams, ansatz_state, commutator_norm
 from conftest import carnot_point, random_engine_point
+from oracle_naive import NaiveCycle
 
 
 def identity_channel(d):
@@ -70,6 +72,44 @@ class TestChannelMatrix:
         for _ in range(5):
             rho = random_density_matrix(ch.dim, rng)
             assert np.abs(unvec(cm.matrix @ vec(rho), ch.dim) - ch.apply(rho)).max() <= 1e-11
+
+
+class TestKrausForm:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_oracle(self, rng, n):
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        oracle = NaiveCycle(spec, params)
+        for ch, naive in ((cycle_channel_cb(parts, params), oracle.apply_cb),
+                          (cycle_channel_ac(parts, params), oracle.apply_ac)):
+            for _ in range(3):
+                rho = random_density_matrix(ch.dim, rng)
+                assert np.abs(ch.apply(rho) - naive(rho)).max() < 1e-11
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matrix_matches_tabulated_apply(self, rng, n):
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        for maker in (cycle_channel_cb, cycle_channel_ac):
+            ch = maker(parts, params)
+            tabulated = channel_matrix(Channel(dim=ch.dim, apply=ch.apply))
+            assert np.abs(channel_matrix(ch).matrix - tabulated.matrix).max() < 1e-13
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]))
+    def test_kraus_properties(self, seed, n):
+        spec, params = random_engine_point(np.random.default_rng(seed), n)
+        parts = build_hamiltonian(spec)
+        gaps = []
+        for maker in (cycle_channel_cb, cycle_channel_ac):
+            ch = maker(parts, params)
+            assert len(ch.kraus) <= 16
+            completeness = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
+            assert np.abs(completeness - np.eye(ch.dim)).max() < 1e-12
+            moduli = np.sort(np.abs(np.linalg.eigvals(channel_matrix(ch).matrix)))
+            gaps.append(1.0 - moduli[-2])
+        # CB = BA and AC = AB share their spectrum
+        assert abs(gaps[0] - gaps[1]) < 1e-10
 
 
 class TestFixedPointIterate:

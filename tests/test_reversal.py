@@ -1,13 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qcycle import (Channel, NotFixedPointError, RankDeficientError,
+from qcycle import (ChainSpec, Channel, CycleParams, NotCPError, NotFixedPointError, RankDeficientError,
                     ZeroProbabilityError, build_hamiltonian, channel_matrix,
                     choi_matrix, choi_output_trace, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral, kraus_apply,
                     kraus_channel_matrix, kraus_from_choi,
                     post_interaction_state, random_density_matrix,
                     reverse_channel, sequence_probability, trace_distance)
+from qcycle.cli import _reverse_one
+from conftest import random_engine_point
+from oracle_naive import naive_choi
 
 
 def haar_unitary(rng, d):
@@ -56,6 +61,20 @@ class TestChoiMatrix:
         assert np.abs(j - j.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh((j + j.conj().T) / 2).min() >= -1e-9
         assert np.abs(choi_output_trace(j, ch.dim) - np.eye(ch.dim)).max() <= 1e-10
+
+    @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
+    def test_matches_kron_definition(self, rng, maker):
+        for n in (3, 4):
+            spec, params = random_engine_point(rng, n)
+            ch = maker(build_hamiltonian(spec), params)
+            assert np.abs(choi_matrix(ch) - naive_choi(ch)).max() < 1e-14
+
+    def test_non_cp_channel_rejected_on_reverse_path(self):
+        # half replacement by I/2, half transpose: positive and trace
+        # preserving with a unique full-rank fixed point, but not CP
+        ch = Channel(dim=2, apply=lambda m: 0.25 * np.trace(m) * np.eye(2) + 0.5 * m.T)
+        with pytest.raises(NotCPError):
+            _reverse_one(SimpleNamespace(tol=1e-10, seed=0), ch)
 
 
 class TestKrausFromChoi:
@@ -188,6 +207,18 @@ class TestReverseChannel:
         rev = reverse_channel(kraus, fp.rho_star)
         rho = random_density_matrix(kraus.dim, rng)
         assert np.abs(rev.apply(rho) - rev.apply_adjoint_route(rho)).max() <= 1e-9
+
+    @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
+    def test_ill_conditioned_fixed_point(self, maker):
+        # a cold bath near its ground state: cond(rho_star) is 1e7 (CB) and 8e7 (AC),
+        # which amplifies the solver's rounding in the reversed set
+        spec = ChainSpec(n=4, E=[1.13, 1.301, 0.53, 6.782], J=[-0.61, -0.672, 0.525],
+                         K=[0.696, 0.586, 0.6], F=[0.511, 0.216, 0.291])
+        params = CycleParams(beta1=6.026, beta2=0.653, tau1=1.83, tau2=1.872)
+        _, fp, kraus = engine_fixture((spec, params), maker)
+        rev = reverse_channel(kraus, fp.rho_star)
+        assert trace_distance(rev.rho_star, fp.rho_star) <= 1e-13
+        assert rev.kraus.completeness_residual() <= 1e-10
 
     def test_rejects_non_fixed_state(self, rng, small_point):
         _, _, kraus = engine_fixture(small_point, cycle_channel_cb)
