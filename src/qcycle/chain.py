@@ -12,10 +12,12 @@ which is the symmetry the engine's efficiency identity rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .linalg import kron
 
 PAULI = {
@@ -54,7 +56,8 @@ class ChainSpec:
 
     ``E`` holds the n local fields; ``J``, ``K``, ``F`` hold the n-1 bond
     couplings (in-plane exchange, antisymmetric exchange, and longitudinal
-    coupling respectively). Units are energy with hbar = k_B = 1.
+    coupling respectively). Units are energy with hbar = k_B = 1. Invalid
+    values raise :class:`ConfigError` naming the field (``E[0]``, ``J``).
     """
 
     n: int
@@ -65,21 +68,22 @@ class ChainSpec:
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
-            raise ValueError(f"n must be an integer >= 3, got {self.n}")
+            raise ConfigError("n", f"must be an integer >= 3, got {self.n}")
         self.n = int(self.n)
-        self.E = tuple(float(x) for x in self.E)
-        self.J = tuple(float(x) for x in self.J)
-        self.K = tuple(float(x) for x in self.K)
-        self.F = tuple(float(x) for x in self.F)
-        if len(self.E) != self.n:
-            raise ValueError(f"E must have length n={self.n}, got {len(self.E)}")
-        for name, vals in (("J", self.J), ("K", self.K), ("F", self.F)):
-            if len(vals) != self.n - 1:
-                raise ValueError(f"{name} must have length n-1={self.n - 1}, got {len(vals)}")
+        for name in ("E", "J", "K", "F"):
+            length = self.n if name == "E" else self.n - 1
+            vals = tuple(float(x) for x in getattr(self, name))
+            setattr(self, name, vals)
+            if len(vals) != length:
+                raise ConfigError(name, f"must have length {length}, got {len(vals)}")
+            for i, x in enumerate(vals):
+                if not math.isfinite(x):
+                    raise ConfigError(f"{name}[{i}]", f"must be finite, got {x}")
         if self.E[0] == 0.0:
-            raise ValueError("E[0] must be nonzero (end qubit A needs a finite gap)")
+            raise ConfigError("E[0]", "must be nonzero (end qubit A needs a finite gap)")
         if self.E[-1] == 0.0:
-            raise ValueError("E[-1] must be nonzero (end qubit B needs a finite gap)")
+            raise ConfigError(f"E[{self.n - 1}]",
+                              "must be nonzero (end qubit B needs a finite gap)")
 
 
 @dataclass

@@ -4,7 +4,9 @@ Subcommands: ``simulate`` (per-cycle CSV trace), ``report`` (limit-cycle
 thermodynamics as JSON), ``reverse`` (Kraus extraction and time-reversal
 certificates as JSON), ``spectrum`` (channel eigenvalue diagnostics as
 JSON). Exit statuses are one per error family: 0 ok, 1 config, 2
-non-convergence, 3 degenerate fixed point, 4 rank deficiency.
+non-convergence, 3 degenerate fixed point, 4 rank deficiency, 5 failed
+certificate (cycle closure, complete positivity, reversal fixed point).
+``--sweep`` runs its configs one after another, in the order given.
 
 All floats are emitted with up to 17 significant digits, enough to
 round-trip doubles exactly; identical config and seed give bit-identical
@@ -16,19 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
-from .errors import (ConfigError, DegenerateFixedPointError, QcycleError,
-                     RankDeficientError, ZeroHeatError)
+from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
+                     NotCPError, NotFixedPointError, RankDeficientError, ZeroHeatError)
 from .limitcycle import (channel_matrix, cycle_channel_ac, cycle_channel_cb,
-                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states)
+                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
+                         spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
 from .reversal import (choi_from_matrix, choi_output_trace, kraus_channel_matrix,
                        kraus_from_choi, reverse_channel, sequence_probability)
@@ -43,6 +44,7 @@ EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_DEGENERATE = 3
 EXIT_RANK_DEFICIENT = 4
+EXIT_CERTIFICATE = 5
 
 
 @dataclass
@@ -108,6 +110,14 @@ def _float_list(section: dict, key: str, path: str, length: int) -> list:
     return [float(x) for x in val]
 
 
+def _build(section: str, cls, **fields):
+    """``cls(**fields)``, its field errors re-raised under the config section path."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc.field}", exc.message) from exc
+
+
 def parse_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -119,41 +129,19 @@ def parse_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
 
+    # JSON types and shapes are checked here; value rules belong to ChainSpec/CycleParams
     chain = _section(raw, "chain")
     n = _int_field(chain, "n", "chain.n", minimum=3)
-    e = _float_list(chain, "E", "chain.E", n)
-    j = _float_list(chain, "J", "chain.J", n - 1)
-    k = _float_list(chain, "K", "chain.K", n - 1)
-    f = _float_list(chain, "F", "chain.F", n - 1)
-    if e[0] == 0.0:
-        raise ConfigError("chain.E[0]", "must be nonzero")
-    if e[-1] == 0.0:
-        raise ConfigError(f"chain.E[{n - 1}]", "must be nonzero")
-    try:
-        spec = ChainSpec(n=n, E=e, J=j, K=k, F=f)
-    except ValueError as exc:
-        raise ConfigError("chain", str(exc)) from exc
-
+    lengths = {"E": n, "J": n - 1, "K": n - 1, "F": n - 1}
+    spec = _build("chain", ChainSpec, n=n, **{key: _float_list(chain, key, f"chain.{key}", length)
+                                              for key, length in lengths.items()})
     cyc = _section(raw, "cycle")
-    for key in ("beta1", "beta2"):
-        if _float_field(cyc, key, f"cycle.{key}") <= 0.0:
-            raise ConfigError(f"cycle.{key}", "must be strictly positive")
-    for key in ("tau1", "tau2"):
-        if _float_field(cyc, key, f"cycle.{key}") < 0.0:
-            raise ConfigError(f"cycle.{key}", "must be non-negative")
-    try:
-        params = CycleParams(
-            beta1=_float_field(cyc, "beta1", "cycle.beta1"),
-            beta2=_float_field(cyc, "beta2", "cycle.beta2"),
-            tau1=_float_field(cyc, "tau1", "cycle.tau1"),
-            tau2=_float_field(cyc, "tau2", "cycle.tau2"),
-        )
-    except ValueError as exc:
-        raise ConfigError("cycle", str(exc)) from exc
+    params = _build("cycle", CycleParams, **{key: _float_field(cyc, key, f"cycle.{key}")
+                                             for key in ("beta1", "beta2", "tau1", "tau2")})
 
     solver = _section(raw, "solver", required=False)
     tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigError("solver.tol", f"must be positive, got {tol}")
     max_iter = _int_field(solver, "max_iter", "solver.max_iter", default=100_000, minimum=1)
     method = solver.get("method", "both")
@@ -367,13 +355,10 @@ def cmd_reverse(cfg: RunConfig):
 
 
 def _spectrum_one(channel):
-    cm = channel_matrix(channel)
-    evals = np.linalg.eigvals(cm.matrix)
-    moduli = np.sort(np.abs(evals))[::-1]
-    near_unit = [ev for ev in evals if abs(abs(ev) - 1.0) <= 1e-8]
+    moduli, gap, near_unit = spectral_summary(np.linalg.eigvals(channel_matrix(channel).matrix))
     return {
         "dim": channel.dim,
-        "spectral_gap": float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0,
+        "spectral_gap": gap,
         "degenerate": len(near_unit) > 1,
         "near_unit_eigenvalues": [[float(ev.real), float(ev.imag)] for ev in near_unit],
         "eigenvalue_moduli": [float(m) for m in moduli],
@@ -400,26 +385,19 @@ def _check_output_format(cfg: RunConfig, command: str) -> None:
         raise ConfigError("output.format", f"{command} emits {expected}, got {cfg.out_format!r}")
 
 
+COMMANDS = {"simulate": cmd_simulate, "report": cmd_report,
+            "reverse": cmd_reverse, "spectrum": cmd_spectrum}
+
+
 def _run_one(command: str, config_path: str, seed_override: int | None):
-    """Returns (exit_status, text_or_doc). Exceptions mapped to statuses."""
+    """Returns (exit_status, text_or_doc, cfg). Exceptions mapped to statuses."""
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
             cfg.seed = seed_override
         _check_output_format(cfg, command)
-        if command == "simulate":
-            status, text = cmd_simulate(cfg)
-            return status, text, cfg
-        if command == "report":
-            status, doc = cmd_report(cfg)
-            return status, doc, cfg
-        if command == "reverse":
-            status, doc = cmd_reverse(cfg)
-            return status, doc, cfg
-        if command == "spectrum":
-            status, doc = cmd_spectrum(cfg)
-            return status, doc, cfg
-        raise ConfigError("command", f"unknown command {command!r}")
+        status, payload = COMMANDS[command](cfg)
+        return status, payload, cfg
     except ConfigError as exc:
         print(f"qcycle: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, None, None
@@ -430,6 +408,9 @@ def _run_one(command: str, config_path: str, seed_override: int | None):
     except RankDeficientError as exc:
         print(f"qcycle: {exc}", file=sys.stderr)
         return EXIT_RANK_DEFICIENT, None, None
+    except (ClosureViolationError, NotCPError, NotFixedPointError) as exc:
+        print(f"qcycle: certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE, None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--sweep", action="store_true",
-                       help="fan independent configs out across workers "
-                            "(QCYCLE_THREADS caps parallelism)")
+                       help="run each config in turn and merge the documents "
+                            "into one JSON array, in config order")
     return parser
 
 
@@ -478,16 +459,12 @@ def main(argv=None) -> int:
             _write_text(text, out_path)
         return status
 
-    threads = os.environ.get("QCYCLE_THREADS")
-    max_workers = max(1, int(threads)) if threads else min(len(configs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda p: _run_one(args.command, p, args.seed), configs))
-
     merged = []
     worst = EXIT_OK
-    for path, (status, payload, _) in zip(configs, results):  # deterministic config order
+    for path in configs:
+        status, payload, _ = _run_one(args.command, path, args.seed)
         entry = {"config": path, "status": status}
-        if payload is not None and not isinstance(payload, str):
+        if payload is not None:
             entry["document"] = payload
         merged.append(entry)
         worst = max(worst, status)

@@ -28,12 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
-from .linalg import expm_unitary, hermitize, kron, partial_trace, trace_distance
+from .errors import ConfigError
+from .linalg import expm_unitary, hermitize, kron, partial_trace
 
 
 @dataclass
 class CycleParams:
-    """Bath inverse temperatures and stroke durations (hbar = k_B = 1)."""
+    """Bath inverse temperatures and stroke durations (hbar = k_B = 1).
+
+    Invalid values raise :class:`ConfigError` naming the field.
+    """
 
     beta1: float
     beta2: float
@@ -45,11 +49,11 @@ class CycleParams:
             val = float(getattr(self, name))
             setattr(self, name, val)
             if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-        if self.beta1 <= 0.0 or self.beta2 <= 0.0:
-            raise ValueError("beta1 and beta2 must be strictly positive")
-        if self.tau1 < 0.0 or self.tau2 < 0.0:
-            raise ValueError("tau1 and tau2 must be non-negative")
+                raise ConfigError(name, f"must be finite, got {val}")
+            if name.startswith("beta") and val <= 0.0:
+                raise ConfigError(name, "must be strictly positive")
+            if name.startswith("tau") and val < 0.0:
+                raise ConfigError(name, "must be non-negative")
 
 
 @dataclass
@@ -138,6 +142,18 @@ def stroke_unitary(rho: np.ndarray, h_s: np.ndarray, tau: float) -> np.ndarray:
     return hermitize(u @ np.asarray(rho, dtype=complex) @ u.conj().T)
 
 
+def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
+    """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
+
+    Stroke 2 evolves by u1, stroke 3 replaces the last qubit with sigma_b,
+    stroke 4 evolves by u2.
+    """
+    rho2 = hermitize(ops.u1 @ rho1 @ ops.u1.conj().T)
+    rho3 = hermitize(replace_last_factor(rho2, ops.sigma_b, dims))
+    rho4 = hermitize(ops.u2 @ rho3 @ ops.u2.conj().T)
+    return rho2, rho3, rho4
+
+
 def _expect(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(op @ rho).real)
 
@@ -187,14 +203,5 @@ def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, params: CycleParams,
         ops = cycle_operators(parts, params)
 
     rho1 = hermitize(replace_first_factor(rho0, ops.sigma_a, dims))
-    rho2 = hermitize(ops.u1 @ rho1 @ ops.u1.conj().T)
-    rho3 = hermitize(replace_last_factor(rho2, ops.sigma_b, dims))
-    rho4 = hermitize(ops.u2 @ rho3 @ ops.u2.conj().T)
-
-    state = CycleState(rho0=rho0, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4)
+    state = CycleState(rho0, rho1, *strokes_2_to_4(rho1, ops, dims))
     return state, cycle_record(state, parts, params, ops)
-
-
-def cycle_delta(state_now: CycleState, state_prev: CycleState) -> float:
-    """Trace distance between the cycle-start states of two successive cycles."""
-    return trace_distance(state_now.rho0, state_prev.rho0)

@@ -9,12 +9,18 @@ class QcycleError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(QcycleError):
-    """Invalid run configuration; carries the offending field path."""
+class ConfigError(QcycleError, ValueError):
+    """Invalid run configuration; carries the offending field path.
+
+    Also a ValueError: ``ChainSpec`` and ``CycleParams`` raise it with the
+    bare field name, and the config parser re-raises it under the section
+    path (``E[0]`` becomes ``chain.E[0]``).
+    """
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class RankDeficientError(QcycleError):

@@ -28,13 +28,17 @@ from typing import Callable
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
-from .engine import CycleParams, CycleState, cycle_operators, replace_last_factor
+from .engine import CycleParams, CycleState, cycle_operators, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import hermitian_part, hermitize, kron, partial_trace, trace_distance
+from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_density,
+                     trace_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-point candidates
+# Solver candidates (last iterate, unit eigenvector) may have eigenvalues down to -1e-6 and
+# are still clipped to a state; linalg.PSD_CLIP_ATOL is the floor for states already valid.
+SOLVER_PSD_ATOL = 1e-6
 
 
 @dataclass
@@ -187,7 +191,7 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
             converged = True
             break
     return FixedPointResult(
-        rho_star=_clean_state(rho),
+        rho_star=project_density(rho, psd_atol=SOLVER_PSD_ATOL),
         iterations=len(deltas),
         final_delta=deltas[-1] if deltas else 0.0,
         spectral_gap=_estimate_gap(deltas),
@@ -197,15 +201,17 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     )
 
 
-def _clean_state(m: np.ndarray, floor: float = -1e-6) -> np.ndarray:
-    """Hermitize, clip solver-scale negative eigenvalues, renormalize."""
-    m = hermitian_part(m)
-    w, v = np.linalg.eigh(m)
-    if float(w.min()) < floor:
-        raise ValueError(f"candidate state far from PSD (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.conj().T
-    return hermitian_part(m / np.trace(m).real)
+def spectral_summary(evals: np.ndarray, tol: float = DEGENERACY_TOL):
+    """(moduli, gap, near_unit) of a channel's eigenvalues.
+
+    ``moduli`` are the |eigenvalues| in descending order, ``gap`` is
+    1 - |second eigenvalue|, and ``near_unit`` holds the eigenvalues whose
+    modulus is within ``tol`` of 1, in input order.
+    """
+    absolute = np.abs(evals)
+    moduli = np.sort(absolute)[::-1]
+    gap = float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0
+    return moduli, gap, evals[np.abs(absolute - 1.0) <= tol]
 
 
 def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> FixedPointResult:
@@ -217,13 +223,7 @@ def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> Fixe
     returned.
     """
     evals, evecs = np.linalg.eig(cm.matrix)
-    order = np.argsort(-np.abs(evals))
-    evals = evals[order]
-    evecs = evecs[:, order]
-
-    moduli = np.abs(evals)
-    near_unit = evals[np.abs(moduli - 1.0) <= tol]
-    gap = float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0
+    _, gap, near_unit = spectral_summary(evals, tol)
 
     idx = int(np.argmin(np.abs(evals - 1.0)))
     x = unvec(evecs[:, idx], cm.dim)
@@ -234,7 +234,7 @@ def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> Fixe
         tr = complex(np.trace(x))
         if abs(tr) < 1e-12:
             raise ValueError("fixed-point eigenvector has zero trace; channel is not trace preserving")
-    rho = _clean_state(x / tr)
+    rho = project_density(hermitian_part(x / tr), psd_atol=SOLVER_PSD_ATOL)
     residual = trace_distance(unvec(cm.matrix @ vec(rho), cm.dim), rho)
 
     result = FixedPointResult(
@@ -264,9 +264,7 @@ def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts,
     ops = cycle_operators(parts, params)
 
     rho1 = hermitize(kron(ops.sigma_a, rho_cb_star))
-    rho2 = hermitize(ops.u1 @ rho1 @ ops.u1.conj().T)
-    rho3 = hermitize(replace_last_factor(rho2, ops.sigma_b, dims))
-    rho4 = hermitize(ops.u2 @ rho3 @ ops.u2.conj().T)
+    rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)
 
     closure = trace_distance(partial_trace(rho4, range(1, n), dims), rho_cb_star)
     if closure > 10.0 * tol:

@@ -138,15 +138,15 @@ def hermitize(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def project_density(m: np.ndarray) -> np.ndarray:
+def project_density(m: np.ndarray, psd_atol: float = PSD_CLIP_ATOL) -> np.ndarray:
     """Clean a nearly-valid density matrix: symmetrize, clip, renormalize.
 
-    Eigenvalues in [-PSD_CLIP_ATOL, 0) are clipped to zero; anything more
+    Eigenvalues in [-psd_atol, 0) are clipped to zero; anything more
     negative raises. The result has unit trace to machine precision.
     """
     m = hermitize(m)
     w, v = np.linalg.eigh(m)
-    if float(w.min()) < -PSD_CLIP_ATOL:
+    if float(w.min()) < -psd_atol:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     m = (v * w) @ v.conj().T

@@ -44,6 +44,11 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="E"):
             ChainSpec(n=3, E=[0.0, 1.0, 1.0], J=[0.1, 0.1], K=[0.1, 0.1], F=[0.1, 0.1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coupling_named(self, bad):
+        with pytest.raises(ValueError, match=r"K\[1\]"):
+            ChainSpec(n=3, E=[1.0, 1.0, 1.0], J=[0.1, 0.1], K=[0.1, bad], F=[0.1, 0.1])
+
 
 class TestBuildHamiltonian:
     def test_field_only_spectrum(self):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qcycle import random_density_matrix
+from qcycle import (build_hamiltonian, channel_matrix, cycle_channel_ac, cycle_channel_cb,
+                    fixed_point_spectral, random_density_matrix)
 from qcycle.cli import TRACE_COLUMNS, main, parse_config
-from qcycle.errors import ConfigError
+from qcycle.errors import ConfigError, DegenerateFixedPointError
 
 GENERIC = {
     "chain": {"n": 3, "E": [1.0, 1.3, 2.0], "J": [0.4, 0.5], "K": [0.2, 0.1], "F": [0.3, 0.2]},
@@ -30,6 +31,9 @@ def variant(**changes):
             node = node.setdefault(key, {})
         node[keys[-1]] = value
     return doc
+
+
+DECOUPLED = variant(**{"chain.J": [0.0, 0.0], "chain.K": [0.0, 0.0], "chain.F": [0.0, 0.0]})
 
 
 class TestConfigParsing:
@@ -62,6 +66,16 @@ class TestConfigParsing:
     def test_bad_tolerance_named(self, tmp_path):
         with pytest.raises(ConfigError, match="solver.tol"):
             parse_config(write_config(tmp_path, variant(**{"solver.tol": -1.0})))
+
+    def test_non_finite_field_exits_config(self, tmp_path, capsys):
+        # Python's json reads and writes the bare NaN token
+        cfg = write_config(tmp_path, variant(**{"chain.E": [1.0, float("nan"), 2.0]}))
+        assert main(["report", "--config", cfg]) == 1
+        assert "chain.E" in capsys.readouterr().err
+
+    def test_nan_tolerance_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="solver.tol"):
+            parse_config(write_config(tmp_path, variant(**{"solver.tol": float("nan")})))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -210,10 +224,25 @@ class TestSpectrum:
         assert out["cb"]["degenerate"] is True
         assert len(out["cb"]["near_unit_eigenvalues"]) > 1
 
+    @pytest.mark.parametrize("doc", [GENERIC, DECOUPLED], ids=["readme", "decoupled"])
+    def test_agrees_with_spectral_solver(self, tmp_path, capsys, doc):
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["spectrum", "--config", cfg_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = parse_config(cfg_path)
+        parts = build_hamiltonian(cfg.spec)
+        for key, build in (("cb", cycle_channel_cb), ("ac", cycle_channel_ac)):
+            try:
+                result = fixed_point_spectral(channel_matrix(build(parts, cfg.params)))
+            except DegenerateFixedPointError as exc:
+                result = exc.result
+            assert out[key]["degenerate"] is result.degenerate
+            # eigvals and eig are separate LAPACK calls, equal to rounding
+            assert out[key]["spectral_gap"] == pytest.approx(result.spectral_gap, abs=1e-12)
+
 
 class TestSweep:
-    def test_sweep_merges_in_config_order(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QCYCLE_THREADS", "2")
+    def test_sweep_merges_in_config_order(self, tmp_path, capsys):
         good = write_config(tmp_path, GENERIC, "good.json")
         degenerate = write_config(
             tmp_path,
@@ -225,6 +254,19 @@ class TestSweep:
         assert [entry["config"] for entry in doc] == [good, degenerate]
         assert doc[0]["status"] == 0 and "document" in doc[0]
         assert doc[1]["status"] == 3 and "document" not in doc[1]
+
+    def test_failing_member_keeps_other_documents(self, tmp_path, capsys):
+        # a tolerance below rounding makes the closure certificate fail
+        tight = write_config(tmp_path, variant(**{"solver.method": "spectral",
+                                                  "solver.tol": 1e-17}), "tight.json")
+        good = write_config(tmp_path, GENERIC, "good.json")
+        assert main(["report", "--config", tight, good, "--sweep"]) == 5
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [entry["config"] for entry in doc] == [tight, good]
+        assert doc[0]["status"] == 5 and "document" not in doc[0]
+        assert doc[1]["status"] == 0 and "document" in doc[1]
+        assert "closure" in captured.err
 
     def test_multiple_configs_require_sweep_flag(self, tmp_path, capsys):
         a = write_config(tmp_path, GENERIC, "a.json")

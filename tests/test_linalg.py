@@ -179,6 +179,15 @@ class TestHygiene:
         assert np.linalg.eigvalsh(clean).min() >= -1e-15
         assert abs(np.trace(clean) - 1.0) < 1e-14
 
+    def test_project_density_solver_floor(self, rng):
+        rho = random_density_matrix(4, rng)
+        w, v = np.linalg.eigh(rho)
+        w[0] = -1e-7  # past the default clip band, within the solver one
+        dirty = (v * w) @ v.conj().T
+        with pytest.raises(ValueError):
+            project_density(dirty)
+        assert np.linalg.eigvalsh(project_density(dirty, psd_atol=1e-6)).min() >= -1e-15
+
     def test_project_density_rejects_large_negatives(self, rng):
         rho = random_density_matrix(4, rng)
         w, v = np.linalg.eigh(rho)
