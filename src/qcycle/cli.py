@@ -29,10 +29,10 @@ from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointErr
                      NotCPError, NotFixedPointError, RankDeficientError, ZeroHeatError)
 from .limitcycle import (channel_matrix, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
-                         spectral_summary)
+                         sector_eigenvalues, spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
-from .reversal import (choi_from_matrix, choi_output_trace, kraus_channel_matrix,
-                       kraus_from_choi, reverse_channel, sequence_probability)
+from .reversal import (choi_from_matrix, choi_output_trace, kraus_from_choi,
+                       reconstruction_residual, reverse_channel, sequence_probability)
 from .thermo import limit_cycle_report
 
 TRACE_COLUMNS = ("cycle", "delta_prev", "q_c", "q_h", "w1", "w2", "w3", "w4",
@@ -317,7 +317,7 @@ def _reverse_one(cfg: RunConfig, channel):
     rev = reverse_channel(kraus, spectral.rho_star, fp_tol=cfg.tol)
 
     d = channel.dim
-    recon = float(np.linalg.norm(cm.matrix - kraus_channel_matrix(kraus).matrix, 2))
+    recon = reconstruction_residual(cm, kraus)
     tp_residual = float(np.abs(choi_output_trace(j, d) - np.eye(d)).max())
     rev_fp_dist = trace_distance(rev.apply(rev.rho_star), rev.rho_star)
 
@@ -355,7 +355,9 @@ def cmd_reverse(cfg: RunConfig):
 
 
 def _spectrum_one(channel):
-    moduli, gap, near_unit = spectral_summary(np.linalg.eigvals(channel_matrix(channel).matrix))
+    evals, _, _ = sector_eigenvalues(channel_matrix(channel).matrix)
+    moduli, gap, near = spectral_summary(evals)
+    near_unit = evals[near]
     return {
         "dim": channel.dim,
         "spectral_gap": gap,
@@ -402,7 +404,8 @@ def _run_one(command: str, config_path: str, seed_override: int | None):
         print(f"qcycle: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, None, None
     except DegenerateFixedPointError as exc:
-        evs = ", ".join(f"{ev:.12g}" for ev in np.asarray(exc.eigenvalues))
+        evs = ", ".join(f"{ev:.12g}" + ("" if q is None else f" (q={q})")
+                        for ev, q in zip(np.asarray(exc.eigenvalues), exc.charges))
         print(f"qcycle: degenerate fixed point; near-unit eigenvalues: [{evs}]", file=sys.stderr)
         return EXIT_DEGENERATE, None, None
     except RankDeficientError as exc:

@@ -18,6 +18,17 @@ point. Two independent solvers (power iteration and the spectral
 decomposition of the vectorized channel) guard against silent bugs.
 
 Vectorization is column-stacking throughout this module.
+
+Charge sectors. Every term of the chain Hamiltonian conserves total S^Z and
+both bath states are diagonal, so the cycle channels are covariant under
+rho -> exp(i phi S^Z) rho exp(-i phi S^Z). With |0> the S^Z = +1/2 state, a
+basis state |k> of the reduced chain has S^Z = const - popcount(k), and only
+differences of S^Z matter: the entry rho[r, c] carries the charge
+q = m_r - m_c = popcount(c) - popcount(r). The column-stacked index of that
+entry is c*d + r, so :func:`charge_blocks` labels index a*d + b with
+popcount(a) - popcount(b), and the channel matrix is block diagonal over
+those sectors. The fixed point, like every state, lives partly in q = 0,
+which holds the diagonal and so the trace.
 """
 
 from __future__ import annotations
@@ -36,6 +47,11 @@ from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_den
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-point candidates
+# Entries outside the charge sectors up to this fraction of the largest |entry| are rounding
+# (about 1e-15 for the cycle channels at n = 3..7); above it the matrix is not covariant.
+CHARGE_LEAKAGE_TOL = 1e-12
+# The leakage scan holds at most this many extra entries at a time.
+_SCAN_ENTRIES = 1 << 20
 # Solver candidates (last iterate, unit eigenvector) may have eigenvalues down to -1e-6 and
 # are still clipped to a state; linalg.PSD_CLIP_ATOL is the floor for states already valid.
 SOLVER_PSD_ATOL = 1e-6
@@ -155,6 +171,70 @@ def channel_matrix(ch: Channel) -> ChannelMatrix:
     return ChannelMatrix(g.transpose(0, 2, 1, 3).reshape(d * d, d * d), d, ch.label)
 
 
+def off_block_moduli(m: np.ndarray, labels: np.ndarray):
+    """Per chunk of rows: (largest |entry|, |entries| whose row and column labels differ).
+
+    Chunks keep the scan's extra memory to about ``_SCAN_ENTRIES`` entries.
+    """
+    step = max(1, _SCAN_ENTRIES // m.shape[1])
+    for start in range(0, m.shape[0], step):
+        chunk = np.abs(m[start:start + step])
+        yield chunk.max(), chunk[labels[start:start + step, None] != labels[None, :]]
+
+
+def charge_blocks(m: np.ndarray) -> list:
+    """The S^Z charge sectors of a d^2 x d^2 matrix over index pairs a*d + b.
+
+    Returns ``[(q, indices), ...]`` in ascending charge q = popcount(a) -
+    popcount(b) (module docstring), when every entry outside the sectors is
+    at most ``CHARGE_LEAKAGE_TOL`` times the largest |entry|. Otherwise, and
+    when d is not a power of two, returns the single block
+    ``[(None, all indices)]``.
+    """
+    size = m.shape[0]
+    d = int(round(np.sqrt(size)))
+    whole = [(None, np.arange(size))]
+    if d * d != size or d < 2 or d & (d - 1):
+        return whole
+    pop = np.array([k.bit_count() for k in range(d)])
+    charge = (pop[:, None] - pop[None, :]).reshape(-1)
+    scale, leak = 0.0, 0.0
+    for chunk_max, outside in off_block_moduli(m, charge):
+        scale = max(scale, float(chunk_max))
+        leak = max(leak, float(outside.max(initial=0.0)))
+    if leak > CHARGE_LEAKAGE_TOL * scale:
+        return whole
+    return [(int(q), np.flatnonzero(charge == q)) for q in np.unique(charge)]
+
+
+def submatrix(m: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The square submatrix of m on ``indices``; m itself when they are all of it."""
+    return m if len(indices) == m.shape[0] else m[np.ix_(indices, indices)]
+
+
+def sector_eigenvalues(m: np.ndarray, trace_vector: bool = False):
+    """Eigenvalues of m sector by sector, over :func:`charge_blocks`.
+
+    Returns ``(eigenvalues, charges, vector)``: the eigenvalues sector after
+    sector in block order, the charge of each (None where m did not split)
+    and, with ``trace_vector``, the full-length eigenvector whose eigenvalue
+    is nearest 1 within the block holding index 0, which carries the trace
+    (else None). Only that block is decomposed with eigenvectors.
+    """
+    evals, charges, vector = [], [], None
+    for q, idx in charge_blocks(m):
+        sub = submatrix(m, idx)
+        if trace_vector and idx[0] == 0:
+            w, v = np.linalg.eig(sub)
+            vector = np.zeros(m.shape[0], dtype=complex)
+            vector[idx] = v[:, int(np.argmin(np.abs(w - 1.0)))]
+        else:
+            w = np.linalg.eigvals(sub)
+        evals.append(w)
+        charges += [q] * len(w)
+    return np.concatenate(evals), charges, vector
+
+
 def _estimate_gap(deltas) -> float:
     """Tail-ratio estimate of 1 - |second eigenvalue| from the delta history."""
     tail = [d for d in deltas[-12:] if d > 0.0]
@@ -205,28 +285,30 @@ def spectral_summary(evals: np.ndarray, tol: float = DEGENERACY_TOL):
     """(moduli, gap, near_unit) of a channel's eigenvalues.
 
     ``moduli`` are the |eigenvalues| in descending order, ``gap`` is
-    1 - |second eigenvalue|, and ``near_unit`` holds the eigenvalues whose
-    modulus is within ``tol`` of 1, in input order.
+    1 - |second eigenvalue|, and ``near_unit`` is the mask of the
+    eigenvalues whose modulus is within ``tol`` of 1.
     """
     absolute = np.abs(evals)
     moduli = np.sort(absolute)[::-1]
     gap = float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0
-    return moduli, gap, evals[np.abs(absolute - 1.0) <= tol]
+    return moduli, gap, np.abs(absolute - 1.0) <= tol
 
 
 def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> FixedPointResult:
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
-    Eigenvalues whose modulus is within ``tol`` of 1 count as fixed-point
-    candidates; more than one raises :class:`DegenerateFixedPointError`
-    carrying all of them plus the (arbitrary) candidate it would have
-    returned.
+    The eigenproblem is split by :func:`charge_blocks`; only the q = 0 block,
+    which carries the trace, is decomposed with eigenvectors. Eigenvalues
+    whose modulus is within ``tol`` of 1 count as fixed-point candidates;
+    more than one raises :class:`DegenerateFixedPointError` carrying all of
+    them (sector by sector), their charges, and the (arbitrary) candidate it
+    would have returned.
     """
-    evals, evecs = np.linalg.eig(cm.matrix)
-    _, gap, near_unit = spectral_summary(evals, tol)
+    evals, charges, vector = sector_eigenvalues(cm.matrix, trace_vector=True)
+    _, gap, near = spectral_summary(evals, tol)
+    near_unit = evals[near]
 
-    idx = int(np.argmin(np.abs(evals - 1.0)))
-    x = unvec(evecs[:, idx], cm.dim)
+    x = unvec(vector, cm.dim)
     tr = complex(np.trace(x))
     if abs(tr) < 1e-12:
         # pathological gauge: the candidate has no trace component
@@ -246,7 +328,8 @@ def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> Fixe
         converged=len(near_unit) <= 1,
     )
     if result.degenerate:
-        raise DegenerateFixedPointError(near_unit, result=result)
+        raise DegenerateFixedPointError(near_unit, result=result,
+                                        charges=[charges[i] for i in np.flatnonzero(near)])
     return result
 
 

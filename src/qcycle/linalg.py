@@ -158,10 +158,13 @@ def project_density(m: np.ndarray, psd_atol: float = PSD_CLIP_ATOL) -> np.ndarra
 
 def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-12,
                          trace_atol: float = 1e-12, psd_atol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD."""
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace, and PSD."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        # every comparison with NaN is false, so the checks below would pass it
+        raise ValueError("entries must be finite")
     dev = float(np.abs(rho - rho.conj().T).max())
     if dev > herm_atol:
         raise ValueError(f"not Hermitian: max deviation {dev:.3e}")

@@ -9,6 +9,16 @@ J reshuffles the column-stacking channel matrix M: ch(E_ij)[k, l] sits at
 M[l*d + k, j*d + i] and at J[k*d + i, l*d + j], so with M as the array
 M4[l, k, j, i], J = M4.transpose(1, 3, 0, 2).reshape(d*d, d*d).
 
+Both matrices split by S^Z charge (see :mod:`qcycle.limitcycle`, with |0>
+the S^Z = +1/2 state, so a basis state's charge is -popcount up to a
+constant and only differences matter). A covariant channel maps E_ij, of
+charge popcount(j) - popcount(i), to outputs of the same charge, so
+J[k*d + i, l*d + j] vanishes unless popcount(k) - popcount(i) =
+popcount(l) - popcount(j): over index pairs a*d + b, J is block diagonal by
+popcount(a) - popcount(b), the labels :func:`charge_blocks` uses for M.
+Each Choi eigenvector then lies in one sector, and so does each Kraus
+operator it gives.
+
 Kraus operators come from the eigendecomposition of J (descending
 eigenvalue order fixes the gauge). The time reversal of a channel around a
 full-rank state r it fixes conjugates each Kraus operator:
@@ -26,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import Channel, ChannelMatrix, channel_matrix, kraus_channel
+from .limitcycle import (Channel, ChannelMatrix, channel_matrix, charge_blocks, kraus_channel,
+                         off_block_moduli, submatrix)
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
@@ -76,28 +87,36 @@ def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
 def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition.
 
-    Eigenpairs with eigenvalue below ``rank_tol`` (relative to the largest)
-    are dropped and their total weight reported on the result. Eigenvectors
-    devectorize row-major: the Choi convention above pairs output-leg index
-    k with input-leg index i at flat position k*d + i.
+    The eigenproblem is split by :func:`charge_blocks`, and the eigenpairs
+    of all sectors are merged in descending eigenvalue order, which fixes
+    the gauge. Eigenpairs with eigenvalue below ``rank_tol`` (relative to
+    the largest) are dropped and their total weight reported on the result.
+    Eigenvectors devectorize row-major: the Choi convention above pairs
+    output-leg index k with input-leg index i at flat position k*d + i.
     """
     j = np.asarray(j, dtype=complex)
     d2 = j.shape[0]
     d = int(round(np.sqrt(d2)))
     if j.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"Choi matrix shape {j.shape} is not a square of squares")
-    w, v = np.linalg.eigh(hermitian_part(j))
+    sectors = [(idx, *np.linalg.eigh(hermitian_part(submatrix(j, idx))))
+               for _, idx in charge_blocks(j)]
+    w = np.concatenate([vals for _, vals, _ in sectors])
+    # eigenvalue w[k] has the eigenvector vector[k] on the indices support[k]
+    support = [idx for idx, vals, _ in sectors for _ in vals]
+    vector = [col for _, _, vecs in sectors for col in vecs.T]
     min_eig = float(w.min())
     if min_eig < -CP_ATOL:
         raise NotCPError(min_eig)
     order = np.argsort(-w)
-    w = w[order]
-    v = v[:, order]
-    cut = rank_tol * max(float(w[0]), 0.0)
+    cut = rank_tol * max(float(w[order[0]]), 0.0)
     ops = []
     discarded = 0.0
-    for lam, col in zip(w, v.T):
+    for k in order:
+        lam = w[k]
         if lam >= cut and lam > 0.0:
+            col = np.zeros(d2, dtype=complex)
+            col[support[k]] = vector[k]
             ops.append(np.sqrt(lam) * col.reshape(d, d))
         else:
             discarded += float(lam)
@@ -119,6 +138,24 @@ def kraus_adjoint_apply(operators, x: np.ndarray) -> np.ndarray:
 def kraus_channel_matrix(kraus: KrausSet) -> ChannelMatrix:
     """Column-stacking matrix representation sum conj(A) (x) A of the Kraus map."""
     return channel_matrix(kraus_channel(kraus.operators, label="kraus"))
+
+
+def reconstruction_residual(cm: ChannelMatrix, kraus: KrausSet) -> float:
+    """Upper bound on the 2-norm of cm minus the matrix of the Kraus set.
+
+    Over the sectors of ``charge_blocks(cm.matrix)`` it is the largest
+    per-sector 2-norm of the difference plus the Frobenius norm of the
+    difference outside the sectors; with a single block it is the 2-norm.
+    """
+    diff = kraus_channel_matrix(kraus).matrix
+    np.subtract(cm.matrix, diff, out=diff)
+    blocks = charge_blocks(cm.matrix)
+    labels = np.empty(diff.shape[0], dtype=int)
+    for b, (_, idx) in enumerate(blocks):
+        labels[idx] = b
+    inside = max(float(np.linalg.norm(submatrix(diff, idx), 2)) for _, idx in blocks)
+    outside = sum(float(np.sum(part**2)) for _, part in off_block_moduli(diff, labels))
+    return inside + float(np.sqrt(outside))
 
 
 def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:

@@ -128,6 +128,14 @@ class TestSimulate:
         cfg = write_config(tmp_path, variant(initial_state=str(tmp_path / "init.npy")))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
 
+    def test_non_finite_initial_state_named(self, tmp_path, capsys):
+        rho = np.eye(8) / 8
+        rho[0, 0] = np.nan
+        np.save(tmp_path / "init.npy", rho)
+        cfg = write_config(tmp_path, variant(initial_state=str(tmp_path / "init.npy")))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "initial_state" in capsys.readouterr().err
+
     def test_output_format_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, variant(**{"output.format": "json"}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
@@ -147,6 +155,19 @@ class TestReport:
         cfg = write_config(tmp_path, doc)
         assert main(["report", "--config", cfg]) == 3
         assert "near-unit eigenvalues" in capsys.readouterr().err
+
+    def test_degenerate_eigenvalues_named_by_sector(self, tmp_path, capsys):
+        # zero couplings and stroke times leave the middle qubit untouched: its
+        # populations give two unit eigenvalues in q = 0, its coherences q = -1, +1
+        doc = {"chain": {"n": 3, "E": [1.0, 1.3, 2.0], "J": [0.0, 0.0], "K": [0.0, 0.0],
+                         "F": [0.0, 0.0]},
+               "cycle": {"beta1": 1.0, "beta2": 0.75, "tau1": 0.0, "tau2": 0.0},
+               "seed": 0}
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert "near-unit eigenvalues" in err
+        assert err.count("(q=0)") == 2
+        assert "(q=-1)" in err and "(q=1)" in err
 
     def test_matched_bath_report_has_ansatz_distance(self, tmp_path, capsys):
         # beta2 = beta1 * E_1 / E_N is exact in binary for these values
