@@ -155,7 +155,8 @@ def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(op @ rho).real)
+    """Re Tr(op rho) for a Hermitian op: the O(D^2) sum of conj(op) * rho, no matmul."""
+    return float(np.vdot(op, rho).real)
 
 
 def cycle_record(state: CycleState, parts: HamiltonianParts, params: CycleParams,
@@ -177,8 +178,7 @@ def cycle_record(state: CycleState, parts: HamiltonianParts, params: CycleParams
     w4 = -_expect(parts.h_cb, state.rho4)
     w_total = w1 + w2 + w3 + w4
 
-    w_ledger = (_expect(parts.h_ac, state.rho1) - _expect(parts.h_ac, state.rho0)
-                + _expect(parts.h_cb, state.rho3) - _expect(parts.h_cb, state.rho2))
+    w_ledger = w1 - _expect(parts.h_ac, state.rho0) + w3 - _expect(parts.h_cb, state.rho2)
 
     return CycleRecord(
         q_c=q_c, q_h=q_h,

@@ -29,10 +29,27 @@ entry is c*d + r, so :func:`charge_blocks` labels index a*d + b with
 popcount(a) - popcount(b), and the channel matrix is block diagonal over
 those sectors. The fixed point, like every state, lives partly in q = 0,
 which holds the diagonal and so the trace.
+
+Hermitian pairing. The channels map Hermitian matrices to Hermitian
+matrices, and vec(rho^*) = S conj(vec(rho)) for the swap S that sends index
+a*d + b to b*d + a, so the channel matrix satisfies
+
+    M[swap i, swap j] = conj(M[i, j]).
+
+Swap sends charge q to -q. The -q block is therefore the entrywise conjugate
+of the +q block with its indices swapped, and its eigenvalues are the
+conjugates of the +q ones. Swap maps q = 0 to itself, and there the block
+is real in the Hermitian basis T: the unit vectors e_{a*d+a} of the
+diagonal, plus (e_{a*d+b} + e_{b*d+a})/sqrt(2) and
+i(e_{a*d+b} - e_{b*d+a})/sqrt(2) for each pair a < b, i.e. the vectorized
+E_ab + E_ba and i(E_ab - E_ba) over sqrt(2). :func:`sector_eigenvalues`
+decomposes only the q >= 0 blocks, the q = 0 block as the real matrix
+T^* M_0 T, after checking each shortcut on the blocks it uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -212,6 +229,78 @@ def submatrix(m: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return m if len(indices) == m.shape[0] else m[np.ix_(indices, indices)]
 
 
+def swap_index(indices: np.ndarray, d: int) -> np.ndarray:
+    """Column-stacked index of the transposed entry: a*d + b -> b*d + a."""
+    return indices % d * d + indices // d
+
+
+def mirror(m: np.ndarray, indices: np.ndarray, d: int) -> np.ndarray:
+    """conj(m) on the swapped ``indices``, a new array.
+
+    It equals m's block on ``indices`` when m preserves Hermiticity.
+    """
+    swapped = swap_index(indices, d)
+    out = m[np.ix_(swapped, swapped)]
+    return np.conjugate(out, out=out)
+
+
+def hermitian_frame(indices: np.ndarray, d: int):
+    """(order, nd): a q = 0 sector reordered as diagonal, a < b and swapped a > b indices.
+
+    ``nd`` counts the diagonal ones. In this order the Hermitian basis T
+    (module docstring) has the columns e_k on the diagonal, then
+    (e_u + e_l)/sqrt(2) and then i(e_u - e_l)/sqrt(2) over the pairs (u, l).
+    """
+    a, b = indices // d, indices % d
+    diagonal, upper = indices[a == b], indices[a < b]
+    return np.concatenate([diagonal, upper, swap_index(upper, d)]), len(diagonal)
+
+
+def to_hermitian_frame(m: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
+    """T^* B T for m's block B on ``order`` (:func:`hermitian_frame`), a new array.
+
+    Formed in place on the gathered block in O(size^2): no other array of
+    the block's size is allocated.
+    """
+    r = m[np.ix_(order, order)]
+    half = (len(order) - nd) // 2
+    for side, phase in ((r.T, 1j), (r, -1j)):  # B T column by column, then T^* (B T) by rows
+        upper, lower = side[nd:nd + half], side[nd + half:]
+        upper += lower
+        lower *= -2.0
+        lower += upper  # upper - lower, as they were
+        upper *= np.sqrt(0.5)
+        lower *= phase * np.sqrt(0.5)
+    return r
+
+
+def from_hermitian_frame(v: np.ndarray, nd: int) -> np.ndarray:
+    """T v, in :func:`hermitian_frame` order."""
+    half = (len(v) - nd) // 2
+    sym, anti = v[nd:nd + half] * np.sqrt(0.5), v[nd + half:] * (1j * np.sqrt(0.5))
+    return np.concatenate([v[:nd], sym + anti, sym - anti])
+
+
+def _within_rounding(deviation: np.ndarray, block: np.ndarray) -> bool:
+    """Whether |deviation| is at most CHARGE_LEAKAGE_TOL of the block's largest |entry|."""
+    return np.abs(deviation).max(initial=0.0) <= CHARGE_LEAKAGE_TOL * np.abs(block).max(initial=0.0)
+
+
+def _block_eig(sub: np.ndarray, with_vector: bool):
+    """(eigenvalues, eigenvector nearest 1 or None) of one block."""
+    if not with_vector:
+        return np.linalg.eigvals(sub), None
+    w, v = np.linalg.eig(sub)
+    return w, v[:, int(np.argmin(np.abs(w - 1.0)))]
+
+
+def _embed(size: int, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A full-length vector holding ``values`` at ``indices`` and zeros elsewhere."""
+    out = np.zeros(size, dtype=complex)
+    out[indices] = values
+    return out
+
+
 def sector_eigenvalues(m: np.ndarray, trace_vector: bool = False):
     """Eigenvalues of m sector by sector, over :func:`charge_blocks`.
 
@@ -220,18 +309,38 @@ def sector_eigenvalues(m: np.ndarray, trace_vector: bool = False):
     and, with ``trace_vector``, the full-length eigenvector whose eigenvalue
     is nearest 1 within the block holding index 0, which carries the trace
     (else None). Only that block is decomposed with eigenvectors.
+
+    The -q sector's eigenvalues are the conjugates of the +q ones, in the
+    +q order, when its block is the mirror of the +q block; the q = 0 block
+    is decomposed in real arithmetic when it is real in the Hermitian basis
+    (module docstring). Each shortcut is checked to ``CHARGE_LEAKAGE_TOL`` of
+    its block's largest entry, and a block that fails is decomposed itself.
     """
-    evals, charges, vector = [], [], None
-    for q, idx in charge_blocks(m):
-        sub = submatrix(m, idx)
-        if trace_vector and idx[0] == 0:
-            w, v = np.linalg.eig(sub)
-            vector = np.zeros(m.shape[0], dtype=complex)
-            vector[idx] = v[:, int(np.argmin(np.abs(w - 1.0)))]
-        else:
-            w = np.linalg.eigvals(sub)
-        evals.append(w)
-        charges += [q] * len(w)
+    blocks = charge_blocks(m)
+    d = math.isqrt(m.shape[0])
+    solved, vector = {}, None
+    for q, idx in reversed(blocks):  # +q before -q
+        with_vector = trace_vector and idx[0] == 0
+        if q is not None and q < 0:
+            sub = submatrix(m, idx)
+            deviation = mirror(m, idx, d)
+            deviation -= sub
+            if _within_rounding(deviation, sub):
+                solved[q] = solved[-q].conj() + 0.0  # + 0.0: no -0.0 imaginary parts
+                continue
+        elif q == 0:
+            order, nd = hermitian_frame(idx, d)
+            r = to_hermitian_frame(m, order, nd)
+            if _within_rounding(r.imag, r):
+                solved[q], v = _block_eig(r.real, with_vector)
+                if v is not None:
+                    vector = _embed(m.shape[0], order, from_hermitian_frame(v, nd))
+                continue
+        solved[q], v = _block_eig(submatrix(m, idx), with_vector)
+        if v is not None:
+            vector = _embed(m.shape[0], idx, v)
+    evals = [solved[q] for q, _ in blocks]
+    charges = [q for (q, _), w in zip(blocks, evals) for _ in w]
     return np.concatenate(evals), charges, vector
 
 
@@ -254,7 +363,7 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     Non-convergence is not an exception: the result carries the best iterate,
     the full delta history, and ``converged=False``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     rho = np.asarray(rho_init, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):

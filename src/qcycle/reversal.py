@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import (Channel, ChannelMatrix, channel_matrix, charge_blocks, kraus_channel,
-                         off_block_moduli, submatrix)
+from .limitcycle import (Channel, ChannelMatrix, channel_matrix, charge_blocks, hermitian_frame,
+                         kraus_channel, mirror, off_block_moduli, submatrix, to_hermitian_frame)
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
@@ -144,18 +144,33 @@ def reconstruction_residual(cm: ChannelMatrix, kraus: KrausSet) -> float:
     """Upper bound on the 2-norm of cm minus the matrix of the Kraus set.
 
     Over the sectors of ``charge_blocks(cm.matrix)`` it is the largest
-    per-sector 2-norm of the difference plus the Frobenius norm of the
-    difference outside the sectors; with a single block it is the 2-norm.
+    per-sector bound plus the Frobenius norm of the difference D outside the
+    sectors; with a single block it is the 2-norm. The sector bounds take
+    one SVD per pair of sectors, through the Hermitian pairing of
+    :mod:`qcycle.limitcycle`: the 2-norm of D_q for q > 0, then
+    ||D_q||_2 + ||D_-q - mirror(D_q)||_F for -q, and for q = 0, with
+    R = T^* D_0 T in the Hermitian basis, ||Re R||_2 (a real SVD) +
+    ||Im R||_F.
     """
     diff = kraus_channel_matrix(kraus).matrix
     np.subtract(cm.matrix, diff, out=diff)
     blocks = charge_blocks(cm.matrix)
+    d = cm.dim
     labels = np.empty(diff.shape[0], dtype=int)
-    for b, (_, idx) in enumerate(blocks):
+    norms = {}
+    for b, (q, idx) in enumerate(reversed(blocks)):  # +q before -q
         labels[idx] = b
-    inside = max(float(np.linalg.norm(submatrix(diff, idx), 2)) for _, idx in blocks)
+        if q is not None and q < 0:
+            deviation = mirror(diff, idx, d)
+            deviation -= submatrix(diff, idx)
+            norms[q] = norms[-q] + float(np.linalg.norm(deviation))
+        elif q == 0:
+            r = to_hermitian_frame(diff, *hermitian_frame(idx, d))
+            norms[q] = float(np.linalg.norm(r.real, 2)) + float(np.linalg.norm(r.imag))
+        else:
+            norms[q] = float(np.linalg.norm(submatrix(diff, idx), 2))
     outside = sum(float(np.sum(part**2)) for _, part in off_block_moduli(diff, labels))
-    return inside + float(np.sqrt(outside))
+    return max(norms.values()) + float(np.sqrt(outside))
 
 
 def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:

@@ -6,7 +6,8 @@ from qcycle import (ChainSpec, CycleParams, build_hamiltonian,
                     partial_trace, random_density_matrix, run_cycle,
                     stroke_thermalize_a, stroke_thermalize_b, stroke_unitary,
                     total_magnetization, trace_distance)
-from qcycle.limitcycle import cycle_channel_cb, fixed_point_iterate
+from qcycle.limitcycle import (channel_matrix, cycle_channel_cb, fixed_point_iterate,
+                               fixed_point_spectral)
 from qcycle.limitcycle import limit_cycle_states
 from conftest import random_chain_spec, random_engine_point
 
@@ -156,6 +157,36 @@ class TestRunCycle:
         cycle = limit_cycle_states(fp.rho_star, parts, params, tol=1e-13)
         _, rec = run_cycle(cycle.rho0, parts, params)
         assert rec.first_law_residual_ledger < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_record_matches_matmul_definition(self, rng, n):
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        state, rec = run_cycle(full_random_state(rng, n), parts, params)
+
+        def expect(op, rho):
+            return np.trace(op @ rho).real
+
+        ops = cycle_operators(parts, params)
+        dims = [2] * n
+        reference = {
+            "q_c": expect(parts.h_a_local, partial_trace(state.rho0, [0], dims) - ops.sigma_a),
+            "q_h": expect(parts.h_b_local, partial_trace(state.rho2, [n - 1], dims) - ops.sigma_b),
+            "w1": expect(parts.h_ac, state.rho1),
+            "w2": -expect(parts.h_ac, state.rho2),
+            "w3": expect(parts.h_cb, state.rho3),
+            "w4": -expect(parts.h_cb, state.rho4),
+            "w_ledger": (expect(parts.h_ac, state.rho1) - expect(parts.h_ac, state.rho0)
+                         + expect(parts.h_cb, state.rho3) - expect(parts.h_cb, state.rho2)),
+        }
+        for name, value in reference.items():
+            assert abs(getattr(rec, name) - value) <= 1e-14, name
+        energy_change = expect(parts.h_s, state.rho4 - state.rho0)
+        assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) <= 1e-12
+
+        fp = fixed_point_spectral(channel_matrix(cycle_channel_cb(parts, params)))
+        cycle = limit_cycle_states(fp.rho_star, parts, params)
+        assert run_cycle(cycle.rho0, parts, params)[1].first_law_residual_ledger <= 1e-12
 
     def test_reuses_precomputed_operators(self, rng, small_point):
         spec, params = small_point

@@ -146,6 +146,11 @@ class TestFixedPointIterate:
         assert len(res.delta_history) == 3
         check_density_matrix(res.rho_star)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_rejects_non_positive_tol(self, rng, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fixed_point_iterate(identity_channel(2), random_density_matrix(2, rng), tol=tol)
+
     def test_tail_deltas_decreasing(self, rng, small_point):
         spec, params = small_point
         ch = cycle_channel_cb(build_hamiltonian(spec), params)

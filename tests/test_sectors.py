@@ -10,14 +10,16 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, channel_matrix,
                     cycle_channel_ac, cycle_channel_cb, fixed_point_spectral,
                     kraus_channel_matrix, kraus_from_choi, project_density)
-from qcycle.limitcycle import (SOLVER_PSD_ATOL, charge_blocks, kraus_channel,
-                               sector_eigenvalues)
+from qcycle.limitcycle import (SOLVER_PSD_ATOL, charge_blocks, from_hermitian_frame,
+                               hermitian_frame, kraus_channel, sector_eigenvalues, swap_index,
+                               to_hermitian_frame)
 from qcycle.linalg import hermitian_part
-from qcycle.reversal import choi_from_matrix, reconstruction_residual
+from qcycle.reversal import KrausSet, choi_from_matrix, reconstruction_residual
 from conftest import random_engine_point
 
 
@@ -44,6 +46,18 @@ def dense_kraus(j, rank_tol=1e-12):
         else:
             discarded += float(lam)
     return ops, discarded
+
+
+def split_by_sector(evals, blocks):
+    """The per-sector pieces of :func:`sector_eigenvalues`' output, in block order."""
+    return np.split(evals, np.cumsum([len(idx) for _, idx in blocks])[:-1])
+
+
+def multiset_distance(a, b):
+    """Largest |a_i - b_j| over the closest one-to-one matching of two eigenvalue lists."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def stinespring_channel(u, d):
@@ -83,11 +97,18 @@ class TestCycleChannelsSplit:
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         ch = maker(build_hamiltonian(spec), params)
         cm = channel_matrix(ch)
-        assert len(charge_blocks(cm.matrix)) == 2 * n - 1
+        blocks = charge_blocks(cm.matrix)
+        assert len(blocks) == 2 * n - 1
 
         evals, _, _ = sector_eigenvalues(cm.matrix)
         dense_moduli = np.sort(np.abs(np.linalg.eigvals(cm.matrix)))
         assert np.abs(np.sort(np.abs(evals)) - dense_moduli).max() < 1e-12
+        per_sector = dict(zip([q for q, _ in blocks], split_by_sector(evals, blocks)))
+        for q, idx in blocks:
+            dense = np.linalg.eigvals(cm.matrix[np.ix_(idx, idx)])
+            assert multiset_distance(per_sector[q], dense) < 1e-12
+            if q < 0:  # the pairing was taken, not the fallback
+                assert np.array_equal(per_sector[q], per_sector[-q].conj())
 
         result = fixed_point_spectral(cm)
         rho, gap = dense_fixed_point(cm)
@@ -109,6 +130,28 @@ class TestCycleChannelsSplit:
             fixed_point_spectral(cm)
         # the untouched middle qubit: populations in q = 0, coherences in q = -1, +1
         assert err.value.charges == [-1, 0, 0, 1]
+
+
+class TestHermitianFrame:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_explicit_basis(self, rng, d):
+        pop = np.array([k.bit_count() for k in range(d)])
+        zero = np.flatnonzero((pop[:, None] - pop[None, :]).reshape(-1) == 0)
+        order, nd = hermitian_frame(zero, d)
+        assert sorted(order) == list(zero)
+        size, half = len(order), (len(order) - nd) // 2
+        t = np.zeros((size, size), dtype=complex)  # columns: the Hermitian basis, in order
+        t[:nd, :nd] = np.eye(nd)
+        for k in range(half):
+            u, lo = nd + k, nd + half + k
+            assert order[lo] == swap_index(order[u], d)
+            t[[u, lo], nd + k] = np.sqrt(0.5)
+            t[[u, lo], nd + half + k] = 1j * np.sqrt(0.5) * np.array([1, -1])
+        assert np.abs(t.conj().T @ t - np.eye(size)).max() < 1e-15
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        block = m[np.ix_(order, order)]
+        assert np.abs(to_hermitian_frame(m, order, nd) - t.conj().T @ block @ t).max() < 1e-14
+        assert np.abs(from_hermitian_frame(block[:, 0], nd) - t @ block[:, 0]).max() < 1e-15
 
 
 class TestFallbackIsDense:
@@ -142,3 +185,56 @@ class TestFallbackIsDense:
         with pytest.raises(DegenerateFixedPointError) as err:
             fixed_point_spectral(cm)
         assert err.value.charges == [None] * 9
+
+
+def phase_channel(rng, d):
+    """rho[r, c] -> exp(i theta_rc) rho[r, c] with theta not antisymmetric.
+
+    Covariant, so it splits by charge, but not Hermiticity preserving: the
+    -q block is not the mirror of the +q block and the q = 0 block is not
+    real in the Hermitian basis.
+    """
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(d, d)))
+    return Channel(dim=d, apply=lambda m: phase * m)
+
+
+def sandwich_channel(rng, d):
+    """rho -> A rho B with A, B random and block diagonal by popcount: covariant, not HP."""
+    pop = np.array([k.bit_count() for k in range(d)])
+    same = pop[:, None] == pop[None, :]
+    a, b = (same * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(2))
+    return Channel(dim=d, apply=lambda m: a @ m @ b)
+
+
+class TestNoPairingWithoutHermiticity:
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("make", [phase_channel, sandwich_channel])
+    def test_bit_identical_to_per_block(self, rng, make, d):
+        m = channel_matrix(make(rng, d)).matrix
+        blocks = charge_blocks(m)
+        assert [q for q, _ in blocks] == list(range(-d.bit_length() + 1, d.bit_length()))
+
+        evals, charges, _ = sector_eigenvalues(m)
+        per_block = [np.linalg.eigvals(m[np.ix_(idx, idx)]) for _, idx in blocks]
+        assert np.array_equal(evals, np.concatenate(per_block))
+        assert charges == [q for q, idx in blocks for _ in idx]
+
+        evals, _, vector = sector_eigenvalues(m, trace_vector=True)
+        middle = len(blocks) // 2  # q = 0
+        zero = blocks[middle][1]
+        w, v = np.linalg.eig(m[np.ix_(zero, zero)])
+        assert np.array_equal(split_by_sector(evals, blocks)[middle], w)
+        assert np.array_equal(vector[zero], v[:, int(np.argmin(np.abs(w - 1.0)))])
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("moved", ["q<0", "q=0"])
+    def test_residual_bound_holds(self, d, moved):
+        # a map that multiplies the entries of one kind of sector by i, against the identity
+        pop = np.array([k.bit_count() for k in range(d)])
+        charge = pop[None, :] - pop[:, None]  # of rho[r, c]
+        phase = np.where(charge < 0 if moved == "q<0" else charge == 0, 1j, 1.0)
+        cm = channel_matrix(Channel(dim=d, apply=lambda m: phase * m))
+        identity = KrausSet(operators=[np.eye(d, dtype=complex)], dim=d)
+        exact = float(np.linalg.norm(cm.matrix - kraus_channel_matrix(identity).matrix, 2))
+        assert exact == pytest.approx(np.sqrt(2.0))
+        assert exact <= reconstruction_residual(cm, identity)
