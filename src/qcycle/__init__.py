@@ -25,7 +25,7 @@ from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
                      partial_trace, project_density, psd_sqrt_invsqrt,
                      random_density_matrix, trace_distance)
 from .reversal import (KrausSet, ReversedChannel, choi_matrix, choi_output_trace,
-                       kraus_apply, kraus_channel_matrix, kraus_from_choi,
+                       kraus_apply, kraus_channel_matrix, kraus_from_choi, kraus_from_stack,
                        post_interaction_state, reverse_channel, sequence_probability)
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
@@ -45,7 +45,7 @@ __all__ = [
     "trace_distance", "commutator_norm", "project_density",
     "check_density_matrix", "random_density_matrix",
     "KrausSet", "ReversedChannel", "choi_matrix", "choi_output_trace",
-    "kraus_apply", "kraus_channel_matrix", "kraus_from_choi",
+    "kraus_apply", "kraus_channel_matrix", "kraus_from_choi", "kraus_from_stack",
     "post_interaction_state", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",

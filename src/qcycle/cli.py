@@ -31,8 +31,8 @@ from .limitcycle import (channel_matrix, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
                          sector_eigenvalues, spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
-from .reversal import (choi_from_matrix, choi_output_trace, kraus_from_choi,
-                       reconstruction_residual, reverse_channel, sequence_probability)
+from .reversal import (KrausSet, choi_from_matrix, kraus_from_choi, kraus_from_stack,
+                       reverse_channel, sequence_probability)
 from .thermo import limit_cycle_report
 
 TRACE_COLUMNS = ("cycle", "delta_prev", "q_c", "q_h", "w1", "w2", "w3", "w4",
@@ -310,15 +310,16 @@ def cmd_report(cfg: RunConfig):
 
 
 def _reverse_one(cfg: RunConfig, channel):
-    cm = channel_matrix(channel)
-    spectral = fixed_point_spectral(cm)
-    j = choi_from_matrix(cm)
-    kraus = kraus_from_choi(j)  # raises NotCPError
+    spectral = fixed_point_spectral(channel_matrix(channel))
+    stack = channel.kraus
+    if stack is None:  # a bare map: operators from its Choi matrix, which raises NotCPError
+        stack = np.array(kraus_from_choi(choi_from_matrix(channel_matrix(channel))).operators)
+    kraus, recon = kraus_from_stack(stack)
     rev = reverse_channel(kraus, spectral.rho_star, fp_tol=cfg.tol)
 
     d = channel.dim
-    recon = reconstruction_residual(cm, kraus)
-    tp_residual = float(np.abs(choi_output_trace(j, d) - np.eye(d)).max())
+    # the Choi matrix's output trace is (sum_k K_k^* K_k)^T over any Kraus set of the map
+    tp_residual = KrausSet(operators=list(stack), dim=d).completeness_residual()
     rev_fp_dist = trace_distance(rev.apply(rev.rho_star), rev.rho_star)
 
     rng = np.random.default_rng(cfg.seed)

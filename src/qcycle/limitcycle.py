@@ -199,6 +199,18 @@ def off_block_moduli(m: np.ndarray, labels: np.ndarray):
         yield chunk.max(), chunk[labels[start:start + step, None] != labels[None, :]]
 
 
+def popcount_charges(d: int) -> np.ndarray | None:
+    """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
+
+    Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
+    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
+    """
+    if d < 2 or d & (d - 1):
+        return None
+    pop = np.array([k.bit_count() for k in range(d)])
+    return pop[:, None] - pop[None, :]
+
+
 def charge_blocks(m: np.ndarray) -> list:
     """The S^Z charge sectors of a d^2 x d^2 matrix over index pairs a*d + b.
 
@@ -211,10 +223,10 @@ def charge_blocks(m: np.ndarray) -> list:
     size = m.shape[0]
     d = int(round(np.sqrt(size)))
     whole = [(None, np.arange(size))]
-    if d * d != size or d < 2 or d & (d - 1):
+    charge = popcount_charges(d) if d * d == size else None
+    if charge is None:
         return whole
-    pop = np.array([k.bit_count() for k in range(d)])
-    charge = (pop[:, None] - pop[None, :]).reshape(-1)
+    charge = charge.reshape(-1)
     scale, leak = 0.0, 0.0
     for chunk_max, outside in off_block_moduli(m, charge):
         scale = max(scale, float(chunk_max))

@@ -1,4 +1,4 @@
-"""Kraus extraction via the Choi matrix and the time-reversed channel.
+"""Kraus extraction and the time-reversed channel.
 
 The Choi matrix here is J = sum_ij ch(E_ij) (x) E_ij over matrix units,
 i.e. the output leg is the first Kronecker factor. J is PSD iff the channel
@@ -19,9 +19,18 @@ popcount(a) - popcount(b), the labels :func:`charge_blocks` uses for M.
 Each Choi eigenvector then lies in one sector, and so does each Kraus
 operator it gives.
 
-Kraus operators come from the eigendecomposition of J (descending
-eigenvalue order fixes the gauge). The time reversal of a channel around a
-full-rank state r it fixes conjugates each Kraus operator:
+Kraus operators are the eigenvectors of J scaled by the square roots of
+their eigenvalues, in descending eigenvalue order (which fixes the gauge).
+For a channel given by k operators K_k, J needs no eigendecomposition of
+its own. With F the k x d^2 matrix whose rows are the K_k flattened
+row-major, J = F^T conj(F), and its nonzero eigenpairs come from the k x k
+Gram matrix G = conj(F) F^T, G_kl = Tr K_k^* K_l: if G v = w v, then
+J (F^T v) = F^T G v = w F^T v and ||F^T v||^2 = v^* G v = w. So with
+G = V diag(w) V^*, the operators A = V^T F, i.e. A_l = sum_k V_kl K_k, are
+the Choi eigenvectors scaled by sqrt(w_l), each up to a phase.
+
+The time reversal of a channel around a full-rank state r it fixes
+conjugates each Kraus operator:
 
     reversed A = r^{1/2} A* r^{-1/2}
 
@@ -36,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import (Channel, ChannelMatrix, channel_matrix, charge_blocks, hermitian_frame,
-                         kraus_channel, mirror, off_block_moduli, submatrix, to_hermitian_frame)
+from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, ChannelMatrix, channel_matrix, charge_blocks,
+                         kraus_channel, popcount_charges, submatrix)
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
@@ -140,37 +149,85 @@ def kraus_channel_matrix(kraus: KrausSet) -> ChannelMatrix:
     return channel_matrix(kraus_channel(kraus.operators, label="kraus"))
 
 
-def reconstruction_residual(cm: ChannelMatrix, kraus: KrausSet) -> float:
-    """Upper bound on the 2-norm of cm minus the matrix of the Kraus set.
+def _charge_groups(stack: np.ndarray) -> list:
+    """Indices of a (k, d, d) stack's operators grouped by S^Z charge, ascending.
 
-    Over the sectors of ``charge_blocks(cm.matrix)`` it is the largest
-    per-sector bound plus the Frobenius norm of the difference D outside the
-    sectors; with a single block it is the 2-norm. The sector bounds take
-    one SVD per pair of sectors, through the Hermitian pairing of
-    :mod:`qcycle.limitcycle`: the 2-norm of D_q for q > 0, then
-    ||D_q||_2 + ||D_-q - mirror(D_q)||_F for -q, and for q = 0, with
-    R = T^* D_0 T in the Hermitian basis, ||Re R||_2 (a real SVD) +
-    ||Im R||_F.
+    Each operator must carry one charge popcount(row) - popcount(column):
+    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
+    largest entry, whose charge it takes. If any operator fails, and when d
+    is not a power of two, all operators form one group.
     """
-    diff = kraus_channel_matrix(kraus).matrix
-    np.subtract(cm.matrix, diff, out=diff)
-    blocks = charge_blocks(cm.matrix)
-    d = cm.dim
-    labels = np.empty(diff.shape[0], dtype=int)
-    norms = {}
-    for b, (q, idx) in enumerate(reversed(blocks)):  # +q before -q
-        labels[idx] = b
-        if q is not None and q < 0:
-            deviation = mirror(diff, idx, d)
-            deviation -= submatrix(diff, idx)
-            norms[q] = norms[-q] + float(np.linalg.norm(deviation))
-        elif q == 0:
-            r = to_hermitian_frame(diff, *hermitian_frame(idx, d))
-            norms[q] = float(np.linalg.norm(r.real, 2)) + float(np.linalg.norm(r.imag))
-        else:
-            norms[q] = float(np.linalg.norm(submatrix(diff, idx), 2))
-    outside = sum(float(np.sum(part**2)) for _, part in off_block_moduli(diff, labels))
-    return max(norms.values()) + float(np.sqrt(outside))
+    k, d, _ = stack.shape
+    charge = popcount_charges(d)
+    whole = [np.arange(k)]
+    if charge is None:
+        return whole
+    charge = charge.reshape(-1)
+    moduli = np.abs(stack).reshape(k, -1)
+    peak = moduli.argmax(axis=1)
+    q = charge[peak]
+    leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
+    if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
+        return whole
+    return [np.flatnonzero(q == c) for c in np.unique(q)]
+
+
+def _dot_rounding(m: int) -> float:
+    """sqrt(2) gamma_(m+2): the relative rounding bound of a complex inner product of length m."""
+    u = np.finfo(float).eps / 2.0
+    return float(np.sqrt(2.0) * (m + 2) * u / (1.0 - (m + 2) * u))
+
+
+def kraus_from_stack(stack, rank_tol: float = 1e-12):
+    """Choi-canonical Kraus operators of a (k, d, d) stack, from its Gram matrix.
+
+    Returns ``(kraus, residual)``. Per charge group of the stack
+    (:func:`_charge_groups`), the group's Gram matrix G = V diag(w) V^*
+    gives the operators A = V^T F of weight w, the Choi eigenvalues (module
+    docstring), so each operator lies in one sector. The operators of all
+    groups are merged in descending weight, the gauge rule of
+    :func:`kraus_from_choi`; weights below ``rank_tol`` of the largest are
+    dropped and their sum is the set's ``discarded_weight``.
+
+    ``residual`` is an upper bound on the 2-norm of D, the difference
+    between the channel matrices of the stack and of the returned operators.
+    In coefficient space D = sum_kk' E_kk' conj(K_k) (x) K_k' with
+    E = I - conj(V_kept) V_kept^T, so ||D||_F^2 is the contraction
+    sum conj(E) (conj(G) E G^T) over the k operator indices, free of the
+    cancellation a difference of two norms would suffer. To it is added the
+    rounding of the formed operators and of E, e_l (2 ||A_l||_F + s_l + e_l)
+    per operator, with s_l = sum_k |V_kl| ||K_k||_F and e_l =
+    sqrt(2) gamma_(m+2) s_l over a group of m operators, so that the bound
+    holds for the operators returned.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    k, d, _ = stack.shape
+    f = stack.reshape(k, d * d)
+    gram = f.conj() @ f.T
+    norms = np.linalg.norm(f, axis=1)
+    pairs = []  # (weight, group, eigenvector)
+    for idx in _charge_groups(stack):
+        w, v = np.linalg.eigh(gram[np.ix_(idx, idx)])
+        pairs += [(lam, idx, col) for lam, col in zip(w, v.T)]
+    weights = np.array([lam for lam, _, _ in pairs])
+    cut = rank_tol * max(float(weights.max()), 0.0)
+    ops, discarded, rounding = [], 0.0, 0.0
+    kept = np.zeros((k, k), dtype=complex)  # conj(V_kept) V_kept^T
+    for i in np.argsort(-weights):
+        lam, idx, col = pairs[i]
+        if not (lam >= cut and lam > 0.0):
+            discarded += float(lam)
+            continue
+        a = col @ f[idx]
+        ops.append(a.reshape(d, d))
+        kept[np.ix_(idx, idx)] += np.outer(col.conj(), col)
+        s = float(np.abs(col) @ norms[idx])
+        e = _dot_rounding(len(idx)) * s
+        rounding += e * (2.0 * float(np.linalg.norm(a)) + s + e)
+    e_mat = np.eye(k) - kept
+    square = float(np.vdot(e_mat, gram.conj() @ e_mat @ gram.T).real)
+    residual = float(np.sqrt(max(square, 0.0))) + rounding
+    return KrausSet(operators=ops, dim=d, discarded_weight=discarded), residual
 
 
 def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
@@ -222,6 +279,27 @@ class ReversedChannel:
         return self.sqrt @ kraus_adjoint_apply(self.forward.operators, inner) @ self.sqrt
 
 
+def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
+    """rho without its entries between basis states of different popcount, if they are rounding.
+
+    A covariant channel's fixed point commutes with S^Z, so those entries
+    vanish; computed ones read about 1e-17. The popcount blocks are each well
+    conditioned, but their scales can run from 1e-8 to 1, and the map carries
+    that rounding into the smallest block with a relative error of about
+    1e-10, which the reversed set's completeness then shows. A state with
+    such entries above ``CHARGE_LEAKAGE_TOL`` of its largest entry is not
+    covariant and is returned as it is.
+    """
+    charge = popcount_charges(rho.shape[0])
+    if charge is None:
+        return rho
+    off = charge != 0
+    moduli = np.abs(rho)
+    if moduli[off].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
+        return rho
+    return np.where(off, 0.0, rho)
+
+
 def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-12,
                     fp_tol: float = 1e-10) -> ReversedChannel:
     """Build the time-reversed channel around a full-rank fixed point.
@@ -233,6 +311,8 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
         :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
         (else :class:`NotFixedPointError`). It is refined by two steps of the
         forward map, and the reversal is built around the refined state.
+        Before and after each step, its entries between different popcounts
+        are zeroed when they are rounding (:func:`_charge_diagonal`).
     rank_tol : relative eigenvalue cutoff for the rank check.
     fp_tol : solver tolerance the fixed point was computed at.
 
@@ -248,9 +328,10 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
 
     # The solver's absolute error reaches the reversed set amplified by cond(rho_star);
     # two steps of the map leave only the map's own rounding.
+    rho_star = _charge_diagonal(rho_star)
     for _ in range(2):
         rho_star = hermitian_part(kraus_apply(kraus.operators, rho_star))
-        rho_star = rho_star / np.trace(rho_star).real
+        rho_star = _charge_diagonal(rho_star / np.trace(rho_star).real)
     sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)
 
     reversed_ops = [sqrt @ a.conj().T @ invsqrt for a in kraus.operators]

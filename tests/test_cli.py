@@ -213,6 +213,27 @@ class TestReverse:
             assert section["choi_output_trace_residual"] < 1e-10
             assert section["kraus_count"] >= 1
 
+    def test_slowly_mixing_ill_conditioned_point(self, tmp_path, capsys):
+        # the seventh reverse-n6 point of benchmark seed 12: CB cond(rho_star) = 2.3e8, gap
+        # 0.026; the rounding of rho_star's entries between popcount blocks, carried by the
+        # map into its 1e-8 block, put the CB reversed completeness at 1.57e-10
+        doc = {"chain": {"n": 6,
+                         "E": [1.1319760882910113, 1.8289437512462674, 1.4707114516048694,
+                               0.6909971249971828, 1.5198564136276, 6.827000652627963],
+                         "J": [0.6836453703353496, -0.7293303663286581, 0.7406536884965726,
+                               -0.5717647008264165, -0.6632489365180771],
+                         "K": [-0.6721415405692712, 0.4728623476913465, -0.4966794704863428,
+                               0.6709419697910364, -0.3341275427836406],
+                         "F": [-0.4546680653178439, 0.7498563069529323, 0.36231865554636805,
+                               0.20758174576935873, 0.30250776208698993]},
+               "cycle": {"beta1": 2.989041785059351, "beta2": 0.7490425371237124,
+                         "tau1": 1.2231095634900022, "tau2": 0.4732138686761764},
+               "seed": 165008929}
+        assert main(["reverse", "--config", write_config(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        for key in ("cb", "ac"):
+            assert out[key]["reversed_completeness_residual"] < 1e-10
+
     def test_near_pure_fixed_point_rank_deficient(self, tmp_path, capsys):
         doc = variant(**{"cycle.beta1": 200.0, "cycle.beta2": 150.0})
         cfg = write_config(tmp_path, doc)

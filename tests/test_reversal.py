@@ -2,15 +2,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, Channel, CycleParams, NotCPError, NotFixedPointError, RankDeficientError,
-                    ZeroProbabilityError, build_hamiltonian, channel_matrix,
+from qcycle import (ChainSpec, Channel, CycleParams, KrausSet, NotCPError, NotFixedPointError,
+                    RankDeficientError, ZeroProbabilityError, build_hamiltonian, channel_matrix,
                     choi_matrix, choi_output_trace, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral, kraus_apply,
-                    kraus_channel_matrix, kraus_from_choi,
+                    kraus_channel_matrix, kraus_from_choi, kraus_from_stack,
                     post_interaction_state, random_density_matrix,
                     reverse_channel, sequence_probability, trace_distance)
 from qcycle.cli import _reverse_one
+from qcycle.limitcycle import popcount_charges
+from qcycle.reversal import choi_from_matrix
 from conftest import random_engine_point
 from oracle_naive import naive_choi
 
@@ -107,6 +110,56 @@ class TestKrausFromChoi:
         cm = channel_matrix(ch)
         km = kraus_channel_matrix(kraus)
         assert np.linalg.norm(cm.matrix - km.matrix, 2) <= 1e-10
+
+
+class TestKrausFromStack:
+    """The Gram route against the Choi eigendecomposition and the dense 2-norm."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5]),
+           maker=st.sampled_from([cycle_channel_cb, cycle_channel_ac]))
+    def test_matches_choi_route(self, seed, n, maker):
+        spec, params = random_engine_point(np.random.default_rng(seed), n)
+        ch = maker(build_hamiltonian(spec), params)
+        cm = channel_matrix(ch)
+        kraus, bound = kraus_from_stack(ch.kraus)
+        ops = kraus.operators
+        choi = choi_from_matrix(cm)
+        assert len(ops) == len(kraus_from_choi(choi).operators) <= 16
+
+        choi_weights = np.sort(np.linalg.eigvalsh((choi + choi.conj().T) / 2))[::-1]
+        weights = np.array([np.vdot(a, a).real for a in ops])
+        assert np.abs(weights - choi_weights[:len(ops)]).max() < 1e-12
+        assert kraus.discarded_weight == 0.0
+
+        charge = popcount_charges(ch.dim)
+        for a in ops:
+            moduli = np.abs(a)
+            own = charge == charge.flat[np.argmax(moduli)]
+            assert moduli[~own].max(initial=0.0) <= 1e-12 * moduli.max()
+
+        rebuilt = kraus_channel_matrix(kraus).matrix
+        assert np.abs(rebuilt - cm.matrix).max() < 1e-12
+        assert float(np.linalg.norm(cm.matrix - rebuilt, 2)) <= bound < 1e-10
+
+        rev = reverse_channel(kraus, fixed_point_spectral(cm).rho_star)
+        back = reverse_channel(rev.kraus, rev.rho_star)
+        assert np.abs(kraus_channel_matrix(back.kraus).matrix - cm.matrix).max() < 1e-10
+
+    def test_bound_covers_dropped_weight(self):
+        # a second operator whose weight falls under rank_tol is dropped; the bound must
+        # cover the map it leaves out, conj(B) (x) B with ||B||_F^2 = 1e-14
+        d = 4
+        b = np.zeros((d, d), dtype=complex)
+        b[0, 1] = 1e-7
+        stack = np.array([np.eye(d, dtype=complex), b])
+        kraus, bound = kraus_from_stack(stack)
+        assert len(kraus.operators) == 1
+        assert kraus.discarded_weight == pytest.approx(1e-14, rel=1e-12)
+        full = kraus_channel_matrix(KrausSet(operators=list(stack), dim=d)).matrix
+        exact = float(np.linalg.norm(full - kraus_channel_matrix(kraus).matrix, 2))
+        assert exact == pytest.approx(1e-14, rel=1e-6)
+        assert exact <= bound
 
 
 class TestSequenceProbability:
