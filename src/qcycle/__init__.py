@@ -19,7 +19,7 @@ from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
                      QcycleError, RankDeficientError, ZeroHeatError,
                      ZeroProbabilityError)
 from .limitcycle import (Channel, ChannelMatrix, FixedPointResult, channel_matrix,
-                         cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                         cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                          fixed_point_spectral, limit_cycle_states, unvec, vec)
 from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
                      partial_trace, project_density, psd_sqrt_invsqrt,
@@ -39,7 +39,7 @@ __all__ = [
     "cycle_operators", "cycle_record", "run_cycle",
     "stroke_thermalize_a", "stroke_thermalize_b", "stroke_unitary",
     "Channel", "ChannelMatrix", "FixedPointResult", "channel_matrix",
-    "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
+    "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
     "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
     "trace_distance", "commutator_norm", "project_density",

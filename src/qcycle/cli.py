@@ -27,9 +27,9 @@ from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
                      NotCPError, NotFixedPointError, RankDeficientError, ZeroHeatError)
-from .limitcycle import (channel_matrix, cycle_channel_ac, cycle_channel_cb,
-                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
-                         sector_eigenvalues, spectral_summary)
+from .limitcycle import (carried_fixed_point, channel_matrix, cold_half_cycle, cycle_channel_ac,
+                         cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
+                         limit_cycle_states, sector_eigenvalues, spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
 from .reversal import (KrausSet, choi_from_matrix, kraus_from_choi, kraus_from_stack,
                        reverse_channel, sequence_probability)
@@ -309,13 +309,19 @@ def cmd_report(cfg: RunConfig):
     return EXIT_OK, report.to_dict()
 
 
-def _reverse_one(cfg: RunConfig, channel):
-    spectral = fixed_point_spectral(channel_matrix(channel))
+def _reverse_one(cfg: RunConfig, channel, rho_star=None):
+    """(certificates, reversed channel) of one channel, reversed around its fixed point.
+
+    Without ``rho_star`` the fixed point is the channel's spectral one, which
+    raises :class:`DegenerateFixedPointError` on a degenerate channel.
+    """
+    if rho_star is None:
+        rho_star = fixed_point_spectral(channel_matrix(channel)).rho_star
     stack = channel.kraus
     if stack is None:  # a bare map: operators from its Choi matrix, which raises NotCPError
         stack = np.array(kraus_from_choi(choi_from_matrix(channel_matrix(channel))).operators)
     kraus, recon = kraus_from_stack(stack)
-    rev = reverse_channel(kraus, spectral.rho_star, fp_tol=cfg.tol)
+    rev = reverse_channel(kraus, rho_star, fp_tol=cfg.tol)
 
     d = channel.dim
     # the Choi matrix's output trace is (sum_k K_k^* K_k)^T over any Kraus set of the map
@@ -342,17 +348,22 @@ def _reverse_one(cfg: RunConfig, channel):
         "reconstruction_residual": recon,
         "reversed_fixed_point_distance": rev_fp_dist,
         "max_detailed_balance_violation": balance,
-    }
+    }, rev
 
 
 def cmd_reverse(cfg: RunConfig):
-    """Time-reversal certificates for both cycle channels."""
+    """Time-reversal certificates for both cycle channels.
+
+    Only CB is solved spectrally. AC's fixed point is the cold half-cycle's
+    image of CB's refined one, and its uniqueness is CB's (the
+    :mod:`qcycle.limitcycle` docstring).
+    """
     parts = build_hamiltonian(cfg.spec)
-    doc = {
-        "cb": _reverse_one(cfg, cycle_channel_cb(parts, cfg.params)),
-        "ac": _reverse_one(cfg, cycle_channel_ac(parts, cfg.params)),
-    }
-    return EXIT_OK, doc
+    ops = cycle_operators(parts, cfg.params)
+    cb, rev = _reverse_one(cfg, cycle_channel_cb(parts, cfg.params, ops=ops))
+    rho_ac = carried_fixed_point(cold_half_cycle(parts, cfg.params, ops=ops), rev.rho_star)
+    ac, _ = _reverse_one(cfg, cycle_channel_ac(parts, cfg.params, ops=ops), rho_ac)
+    return EXIT_OK, {"cb": cb, "ac": ac}
 
 
 def _spectrum_one(channel):
@@ -369,13 +380,15 @@ def _spectrum_one(channel):
 
 
 def cmd_spectrum(cfg: RunConfig):
-    """Channel spectrum diagnostics; degenerate sectors are reported, not fatal."""
+    """Channel spectrum diagnostics; degenerate sectors are reported, not fatal.
+
+    Only CB is decomposed: AC's channel matrix is C H where CB's is H C, so
+    the two share their eigenvalues sector by sector (the
+    :mod:`qcycle.limitcycle` docstring), and the ``ac`` block is CB's.
+    """
     parts = build_hamiltonian(cfg.spec)
-    doc = {
-        "cb": _spectrum_one(cycle_channel_cb(parts, cfg.params)),
-        "ac": _spectrum_one(cycle_channel_ac(parts, cfg.params)),
-    }
-    return EXIT_OK, doc
+    cb = _spectrum_one(cycle_channel_cb(parts, cfg.params))
+    return EXIT_OK, {"cb": cb, "ac": dict(cb)}
 
 
 # ---------------------------------------------------------------------------

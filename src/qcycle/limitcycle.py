@@ -12,6 +12,17 @@ d x d (d = 2^(n-1)) Kraus operators
 2 bath eigenvectors times 2 traced-out basis states make 4 operators per
 half-cycle, so CB = {B A} and AC = {A B} have 16 operators each.
 
+One spectrum, two anchors. With C and H the d^2 x d^2 matrices of the cold
+and hot half-cycles, the channel matrices are M_CB = H C and M_AC = C H.
+Square AB and BA have the same characteristic polynomial (Horn & Johnson,
+Matrix Analysis, Thm 1.3.22), so CB and AC have the same eigenvalues, with
+multiplicity. Both half-cycles preserve the S^Z charge below, so this holds
+sector by sector. The cold half-cycle also carries fixed points: if
+Phi_CB(rho) = rho then Phi_AC(Phi_cold(rho)) = Phi_cold(Phi_hot(Phi_cold(rho)))
+= Phi_cold(rho), so Phi_cold(rho*_CB) is AC's fixed point, unique when
+CB's is. :func:`cold_half_cycle` exposes Phi_cold as a channel and
+:func:`carried_fixed_point` maps a fixed point across it.
+
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
 point. Two independent solvers (power iteration and the spectral
@@ -56,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
-from .engine import CycleParams, CycleState, cycle_operators, strokes_2_to_4
+from .engine import CycleOperators, CycleParams, CycleState, cycle_operators, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_density,
                      trace_distance)
@@ -152,23 +163,53 @@ def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.
     return np.einsum(spec, u.reshape(shape), bath).reshape(4, d, d)
 
 
-def _cycle_kraus(parts: HamiltonianParts, params: CycleParams, cold_first: bool) -> np.ndarray:
+def _cycle_kraus(ops: CycleOperators, cold_first: bool) -> np.ndarray:
     """The 16 products S F of the half-cycles, F = cold (CB) or hot (AC) acting first."""
-    ops = cycle_operators(parts, params)
     cold = _half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True)
     hot = _half_cycle_kraus(ops.u2, ops.sigma_b, bath_first=False)
     first, second = (cold, hot) if cold_first else (hot, cold)
     return (second[:, None] @ first[None, :]).reshape(16, *cold.shape[1:])
 
 
-def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams) -> Channel:
-    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}."""
-    return kraus_channel(_cycle_kraus(parts, params, cold_first=True), label="cycle_cb")
+def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams, *,
+                     ops: CycleOperators | None = None) -> Channel:
+    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}.
+
+    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
+    """
+    ops = cycle_operators(parts, params) if ops is None else ops
+    return kraus_channel(_cycle_kraus(ops, cold_first=True), label="cycle_cb")
 
 
-def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams) -> Channel:
-    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}."""
-    return kraus_channel(_cycle_kraus(parts, params, cold_first=False), label="cycle_ac")
+def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams, *,
+                     ops: CycleOperators | None = None) -> Channel:
+    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}.
+
+    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
+    """
+    ops = cycle_operators(parts, params) if ops is None else ops
+    return kraus_channel(_cycle_kraus(ops, cold_first=False), label="cycle_ac")
+
+
+def cold_half_cycle(parts: HamiltonianParts, params: CycleParams, *,
+                    ops: CycleOperators | None = None) -> Channel:
+    """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}.
+
+    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
+    """
+    ops = cycle_operators(parts, params) if ops is None else ops
+    return kraus_channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True),
+                         label="cold_half_cycle")
+
+
+def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
+    """half(rho_star), cleaned to a state the way :func:`fixed_point_spectral` cleans its own.
+
+    With ``half`` the :func:`cold_half_cycle` and ``rho_star`` CB's fixed
+    point, this is AC's fixed point (module docstring).
+    """
+    x = hermitian_part(half.apply(rho_star))
+    return project_density(x / np.trace(x).real, psd_atol=SOLVER_PSD_ATOL)
 
 
 def channel_matrix(ch: Channel) -> ChannelMatrix:

@@ -99,6 +99,12 @@ class NaiveCycle:
         full = self.u2 @ full @ self.u2.conj().T
         return naive_ptrace_first(full, 2, 2 ** (self.n - 1))
 
+    def apply_cold(self, rho_cb):
+        """The first half of apply_cb: CB in, AC out."""
+        full = naive_kron(self.sigma_a, np.asarray(rho_cb, dtype=complex))
+        full = self.u1 @ full @ self.u1.conj().T
+        return naive_ptrace_last(full, 2 ** (self.n - 1), 2)
+
     def apply_ac(self, rho_ac):
         full = naive_kron(np.asarray(rho_ac, dtype=complex), self.sigma_b)
         full = self.u2 @ full @ self.u2.conj().T

@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import qcycle.cli
+import qcycle.limitcycle
+import qcycle.reversal
 from qcycle import (build_hamiltonian, channel_matrix, cycle_channel_ac, cycle_channel_cb,
                     fixed_point_spectral, random_density_matrix)
 from qcycle.cli import TRACE_COLUMNS, main, parse_config
@@ -281,6 +284,31 @@ class TestSpectrum:
             assert out[key]["degenerate"] is result.degenerate
             # eigvals and eig are separate LAPACK calls, equal to rounding
             assert out[key]["spectral_gap"] == pytest.approx(result.spectral_gap, abs=1e-12)
+
+
+class TestOneSolvePerConfig:
+    """CB's solve serves AC too: one channel matrix and one decomposition per config."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "reverse"])
+    def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
+        calls = {"sector_eigenvalues": 0, "channel_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every module that binds the names, so an indirect call is counted too
+        for module in (qcycle.cli, qcycle.limitcycle, qcycle.reversal):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        configs = [write_config(tmp_path, GENERIC, "a.json"),
+                   write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
+        assert main([command, "--config", *configs, "--sweep"]) == 0
+        assert all(entry["status"] == 0 for entry in json.loads(capsys.readouterr().out))
+        assert calls == {"sector_eigenvalues": 2, "channel_matrix": 2}
 
 
 class TestSweep:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
-                    build_hamiltonian, channel_matrix, check_density_matrix,
+                    build_hamiltonian, channel_matrix, check_density_matrix, cold_half_cycle,
                     cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, total_magnetization,
@@ -81,7 +81,8 @@ class TestKrausForm:
         parts = build_hamiltonian(spec)
         oracle = NaiveCycle(spec, params)
         for ch, naive in ((cycle_channel_cb(parts, params), oracle.apply_cb),
-                          (cycle_channel_ac(parts, params), oracle.apply_ac)):
+                          (cycle_channel_ac(parts, params), oracle.apply_ac),
+                          (cold_half_cycle(parts, params), oracle.apply_cold)):
             for _ in range(3):
                 rho = random_density_matrix(ch.dim, rng)
                 assert np.abs(ch.apply(rho) - naive(rho)).max() < 1e-11

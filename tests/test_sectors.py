@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, channel_matrix,
-                    cycle_channel_ac, cycle_channel_cb, fixed_point_spectral,
-                    kraus_channel_matrix, kraus_from_choi, project_density)
-from qcycle.limitcycle import (SOLVER_PSD_ATOL, charge_blocks, from_hermitian_frame,
-                               hermitian_frame, kraus_channel, sector_eigenvalues, swap_index,
-                               to_hermitian_frame)
+                    cold_half_cycle, cycle_channel_ac, cycle_channel_cb, cycle_operators,
+                    fixed_point_spectral, kraus_channel_matrix, kraus_from_choi,
+                    project_density, reverse_channel, trace_distance)
+from qcycle.limitcycle import (SOLVER_PSD_ATOL, carried_fixed_point, charge_blocks,
+                               from_hermitian_frame, hermitian_frame, kraus_channel,
+                               sector_eigenvalues, swap_index, to_hermitian_frame)
 from qcycle.linalg import hermitian_part
 from qcycle.reversal import _charge_groups, choi_from_matrix, kraus_from_stack
 from conftest import random_engine_point
@@ -131,6 +132,41 @@ class TestCycleChannelsSplit:
             fixed_point_spectral(cm)
         # the untouched middle qubit: populations in q = 0, coherences in q = -1, +1
         assert err.value.charges == [-1, 0, 0, 1]
+
+
+def by_charge(evals, charges):
+    """{q: the eigenvalues of sector q} from :func:`sector_eigenvalues`' output."""
+    return {q: evals[[c == q for c in charges]] for q in set(charges)}
+
+
+class TestOneLoopTwoAnchors:
+    """What CB's solve gives AC, against AC's own decomposition."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
+    def test_ac_from_cb(self, seed, n):
+        spec, params = random_engine_point(np.random.default_rng(seed), n)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        cb = cycle_channel_cb(parts, params, ops=ops)
+        cm_cb = channel_matrix(cb)
+        cm_ac = channel_matrix(cycle_channel_ac(parts, params, ops=ops))
+
+        # M_CB = H C and M_AC = C H share their eigenvalues, sector by sector
+        sectors_cb = by_charge(*sector_eigenvalues(cm_cb.matrix)[:2])
+        sectors_ac = by_charge(*sector_eigenvalues(cm_ac.matrix)[:2])
+        assert sorted(sectors_cb) == sorted(sectors_ac) == list(range(1 - n, n))
+        for q, evals in sectors_cb.items():
+            assert len(evals) == len(sectors_ac[q])
+            assert multiset_distance(evals, sectors_ac[q]) < 1e-12
+
+        # the cold half-cycle carries CB's fixed point, solved or refined, to AC's
+        rho_ac = fixed_point_spectral(cm_ac).rho_star
+        rho_cb = fixed_point_spectral(cm_cb).rho_star
+        refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb).rho_star
+        cold = cold_half_cycle(parts, params, ops=ops)
+        for rho in (rho_cb, refined):
+            assert trace_distance(carried_fixed_point(cold, rho), rho_ac) < 1e-12
 
 
 class TestHermitianFrame:
