@@ -11,7 +11,7 @@ Run:  python3 demos/limit_cycle_demo.py
 import numpy as np
 
 from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cycle_channel_cb,
-                    channel_matrix, cycle_operators, fixed_point_spectral,
+                    cycle_operators, fixed_point_spectral,
                     random_density_matrix, run_cycle, trace_distance)
 
 spec = ChainSpec(n=4,
@@ -56,7 +56,7 @@ meeting = trace_distance(trajectories[0][0], trajectories[1][0])
 print(f"\ndistance between the two converged states: {meeting:.3e}")
 
 ch = cycle_channel_cb(parts, params)
-gap = fixed_point_spectral(channel_matrix(ch)).spectral_gap
+gap = fixed_point_spectral(ch).spectral_gap
 ratio = hist_a[-1] / hist_a[-2]
 print(f"spectral gap of the cycle channel:  {gap:.6f}")
 print(f"observed tail contraction per cycle: {ratio:.6f}  (predicted {1 - gap:.6f})")

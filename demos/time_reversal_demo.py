@@ -23,14 +23,13 @@ params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.7, tau2=1.3)
 
 parts = build_hamiltonian(spec)
 channel = cycle_channel_cb(parts, params)
-cm = channel_matrix(channel)
-fp = fixed_point_spectral(cm)
+fp = fixed_point_spectral(channel)
 print(f"cycle channel on the {channel.dim}-dimensional end-to-middle subsystem, "
       f"spectral gap {fp.spectral_gap:.4f}")
 
 j = choi_matrix(channel)
 kraus = kraus_from_choi(j)
-recon = np.linalg.norm(cm.matrix - kraus_channel_matrix(kraus).matrix, 2)
+recon = np.linalg.norm(channel_matrix(channel).matrix - kraus_channel_matrix(kraus).matrix, 2)
 print(f"\nKraus extraction from the Choi matrix:")
 print(f"  operators kept:            {len(kraus.operators)}")
 print(f"  discarded Choi weight:     {kraus.discarded_weight:.3e}")

@@ -5,7 +5,7 @@ thermodynamics as JSON), ``reverse`` (Kraus extraction and time-reversal
 certificates as JSON), ``spectrum`` (channel eigenvalue diagnostics as
 JSON). Exit statuses are one per error family: 0 ok, 1 config, 2
 non-convergence, 3 degenerate fixed point, 4 rank deficiency, 5 failed
-certificate (cycle closure, complete positivity, reversal fixed point).
+certificate (cycle closure, reversal fixed point).
 ``--sweep`` runs its configs one after another, in the order given.
 
 All floats are emitted with up to 17 significant digits, enough to
@@ -26,13 +26,12 @@ import numpy as np
 from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                     NotCPError, NotFixedPointError, RankDeficientError, ZeroHeatError)
-from .limitcycle import (carried_fixed_point, channel_matrix, cold_half_cycle, cycle_channel_ac,
-                         cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
-                         limit_cycle_states, sector_eigenvalues, spectral_summary)
+                     NotFixedPointError, RankDeficientError, ZeroHeatError)
+from .limitcycle import (carried_fixed_point, cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
+                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
+                         sector_eigenvalues, spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
-from .reversal import (KrausSet, choi_from_matrix, kraus_from_choi, kraus_from_stack,
-                       reverse_channel, sequence_probability)
+from .reversal import KrausSet, kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import limit_cycle_report
 
 TRACE_COLUMNS = ("cycle", "delta_prev", "q_c", "q_h", "w1", "w2", "w3", "w4",
@@ -277,8 +276,7 @@ def _solve_fixed_point(cfg: RunConfig, channel):
     degeneracy detector, and a degenerate sector must never be passed off
     as a unique fixed point.
     """
-    cm = channel_matrix(channel)
-    spectral = fixed_point_spectral(cm)  # raises DegenerateFixedPointError
+    spectral = fixed_point_spectral(channel)  # raises DegenerateFixedPointError
     iterate = None
     if cfg.method in ("iterate", "both"):
         rng = np.random.default_rng(cfg.seed)
@@ -297,13 +295,14 @@ def _solve_fixed_point(cfg: RunConfig, channel):
 def cmd_report(cfg: RunConfig):
     """Limit-cycle thermodynamic report; returns (exit_status, doc or None)."""
     parts = build_hamiltonian(cfg.spec)
-    channel = cycle_channel_cb(parts, cfg.params)
-    rho_star, spectral, _ = _solve_fixed_point(cfg, channel)
+    ops = cycle_operators(parts, cfg.params)
+    rho_star, spectral, _ = _solve_fixed_point(cfg, cycle_channel_cb(parts, cfg.params, ops=ops))
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
-    cycle = limit_cycle_states(rho_star, parts, cfg.params, tol=cfg.tol)
+    cycle = limit_cycle_states(rho_star, parts, cfg.params, tol=cfg.tol, ops=ops)
     try:
-        report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap)
+        report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap,
+                                    ops=ops)
     except ZeroHeatError as exc:
         report = exc.report  # eta is NaN -> emitted as null
     return EXIT_OK, report.to_dict()
@@ -316,10 +315,8 @@ def _reverse_one(cfg: RunConfig, channel, rho_star=None):
     raises :class:`DegenerateFixedPointError` on a degenerate channel.
     """
     if rho_star is None:
-        rho_star = fixed_point_spectral(channel_matrix(channel)).rho_star
+        rho_star = fixed_point_spectral(channel).rho_star
     stack = channel.kraus
-    if stack is None:  # a bare map: operators from its Choi matrix, which raises NotCPError
-        stack = np.array(kraus_from_choi(choi_from_matrix(channel_matrix(channel))).operators)
     kraus, recon = kraus_from_stack(stack)
     rev = reverse_channel(kraus, rho_star, fp_tol=cfg.tol)
 
@@ -367,7 +364,7 @@ def cmd_reverse(cfg: RunConfig):
 
 
 def _spectrum_one(channel):
-    evals, _, _ = sector_eigenvalues(channel_matrix(channel).matrix)
+    evals, _, _ = sector_eigenvalues(channel)
     moduli, gap, near = spectral_summary(evals)
     near_unit = evals[near]
     return {
@@ -425,7 +422,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None):
     except RankDeficientError as exc:
         print(f"qcycle: {exc}", file=sys.stderr)
         return EXIT_RANK_DEFICIENT, None, None
-    except (ClosureViolationError, NotCPError, NotFixedPointError) as exc:
+    except (ClosureViolationError, NotFixedPointError) as exc:
         print(f"qcycle: certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE, None, None
 

@@ -31,17 +31,20 @@ decomposition of the vectorized channel) guard against silent bugs.
 Vectorization is column-stacking throughout this module.
 
 Charge sectors. Every term of the chain Hamiltonian conserves total S^Z and
-both bath states are diagonal, so the cycle channels are covariant under
-rho -> exp(i phi S^Z) rho exp(-i phi S^Z). With |0> the S^Z = +1/2 state, a
-basis state |k> of the reduced chain has S^Z = const - popcount(k), and only
-differences of S^Z matter: the entry rho[r, c] carries the charge
-q = m_r - m_c = popcount(c) - popcount(r). The column-stacked index of that
-entry is c*d + r, so :func:`charge_blocks` labels index a*d + b with
-popcount(a) - popcount(b), and the channel matrix is block diagonal over
-those sectors. The fixed point, like every state, lives partly in q = 0,
-which holds the diagonal and so the trace.
+both bath states are diagonal, so each Kraus operator K_k of the cycle
+channels carries one charge s_k = popcount(row) - popcount(column) and the
+channels are covariant under rho -> exp(i phi S^Z) rho exp(-i phi S^Z).
+With |0> the S^Z = +1/2 state, a basis state |k> of the reduced chain has
+S^Z = const - popcount(k), and only differences of S^Z matter: the entry
+rho[r, c] carries the charge q = m_r - m_c = popcount(c) - popcount(r). The
+column-stacked index of that entry is c*d + r, so index a*d + b has the
+charge popcount(a) - popcount(b), and the channel matrix is block diagonal
+over those sectors. The fixed point, like every state, lives partly in
+q = 0, which holds the diagonal and so the trace. :func:`sector_blocks`
+builds each block from the operators whose charge it needs, after the one
+check (:func:`_charge_groups`) that every operator is charge pure.
 
-Hermitian pairing. The channels map Hermitian matrices to Hermitian
+Hermitian pairing. A Kraus map sends Hermitian matrices to Hermitian
 matrices, and vec(rho^*) = S conj(vec(rho)) for the swap S that sends index
 a*d + b to b*d + a, so the channel matrix satisfies
 
@@ -53,14 +56,13 @@ conjugates of the +q ones. Swap maps q = 0 to itself, and there the block
 is real in the Hermitian basis T: the unit vectors e_{a*d+a} of the
 diagonal, plus (e_{a*d+b} + e_{b*d+a})/sqrt(2) and
 i(e_{a*d+b} - e_{b*d+a})/sqrt(2) for each pair a < b, i.e. the vectorized
-E_ab + E_ba and i(E_ab - E_ba) over sqrt(2). :func:`sector_eigenvalues`
-decomposes only the q >= 0 blocks, the q = 0 block as the real matrix
-T^* M_0 T, after checking each shortcut on the blocks it uses.
+E_ab + E_ba and i(E_ab - E_ba) over sqrt(2). Both hold exactly for any
+Kraus stack, so :func:`sector_eigenvalues` builds and decomposes only the
+q >= 0 blocks, the q = 0 block as the real matrix T^* M_0 T.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,11 +77,9 @@ from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_den
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-point candidates
-# Entries outside the charge sectors up to this fraction of the largest |entry| are rounding
-# (about 1e-15 for the cycle channels at n = 3..7); above it the matrix is not covariant.
+# Entries of a Kraus operator or a state outside its own S^Z charge, up to this fraction of
+# its largest |entry|, are rounding; above it the stack or the state is not covariant.
 CHARGE_LEAKAGE_TOL = 1e-12
-# The leakage scan holds at most this many extra entries at a time.
-_SCAN_ENTRIES = 1 << 20
 # Solver candidates (last iterate, unit eigenvector) may have eigenvalues down to -1e-6 and
 # are still clipped to a state; linalg.PSD_CLIP_ATOL is the floor for states already valid.
 SOLVER_PSD_ATOL = 1e-6
@@ -91,7 +91,8 @@ class Channel:
 
     ``apply`` must be linear (no normalization inside), so it can be
     tabulated on matrix units to build matrix and Choi representations.
-    ``kraus`` is the (k, dim, dim) operator stack ``apply`` sums over, if any.
+    ``kraus`` is the (k, dim, dim) operator stack ``apply`` sums over, if any;
+    the spectral solvers build their sector blocks from it (:func:`sector_blocks`).
     """
 
     dim: int
@@ -229,17 +230,6 @@ def channel_matrix(ch: Channel) -> ChannelMatrix:
     return ChannelMatrix(g.transpose(0, 2, 1, 3).reshape(d * d, d * d), d, ch.label)
 
 
-def off_block_moduli(m: np.ndarray, labels: np.ndarray):
-    """Per chunk of rows: (largest |entry|, |entries| whose row and column labels differ).
-
-    Chunks keep the scan's extra memory to about ``_SCAN_ENTRIES`` entries.
-    """
-    step = max(1, _SCAN_ENTRIES // m.shape[1])
-    for start in range(0, m.shape[0], step):
-        chunk = np.abs(m[start:start + step])
-        yield chunk.max(), chunk[labels[start:start + step, None] != labels[None, :]]
-
-
 def popcount_charges(d: int) -> np.ndarray | None:
     """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
 
@@ -252,34 +242,27 @@ def popcount_charges(d: int) -> np.ndarray | None:
     return pop[:, None] - pop[None, :]
 
 
-def charge_blocks(m: np.ndarray) -> list:
-    """The S^Z charge sectors of a d^2 x d^2 matrix over index pairs a*d + b.
+def _charge_groups(stack: np.ndarray) -> list:
+    """``[(s, indices), ...]``: a (k, d, d) stack's operators grouped by S^Z charge s, ascending.
 
-    Returns ``[(q, indices), ...]`` in ascending charge q = popcount(a) -
-    popcount(b) (module docstring), when every entry outside the sectors is
-    at most ``CHARGE_LEAKAGE_TOL`` times the largest |entry|. Otherwise, and
-    when d is not a power of two, returns the single block
-    ``[(None, all indices)]``.
+    Each operator must carry one charge popcount(row) - popcount(column):
+    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
+    largest entry, whose charge it takes. If any operator fails, and when d
+    is not a power of two, all operators form the one group ``(None, all)``.
     """
-    size = m.shape[0]
-    d = int(round(np.sqrt(size)))
-    whole = [(None, np.arange(size))]
-    charge = popcount_charges(d) if d * d == size else None
+    k, d, _ = stack.shape
+    charge = popcount_charges(d)
+    whole = [(None, np.arange(k))]
     if charge is None:
         return whole
     charge = charge.reshape(-1)
-    scale, leak = 0.0, 0.0
-    for chunk_max, outside in off_block_moduli(m, charge):
-        scale = max(scale, float(chunk_max))
-        leak = max(leak, float(outside.max(initial=0.0)))
-    if leak > CHARGE_LEAKAGE_TOL * scale:
+    moduli = np.abs(stack).reshape(k, -1)
+    peak = moduli.argmax(axis=1)
+    q = charge[peak]
+    leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
+    if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
         return whole
-    return [(int(q), np.flatnonzero(charge == q)) for q in np.unique(charge)]
-
-
-def submatrix(m: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The square submatrix of m on ``indices``; m itself when they are all of it."""
-    return m if len(indices) == m.shape[0] else m[np.ix_(indices, indices)]
+    return [(int(c), np.flatnonzero(q == c)) for c in np.unique(q)]
 
 
 def swap_index(indices: np.ndarray, d: int) -> np.ndarray:
@@ -287,44 +270,33 @@ def swap_index(indices: np.ndarray, d: int) -> np.ndarray:
     return indices % d * d + indices // d
 
 
-def mirror(m: np.ndarray, indices: np.ndarray, d: int) -> np.ndarray:
-    """conj(m) on the swapped ``indices``, a new array.
+def hermitian_frame(indices: np.ndarray, d: int) -> np.ndarray:
+    """A q = 0 sector reordered as its d diagonal, then a < b, then swapped a > b indices.
 
-    It equals m's block on ``indices`` when m preserves Hermiticity.
-    """
-    swapped = swap_index(indices, d)
-    out = m[np.ix_(swapped, swapped)]
-    return np.conjugate(out, out=out)
-
-
-def hermitian_frame(indices: np.ndarray, d: int):
-    """(order, nd): a q = 0 sector reordered as diagonal, a < b and swapped a > b indices.
-
-    ``nd`` counts the diagonal ones. In this order the Hermitian basis T
-    (module docstring) has the columns e_k on the diagonal, then
-    (e_u + e_l)/sqrt(2) and then i(e_u - e_l)/sqrt(2) over the pairs (u, l).
+    In this order the Hermitian basis T (module docstring) has the columns
+    e_k on the diagonal, then (e_u + e_l)/sqrt(2) and then
+    i(e_u - e_l)/sqrt(2) over the pairs (u, l).
     """
     a, b = indices // d, indices % d
-    diagonal, upper = indices[a == b], indices[a < b]
-    return np.concatenate([diagonal, upper, swap_index(upper, d)]), len(diagonal)
+    upper = indices[a < b]
+    return np.concatenate([indices[a == b], upper, swap_index(upper, d)])
 
 
-def to_hermitian_frame(m: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
-    """T^* B T for m's block B on ``order`` (:func:`hermitian_frame`), a new array.
+def to_hermitian_frame(block: np.ndarray, nd: int) -> np.ndarray:
+    """T^* B T for a block B in :func:`hermitian_frame` order with ``nd`` diagonal indices.
 
-    Formed in place on the gathered block in O(size^2): no other array of
+    Formed in place on B in O(size^2), which it returns: no other array of
     the block's size is allocated.
     """
-    r = m[np.ix_(order, order)]
-    half = (len(order) - nd) // 2
-    for side, phase in ((r.T, 1j), (r, -1j)):  # B T column by column, then T^* (B T) by rows
+    half = (len(block) - nd) // 2
+    for side, phase in ((block.T, 1j), (block, -1j)):  # B T column by column, then T^* (B T) by rows
         upper, lower = side[nd:nd + half], side[nd + half:]
         upper += lower
         lower *= -2.0
         lower += upper  # upper - lower, as they were
         upper *= np.sqrt(0.5)
         lower *= phase * np.sqrt(0.5)
-    return r
+    return block
 
 
 def from_hermitian_frame(v: np.ndarray, nd: int) -> np.ndarray:
@@ -334,9 +306,58 @@ def from_hermitian_frame(v: np.ndarray, nd: int) -> np.ndarray:
     return np.concatenate([v[:nd], sym + anti, sym - anti])
 
 
-def _within_rounding(deviation: np.ndarray, block: np.ndarray) -> bool:
-    """Whether |deviation| is at most CHARGE_LEAKAGE_TOL of the block's largest |entry|."""
-    return np.abs(deviation).max(initial=0.0) <= CHARGE_LEAKAGE_TOL * np.abs(block).max(initial=0.0)
+def _tile(stack: np.ndarray, ks: np.ndarray, a, a2, b, b2) -> np.ndarray:
+    """sum_{k in ks} conj(K_k[a, a2]) (x) K_k[b, b2], rows and columns in Kronecker order."""
+    x = stack[np.ix_(ks, a, a2)].reshape(len(ks), -1)
+    y = stack[np.ix_(ks, b, b2)].reshape(len(ks), -1)
+    g = (x.conj().T @ y).reshape(len(a), len(a2), len(b), len(b2))
+    return g.transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
+
+
+def sector_blocks(ch: Channel):
+    """Yield ``(q, order, block)``: the channel matrix's S^Z sectors q >= 0, from ch's Kraus stack.
+
+    ``block`` is the channel matrix on the column-stacked ``indices``
+    ``order``, built tile by tile without the d^2 x d^2 matrix. With C_m the
+    basis states of popcount m, sector q pairs C_m (the column a of an entry
+    index a*d + b) with C_{m-q} (its row b), and its tile between the pairs
+    of m and m' is sum_k conj(K_k[C_m, C_m']) (x) K_k[C_{m-q}, C_{m'-q}]
+    over the operators of charge m - m' (:func:`_charge_groups`). ``order``
+    is ascending, except for q = 0, which is in :func:`hermitian_frame`
+    order. A stack that does not split by charge, or a d that is not a power
+    of two, gives the one sector ``q = None``: one class C of all basis
+    states, one tile, and ``block`` the whole matrix in ascending order.
+    The -q sectors are not built (module docstring).
+
+    Raises ValueError when ch has no Kraus stack.
+    """
+    if ch.kraus is None:
+        raise ValueError(f"channel {ch.label!r} has no Kraus stack to build its sectors from")
+    stack, d = ch.kraus, ch.dim
+    groups = _charge_groups(stack)
+    if groups[0][0] is None:
+        classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
+    else:
+        pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
+        classes = [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
+        charges, by_charge = range(len(classes)), dict(groups)
+    for q in charges:
+        shift = q or 0
+        pairs = [(m, m - shift) for m in range(shift, len(classes))]
+        cells = [(classes[m][:, None] * d + classes[mb]).reshape(-1) for m, mb in pairs]
+        order = np.sort(np.concatenate(cells))
+        if q == 0:
+            order = hermitian_frame(order, d)
+        where = np.empty(d * d, dtype=np.intp)
+        where[order] = np.arange(len(order))
+        block = np.zeros((len(order), len(order)), dtype=complex)
+        for (m, mb), rows in zip(pairs, cells):
+            for (m2, mb2), cols in zip(pairs, cells):
+                ks = by_charge.get(m - m2)
+                if ks is not None:
+                    block[np.ix_(where[rows], where[cols])] = _tile(
+                        stack, ks, classes[m], classes[m2], classes[mb], classes[mb2])
+        yield q, order, block
 
 
 def _block_eig(sub: np.ndarray, with_vector: bool):
@@ -347,54 +368,35 @@ def _block_eig(sub: np.ndarray, with_vector: bool):
     return w, v[:, int(np.argmin(np.abs(w - 1.0)))]
 
 
-def _embed(size: int, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A full-length vector holding ``values`` at ``indices`` and zeros elsewhere."""
-    out = np.zeros(size, dtype=complex)
-    out[indices] = values
-    return out
-
-
-def sector_eigenvalues(m: np.ndarray, trace_vector: bool = False):
-    """Eigenvalues of m sector by sector, over :func:`charge_blocks`.
+def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
+    """Eigenvalues of ch's channel matrix sector by sector, over :func:`sector_blocks`.
 
     Returns ``(eigenvalues, charges, vector)``: the eigenvalues sector after
-    sector in block order, the charge of each (None where m did not split)
-    and, with ``trace_vector``, the full-length eigenvector whose eigenvalue
-    is nearest 1 within the block holding index 0, which carries the trace
-    (else None). Only that block is decomposed with eigenvectors.
+    sector in ascending charge, the charge of each (None where the stack did
+    not split) and, with ``trace_vector``, the full-length eigenvector whose
+    eigenvalue is nearest 1 within the q = 0 (or the one) sector, which
+    holds index 0 and so the trace (else None). Only that sector is
+    decomposed with eigenvectors.
 
-    The -q sector's eigenvalues are the conjugates of the +q ones, in the
-    +q order, when its block is the mirror of the +q block; the q = 0 block
-    is decomposed in real arithmetic when it is real in the Hermitian basis
-    (module docstring). Each shortcut is checked to ``CHARGE_LEAKAGE_TOL`` of
-    its block's largest entry, and a block that fails is decomposed itself.
+    The q = 0 block is decomposed as the real matrix T^* M_0 T, and the -q
+    sector's eigenvalues are the conjugates of the +q ones, in the +q order
+    (module docstring).
     """
-    blocks = charge_blocks(m)
-    d = math.isqrt(m.shape[0])
+    d = ch.dim
     solved, vector = {}, None
-    for q, idx in reversed(blocks):  # +q before -q
-        with_vector = trace_vector and idx[0] == 0
-        if q is not None and q < 0:
-            sub = submatrix(m, idx)
-            deviation = mirror(m, idx, d)
-            deviation -= sub
-            if _within_rounding(deviation, sub):
-                solved[q] = solved[-q].conj() + 0.0  # + 0.0: no -0.0 imaginary parts
-                continue
-        elif q == 0:
-            order, nd = hermitian_frame(idx, d)
-            r = to_hermitian_frame(m, order, nd)
-            if _within_rounding(r.imag, r):
-                solved[q], v = _block_eig(r.real, with_vector)
-                if v is not None:
-                    vector = _embed(m.shape[0], order, from_hermitian_frame(v, nd))
-                continue
-        solved[q], v = _block_eig(submatrix(m, idx), with_vector)
+    for q, order, block in sector_blocks(ch):
+        if q == 0:
+            block = to_hermitian_frame(block, d).real  # the sector's d diagonal indices come first
+        solved[q], v = _block_eig(block, trace_vector and q in (0, None))
         if v is not None:
-            vector = _embed(m.shape[0], idx, v)
-    evals = [solved[q] for q, _ in blocks]
-    charges = [q for (q, _), w in zip(blocks, evals) for _ in w]
-    return np.concatenate(evals), charges, vector
+            vector = np.zeros(d * d, dtype=complex)
+            vector[order] = from_hermitian_frame(v, d) if q == 0 else v
+        if q:
+            solved[-q] = solved[q].conj() + 0.0  # + 0.0: no -0.0 imaginary parts
+        del block  # only one sector's block is held at a time
+    charges = sorted(solved)
+    evals = [solved[q] for q in charges]
+    return np.concatenate(evals), [q for q, w in zip(charges, evals) for _ in w], vector
 
 
 def _estimate_gap(deltas) -> float:
@@ -456,21 +458,22 @@ def spectral_summary(evals: np.ndarray, tol: float = DEGENERACY_TOL):
     return moduli, gap, np.abs(absolute - 1.0) <= tol
 
 
-def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> FixedPointResult:
+def fixed_point_spectral(ch: Channel, tol: float = DEGENERACY_TOL) -> FixedPointResult:
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
-    The eigenproblem is split by :func:`charge_blocks`; only the q = 0 block,
-    which carries the trace, is decomposed with eigenvectors. Eigenvalues
-    whose modulus is within ``tol`` of 1 count as fixed-point candidates;
-    more than one raises :class:`DegenerateFixedPointError` carrying all of
-    them (sector by sector), their charges, and the (arbitrary) candidate it
+    The eigenproblem is split by :func:`sector_blocks`, built from ch's
+    Kraus stack (ValueError without one); only the q = 0 block, which
+    carries the trace, is decomposed with eigenvectors. Eigenvalues whose
+    modulus is within ``tol`` of 1 count as fixed-point candidates; more
+    than one raises :class:`DegenerateFixedPointError` carrying all of them
+    (sector by sector), their charges, and the (arbitrary) candidate it
     would have returned.
     """
-    evals, charges, vector = sector_eigenvalues(cm.matrix, trace_vector=True)
+    evals, charges, vector = sector_eigenvalues(ch, trace_vector=True)
     _, gap, near = spectral_summary(evals, tol)
     near_unit = evals[near]
 
-    x = unvec(vector, cm.dim)
+    x = unvec(vector, ch.dim)
     tr = complex(np.trace(x))
     if abs(tr) < 1e-12:
         # pathological gauge: the candidate has no trace component
@@ -479,7 +482,7 @@ def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> Fixe
         if abs(tr) < 1e-12:
             raise ValueError("fixed-point eigenvector has zero trace; channel is not trace preserving")
     rho = project_density(hermitian_part(x / tr), psd_atol=SOLVER_PSD_ATOL)
-    residual = trace_distance(unvec(cm.matrix @ vec(rho), cm.dim), rho)
+    residual = trace_distance(ch.apply(rho), rho)
 
     result = FixedPointResult(
         rho_star=rho,
@@ -496,17 +499,19 @@ def fixed_point_spectral(cm: ChannelMatrix, tol: float = DEGENERACY_TOL) -> Fixe
 
 
 def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts,
-                       params: CycleParams, tol: float = DEFAULT_TOL) -> CycleState:
+                       params: CycleParams, tol: float = DEFAULT_TOL, *,
+                       ops: CycleOperators | None = None) -> CycleState:
     """Reconstruct the four full-chain stroke states from a CB fixed point.
 
     Verifies closure: tracing A out of the post-stroke-4 state must return
     the input fixed point within 10x the solver tolerance. The cycle-start
     state ``rho0`` is the post-stroke-4 state, which is what closing the
-    loop means.
+    loop means. ``ops`` are the point's :func:`cycle_operators`, built here
+    when not given.
     """
     n = parts.n
     dims = [2] * n
-    ops = cycle_operators(parts, params)
+    ops = cycle_operators(parts, params) if ops is None else ops
 
     rho1 = hermitize(kron(ops.sigma_a, rho_cb_star))
     rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)

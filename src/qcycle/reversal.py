@@ -15,9 +15,10 @@ constant and only differences matter). A covariant channel maps E_ij, of
 charge popcount(j) - popcount(i), to outputs of the same charge, so
 J[k*d + i, l*d + j] vanishes unless popcount(k) - popcount(i) =
 popcount(l) - popcount(j): over index pairs a*d + b, J is block diagonal by
-popcount(a) - popcount(b), the labels :func:`charge_blocks` uses for M.
-Each Choi eigenvector then lies in one sector, and so does each Kraus
-operator it gives.
+popcount(a) - popcount(b), the labels M splits by. Each Choi eigenvector of
+a simple eigenvalue then lies in one sector, and so does each Kraus
+operator it gives; :func:`kraus_from_stack` keeps every operator in one
+sector by working one charge group of the stack at a time.
 
 Kraus operators are the eigenvectors of J scaled by the square roots of
 their eigenvalues, in descending eigenvalue order (which fixes the gauge).
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, ChannelMatrix, channel_matrix, charge_blocks,
-                         kraus_channel, popcount_charges, submatrix)
+from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, ChannelMatrix, _charge_groups, channel_matrix,
+                         kraus_channel, popcount_charges)
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
@@ -94,12 +95,11 @@ def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
 
 
 def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
-    """Kraus operators from the Choi eigendecomposition.
+    """Kraus operators from the Choi eigendecomposition, a dense reference.
 
-    The eigenproblem is split by :func:`charge_blocks`, and the eigenpairs
-    of all sectors are merged in descending eigenvalue order, which fixes
-    the gauge. Eigenpairs with eigenvalue below ``rank_tol`` (relative to
-    the largest) are dropped and their total weight reported on the result.
+    Eigenpairs are taken in descending eigenvalue order, which fixes the
+    gauge. Eigenpairs with eigenvalue below ``rank_tol`` (relative to the
+    largest) are dropped and their total weight reported on the result.
     Eigenvectors devectorize row-major: the Choi convention above pairs
     output-leg index k with input-leg index i at flat position k*d + i.
     """
@@ -108,12 +108,7 @@ def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     d = int(round(np.sqrt(d2)))
     if j.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"Choi matrix shape {j.shape} is not a square of squares")
-    sectors = [(idx, *np.linalg.eigh(hermitian_part(submatrix(j, idx))))
-               for _, idx in charge_blocks(j)]
-    w = np.concatenate([vals for _, vals, _ in sectors])
-    # eigenvalue w[k] has the eigenvector vector[k] on the indices support[k]
-    support = [idx for idx, vals, _ in sectors for _ in vals]
-    vector = [col for _, _, vecs in sectors for col in vecs.T]
+    w, v = np.linalg.eigh(hermitian_part(j))
     min_eig = float(w.min())
     if min_eig < -CP_ATOL:
         raise NotCPError(min_eig)
@@ -124,9 +119,7 @@ def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     for k in order:
         lam = w[k]
         if lam >= cut and lam > 0.0:
-            col = np.zeros(d2, dtype=complex)
-            col[support[k]] = vector[k]
-            ops.append(np.sqrt(lam) * col.reshape(d, d))
+            ops.append(np.sqrt(lam) * v[:, k].reshape(d, d))
         else:
             discarded += float(lam)
     return KrausSet(operators=ops, dim=d, discarded_weight=discarded)
@@ -147,29 +140,6 @@ def kraus_adjoint_apply(operators, x: np.ndarray) -> np.ndarray:
 def kraus_channel_matrix(kraus: KrausSet) -> ChannelMatrix:
     """Column-stacking matrix representation sum conj(A) (x) A of the Kraus map."""
     return channel_matrix(kraus_channel(kraus.operators, label="kraus"))
-
-
-def _charge_groups(stack: np.ndarray) -> list:
-    """Indices of a (k, d, d) stack's operators grouped by S^Z charge, ascending.
-
-    Each operator must carry one charge popcount(row) - popcount(column):
-    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
-    largest entry, whose charge it takes. If any operator fails, and when d
-    is not a power of two, all operators form one group.
-    """
-    k, d, _ = stack.shape
-    charge = popcount_charges(d)
-    whole = [np.arange(k)]
-    if charge is None:
-        return whole
-    charge = charge.reshape(-1)
-    moduli = np.abs(stack).reshape(k, -1)
-    peak = moduli.argmax(axis=1)
-    q = charge[peak]
-    leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
-    if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
-        return whole
-    return [np.flatnonzero(q == c) for c in np.unique(q)]
 
 
 def _dot_rounding(m: int) -> float:
@@ -206,7 +176,7 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
     gram = f.conj() @ f.T
     norms = np.linalg.norm(f, axis=1)
     pairs = []  # (weight, group, eigenvector)
-    for idx in _charge_groups(stack):
+    for _, idx in _charge_groups(stack):
         w, v = np.linalg.eigh(gram[np.ix_(idx, idx)])
         pairs += [(lam, idx, col) for lam, col in zip(w, v.T)]
     weights = np.array([lam for lam, _, _ in pairs])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, HamiltonianParts, gibbs_state, total_magnetization
-from .engine import CycleParams, CycleState, cycle_record
+from .engine import CycleOperators, CycleParams, CycleState, cycle_record
 from .errors import CriteriaViolatedError, ZeroHeatError
 from .linalg import partial_trace, trace_distance
 
@@ -93,14 +93,16 @@ def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
 
 
 def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSpec,
-                       params: CycleParams, gap: float) -> LimitCycleReport:
+                       params: CycleParams, gap: float, *,
+                       ops: CycleOperators | None = None) -> LimitCycleReport:
     """Thermodynamic report at a converged limit cycle.
 
     Raises :class:`ZeroHeatError` when the hot-side heat is numerically
     zero; the exception carries the otherwise-complete report with
-    ``eta`` set to NaN so callers can still emit it.
+    ``eta`` set to NaN so callers can still emit it. ``ops`` are the
+    point's :func:`~qcycle.engine.cycle_operators`, built when not given.
     """
-    rec = cycle_record(cycle, parts, params)
+    rec = cycle_record(cycle, parts, params, ops)
     e_1, e_n = spec.E[0], spec.E[-1]
 
     ansatz_distance = None

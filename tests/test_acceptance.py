@@ -44,7 +44,7 @@ def ensemble():
         channel = cycle_channel_cb(parts, params)
         iterated = fixed_point_iterate(channel, random_density_matrix(channel.dim, rng),
                                        tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
-        spectral = fixed_point_spectral(channel_matrix(channel))
+        spectral = fixed_point_spectral(channel)
         cycle = limit_cycle_states(iterated.rho_star, parts, params, tol=1e-10)
         record = cycle_record(cycle, parts, params)
         points.append(SimpleNamespace(n=n, spec=spec, params=params, parts=parts,
@@ -191,7 +191,7 @@ def test_criterion_08_time_reversal(reversal_points):
         for maker in (cycle_channel_cb, cycle_channel_ac):
             channel = maker(parts, params)
             label = f"n={spec.n} {channel.label}"
-            fp = fixed_point_spectral(channel_matrix(channel))
+            fp = fixed_point_spectral(channel)
             kraus = kraus_from_choi(choi_matrix(channel))
             rev = reverse_channel(kraus, fp.rho_star)
 
@@ -227,7 +227,7 @@ def test_criterion_09_degeneracy_handling(tmp_path):
     params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.7, tau2=1.3)
     channel = cycle_channel_cb(build_hamiltonian(spec), params)
     try:
-        fixed_point_spectral(channel_matrix(channel))
+        fixed_point_spectral(channel)
         failures.append("spectral solver accepted a degenerate channel")
     except DegenerateFixedPointError as err:
         if len(err.eigenvalues) < 2:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import qcycle.cli
+import qcycle.engine
 import qcycle.limitcycle
 import qcycle.reversal
-from qcycle import (build_hamiltonian, channel_matrix, cycle_channel_ac, cycle_channel_cb,
+import qcycle.thermo
+from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb,
                     fixed_point_spectral, random_density_matrix)
 from qcycle.cli import TRACE_COLUMNS, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
@@ -278,7 +280,7 @@ class TestSpectrum:
         parts = build_hamiltonian(cfg.spec)
         for key, build in (("cb", cycle_channel_cb), ("ac", cycle_channel_ac)):
             try:
-                result = fixed_point_spectral(channel_matrix(build(parts, cfg.params)))
+                result = fixed_point_spectral(build(parts, cfg.params))
             except DegenerateFixedPointError as exc:
                 result = exc.result
             assert out[key]["degenerate"] is result.degenerate
@@ -287,11 +289,11 @@ class TestSpectrum:
 
 
 class TestOneSolvePerConfig:
-    """CB's solve serves AC too: one channel matrix and one decomposition per config."""
+    """One set of cycle operators and one decomposition per config, and no d^2 x d^2 matrix."""
 
-    @pytest.mark.parametrize("command", ["spectrum", "reverse"])
+    @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
     def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
-        calls = {"sector_eigenvalues": 0, "channel_matrix": 0}
+        calls = {"cycle_operators": 0, "sector_eigenvalues": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -299,16 +301,22 @@ class TestOneSolvePerConfig:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("channel_matrix called")
+
         # every module that binds the names, so an indirect call is counted too
-        for module in (qcycle.cli, qcycle.limitcycle, qcycle.reversal):
+        for module in (qcycle.cli, qcycle.engine, qcycle.limitcycle, qcycle.reversal,
+                       qcycle.thermo):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            if hasattr(module, "channel_matrix"):
+                monkeypatch.setattr(module, "channel_matrix", forbidden)
         configs = [write_config(tmp_path, GENERIC, "a.json"),
                    write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
         assert main([command, "--config", *configs, "--sweep"]) == 0
         assert all(entry["status"] == 0 for entry in json.loads(capsys.readouterr().out))
-        assert calls == {"sector_eigenvalues": 2, "channel_matrix": 2}
+        assert calls == {"cycle_operators": 2, "sector_eigenvalues": 2}  # one each per config
 
 
 class TestSweep:

@@ -6,8 +6,7 @@ from qcycle import (ChainSpec, CycleParams, build_hamiltonian,
                     partial_trace, random_density_matrix, run_cycle,
                     stroke_thermalize_a, stroke_thermalize_b, stroke_unitary,
                     total_magnetization, trace_distance)
-from qcycle.limitcycle import (channel_matrix, cycle_channel_cb, fixed_point_iterate,
-                               fixed_point_spectral)
+from qcycle.limitcycle import cycle_channel_cb, fixed_point_iterate, fixed_point_spectral
 from qcycle.limitcycle import limit_cycle_states
 from conftest import random_chain_spec, random_engine_point
 
@@ -184,7 +183,7 @@ class TestRunCycle:
         energy_change = expect(parts.h_s, state.rho4 - state.rho0)
         assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) <= 1e-12
 
-        fp = fixed_point_spectral(channel_matrix(cycle_channel_cb(parts, params)))
+        fp = fixed_point_spectral(cycle_channel_cb(parts, params))
         cycle = limit_cycle_states(fp.rho_star, parts, params)
         assert run_cycle(cycle.rho0, parts, params)[1].first_law_residual_ledger <= 1e-12
 

@@ -9,17 +9,21 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     partial_trace, random_density_matrix, total_magnetization,
                     trace_distance, unvec, vec)
 from qcycle import CycleParams, ansatz_state, commutator_norm
+from qcycle.limitcycle import kraus_channel
 from conftest import carnot_point, random_engine_point
 from oracle_naive import NaiveCycle
 
 
 def identity_channel(d):
-    return Channel(dim=d, apply=lambda m: np.asarray(m, dtype=complex), label="id")
+    return kraus_channel(np.eye(d)[None], label="id")
 
 
 def replacement_channel(sigma):
+    """rho -> sigma Tr[rho], with the Kraus operators sqrt(p_a) |v_a><j|."""
     d = sigma.shape[0]
-    return Channel(dim=d, apply=lambda m: sigma * np.trace(np.asarray(m)), label="replace")
+    p, v = np.linalg.eigh(sigma)
+    return kraus_channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(d)[j])
+                          for a in range(d) for j in range(d)], label="replace")
 
 
 class TestChannelProperties:
@@ -163,8 +167,7 @@ class TestFixedPointIterate:
 class TestFixedPointSpectral:
     def test_replacement_channel(self, rng):
         sigma = random_density_matrix(3, rng)
-        cm = channel_matrix(replacement_channel(sigma))
-        res = fixed_point_spectral(cm)
+        res = fixed_point_spectral(replacement_channel(sigma))
         assert trace_distance(res.rho_star, sigma) < 1e-12
         assert abs(res.spectral_gap - 1.0) < 1e-12
 
@@ -173,7 +176,7 @@ class TestFixedPointSpectral:
         spec, params = small_point
         ch = maker(build_hamiltonian(spec), params)
         tol = 1e-11
-        spectral = fixed_point_spectral(channel_matrix(ch))
+        spectral = fixed_point_spectral(ch)
         iterated = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
         assert spectral.spectral_gap > 1e-6
         assert trace_distance(spectral.rho_star, iterated.rho_star) <= 10 * tol
@@ -183,7 +186,7 @@ class TestFixedPointSpectral:
         spec, params = decoupled_point
         ch = cycle_channel_cb(build_hamiltonian(spec), params)
         with pytest.raises(DegenerateFixedPointError) as err:
-            fixed_point_spectral(channel_matrix(ch))
+            fixed_point_spectral(ch)
         assert len(err.value.eigenvalues) > 1
         assert err.value.result is not None and err.value.result.degenerate
 
@@ -230,7 +233,7 @@ class TestEnginePoints:
             ch = cycle_channel_cb(build_hamiltonian(spec), params)
             tol = 1e-11
             iterated = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
-            spectral = fixed_point_spectral(channel_matrix(ch))
+            spectral = fixed_point_spectral(ch)
             assert iterated.converged
             if spectral.spectral_gap > 1e-6:
                 assert trace_distance(iterated.rho_star, spectral.rho_star) <= 1e-9

@@ -4,7 +4,7 @@ import pytest
 from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ZeroHeatError,
                     ansatz_state, build_hamiltonian, commutator_norm,
                     cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
-                    channel_matrix, gibbs_state, kron, limit_cycle_report,
+                    gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
                     random_density_matrix, trace_distance)
 from conftest import carnot_point, random_chain_spec
@@ -13,7 +13,7 @@ from conftest import carnot_point, random_chain_spec
 def solved_report(spec, params, tol=1e-12):
     parts = build_hamiltonian(spec)
     ch = cycle_channel_cb(parts, params)
-    fp = fixed_point_spectral(channel_matrix(ch))
+    fp = fixed_point_spectral(ch)
     cycle = limit_cycle_states(fp.rho_star, parts, params, tol=tol)
     return limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap)
 
