@@ -182,6 +182,11 @@ class TestFixedPointSpectral:
         assert trace_distance(spectral.rho_star, iterated.rho_star) <= 10 * tol
         assert trace_distance(ch.apply(spectral.rho_star), spectral.rho_star) <= 10 * tol
 
+    def test_requires_kraus_stack(self):
+        bare = Channel(dim=2, apply=lambda m: np.asarray(m, dtype=complex))
+        with pytest.raises(ValueError, match="no Kraus stack"):
+            fixed_point_spectral(bare)
+
     def test_zero_coupling_degenerate(self, decoupled_point):
         spec, params = decoupled_point
         ch = cycle_channel_cb(build_hamiltonian(spec), params)
