@@ -25,8 +25,9 @@ CB's is. :func:`cold_half_cycle` exposes Phi_cold as a channel and
 
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
-point. Two independent solvers (power iteration and the spectral
-decomposition of the vectorized channel) guard against silent bugs.
+point. Two independent solvers (power iteration, and the spectrum of the
+vectorized channel with inverse iteration for its unit eigenvector) guard
+against silent bugs.
 
 Vectorization is column-stacking throughout this module.
 
@@ -80,6 +81,8 @@ DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-p
 # Entries of a Kraus operator or a state outside its own S^Z charge, up to this fraction of
 # its largest |entry|, are rounding; above it the stack or the state is not covariant.
 CHARGE_LEAKAGE_TOL = 1e-12
+# The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
+UNIT_SHIFT = 1e-10
 # Solver candidates (last iterate, unit eigenvector) may have eigenvalues down to -1e-6 and
 # are still clipped to a state; linalg.PSD_CLIP_ATOL is the floor for states already valid.
 SOLVER_PSD_ATOL = 1e-6
@@ -358,14 +361,24 @@ def sector_blocks(ch: Channel):
                     block[np.ix_(where[rows], where[cols])] = _tile(
                         stack, ks, classes[m], classes[m2], classes[mb], classes[mb2])
         yield q, order, block
+        del block  # the next sector's block is allocated without this one
 
 
-def _block_eig(sub: np.ndarray, with_vector: bool):
-    """(eigenvalues, eigenvector nearest 1 or None) of one block."""
-    if not with_vector:
-        return np.linalg.eigvals(sub), None
-    w, v = np.linalg.eig(sub)
-    return w, v[:, int(np.argmin(np.abs(w - 1.0)))]
+def _unit_vector(block: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The block's eigenvector at eigenvalue 1, by inverse iteration; overwrites block.
+
+    Two steps at the shift 1 + ``UNIT_SHIFT`` from the vectorized identity
+    (ones on the ``diag`` positions), each shrinking the other eigenvalues'
+    components by ``UNIT_SHIFT`` / |1 - lambda|. The solves' rounding stays
+    along the wanted vector, so it is more accurate than ``eig``'s.
+    """
+    block[np.diag_indices_from(block)] -= 1.0 + UNIT_SHIFT
+    x = np.zeros(len(block))
+    x[diag] = 1.0
+    for _ in range(2):
+        x = np.linalg.solve(block, x)
+        x /= np.abs(x).max()
+    return x
 
 
 def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
@@ -373,10 +386,9 @@ def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
 
     Returns ``(eigenvalues, charges, vector)``: the eigenvalues sector after
     sector in ascending charge, the charge of each (None where the stack did
-    not split) and, with ``trace_vector``, the full-length eigenvector whose
-    eigenvalue is nearest 1 within the q = 0 (or the one) sector, which
-    holds index 0 and so the trace (else None). Only that sector is
-    decomposed with eigenvectors.
+    not split) and, with ``trace_vector``, the full-length eigenvector at
+    eigenvalue 1 within the q = 0 (or the one) sector, which holds index 0
+    and so the trace (else None), from :func:`_unit_vector`.
 
     The q = 0 block is decomposed as the real matrix T^* M_0 T, and the -q
     sector's eigenvalues are the conjugates of the +q ones, in the +q order
@@ -387,8 +399,9 @@ def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
     for q, order, block in sector_blocks(ch):
         if q == 0:
             block = to_hermitian_frame(block, d).real  # the sector's d diagonal indices come first
-        solved[q], v = _block_eig(block, trace_vector and q in (0, None))
-        if v is not None:
+        solved[q] = np.linalg.eigvals(block)
+        if trace_vector and q in (0, None):
+            v = _unit_vector(block, np.flatnonzero(order // d == order % d))
             vector = np.zeros(d * d, dtype=complex)
             vector[order] = from_hermitian_frame(v, d) if q == 0 else v
         if q:
@@ -462,25 +475,22 @@ def fixed_point_spectral(ch: Channel, tol: float = DEGENERACY_TOL) -> FixedPoint
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
     The eigenproblem is split by :func:`sector_blocks`, built from ch's
-    Kraus stack (ValueError without one); only the q = 0 block, which
-    carries the trace, is decomposed with eigenvectors. Eigenvalues whose
-    modulus is within ``tol`` of 1 count as fixed-point candidates; more
-    than one raises :class:`DegenerateFixedPointError` carrying all of them
-    (sector by sector), their charges, and the (arbitrary) candidate it
-    would have returned.
+    Kraus stack (ValueError without one); the eigenvector comes from the
+    q = 0 block, which carries the trace, by inverse iteration
+    (:func:`_unit_vector`). Eigenvalues whose modulus is within ``tol`` of 1
+    count as fixed-point candidates; more than one raises
+    :class:`DegenerateFixedPointError` carrying all of them (sector by
+    sector), their charges, and the (arbitrary) candidate it would have
+    returned.
     """
     evals, charges, vector = sector_eigenvalues(ch, trace_vector=True)
     _, gap, near = spectral_summary(evals, tol)
     near_unit = evals[near]
 
     x = unvec(vector, ch.dim)
-    tr = complex(np.trace(x))
+    tr = complex(np.trace(x))  # a trace-preserving map's steps only rescale the start's trace, d
     if abs(tr) < 1e-12:
-        # pathological gauge: the candidate has no trace component
-        x = hermitian_part(x)
-        tr = complex(np.trace(x))
-        if abs(tr) < 1e-12:
-            raise ValueError("fixed-point eigenvector has zero trace; channel is not trace preserving")
+        raise ValueError("fixed-point vector has zero trace; channel is not trace preserving")
     rho = project_density(hermitian_part(x / tr), psd_atol=SOLVER_PSD_ATOL)
     residual = trace_distance(ch.apply(rho), rho)
 

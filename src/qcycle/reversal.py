@@ -15,10 +15,10 @@ constant and only differences matter). A covariant channel maps E_ij, of
 charge popcount(j) - popcount(i), to outputs of the same charge, so
 J[k*d + i, l*d + j] vanishes unless popcount(k) - popcount(i) =
 popcount(l) - popcount(j): over index pairs a*d + b, J is block diagonal by
-popcount(a) - popcount(b), the labels M splits by. Each Choi eigenvector of
-a simple eigenvalue then lies in one sector, and so does each Kraus
-operator it gives; :func:`kraus_from_stack` keeps every operator in one
-sector by working one charge group of the stack at a time.
+popcount(a) - popcount(b), the labels M splits by. :func:`kraus_from_choi`
+decomposes J one label at a time, so each of its Kraus operators lies in one
+sector; :func:`kraus_from_stack` keeps every operator in one sector by
+working one charge group of the stack at a time.
 
 Kraus operators are the eigenvectors of J scaled by the square roots of
 their eigenvalues, in descending eigenvalue order (which fixes the gauge).
@@ -97,18 +97,30 @@ def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
 def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition, a dense reference.
 
-    Eigenpairs are taken in descending eigenvalue order, which fixes the
-    gauge. Eigenpairs with eigenvalue below ``rank_tol`` (relative to the
-    largest) are dropped and their total weight reported on the result.
-    Eigenvectors devectorize row-major: the Choi convention above pairs
-    output-leg index k with input-leg index i at flat position k*d + i.
+    J is decomposed one charge label popcount(a) - popcount(b) of its
+    indices a*d + b at a time, so each operator is charge pure, unless d is
+    not a power of two or J has entries between labels above
+    ``CHARGE_LEAKAGE_TOL`` of its largest. Eigenpairs are taken in
+    descending eigenvalue order, which fixes the gauge. Eigenpairs with
+    eigenvalue below ``rank_tol`` (relative to the largest) are dropped and
+    their total weight reported on the result. Eigenvectors devectorize
+    row-major: the Choi convention above pairs output-leg index k with
+    input-leg index i at flat position k*d + i.
     """
     j = np.asarray(j, dtype=complex)
     d2 = j.shape[0]
     d = int(round(np.sqrt(d2)))
     if j.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"Choi matrix shape {j.shape} is not a square of squares")
-    w, v = np.linalg.eigh(hermitian_part(j))
+    charge = popcount_charges(d)
+    label = np.zeros(d2, dtype=int) if charge is None else charge.reshape(-1)
+    moduli = np.abs(j)
+    if moduli[label[:, None] != label].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
+        label = np.zeros(d2, dtype=int)  # not covariant: one dense eigh
+    w, v = np.empty(d2), np.zeros((d2, d2), dtype=complex)  # v block diagonal over the labels
+    for c in np.unique(label):
+        idx = np.flatnonzero(label == c)
+        w[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(hermitian_part(j[np.ix_(idx, idx)]))
     min_eig = float(w.min())
     if min_eig < -CP_ATOL:
         raise NotCPError(min_eig)

@@ -267,10 +267,7 @@ class TestReverseChannel:
         spec = ChainSpec(n=4, E=[1.13, 1.301, 0.53, 6.782], J=[-0.61, -0.672, 0.525],
                          K=[0.696, 0.586, 0.6], F=[0.511, 0.216, 0.291])
         params = CycleParams(beta1=6.026, beta2=0.653, tau1=1.83, tau2=1.872)
-        ch, fp, _ = engine_fixture((spec, params), maker)
-        # the charge-pure operators ``reverse`` uses; the dense Choi eigenvectors carry
-        # cross-charge rounding, which cond(rho_star) amplifies past 1e-9 on AC
-        kraus, _ = kraus_from_stack(ch.kraus)
+        _, fp, kraus = engine_fixture((spec, params), maker)
         rev = reverse_channel(kraus, fp.rho_star)
         assert trace_distance(rev.rho_star, fp.rho_star) <= 1e-13
         assert rev.kraus.completeness_residual() <= 1e-10

@@ -2,7 +2,8 @@
 
 The dense route (``channel_matrix`` and one ``eig``/``eigh``/2-norm over the
 whole d^2 x d^2 matrix) is the reference: the blocks must reproduce it on
-covariant cycle channels and be exactly it on maps that do not split.
+covariant cycle channels and be exactly it on maps that do not split, where
+the fixed point is also the solver's own inverse iteration on the whole matrix.
 """
 
 from collections import Counter
@@ -17,9 +18,10 @@ from qcycle import (ChannelMatrix, DegenerateFixedPointError, build_hamiltonian,
                     cold_half_cycle, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     fixed_point_spectral, kraus_channel_matrix, kraus_from_choi,
                     project_density, reverse_channel, trace_distance)
-from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, carried_fixed_point,
+from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, _unit_vector, carried_fixed_point,
                                from_hermitian_frame, hermitian_frame, kraus_channel,
-                               sector_blocks, sector_eigenvalues, swap_index, to_hermitian_frame)
+                               sector_blocks, sector_eigenvalues, swap_index, to_hermitian_frame,
+                               unvec)
 from qcycle.linalg import hermitian_part
 from qcycle.reversal import choi_from_matrix, kraus_from_stack
 from conftest import random_engine_point
@@ -219,6 +221,11 @@ class TestFallbackIsDense:
         result = fixed_point_spectral(ch)
         rho, gap = dense_fixed_point(ChannelMatrix(block, ch.dim))
         assert result.spectral_gap == gap
+        assert trace_distance(result.rho_star, rho) < 1e-12
+        # the solver's inverse iteration on the whole matrix, with no frame or pairing
+        d = ch.dim
+        x = unvec(_unit_vector(block.copy(), np.arange(d) * (d + 1)), d)
+        rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
         assert np.array_equal(result.rho_star, rho)
 
         j = choi_from_matrix(cm)
