@@ -15,7 +15,7 @@ import numpy as np
 
 from qcycle import (ChainSpec, CycleParams, build_hamiltonian, channel_matrix,
                     choi_matrix, cycle_channel_cb, fixed_point_spectral,
-                    kraus_channel_matrix, kraus_from_choi, random_density_matrix,
+                    kraus_from_choi, random_density_matrix,
                     reverse_channel, sequence_probability, trace_distance)
 
 spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0.4, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
@@ -29,9 +29,9 @@ print(f"cycle channel on the {channel.dim}-dimensional end-to-middle subsystem, 
 
 j = choi_matrix(channel)
 kraus = kraus_from_choi(j)
-recon = np.linalg.norm(channel_matrix(channel).matrix - kraus_channel_matrix(kraus).matrix, 2)
+recon = np.linalg.norm(channel_matrix(channel) - channel_matrix(kraus), 2)
 print(f"\nKraus extraction from the Choi matrix:")
-print(f"  operators kept:            {len(kraus.operators)}")
+print(f"  operators kept:            {len(kraus.kraus)}")
 print(f"  discarded Choi weight:     {kraus.discarded_weight:.3e}")
 print(f"  completeness residual:     {kraus.completeness_residual():.3e}")
 print(f"  channel reconstruction:    {recon:.3e}")
@@ -40,23 +40,22 @@ rev = reverse_channel(kraus, fp.rho_star)
 print(f"\nreversed channel certificates:")
 print(f"  reversed completeness:     {rev.kraus.completeness_residual():.3e}")
 print(f"  fixed point shared:        "
-      f"{trace_distance(rev.apply(fp.rho_star), fp.rho_star):.3e}")
+      f"{trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star):.3e}")
 
 print("\ntwo-step path probabilities from the limit state")
 print("(forward order (a1, a2) vs reversed order (a2, a1)):")
 rng = np.random.default_rng(8)
 print(f"{'a1':>4} {'a2':>4} {'forward':>14} {'reversed':>14} {'difference':>12}")
 for _ in range(6):
-    a1, a2 = rng.integers(0, len(kraus.operators), size=2)
-    p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]], fp.rho_star)
-    p_rev = sequence_probability([rev.kraus.operators[a2], rev.kraus.operators[a1]],
-                                 fp.rho_star)
+    a1, a2 = rng.integers(0, len(kraus.kraus), size=2)
+    p_fwd = sequence_probability([kraus.kraus[a1], kraus.kraus[a2]], fp.rho_star)
+    p_rev = sequence_probability([rev.kraus.kraus[a2], rev.kraus.kraus[a1]], fp.rho_star)
     print(f"{a1:>4} {a2:>4} {p_fwd:14.10f} {p_rev:14.10f} {abs(p_fwd - p_rev):12.3e}")
 
 back = reverse_channel(rev.kraus, fp.rho_star)
 worst = 0.0
 for _ in range(10):
     probe = random_density_matrix(channel.dim, rng)
-    worst = max(worst, float(np.abs(back.apply(probe) - channel.apply(probe)).max()))
+    worst = max(worst, float(np.abs(back.kraus.apply(probe) - channel.apply(probe)).max()))
 print(f"\nreversing the reversed channel recovers the forward map: "
       f"worst deviation {worst:.3e}")

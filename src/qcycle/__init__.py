@@ -18,15 +18,15 @@ from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
                      DegenerateFixedPointError, NotCPError, NotFixedPointError,
                      QcycleError, RankDeficientError, ZeroHeatError,
                      ZeroProbabilityError)
-from .limitcycle import (Channel, ChannelMatrix, FixedPointResult, channel_matrix,
+from .limitcycle import (Channel, FixedPointResult, channel_matrix,
                          cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                          fixed_point_spectral, limit_cycle_states, unvec, vec)
 from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
                      partial_trace, project_density, psd_sqrt_invsqrt,
                      random_density_matrix, trace_distance)
-from .reversal import (KrausSet, ReversedChannel, choi_matrix, choi_output_trace,
-                       kraus_apply, kraus_channel_matrix, kraus_from_choi, kraus_from_stack,
-                       post_interaction_state, reverse_channel, sequence_probability)
+from .reversal import (ReversedChannel, choi_matrix, choi_output_trace, kraus_from_choi,
+                       kraus_from_stack, post_interaction_state, reverse_channel,
+                       sequence_probability)
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
 
@@ -38,14 +38,13 @@ __all__ = [
     "CycleOperators", "CycleParams", "CycleRecord", "CycleState",
     "cycle_operators", "cycle_record", "run_cycle",
     "stroke_thermalize_a", "stroke_thermalize_b", "stroke_unitary",
-    "Channel", "ChannelMatrix", "FixedPointResult", "channel_matrix",
+    "Channel", "FixedPointResult", "channel_matrix",
     "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
     "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
     "trace_distance", "commutator_norm", "project_density",
     "check_density_matrix", "random_density_matrix",
-    "KrausSet", "ReversedChannel", "choi_matrix", "choi_output_trace",
-    "kraus_apply", "kraus_channel_matrix", "kraus_from_choi", "kraus_from_stack",
+    "ReversedChannel", "choi_matrix", "choi_output_trace", "kraus_from_choi", "kraus_from_stack",
     "post_interaction_state", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",

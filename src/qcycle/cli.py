@@ -31,7 +31,7 @@ from .limitcycle import (carried_fixed_point, cold_half_cycle, cycle_channel_ac,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
                          sector_eigenvalues, spectral_summary)
 from .linalg import check_density_matrix, random_density_matrix, trace_distance
-from .reversal import KrausSet, kraus_from_stack, reverse_channel, sequence_probability
+from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import limit_cycle_report
 
 TRACE_COLUMNS = ("cycle", "delta_prev", "q_c", "q_h", "w1", "w2", "w3", "w4",
@@ -229,9 +229,12 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
     dim = 2**cfg.spec.n
     if cfg.initial_state is not None:
         try:
-            rho = np.load(cfg.initial_state)
-        except OSError as exc:
+            with open(cfg.initial_state, "rb") as fh:
+                rho = np.load(fh)
+        except (OSError, ValueError, EOFError) as exc:
             raise ConfigError("initial_state", f"cannot read {cfg.initial_state}: {exc}") from exc
+        if not isinstance(rho, np.ndarray):  # an .npz archive
+            raise ConfigError("initial_state", f"{cfg.initial_state} is not a .npy array")
         if rho.shape != (dim, dim):
             raise ConfigError("initial_state", f"expected shape ({dim}, {dim}), got {rho.shape}")
         try:
@@ -274,15 +277,22 @@ def _solve_fixed_point(cfg: RunConfig, channel):
 
     The spectral decomposition always runs: it is the only reliable
     degeneracy detector, and a degenerate sector must never be passed off
-    as a unique fixed point.
+    as a unique fixed point. The iteration stops when one step moves less
+    than its tolerance, which leaves it about tolerance/gap from the fixed
+    point, so it runs at tol * min(1, gap / (1 - gap)) to land within tol.
     """
     spectral = fixed_point_spectral(channel)  # raises DegenerateFixedPointError
     iterate = None
     if cfg.method in ("iterate", "both"):
+        gap = spectral.spectral_gap
+        tol = cfg.tol * (min(1.0, gap / (1.0 - gap)) if gap < 1.0 else 1.0)
         rng = np.random.default_rng(cfg.seed)
         init = random_density_matrix(channel.dim, rng)
-        iterate = fixed_point_iterate(channel, init, tol=cfg.tol, max_iter=cfg.max_iter)
+        iterate = fixed_point_iterate(channel, init, tol=tol, max_iter=cfg.max_iter)
         if not iterate.converged:
+            print(f"qcycle: fixed-point iteration did not converge: {iterate.iterations} "
+                  f"iterations, final delta {iterate.final_delta:.3e}, tol {tol:.3e}",
+                  file=sys.stderr)
             return None, spectral, iterate
         if cfg.method == "both":
             gap_between = trace_distance(iterate.rho_star, spectral.rho_star)
@@ -316,31 +326,26 @@ def _reverse_one(cfg: RunConfig, channel, rho_star=None):
     """
     if rho_star is None:
         rho_star = fixed_point_spectral(channel).rho_star
-    stack = channel.kraus
-    kraus, recon = kraus_from_stack(stack)
-    rev = reverse_channel(kraus, rho_star, fp_tol=cfg.tol)
-
-    d = channel.dim
-    # the Choi matrix's output trace is (sum_k K_k^* K_k)^T over any Kraus set of the map
-    tp_residual = KrausSet(operators=list(stack), dim=d).completeness_residual()
-    rev_fp_dist = trace_distance(rev.apply(rev.rho_star), rev.rho_star)
+    forward, recon = kraus_from_stack(channel.kraus)
+    rev = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
+    rev_fp_dist = trace_distance(rev.kraus.apply(rev.rho_star), rev.rho_star)
 
     rng = np.random.default_rng(cfg.seed)
-    n_ops = len(kraus.operators)
-    pairs = rng.integers(0, n_ops, size=(50, 2))
+    ops, reversed_ops = forward.kraus, rev.kraus.kraus
+    pairs = rng.integers(0, len(ops), size=(50, 2))
     balance = 0.0
     for a1, a2 in pairs:
-        p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]], rev.rho_star)
-        p_rev = sequence_probability([rev.kraus.operators[a2], rev.kraus.operators[a1]],
-                                     rev.rho_star)
+        p_fwd = sequence_probability([ops[a1], ops[a2]], rev.rho_star)
+        p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], rev.rho_star)
         balance = max(balance, abs(p_fwd - p_rev))
 
     return {
-        "dim": d,
-        "kraus_count": n_ops,
-        "discarded_choi_weight": kraus.discarded_weight,
-        "choi_output_trace_residual": tp_residual,
-        "completeness_residual": kraus.completeness_residual(),
+        "dim": channel.dim,
+        "kraus_count": len(ops),
+        "discarded_choi_weight": forward.discarded_weight,
+        # the Choi matrix's output trace is (sum_k K_k^* K_k)^T over any Kraus set of the map
+        "choi_output_trace_residual": channel.completeness_residual(),
+        "completeness_residual": forward.completeness_residual(),
         "reversed_completeness_residual": rev.kraus.completeness_residual(),
         "reconstruction_residual": recon,
         "reversed_fixed_point_distance": rev_fp_dist,

@@ -65,7 +65,6 @@ q >= 0 blocks, the q = 0 block as the real matrix T^* M_0 T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -88,29 +87,40 @@ UNIT_SHIFT = 1e-10
 SOLVER_PSD_ATOL = 1e-6
 
 
-@dataclass
 class Channel:
-    """A linear map on matrices over a dim-dimensional space.
+    """The Kraus map rho -> sum_k K_k rho K_k^* of a (k, dim, dim) operator stack.
 
-    ``apply`` must be linear (no normalization inside), so it can be
-    tabulated on matrix units to build matrix and Choi representations.
-    ``kraus`` is the (k, dim, dim) operator stack ``apply`` sums over, if any;
-    the spectral solvers build their sector blocks from it (:func:`sector_blocks`).
+    ``kraus`` is the stack, ``dim`` its operators' size. The spectral
+    solvers build their sector blocks from it (:func:`sector_blocks`).
+    ``discarded_weight`` is the Choi weight dropped when the operators were
+    extracted from another representation (:mod:`qcycle.reversal`).
     """
 
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-    kraus: np.ndarray | None = None
+    def __init__(self, kraus, label: str = "", discarded_weight: float = 0.0):
+        self.kraus = np.asarray(kraus, dtype=complex)
+        self.label = label
+        self.discarded_weight = discarded_weight
+        k, d, _ = self.kraus.shape
+        # row (k, m) is row m of K_k^*; apply's stacked product multiplies by it
+        self._adjoints = self.kraus.conj().transpose(0, 2, 1).reshape(k * d, d)
 
+    @property
+    def dim(self) -> int:
+        return self.kraus.shape[1]
 
-@dataclass
-class ChannelMatrix:
-    """d^2 x d^2 matrix acting on column-stacked density matrices."""
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        k, d, _ = self.kraus.shape
+        left = (self.kraus.reshape(k * d, d) @ np.asarray(rho, dtype=complex)).reshape(k, d, d)
+        return left.transpose(1, 0, 2).reshape(d, k * d) @ self._adjoints
 
-    matrix: np.ndarray
-    dim: int
-    label: str = ""
+    def completeness_residual(self) -> float:
+        """Max-abs deviation of sum_k K_k^* K_k from the identity."""
+        f = self.kraus.reshape(-1, self.dim)  # row (k, i) is row i of K_k
+        return float(np.abs(f.conj().T @ f - np.eye(self.dim)).max())
+
+    def adjoint(self) -> Channel:
+        """The adjoint map x -> sum_k K_k^* x K_k, w.r.t. the trace inner product."""
+        return Channel(self.kraus.conj().transpose(0, 2, 1), label=self.label)
 
 
 @dataclass
@@ -142,20 +152,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def kraus_channel(kraus, label: str = "") -> Channel:
-    """The channel rho -> sum_k K_k rho K_k^* of a (k, d, d) operator stack."""
-    kraus = np.asarray(kraus, dtype=complex)
-    k, d, _ = kraus.shape
-    stacked = kraus.reshape(k * d, d)                             # row (k, i) is row i of K_k
-    adjoints = kraus.conj().transpose(0, 2, 1).reshape(k * d, d)  # row (k, m) is row m of K_k^*
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        left = (stacked @ np.asarray(rho, dtype=complex)).reshape(k, d, d)
-        return left.transpose(1, 0, 2).reshape(d, k * d) @ adjoints
-
-    return Channel(dim=d, apply=apply, label=label, kraus=kraus)
-
-
 def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
     """Operators sqrt(p_e) <t|_out u |v_e>_bath, the bath entering as site 1 or n."""
     p, v = np.linalg.eigh(sigma)
@@ -182,7 +178,7 @@ def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams, *,
     ``ops`` are the point's :func:`cycle_operators`, built here when not given.
     """
     ops = cycle_operators(parts, params) if ops is None else ops
-    return kraus_channel(_cycle_kraus(ops, cold_first=True), label="cycle_cb")
+    return Channel(_cycle_kraus(ops, cold_first=True), label="cycle_cb")
 
 
 def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams, *,
@@ -192,7 +188,7 @@ def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams, *,
     ``ops`` are the point's :func:`cycle_operators`, built here when not given.
     """
     ops = cycle_operators(parts, params) if ops is None else ops
-    return kraus_channel(_cycle_kraus(ops, cold_first=False), label="cycle_ac")
+    return Channel(_cycle_kraus(ops, cold_first=False), label="cycle_ac")
 
 
 def cold_half_cycle(parts: HamiltonianParts, params: CycleParams, *,
@@ -202,8 +198,8 @@ def cold_half_cycle(parts: HamiltonianParts, params: CycleParams, *,
     ``ops`` are the point's :func:`cycle_operators`, built here when not given.
     """
     ops = cycle_operators(parts, params) if ops is None else ops
-    return kraus_channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True),
-                         label="cold_half_cycle")
+    return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True),
+                   label="cold_half_cycle")
 
 
 def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
@@ -216,21 +212,17 @@ def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
     return project_density(x / np.trace(x).real, psd_atol=SOLVER_PSD_ATOL)
 
 
-def channel_matrix(ch: Channel) -> ChannelMatrix:
-    """Column-stacking matrix of the channel, sum_k conj(K_k) (x) K_k for a Kraus stack.
+def channel_matrix(ch: Channel) -> np.ndarray:
+    """Column-stacking d^2 x d^2 matrix of the channel, sum_k conj(K_k) (x) K_k.
 
-    A Kraus stack flattened row-major to F (k x d^2) gives it as the single
-    product F^* F, reshuffled; a bare callable is tabulated on matrix units,
-    column j being vec(ch(unvec(e_j))).
+    The Kraus stack flattened row-major to F (k x d^2) gives it as the
+    single product F^* F, reshuffled.
     """
     d = ch.dim
-    if ch.kraus is None:
-        m = np.column_stack([vec(ch.apply(unvec(e, d))) for e in np.eye(d * d)])
-        return ChannelMatrix(matrix=m, dim=d, label=ch.label)
     f = ch.kraus.reshape(-1, d * d)
     # g[c, c', r, r'] = sum_k conj(K_k[c, c']) K_k[r, r'], wanted at [c*d + r, c'*d + r']
     g = (f.conj().T @ f).reshape(d, d, d, d)
-    return ChannelMatrix(g.transpose(0, 2, 1, 3).reshape(d * d, d * d), d, ch.label)
+    return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def popcount_charges(d: int) -> np.ndarray | None:
@@ -331,11 +323,7 @@ def sector_blocks(ch: Channel):
     of two, gives the one sector ``q = None``: one class C of all basis
     states, one tile, and ``block`` the whole matrix in ascending order.
     The -q sectors are not built (module docstring).
-
-    Raises ValueError when ch has no Kraus stack.
     """
-    if ch.kraus is None:
-        raise ValueError(f"channel {ch.label!r} has no Kraus stack to build its sectors from")
     stack, d = ch.kraus, ch.dim
     groups = _charge_groups(stack)
     if groups[0][0] is None:
@@ -475,7 +463,7 @@ def fixed_point_spectral(ch: Channel, tol: float = DEGENERACY_TOL) -> FixedPoint
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
     The eigenproblem is split by :func:`sector_blocks`, built from ch's
-    Kraus stack (ValueError without one); the eigenvector comes from the
+    Kraus stack; the eigenvector comes from the
     q = 0 block, which carries the trace, by inverse iteration
     (:func:`_unit_vector`). Eigenvalues whose modulus is within ``tol`` of 1
     count as fixed-point candidates; more than one raises

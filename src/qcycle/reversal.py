@@ -46,47 +46,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, ChannelMatrix, _charge_groups, channel_matrix,
-                         kraus_channel, popcount_charges)
+from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, _charge_groups, channel_matrix,
+                         popcount_charges)
 from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
 
 CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
 ZERO_PROBABILITY = 1e-14
 
 
-@dataclass
-class KrausSet:
-    """Kraus operators of a channel plus the Choi weight dropped at extraction."""
-
-    operators: list
-    dim: int
-    discarded_weight: float = 0.0
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return kraus_apply(self.operators, rho)
-
-    def completeness_residual(self) -> float:
-        """Max-abs deviation of sum A*A from the identity."""
-        acc = sum(a.conj().T @ a for a in self.operators)
-        return float(np.abs(acc - np.eye(self.dim)).max())
-
-
-def choi_from_matrix(cm: ChannelMatrix) -> np.ndarray:
-    """Choi matrix by the index reshuffle of the channel matrix (module docstring)."""
-    return cm.matrix.reshape((cm.dim,) * 4).transpose(1, 3, 0, 2).reshape(cm.matrix.shape)
+def choi_from_matrix(m: np.ndarray) -> np.ndarray:
+    """Choi matrix by the index reshuffle of the d^2 x d^2 channel matrix (module docstring)."""
+    d = int(round(np.sqrt(m.shape[0])))
+    return m.reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(m.shape)
 
 
 def choi_matrix(ch: Channel) -> np.ndarray:
     """Choi matrix of the channel, reshuffled from :func:`channel_matrix`.
 
-    Raises :class:`NotCPError` when the result has an eigenvalue below
-    -1e-8, which means the channel construction itself is broken.
+    It is F^T conj(F) for the stack F of the module docstring, so it is
+    positive semidefinite by construction.
     """
-    j = choi_from_matrix(channel_matrix(ch))
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(j)).min())
-    if min_eig < -CP_ATOL:
-        raise NotCPError(min_eig)
-    return j
+    return choi_from_matrix(channel_matrix(ch))
 
 
 def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
@@ -94,7 +74,7 @@ def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
     return partial_trace(j, [1], [dim, dim])
 
 
-def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
+def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> Channel:
     """Kraus operators from the Choi eigendecomposition, a dense reference.
 
     J is decomposed one charge label popcount(a) - popcount(b) of its
@@ -105,7 +85,8 @@ def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     eigenvalue below ``rank_tol`` (relative to the largest) are dropped and
     their total weight reported on the result. Eigenvectors devectorize
     row-major: the Choi convention above pairs output-leg index k with
-    input-leg index i at flat position k*d + i.
+    input-leg index i at flat position k*d + i. Raises :class:`NotCPError`
+    when J has an eigenvalue below -``CP_ATOL``.
     """
     j = np.asarray(j, dtype=complex)
     d2 = j.shape[0]
@@ -125,33 +106,10 @@ def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> KrausSet:
     if min_eig < -CP_ATOL:
         raise NotCPError(min_eig)
     order = np.argsort(-w)
-    cut = rank_tol * max(float(w[order[0]]), 0.0)
-    ops = []
-    discarded = 0.0
-    for k in order:
-        lam = w[k]
-        if lam >= cut and lam > 0.0:
-            ops.append(np.sqrt(lam) * v[:, k].reshape(d, d))
-        else:
-            discarded += float(lam)
-    return KrausSet(operators=ops, dim=d, discarded_weight=discarded)
-
-
-def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
-    """sum A rho A* over the operator list."""
-    rho = np.asarray(rho, dtype=complex)
-    return sum(a @ rho @ a.conj().T for a in operators)
-
-
-def kraus_adjoint_apply(operators, x: np.ndarray) -> np.ndarray:
-    """Adjoint map sum A* x A (adjoint w.r.t. the trace inner product)."""
-    x = np.asarray(x, dtype=complex)
-    return sum(a.conj().T @ x @ a for a in operators)
-
-
-def kraus_channel_matrix(kraus: KrausSet) -> ChannelMatrix:
-    """Column-stacking matrix representation sum conj(A) (x) A of the Kraus map."""
-    return channel_matrix(kraus_channel(kraus.operators, label="kraus"))
+    w, v = w[order], v[:, order]
+    keep = (w >= rank_tol * max(float(w[0]), 0.0)) & (w > 0.0)
+    discarded = sum(float(lam) for lam in w[~keep])
+    return Channel((np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d), discarded_weight=discarded)
 
 
 def _dot_rounding(m: int) -> float:
@@ -163,13 +121,13 @@ def _dot_rounding(m: int) -> float:
 def kraus_from_stack(stack, rank_tol: float = 1e-12):
     """Choi-canonical Kraus operators of a (k, d, d) stack, from its Gram matrix.
 
-    Returns ``(kraus, residual)``. Per charge group of the stack
+    Returns ``(channel, residual)``. Per charge group of the stack
     (:func:`_charge_groups`), the group's Gram matrix G = V diag(w) V^*
     gives the operators A = V^T F of weight w, the Choi eigenvalues (module
     docstring), so each operator lies in one sector. The operators of all
     groups are merged in descending weight, the gauge rule of
     :func:`kraus_from_choi`; weights below ``rank_tol`` of the largest are
-    dropped and their sum is the set's ``discarded_weight``.
+    dropped and their sum is the channel's ``discarded_weight``.
 
     ``residual`` is an upper bound on the 2-norm of D, the difference
     between the channel matrices of the stack and of the returned operators.
@@ -201,7 +159,7 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
             discarded += float(lam)
             continue
         a = col @ f[idx]
-        ops.append(a.reshape(d, d))
+        ops.append(a)
         kept[np.ix_(idx, idx)] += np.outer(col.conj(), col)
         s = float(np.abs(col) @ norms[idx])
         e = _dot_rounding(len(idx)) * s
@@ -209,7 +167,7 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
     e_mat = np.eye(k) - kept
     square = float(np.vdot(e_mat, gram.conj() @ e_mat @ gram.T).real)
     residual = float(np.sqrt(max(square, 0.0))) + rounding
-    return KrausSet(operators=ops, dim=d, discarded_weight=discarded), residual
+    return Channel(np.reshape(ops, (-1, d, d)), discarded_weight=discarded), residual
 
 
 def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
@@ -240,25 +198,21 @@ def post_interaction_state(a: np.ndarray, rho: np.ndarray):
 class ReversedChannel:
     """Time reversal of a channel around its fixed point.
 
-    ``kraus`` holds the reversed operators; ``forward`` the operators they
-    were built from. ``apply`` uses the reversed Kraus sum, while
-    ``apply_adjoint_route`` computes the same map as a sandwich of the
-    fixed-point square roots around the adjoint of the forward channel.
+    ``kraus`` is the reversed channel; ``forward`` the channel it was built
+    from. ``apply_adjoint_route`` computes ``kraus.apply`` as a sandwich of
+    the fixed-point square roots around the adjoint of the forward channel.
     The two routes agreeing is a construction invariant.
     """
 
-    kraus: KrausSet
-    forward: KrausSet
+    kraus: Channel
+    forward: Channel
     rho_star: np.ndarray
     sqrt: np.ndarray
     invsqrt: np.ndarray
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return kraus_apply(self.kraus.operators, rho)
-
     def apply_adjoint_route(self, rho: np.ndarray) -> np.ndarray:
         inner = self.invsqrt @ np.asarray(rho, dtype=complex) @ self.invsqrt
-        return self.sqrt @ kraus_adjoint_apply(self.forward.operators, inner) @ self.sqrt
+        return self.sqrt @ self.forward.adjoint().apply(inner) @ self.sqrt
 
 
 def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
@@ -282,13 +236,13 @@ def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
     return np.where(off, 0.0, rho)
 
 
-def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-12,
+def reverse_channel(forward: Channel, rho_star: np.ndarray, rank_tol: float = 1e-12,
                     fp_tol: float = 1e-10) -> ReversedChannel:
     """Build the time-reversed channel around a full-rank fixed point.
 
     Parameters
     ----------
-    kraus : KrausSet of the forward channel.
+    forward : the forward channel.
     rho_star : claimed fixed point; must be full rank (else
         :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
         (else :class:`NotFixedPointError`). It is refined by two steps of the
@@ -304,7 +258,7 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
     """
     rho_star = np.asarray(rho_star, dtype=complex)
     psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)  # rank check
-    residual = trace_distance(kraus_apply(kraus.operators, rho_star), rho_star)
+    residual = trace_distance(forward.apply(rho_star), rho_star)
     if residual > 100.0 * fp_tol:
         raise NotFixedPointError(residual, 100.0 * fp_tol)
 
@@ -312,15 +266,14 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
     # two steps of the map leave only the map's own rounding.
     rho_star = _charge_diagonal(rho_star)
     for _ in range(2):
-        rho_star = hermitian_part(kraus_apply(kraus.operators, rho_star))
+        rho_star = hermitian_part(forward.apply(rho_star))
         rho_star = _charge_diagonal(rho_star / np.trace(rho_star).real)
     sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)
 
-    reversed_ops = [sqrt @ a.conj().T @ invsqrt for a in kraus.operators]
     rev = ReversedChannel(
-        kraus=KrausSet(operators=reversed_ops, dim=kraus.dim,
-                       discarded_weight=kraus.discarded_weight),
-        forward=kraus,
+        kraus=Channel(sqrt @ forward.adjoint().kraus @ invsqrt,
+                      discarded_weight=forward.discarded_weight),
+        forward=forward,
         rho_star=rho_star,
         sqrt=sqrt,
         invsqrt=invsqrt,
@@ -331,11 +284,12 @@ def reverse_channel(kraus: KrausSet, rho_star: np.ndarray, rank_tol: float = 1e-
         raise NotFixedPointError(tp_residual, 1e-9, what="completeness of the reversed set")
 
     rng = np.random.default_rng(0)  # fixed seed: construction stays deterministic
+    shape = (forward.dim, forward.dim)
     for _ in range(3):
-        g = rng.normal(size=(kraus.dim, kraus.dim)) + 1j * rng.normal(size=(kraus.dim, kraus.dim))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         probe = g @ g.conj().T
         probe /= np.trace(probe).real
-        gap = float(np.abs(rev.apply(probe) - rev.apply_adjoint_route(probe)).max())
+        gap = float(np.abs(rev.kraus.apply(probe) - rev.apply_adjoint_route(probe)).max())
         if gap > 1e-9:
             raise NotFixedPointError(gap, 1e-9, what="agreement of the two reversal routes")
     return rev

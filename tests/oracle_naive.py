@@ -6,7 +6,8 @@ scipy.linalg.expm instead of a Hermitian eigendecomposition, and the chain
 Hamiltonian is reassembled from scratch. Slow and only meant for n <= 5.
 
 ``naive_choi`` is the defining Choi sum over matrix units, the reference
-for the package's reshuffled Choi matrix.
+for the package's reshuffled Choi matrix, and ``naive_channel_matrix`` the
+channel's images of the matrix units, the reference for its channel matrix.
 """
 
 import numpy as np
@@ -124,3 +125,11 @@ def naive_choi(ch):
             unit[row, col] = 1.0
             j += np.kron(ch.apply(unit), unit)
     return j
+
+
+def naive_channel_matrix(ch):
+    """Column-stacking channel matrix, column j being vec(ch(unvec(e_j)))."""
+    d = ch.dim
+    columns = [ch.apply(e.reshape((d, d), order="F")).reshape(-1, order="F")
+               for e in np.eye(d * d, dtype=complex)]
+    return np.column_stack(columns)

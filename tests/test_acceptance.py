@@ -14,8 +14,8 @@ import pytest
 from qcycle import (DegenerateFixedPointError, build_hamiltonian, channel_matrix,
                     choi_matrix, choi_output_trace, commutator_norm,
                     cycle_channel_ac, cycle_channel_cb, cycle_record,
-                    fixed_point_iterate, fixed_point_spectral, kraus_channel_matrix,
-                    kraus_from_choi, limit_cycle_states, partial_trace,
+                    fixed_point_iterate, fixed_point_spectral, kraus_from_choi,
+                    limit_cycle_states, partial_trace,
                     random_density_matrix, reverse_channel, sequence_probability,
                     stroke_unitary, total_magnetization, trace_distance)
 from qcycle import ChainSpec, CycleParams, ansatz_state
@@ -175,8 +175,7 @@ def test_criterion_07_cptp_certificates(reversal_points):
             comp = kraus.completeness_residual()
             if comp >= 1e-10:
                 failures.append(f"{label}: completeness residual {comp:.3e}")
-            recon = float(np.linalg.norm(channel_matrix(channel).matrix
-                                         - kraus_channel_matrix(kraus).matrix, 2))
+            recon = float(np.linalg.norm(channel_matrix(channel) - channel_matrix(kraus), 2))
             if recon >= 1e-10:
                 failures.append(f"{label}: reconstruction residual {recon:.3e}")
     verdict(7, "Choi matrices certify CPTP and Kraus sets round-trip the channels",
@@ -195,17 +194,15 @@ def test_criterion_08_time_reversal(reversal_points):
             kraus = kraus_from_choi(choi_matrix(channel))
             rev = reverse_channel(kraus, fp.rho_star)
 
-            dist = trace_distance(rev.apply(fp.rho_star), fp.rho_star)
+            dist = trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star)
             if dist >= 1e-9:
                 failures.append(f"{label}: reversed fixed point moved {dist:.3e}")
 
-            n_ops = len(kraus.operators)
+            ops, reversed_ops = kraus.kraus, rev.kraus.kraus
             for _ in range(50):
-                a1, a2 = rng.integers(0, n_ops, size=2)
-                p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]],
-                                             fp.rho_star)
-                p_rev = sequence_probability([rev.kraus.operators[a2],
-                                              rev.kraus.operators[a1]], fp.rho_star)
+                a1, a2 = rng.integers(0, len(ops), size=2)
+                p_fwd = sequence_probability([ops[a1], ops[a2]], fp.rho_star)
+                p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], fp.rho_star)
                 if abs(p_fwd - p_rev) >= 1e-9:
                     failures.append(f"{label}: detailed balance off {abs(p_fwd - p_rev):.3e}")
                     break
@@ -213,7 +210,7 @@ def test_criterion_08_time_reversal(reversal_points):
             back = reverse_channel(rev.kraus, fp.rho_star)
             for _ in range(10):
                 probe = random_density_matrix(channel.dim, rng)
-                gap = float(np.abs(back.apply(probe) - channel.apply(probe)).max())
+                gap = float(np.abs(back.kraus.apply(probe) - channel.apply(probe)).max())
                 if gap >= 1e-8:
                     failures.append(f"{label}: double reversal off by {gap:.3e}")
                     break

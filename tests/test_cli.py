@@ -141,6 +141,20 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
         assert "initial_state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["text", "npz", "empty"])
+    def test_unreadable_initial_state_named(self, tmp_path, capsys, kind):
+        path = tmp_path / "init.npy"
+        if kind == "text":
+            path.write_text("0.125 0 0\n")
+        elif kind == "npz":
+            path = tmp_path / "init.npz"
+            np.savez(path, rho=np.eye(8) / 8)
+        else:
+            path.write_bytes(b"")
+        cfg = write_config(tmp_path, variant(initial_state=str(path)))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "config error: initial_state" in capsys.readouterr().err
+
     def test_output_format_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, variant(**{"output.format": "json"}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
@@ -196,6 +210,30 @@ class TestReport:
                                                 "output.format": "json"}))
         assert main(["report", "--config", cfg]) == 0
         assert json.loads(target.read_text())["eta_predicted"] == 0.5
+
+    def test_non_convergence_explained(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variant(**{"solver.max_iter": 1}))
+        assert main(["report", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qcycle: fixed-point iteration did not converge: "
+                                       "1 iterations, final delta ")
+        assert ", tol " in captured.err
+
+    def test_slowly_mixing_solvers_agree(self, tmp_path, capsys):
+        # spectral gap 0.039: stopping the iteration when one step moves less than
+        # tol left it 2.4e-9 from the fixed point, and report warned that the solvers
+        # disagreed by more than 10 tol
+        doc = {"chain": {"n": 4, "E": [0.9848634828167946, 0.5023793855262364,
+                                       0.9294688376836533, 3.666042636148085],
+                         "J": [-0.6730926806605473, -0.5352461219582629, -0.5885474006356826],
+                         "K": [0.3123149888487918, -0.7387538124236359, -0.7038414829307136],
+                         "F": [0.7708356776610883, 0.6697969279130231, 0.37427196679683916]},
+               "cycle": {"beta1": 2.901721277494388, "beta2": 0.9394189830407498,
+                         "tau1": 1.854691427251925, "tau2": 1.6786677738211424},
+               "seed": 1857809650}
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_iterate_method_still_detects_degeneracy(self, tmp_path):
         doc = variant(**{"chain.J": [0.0, 0.0], "chain.K": [0.0, 0.0], "chain.F": [0.0, 0.0],

@@ -9,21 +9,20 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     partial_trace, random_density_matrix, total_magnetization,
                     trace_distance, unvec, vec)
 from qcycle import CycleParams, ansatz_state, commutator_norm
-from qcycle.limitcycle import kraus_channel
 from conftest import carnot_point, random_engine_point
-from oracle_naive import NaiveCycle
+from oracle_naive import NaiveCycle, naive_channel_matrix
 
 
 def identity_channel(d):
-    return kraus_channel(np.eye(d)[None], label="id")
+    return Channel(np.eye(d)[None], label="id")
 
 
 def replacement_channel(sigma):
     """rho -> sigma Tr[rho], with the Kraus operators sqrt(p_a) |v_a><j|."""
     d = sigma.shape[0]
     p, v = np.linalg.eigh(sigma)
-    return kraus_channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(d)[j])
-                          for a in range(d) for j in range(d)], label="replace")
+    return Channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(d)[j])
+                    for a in range(d) for j in range(d)], label="replace")
 
 
 class TestChannelProperties:
@@ -54,20 +53,35 @@ class TestChannelProperties:
         by_apply = rho
         for _ in range(5):
             by_apply = ch.apply(by_apply)
-        by_matrix = unvec(np.linalg.matrix_power(cm.matrix, 5) @ vec(rho), ch.dim)
+        by_matrix = unvec(np.linalg.matrix_power(cm, 5) @ vec(rho), ch.dim)
         assert np.abs(by_apply - by_matrix).max() <= 1e-9
+
+
+class TestChannelMethods:
+    def test_match_loop_sums(self, rng, small_point):
+        # the stacked products against the per-operator sums they replace
+        spec, params = small_point
+        ch = cycle_channel_ac(build_hamiltonian(spec), params)
+        ops = list(ch.kraus)
+        rho = random_density_matrix(ch.dim, rng)
+        x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
+        assert ch.dim == 4 and len(ops) == 16
+        assert np.abs(ch.apply(rho) - sum(a @ rho @ a.conj().T for a in ops)).max() < 1e-14
+        assert np.abs(ch.adjoint().apply(x) - sum(a.conj().T @ x @ a for a in ops)).max() < 1e-13
+        loop = float(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(ch.dim)).max())
+        assert abs(ch.completeness_residual() - loop) < 1e-14
 
 
 class TestChannelMatrix:
     def test_identity_channel(self):
         cm = channel_matrix(identity_channel(3))
-        assert np.abs(cm.matrix - np.eye(9)).max() == 0.0
+        assert np.abs(cm - np.eye(9)).max() == 0.0
 
     def test_unitary_channel_moduli(self, rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u = np.linalg.qr(h)[0]
-        cm = channel_matrix(Channel(dim=3, apply=lambda m: u @ m @ u.conj().T))
-        assert np.abs(np.abs(np.linalg.eigvals(cm.matrix)) - 1.0).max() < 1e-12
+        cm = channel_matrix(Channel(u[None]))
+        assert np.abs(np.abs(np.linalg.eigvals(cm)) - 1.0).max() < 1e-12
 
     def test_matrix_reproduces_apply(self, rng, small_point):
         spec, params = small_point
@@ -75,7 +89,7 @@ class TestChannelMatrix:
         cm = channel_matrix(ch)
         for _ in range(5):
             rho = random_density_matrix(ch.dim, rng)
-            assert np.abs(unvec(cm.matrix @ vec(rho), ch.dim) - ch.apply(rho)).max() <= 1e-11
+            assert np.abs(unvec(cm @ vec(rho), ch.dim) - ch.apply(rho)).max() <= 1e-11
 
 
 class TestKrausForm:
@@ -97,8 +111,7 @@ class TestKrausForm:
         parts = build_hamiltonian(spec)
         for maker in (cycle_channel_cb, cycle_channel_ac):
             ch = maker(parts, params)
-            tabulated = channel_matrix(Channel(dim=ch.dim, apply=ch.apply))
-            assert np.abs(channel_matrix(ch).matrix - tabulated.matrix).max() < 1e-13
+            assert np.abs(channel_matrix(ch) - naive_channel_matrix(ch)).max() < 1e-13
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]))
@@ -111,7 +124,7 @@ class TestKrausForm:
             assert len(ch.kraus) <= 16
             completeness = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
             assert np.abs(completeness - np.eye(ch.dim)).max() < 1e-12
-            moduli = np.sort(np.abs(np.linalg.eigvals(channel_matrix(ch).matrix)))
+            moduli = np.sort(np.abs(np.linalg.eigvals(channel_matrix(ch))))
             gaps.append(1.0 - moduli[-2])
         # CB = BA and AC = AB share their spectrum
         assert abs(gaps[0] - gaps[1]) < 1e-10
@@ -181,11 +194,6 @@ class TestFixedPointSpectral:
         assert spectral.spectral_gap > 1e-6
         assert trace_distance(spectral.rho_star, iterated.rho_star) <= 10 * tol
         assert trace_distance(ch.apply(spectral.rho_star), spectral.rho_star) <= 10 * tol
-
-    def test_requires_kraus_stack(self):
-        bare = Channel(dim=2, apply=lambda m: np.asarray(m, dtype=complex))
-        with pytest.raises(ValueError, match="no Kraus stack"):
-            fixed_point_spectral(bare)
 
     def test_zero_coupling_degenerate(self, decoupled_point):
         spec, params = decoupled_point

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, Channel, CycleParams, KrausSet, NotCPError, NotFixedPointError,
+from qcycle import (ChainSpec, Channel, CycleParams, NotCPError, NotFixedPointError,
                     RankDeficientError, ZeroProbabilityError, build_hamiltonian, channel_matrix,
                     choi_matrix, choi_output_trace, cycle_channel_ac,
-                    cycle_channel_cb, fixed_point_spectral, kraus_apply,
-                    kraus_channel_matrix, kraus_from_choi, kraus_from_stack,
+                    cycle_channel_cb, fixed_point_spectral, kraus_from_choi, kraus_from_stack,
                     post_interaction_state, random_density_matrix,
                     reverse_channel, sequence_probability, trace_distance)
-from qcycle.limitcycle import kraus_channel, popcount_charges
+from qcycle.limitcycle import popcount_charges
 from qcycle.reversal import choi_from_matrix
 from conftest import random_engine_point
 from oracle_naive import naive_choi
@@ -22,11 +21,11 @@ def haar_unitary(rng, d):
 
 
 def unitary_channel(u):
-    return kraus_channel(u[None])
+    return Channel(u[None])
 
 
 def identity_channel(d):
-    return kraus_channel(np.eye(d)[None])
+    return Channel(np.eye(d)[None])
 
 
 def engine_fixture(small_point, maker):
@@ -50,7 +49,9 @@ class TestChoiMatrix:
 
     def test_replacement_channel(self, rng):
         sigma = random_density_matrix(3, rng)
-        ch = Channel(dim=3, apply=lambda m: sigma * np.trace(np.asarray(m)))
+        p, v = np.linalg.eigh(sigma)  # rho -> sigma Tr[rho], Kraus operators sqrt(p_a) |v_a><j|
+        ch = Channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(3)[j])
+                      for a in range(3) for j in range(3)])
         assert np.abs(choi_matrix(ch) - np.kron(sigma, np.eye(3))).max() < 1e-14
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
@@ -71,20 +72,19 @@ class TestChoiMatrix:
 
     def test_non_cp_channel_rejected(self):
         # half replacement by I/2, half transpose: positive and trace
-        # preserving with a unique full-rank fixed point, but not CP
-        ch = Channel(dim=2, apply=lambda m: 0.25 * np.trace(m) * np.eye(2) + 0.5 * m.T)
+        # preserving with a unique full-rank fixed point, but not CP; its
+        # Choi matrix sum_ij ch(E_ij) (x) E_ij is I/4 + SWAP/2, eigenvalue -1/4
+        swap = np.eye(4)[[0, 2, 1, 3]]
         with pytest.raises(NotCPError):
-            choi_matrix(ch)
-        with pytest.raises(NotCPError):
-            kraus_from_choi(choi_from_matrix(channel_matrix(ch)))
+            kraus_from_choi(0.25 * np.eye(4) + 0.5 * swap)
 
 
 class TestKrausFromChoi:
     def test_unitary_channel_single_operator(self, rng):
         u = haar_unitary(rng, 4)
         kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
-        assert len(kraus.operators) == 1
-        a = kraus.operators[0]
+        assert len(kraus.kraus) == 1
+        a = kraus.kraus[0]
         phase = a[np.unravel_index(np.argmax(np.abs(u)), u.shape)] / \
             u[np.unravel_index(np.argmax(np.abs(u)), u.shape)]
         assert abs(abs(phase) - 1.0) < 1e-10
@@ -92,8 +92,8 @@ class TestKrausFromChoi:
 
     def test_identity_channel_single_identity(self):
         kraus = kraus_from_choi(choi_matrix(identity_channel(3)))
-        assert len(kraus.operators) == 1
-        a = kraus.operators[0]
+        assert len(kraus.kraus) == 1
+        a = kraus.kraus[0]
         assert np.abs(a - a[0, 0] * np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
@@ -102,13 +102,11 @@ class TestKrausFromChoi:
         assert kraus.completeness_residual() <= 1e-10
         for _ in range(20):
             rho = random_density_matrix(ch.dim, rng)
-            assert np.abs(kraus_apply(kraus.operators, rho) - ch.apply(rho)).max() <= 1e-10
+            assert np.abs(kraus.apply(rho) - ch.apply(rho)).max() <= 1e-10
 
     def test_channel_matrix_round_trip(self, small_point):
         ch, _, kraus = engine_fixture(small_point, cycle_channel_cb)
-        cm = channel_matrix(ch)
-        km = kraus_channel_matrix(kraus)
-        assert np.linalg.norm(cm.matrix - km.matrix, 2) <= 1e-10
+        assert np.linalg.norm(channel_matrix(ch) - channel_matrix(kraus), 2) <= 1e-10
 
 
 class TestKrausFromStack:
@@ -122,9 +120,9 @@ class TestKrausFromStack:
         ch = maker(build_hamiltonian(spec), params)
         cm = channel_matrix(ch)
         kraus, bound = kraus_from_stack(ch.kraus)
-        ops = kraus.operators
+        ops = kraus.kraus
         choi = choi_from_matrix(cm)
-        assert len(ops) == len(kraus_from_choi(choi).operators) <= 16
+        assert len(ops) == len(kraus_from_choi(choi).kraus) <= 16
 
         choi_weights = np.sort(np.linalg.eigvalsh((choi + choi.conj().T) / 2))[::-1]
         weights = np.array([np.vdot(a, a).real for a in ops])
@@ -137,13 +135,13 @@ class TestKrausFromStack:
             own = charge == charge.flat[np.argmax(moduli)]
             assert moduli[~own].max(initial=0.0) <= 1e-12 * moduli.max()
 
-        rebuilt = kraus_channel_matrix(kraus).matrix
-        assert np.abs(rebuilt - cm.matrix).max() < 1e-12
-        assert float(np.linalg.norm(cm.matrix - rebuilt, 2)) <= bound < 1e-10
+        rebuilt = channel_matrix(kraus)
+        assert np.abs(rebuilt - cm).max() < 1e-12
+        assert float(np.linalg.norm(cm - rebuilt, 2)) <= bound < 1e-10
 
         rev = reverse_channel(kraus, fixed_point_spectral(ch).rho_star)
         back = reverse_channel(rev.kraus, rev.rho_star)
-        assert np.abs(kraus_channel_matrix(back.kraus).matrix - cm.matrix).max() < 1e-10
+        assert np.abs(channel_matrix(back.kraus) - cm).max() < 1e-10
 
     def test_bound_covers_dropped_weight(self):
         # a second operator whose weight falls under rank_tol is dropped; the bound must
@@ -153,10 +151,9 @@ class TestKrausFromStack:
         b[0, 1] = 1e-7
         stack = np.array([np.eye(d, dtype=complex), b])
         kraus, bound = kraus_from_stack(stack)
-        assert len(kraus.operators) == 1
+        assert len(kraus.kraus) == 1
         assert kraus.discarded_weight == pytest.approx(1e-14, rel=1e-12)
-        full = kraus_channel_matrix(KrausSet(operators=list(stack), dim=d)).matrix
-        exact = float(np.linalg.norm(full - kraus_channel_matrix(kraus).matrix, 2))
+        exact = float(np.linalg.norm(channel_matrix(Channel(stack)) - channel_matrix(kraus), 2))
         assert exact == pytest.approx(1e-14, rel=1e-6)
         assert exact <= bound
 
@@ -166,22 +163,22 @@ class TestSequenceProbability:
         u = haar_unitary(rng, 3)
         kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
         rho = random_density_matrix(3, rng)
-        assert abs(sequence_probability([kraus.operators[0]], rho) - 1.0) < 1e-12
+        assert abs(sequence_probability([kraus.kraus[0]], rho) - 1.0) < 1e-12
 
     def test_single_step_completeness(self, rng, small_point):
         ch, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
-        total = sum(sequence_probability([a], fp.rho_star) for a in kraus.operators)
+        total = sum(sequence_probability([a], fp.rho_star) for a in kraus.kraus)
         assert abs(total - 1.0) <= 1e-10
 
     def test_two_step_completeness(self, small_point):
         ch, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
         total = sum(sequence_probability([a1, a2], fp.rho_star)
-                    for a1 in kraus.operators for a2 in kraus.operators)
+                    for a1 in kraus.kraus for a2 in kraus.kraus)
         assert abs(total - 1.0) <= 1e-9
 
     def test_probability_in_unit_interval(self, rng, small_point):
         ch, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
-        for a in kraus.operators:
+        for a in kraus.kraus:
             p = sequence_probability([a], fp.rho_star)
             assert -1e-12 <= p <= 1.0 + 1e-12
 
@@ -206,7 +203,7 @@ class TestPostInteractionState:
         ch, _, kraus = engine_fixture(small_point, cycle_channel_cb)
         rho = random_density_matrix(ch.dim, rng)
         mix = np.zeros_like(rho)
-        for a in kraus.operators:
+        for a in kraus.kraus:
             out, p = post_interaction_state(a, rho)
             mix = mix + p * out
         assert np.abs(mix - ch.apply(rho)).max() <= 1e-10
@@ -223,7 +220,7 @@ class TestReverseChannel:
         u = haar_unitary(rng, 4)
         kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
         rev = reverse_channel(kraus, np.eye(4) / 4)
-        a = rev.kraus.operators[0]
+        a = rev.kraus.kraus[0]
         udag = u.conj().T
         idx = np.unravel_index(np.argmax(np.abs(udag)), udag.shape)
         phase = a[idx] / udag[idx]
@@ -233,17 +230,16 @@ class TestReverseChannel:
     def test_shares_fixed_point(self, small_point, maker):
         _, fp, kraus = engine_fixture(small_point, maker)
         rev = reverse_channel(kraus, fp.rho_star)
-        assert trace_distance(rev.apply(fp.rho_star), fp.rho_star) <= 1e-9
+        assert trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star) <= 1e-9
 
     def test_two_step_detailed_balance(self, rng, small_point):
         _, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
         rev = reverse_channel(kraus, fp.rho_star)
-        n_ops = len(kraus.operators)
+        ops, reversed_ops = kraus.kraus, rev.kraus.kraus
         for _ in range(50):
-            a1, a2 = rng.integers(0, n_ops, size=2)
-            p_fwd = sequence_probability([kraus.operators[a1], kraus.operators[a2]], fp.rho_star)
-            p_rev = sequence_probability([rev.kraus.operators[a2], rev.kraus.operators[a1]],
-                                         fp.rho_star)
+            a1, a2 = rng.integers(0, len(ops), size=2)
+            p_fwd = sequence_probability([ops[a1], ops[a2]], fp.rho_star)
+            p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], fp.rho_star)
             assert abs(p_fwd - p_rev) <= 1e-9
 
     def test_reversal_involution(self, rng, small_point):
@@ -252,13 +248,13 @@ class TestReverseChannel:
         back = reverse_channel(rev.kraus, fp.rho_star)
         for _ in range(10):
             rho = random_density_matrix(ch.dim, rng)
-            assert np.abs(back.apply(rho) - ch.apply(rho)).max() <= 1e-8
+            assert np.abs(back.kraus.apply(rho) - ch.apply(rho)).max() <= 1e-8
 
     def test_adjoint_route_agrees(self, rng, small_point):
         _, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
         rev = reverse_channel(kraus, fp.rho_star)
         rho = random_density_matrix(kraus.dim, rng)
-        assert np.abs(rev.apply(rho) - rev.apply_adjoint_route(rho)).max() <= 1e-9
+        assert np.abs(rev.kraus.apply(rho) - rev.apply_adjoint_route(rho)).max() <= 1e-9
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_ill_conditioned_fixed_point(self, maker):

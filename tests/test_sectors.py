@@ -14,24 +14,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from qcycle import (ChannelMatrix, DegenerateFixedPointError, build_hamiltonian, channel_matrix,
+from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, channel_matrix,
                     cold_half_cycle, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, kraus_channel_matrix, kraus_from_choi,
-                    project_density, reverse_channel, trace_distance)
+                    fixed_point_spectral, kraus_from_choi, project_density, reverse_channel,
+                    trace_distance)
 from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, _unit_vector, carried_fixed_point,
-                               from_hermitian_frame, hermitian_frame, kraus_channel,
-                               sector_blocks, sector_eigenvalues, swap_index, to_hermitian_frame,
-                               unvec)
+                               from_hermitian_frame, hermitian_frame, sector_blocks,
+                               sector_eigenvalues, swap_index, to_hermitian_frame, unvec)
 from qcycle.linalg import hermitian_part
 from qcycle.reversal import choi_from_matrix, kraus_from_stack
 from conftest import random_engine_point
 
 
-def dense_fixed_point(cm):
-    """(rho_star, gap) from one eig of the whole channel matrix."""
-    evals, evecs = np.linalg.eig(cm.matrix)
+def dense_fixed_point(cm, d):
+    """(rho_star, gap) from one eig of the whole channel matrix of a d x d map."""
+    evals, evecs = np.linalg.eig(cm)
     moduli = np.sort(np.abs(evals))[::-1]
-    x = evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape((cm.dim, cm.dim), order="F")
+    x = evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape((d, d), order="F")
     rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
     return rho, float(1.0 - moduli[1])
 
@@ -62,7 +61,7 @@ def multiset_distance(a, b):
 def stinespring_channel(u, d):
     """The channel rho -> Tr_env[u (rho (x) |0><0|) u^*] of a (d*e) x (d*e) unitary."""
     e = u.shape[0] // d
-    return kraus_channel(u.reshape(d, e, d, e)[:, :, :, 0].transpose(1, 0, 2))  # <x|_env u |0>_env
+    return Channel(u.reshape(d, e, d, e)[:, :, :, 0].transpose(1, 0, 2))  # <x|_env u |0>_env
 
 
 def random_unitary(rng, size):
@@ -77,8 +76,8 @@ def werner_holevo_channel(d):
     Its Kraus operators are (|i><j| + |j><i|) / sqrt(2 (d + 1)) over all i, j.
     """
     e = np.eye(d)
-    return kraus_channel([(np.outer(e[i], e[j]) + np.outer(e[j], e[i])) / np.sqrt(2 * (d + 1))
-                          for i in range(d) for j in range(d)])
+    return Channel([(np.outer(e[i], e[j]) + np.outer(e[j], e[i])) / np.sqrt(2 * (d + 1))
+                    for i in range(d) for j in range(d)])
 
 
 class TestCycleChannelsSplit:
@@ -108,30 +107,30 @@ class TestCycleChannelsSplit:
         per_sector = by_charge(evals, charges)
         assert sorted(per_sector) == list(range(1 - n, n))
         for q, order, block in sector_blocks(ch):
-            dense = cm.matrix[np.ix_(order, order)]
+            dense = cm[np.ix_(order, order)]
             assert np.abs(block - dense).max() <= 1e-14 * np.abs(dense).max()
             # the -q sector sits on the swapped indices; it is not built, only conjugated
             for charge, idx in {q: order, -q: swap_index(order, ch.dim)}.items():
-                dense_evals = np.linalg.eigvals(cm.matrix[np.ix_(idx, idx)])
+                dense_evals = np.linalg.eigvals(cm[np.ix_(idx, idx)])
                 assert multiset_distance(per_sector[charge], dense_evals) < 1e-12
         if n == 6:
             return  # the whole-matrix references below take seconds each at d^2 = 1024
 
-        dense_moduli = np.sort(np.abs(np.linalg.eigvals(cm.matrix)))
+        dense_moduli = np.sort(np.abs(np.linalg.eigvals(cm)))
         assert np.abs(np.sort(np.abs(evals)) - dense_moduli).max() < 1e-12
         if maker is not cold_half_cycle:
             result = fixed_point_spectral(ch)
-            rho, gap = dense_fixed_point(cm)
+            rho, gap = dense_fixed_point(cm, ch.dim)
             assert abs(result.spectral_gap - gap) < 1e-12
             assert np.abs(result.rho_star - rho).max() < 1e-12
 
         j = choi_from_matrix(cm)
         count = len(dense_kraus(j)[0])
-        assert len(kraus_from_choi(j).operators) == count
+        assert len(kraus_from_choi(j).kraus) == count
 
         kraus, bound = kraus_from_stack(ch.kraus)
-        assert len(kraus.operators) == count
-        exact = float(np.linalg.norm(cm.matrix - kraus_channel_matrix(kraus).matrix, 2))
+        assert len(kraus.kraus) == count
+        exact = float(np.linalg.norm(cm - channel_matrix(kraus), 2))
         assert exact <= bound < 1e-10
 
     def test_degeneracy_names_sectors(self, decoupled_point):
@@ -213,13 +212,13 @@ class TestFallbackIsDense:
         assert len(_charge_groups(ch.kraus)) == 1
         (q, order, block), = sector_blocks(ch)  # one class, one tile: the whole matrix
         assert q is None and np.array_equal(order, np.arange(ch.dim**2))
-        assert np.abs(block - cm.matrix).max() <= 1e-14 * np.abs(cm.matrix).max()
+        assert np.abs(block - cm).max() <= 1e-14 * np.abs(cm).max()
 
         evals, charges, _ = sector_eigenvalues(ch)
         assert np.array_equal(evals, np.linalg.eigvals(block))
         assert charges == [None] * len(evals)
         result = fixed_point_spectral(ch)
-        rho, gap = dense_fixed_point(ChannelMatrix(block, ch.dim))
+        rho, gap = dense_fixed_point(block, ch.dim)
         assert result.spectral_gap == gap
         assert trace_distance(result.rho_star, rho) < 1e-12
         # the solver's inverse iteration on the whole matrix, with no frame or pairing
@@ -231,15 +230,15 @@ class TestFallbackIsDense:
         j = choi_from_matrix(cm)
         kraus = kraus_from_choi(j)
         ops, discarded = dense_kraus(j)
-        assert len(kraus.operators) == len(ops)
-        assert all(np.array_equal(a, b) for a, b in zip(kraus.operators, ops))
+        assert len(kraus.kraus) == len(ops)
+        assert all(np.array_equal(a, b) for a, b in zip(kraus.kraus, ops))
         assert kraus.discarded_weight == discarded
 
         gram, bound = kraus_from_stack(ch.kraus)
-        exact = float(np.linalg.norm(cm.matrix - kraus_channel_matrix(gram).matrix, 2))
+        exact = float(np.linalg.norm(cm - channel_matrix(gram), 2))
         assert exact <= bound < 1e-10
 
     def test_unsplit_degeneracy_has_no_charges(self):
         with pytest.raises(DegenerateFixedPointError) as err:
-            fixed_point_spectral(kraus_channel(np.eye(3)[None]))
+            fixed_point_spectral(Channel(np.eye(3)[None]))
         assert err.value.charges == [None] * 9

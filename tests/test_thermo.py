@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ZeroHeatError,
-                    ansatz_state, build_hamiltonian, commutator_norm,
-                    cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
-                    gibbs_state, kron, limit_cycle_report,
+                    ansatz_state, build_hamiltonian, cold_half_cycle, commutator_norm,
+                    cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_iterate,
+                    fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
                     random_density_matrix, trace_distance)
-from conftest import carnot_point, random_chain_spec
+from conftest import carnot_point, random_chain_spec, random_engine_point
 
 
 def solved_report(spec, params, tol=1e-12):
@@ -16,6 +17,24 @@ def solved_report(spec, params, tol=1e-12):
     fp = fixed_point_spectral(ch)
     cycle = limit_cycle_states(fp.rho_star, parts, params, tol=tol)
     return limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap)
+
+
+class TestCycleIdentities:
+    """The identities the paper rests on, at the limit cycle of random working points."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5]))
+    def test_first_law_heat_ratio_and_cptp(self, seed, n):
+        spec, params = random_engine_point(np.random.default_rng(seed), n)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        for maker in (cycle_channel_cb, cycle_channel_ac, cold_half_cycle):
+            assert maker(parts, params, ops=ops).completeness_residual() <= 1e-12
+        fp = fixed_point_spectral(cycle_channel_cb(parts, params, ops=ops))
+        cycle = limit_cycle_states(fp.rho_star, parts, params, ops=ops)
+        report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops=ops)
+        assert report.first_law_residual <= 1e-9  # the ledger's first law
+        assert report.eq18_residual <= 1e-8  # |q_c/E_1 + q_h/E_N|
 
 
 class TestLimitCycleReport:
