@@ -12,21 +12,17 @@ time-reversed channel that shares the forward fixed point.
 from .chain import (ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state,
                     site_operator, total_magnetization)
 from .engine import (CycleOperators, CycleParams, CycleRecord, CycleState,
-                     cycle_operators, cycle_record, run_cycle,
-                     stroke_thermalize_a, stroke_thermalize_b, stroke_unitary)
+                     cycle_operators, cycle_record, run_cycle)
 from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
-                     DegenerateFixedPointError, NotCPError, NotFixedPointError,
-                     QcycleError, RankDeficientError, ZeroHeatError,
-                     ZeroProbabilityError)
-from .limitcycle import (Channel, FixedPointResult, channel_matrix,
-                         cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
-                         fixed_point_spectral, limit_cycle_states, unvec, vec)
+                     DegenerateFixedPointError, NotFixedPointError, QcycleError,
+                     RankDeficientError, ZeroHeatError)
+from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_channel_ac,
+                         cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
+                         limit_cycle_states, unvec, vec)
 from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
                      partial_trace, project_density, psd_sqrt_invsqrt,
                      random_density_matrix, trace_distance)
-from .reversal import (ReversedChannel, choi_matrix, choi_output_trace, kraus_from_choi,
-                       kraus_from_stack, post_interaction_state, reverse_channel,
-                       sequence_probability)
+from .reversal import ReversedChannel, kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
 
@@ -37,18 +33,15 @@ __all__ = [
     "site_operator", "total_magnetization",
     "CycleOperators", "CycleParams", "CycleRecord", "CycleState",
     "cycle_operators", "cycle_record", "run_cycle",
-    "stroke_thermalize_a", "stroke_thermalize_b", "stroke_unitary",
-    "Channel", "FixedPointResult", "channel_matrix",
+    "Channel", "FixedPointResult",
     "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
     "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
     "trace_distance", "commutator_norm", "project_density",
     "check_density_matrix", "random_density_matrix",
-    "ReversedChannel", "choi_matrix", "choi_output_trace", "kraus_from_choi", "kraus_from_stack",
-    "post_interaction_state", "reverse_channel", "sequence_probability",
+    "ReversedChannel", "kraus_from_stack", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",
     "QcycleError", "ConfigError", "RankDeficientError", "DegenerateFixedPointError",
-    "NotCPError", "NotFixedPointError", "ZeroProbabilityError",
-    "CriteriaViolatedError", "ZeroHeatError", "ClosureViolationError",
+    "NotFixedPointError", "CriteriaViolatedError", "ZeroHeatError", "ClosureViolationError",
 ]

@@ -79,6 +79,11 @@ class ChainSpec:
             for i, x in enumerate(vals):
                 if not math.isfinite(x):
                     raise ConfigError(f"{name}[{i}]", f"must be finite, got {x}")
+        bound = 0.0  # sum |E| + 4 sum (|J| + |K| + |F|) bounds the Hamiltonian's entries
+        for name in ("E", "J", "K", "F"):
+            bound += (1.0 if name == "E" else 4.0) * sum(abs(x) for x in getattr(self, name))
+            if not math.isfinite(bound):
+                raise ConfigError(name, "too large: the chain Hamiltonian overflows")
         if self.E[0] == 0.0:
             raise ConfigError("E[0]", "must be nonzero (end qubit A needs a finite gap)")
         if self.E[-1] == 0.0:

@@ -147,7 +147,7 @@ def parse_config(path: str) -> RunConfig:
     if method not in ("iterate", "spectral", "both"):
         raise ConfigError("solver.method", f"must be iterate, spectral or both, got {method!r}")
 
-    seed = _int_field(raw, "seed", "seed", default=0)
+    seed = _int_field(raw, "seed", "seed", default=0, minimum=0)
 
     initial_state = raw.get("initial_state")
     if initial_state is not None and not isinstance(initial_state, str):
@@ -209,16 +209,19 @@ def _csv_cell(x) -> str:
     return _fmt_float(float(x)).strip('"') if not math.isnan(float(x)) else "nan"
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_text(text: str, out_path: str | None, status: int) -> int:
+    """Write text to out_path (stdout for None or "-"); returns status, or 1 if the write fails."""
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return status
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    except OSError as exc:
+        print(f"qcycle: cannot write {out_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +321,8 @@ def cmd_report(cfg: RunConfig):
     return EXIT_OK, report.to_dict()
 
 
-def _reverse_one(cfg: RunConfig, channel, rho_star=None):
-    """(certificates, reversed channel) of one channel, reversed around its fixed point.
-
-    Without ``rho_star`` the fixed point is the channel's spectral one, which
-    raises :class:`DegenerateFixedPointError` on a degenerate channel.
-    """
-    if rho_star is None:
-        rho_star = fixed_point_spectral(channel).rho_star
+def _reverse_one(cfg: RunConfig, channel, rho_star):
+    """Certificates of one channel, reversed around its fixed point ``rho_star``."""
     forward, recon = kraus_from_stack(channel.kraus)
     rev = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
     rev_fp_dist = trace_distance(rev.kraus.apply(rev.rho_star), rev.rho_star)
@@ -350,22 +347,24 @@ def _reverse_one(cfg: RunConfig, channel, rho_star=None):
         "reconstruction_residual": recon,
         "reversed_fixed_point_distance": rev_fp_dist,
         "max_detailed_balance_violation": balance,
-    }, rev
+    }
 
 
 def cmd_reverse(cfg: RunConfig):
     """Time-reversal certificates for both cycle channels.
 
-    Only CB is solved spectrally. AC's fixed point is the cold half-cycle's
-    image of CB's refined one, and its uniqueness is CB's (the
-    :mod:`qcycle.limitcycle` docstring).
+    Only CB is solved spectrally, which raises
+    :class:`DegenerateFixedPointError` on a degenerate channel. AC's fixed
+    point is the cold half-cycle's image of CB's, and its uniqueness is CB's
+    (the :mod:`qcycle.limitcycle` docstring).
     """
     parts = build_hamiltonian(cfg.spec)
     ops = cycle_operators(parts, cfg.params)
-    cb, rev = _reverse_one(cfg, cycle_channel_cb(parts, cfg.params, ops=ops))
-    rho_ac = carried_fixed_point(cold_half_cycle(parts, cfg.params, ops=ops), rev.rho_star)
-    ac, _ = _reverse_one(cfg, cycle_channel_ac(parts, cfg.params, ops=ops), rho_ac)
-    return EXIT_OK, {"cb": cb, "ac": ac}
+    cb = cycle_channel_cb(parts, cfg.params, ops=ops)
+    rho_star = fixed_point_spectral(cb).rho_star
+    rho_ac = carried_fixed_point(cold_half_cycle(parts, cfg.params, ops=ops), rho_star)
+    return EXIT_OK, {"cb": _reverse_one(cfg, cb, rho_star),
+                     "ac": _reverse_one(cfg, cycle_channel_ac(parts, cfg.params, ops=ops), rho_ac)}
 
 
 def _spectrum_one(channel):
@@ -412,7 +411,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None):
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
-            cfg.seed = seed_override
+            cfg.seed = _int_field({"seed": seed_override}, "seed", "--seed", minimum=0)
         _check_output_format(cfg, command)
         status, payload = COMMANDS[command](cfg)
         return status, payload, cfg
@@ -474,8 +473,8 @@ def main(argv=None) -> int:
         status, payload, cfg = _run_one(args.command, configs[0], args.seed)
         if payload is not None:
             out_path = args.out if args.out is not None else (cfg.out_path if cfg else None)
-            text = payload if isinstance(payload, str) else dumps(payload) + "\n"
-            _write_text(text, out_path)
+            text = payload if isinstance(payload, str) else dumps(payload)
+            return _write_text(text, out_path, status)
         return status
 
     merged = []
@@ -487,8 +486,7 @@ def main(argv=None) -> int:
             entry["document"] = payload
         merged.append(entry)
         worst = max(worst, status)
-    _write_text(dumps(merged) + "\n", args.out)
-    return worst
+    return _write_text(dumps(merged), args.out, worst)
 
 
 def entrypoint() -> None:

@@ -122,26 +122,6 @@ def replace_last_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
     return kron(partial_trace(m, range(0, len(dims) - 1), dims), sigma)
 
 
-def stroke_thermalize_a(rho: np.ndarray, h_a_local: np.ndarray, beta1: float) -> np.ndarray:
-    """Replace the first qubit with its beta1 Gibbs state; the rest is untouched."""
-    dims = _qubit_dims(np.asarray(rho, dtype=complex))
-    sigma = gibbs_state(h_a_local, beta1)
-    return hermitize(replace_first_factor(rho, sigma, dims))
-
-
-def stroke_thermalize_b(rho: np.ndarray, h_b_local: np.ndarray, beta2: float) -> np.ndarray:
-    """Replace the last qubit with its beta2 Gibbs state; the rest is untouched."""
-    dims = _qubit_dims(np.asarray(rho, dtype=complex))
-    sigma = gibbs_state(h_b_local, beta2)
-    return hermitize(replace_last_factor(rho, sigma, dims))
-
-
-def stroke_unitary(rho: np.ndarray, h_s: np.ndarray, tau: float) -> np.ndarray:
-    """Conjugate by e^{-i h_s tau}; preserves the spectrum of rho."""
-    u = expm_unitary(h_s, tau)
-    return hermitize(u @ np.asarray(rho, dtype=complex) @ u.conj().T)
-
-
 def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
     """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
 

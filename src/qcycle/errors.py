@@ -51,14 +51,6 @@ class DegenerateFixedPointError(QcycleError):
         self.charges = [None] * len(eigenvalues) if charges is None else list(charges)
 
 
-class NotCPError(QcycleError):
-    """Choi matrix has a significantly negative eigenvalue (broken channel)."""
-
-    def __init__(self, min_eigenvalue: float):
-        super().__init__(f"Choi matrix is not PSD: min eigenvalue {min_eigenvalue:.3e}")
-        self.min_eigenvalue = min_eigenvalue
-
-
 class NotFixedPointError(QcycleError):
     """Channel reversal requested around a state the channel does not fix."""
 
@@ -69,14 +61,6 @@ class NotFixedPointError(QcycleError):
         )
         self.residual = residual
         self.tolerance = tolerance
-
-
-class ZeroProbabilityError(QcycleError):
-    """Conditional post-interaction state requested on a zero-weight branch."""
-
-    def __init__(self, probability: float):
-        super().__init__(f"branch probability {probability:.3e} too small; conditional state undefined")
-        self.probability = probability
 
 
 class CriteriaViolatedError(QcycleError):

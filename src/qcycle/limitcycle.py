@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import HamiltonianParts, gibbs_state
+from .chain import HamiltonianParts
 from .engine import CycleOperators, CycleParams, CycleState, cycle_operators, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_density,
@@ -93,7 +93,7 @@ class Channel:
     ``kraus`` is the stack, ``dim`` its operators' size. The spectral
     solvers build their sector blocks from it (:func:`sector_blocks`).
     ``discarded_weight`` is the Choi weight dropped when the operators were
-    extracted from another representation (:mod:`qcycle.reversal`).
+    recombined from another stack (:func:`qcycle.reversal.kraus_from_stack`).
     """
 
     def __init__(self, kraus, label: str = "", discarded_weight: float = 0.0):
@@ -210,19 +210,6 @@ def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
     """
     x = hermitian_part(half.apply(rho_star))
     return project_density(x / np.trace(x).real, psd_atol=SOLVER_PSD_ATOL)
-
-
-def channel_matrix(ch: Channel) -> np.ndarray:
-    """Column-stacking d^2 x d^2 matrix of the channel, sum_k conj(K_k) (x) K_k.
-
-    The Kraus stack flattened row-major to F (k x d^2) gives it as the
-    single product F^* F, reshuffled.
-    """
-    d = ch.dim
-    f = ch.kraus.reshape(-1, d * d)
-    # g[c, c', r, r'] = sum_k conj(K_k[c, c']) K_k[r, r'], wanted at [c*d + r, c'*d + r']
-    g = (f.conj().T @ f).reshape(d, d, d, d)
-    return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def popcount_charges(d: int) -> np.ndarray | None:

@@ -5,20 +5,13 @@ i.e. the output leg is the first Kronecker factor. J is PSD iff the channel
 is completely positive, and tracing out the output leg returns the identity
 iff the channel is trace preserving.
 
-J reshuffles the column-stacking channel matrix M: ch(E_ij)[k, l] sits at
-M[l*d + k, j*d + i] and at J[k*d + i, l*d + j], so with M as the array
-M4[l, k, j, i], J = M4.transpose(1, 3, 0, 2).reshape(d*d, d*d).
-
-Both matrices split by S^Z charge (see :mod:`qcycle.limitcycle`, with |0>
-the S^Z = +1/2 state, so a basis state's charge is -popcount up to a
+The Choi matrix splits by S^Z charge (see :mod:`qcycle.limitcycle`, with
+|0> the S^Z = +1/2 state, so a basis state's charge is -popcount up to a
 constant and only differences matter). A covariant channel maps E_ij, of
 charge popcount(j) - popcount(i), to outputs of the same charge, so
 J[k*d + i, l*d + j] vanishes unless popcount(k) - popcount(i) =
-popcount(l) - popcount(j): over index pairs a*d + b, J is block diagonal by
-popcount(a) - popcount(b), the labels M splits by. :func:`kraus_from_choi`
-decomposes J one label at a time, so each of its Kraus operators lies in one
-sector; :func:`kraus_from_stack` keeps every operator in one sector by
-working one charge group of the stack at a time.
+popcount(l) - popcount(j). :func:`kraus_from_stack` keeps every Kraus
+operator in one sector by working one charge group of the stack at a time.
 
 Kraus operators are the eigenvectors of J scaled by the square roots of
 their eigenvalues, in descending eigenvalue order (which fixes the gauge).
@@ -45,71 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCPError, NotFixedPointError, ZeroProbabilityError
-from .limitcycle import (CHARGE_LEAKAGE_TOL, Channel, _charge_groups, channel_matrix,
-                         popcount_charges)
-from .linalg import hermitian_part, partial_trace, psd_sqrt_invsqrt, trace_distance
-
-CP_ATOL = 1e-8           # Choi eigenvalues below -CP_ATOL flag a broken channel
-ZERO_PROBABILITY = 1e-14
-
-
-def choi_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Choi matrix by the index reshuffle of the d^2 x d^2 channel matrix (module docstring)."""
-    d = int(round(np.sqrt(m.shape[0])))
-    return m.reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(m.shape)
-
-
-def choi_matrix(ch: Channel) -> np.ndarray:
-    """Choi matrix of the channel, reshuffled from :func:`channel_matrix`.
-
-    It is F^T conj(F) for the stack F of the module docstring, so it is
-    positive semidefinite by construction.
-    """
-    return choi_from_matrix(channel_matrix(ch))
-
-
-def choi_output_trace(j: np.ndarray, dim: int) -> np.ndarray:
-    """Trace out the output leg; equals the identity for a TP channel."""
-    return partial_trace(j, [1], [dim, dim])
-
-
-def kraus_from_choi(j: np.ndarray, rank_tol: float = 1e-12) -> Channel:
-    """Kraus operators from the Choi eigendecomposition, a dense reference.
-
-    J is decomposed one charge label popcount(a) - popcount(b) of its
-    indices a*d + b at a time, so each operator is charge pure, unless d is
-    not a power of two or J has entries between labels above
-    ``CHARGE_LEAKAGE_TOL`` of its largest. Eigenpairs are taken in
-    descending eigenvalue order, which fixes the gauge. Eigenpairs with
-    eigenvalue below ``rank_tol`` (relative to the largest) are dropped and
-    their total weight reported on the result. Eigenvectors devectorize
-    row-major: the Choi convention above pairs output-leg index k with
-    input-leg index i at flat position k*d + i. Raises :class:`NotCPError`
-    when J has an eigenvalue below -``CP_ATOL``.
-    """
-    j = np.asarray(j, dtype=complex)
-    d2 = j.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if j.shape != (d2, d2) or d * d != d2:
-        raise ValueError(f"Choi matrix shape {j.shape} is not a square of squares")
-    charge = popcount_charges(d)
-    label = np.zeros(d2, dtype=int) if charge is None else charge.reshape(-1)
-    moduli = np.abs(j)
-    if moduli[label[:, None] != label].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
-        label = np.zeros(d2, dtype=int)  # not covariant: one dense eigh
-    w, v = np.empty(d2), np.zeros((d2, d2), dtype=complex)  # v block diagonal over the labels
-    for c in np.unique(label):
-        idx = np.flatnonzero(label == c)
-        w[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(hermitian_part(j[np.ix_(idx, idx)]))
-    min_eig = float(w.min())
-    if min_eig < -CP_ATOL:
-        raise NotCPError(min_eig)
-    order = np.argsort(-w)
-    w, v = w[order], v[:, order]
-    keep = (w >= rank_tol * max(float(w[0]), 0.0)) & (w > 0.0)
-    discarded = sum(float(lam) for lam in w[~keep])
-    return Channel((np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d), discarded_weight=discarded)
+from .errors import NotFixedPointError
+from .limitcycle import CHARGE_LEAKAGE_TOL, Channel, _charge_groups, popcount_charges
+from .linalg import hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 
 def _dot_rounding(m: int) -> float:
@@ -125,9 +56,9 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
     (:func:`_charge_groups`), the group's Gram matrix G = V diag(w) V^*
     gives the operators A = V^T F of weight w, the Choi eigenvalues (module
     docstring), so each operator lies in one sector. The operators of all
-    groups are merged in descending weight, the gauge rule of
-    :func:`kraus_from_choi`; weights below ``rank_tol`` of the largest are
-    dropped and their sum is the channel's ``discarded_weight``.
+    groups are merged in descending weight, which fixes the gauge; weights
+    below ``rank_tol`` of the largest are dropped and their sum is the
+    channel's ``discarded_weight``.
 
     ``residual`` is an upper bound on the 2-norm of D, the difference
     between the channel matrices of the stack and of the returned operators.
@@ -181,17 +112,6 @@ def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
             raise ValueError(f"operator shape {a.shape} does not match state shape {state.shape}")
         state = a @ state @ a.conj().T
     return float(np.trace(state).real)
-
-
-def post_interaction_state(a: np.ndarray, rho: np.ndarray):
-    """Conditional state after one Kraus event: (A rho A* / p, p)."""
-    a = np.asarray(a, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = a @ rho @ a.conj().T
-    p = float(np.trace(out).real)
-    if p < ZERO_PROBABILITY:
-        raise ZeroProbabilityError(p)
-    return out / p, p
 
 
 @dataclass

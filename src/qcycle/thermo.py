@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, HamiltonianParts, gibbs_state, total_magnetization
+from .chain import ChainSpec, HamiltonianParts, total_magnetization
 from .engine import CycleOperators, CycleParams, CycleState, cycle_record
 from .errors import CriteriaViolatedError, ZeroHeatError
 from .linalg import partial_trace, trace_distance

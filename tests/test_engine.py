@@ -4,15 +4,22 @@ import pytest
 from qcycle import (ChainSpec, CycleParams, build_hamiltonian,
                     check_density_matrix, cycle_operators, gibbs_state, kron,
                     partial_trace, random_density_matrix, run_cycle,
-                    stroke_thermalize_a, stroke_thermalize_b, stroke_unitary,
                     total_magnetization, trace_distance)
+from qcycle.engine import replace_first_factor, replace_last_factor
 from qcycle.limitcycle import cycle_channel_cb, fixed_point_iterate, fixed_point_spectral
 from qcycle.limitcycle import limit_cycle_states
 from conftest import random_chain_spec, random_engine_point
 
+DIMS = [2, 2, 2]
+
 
 def full_random_state(rng, n):
     return random_density_matrix(2**n, rng)
+
+
+def evolve(u, rho):
+    """The unitary strokes of run_cycle: rho -> u rho u^*."""
+    return u @ rho @ u.conj().T
 
 
 class TestCycleParams:
@@ -30,71 +37,75 @@ class TestCycleParams:
 
 
 class TestThermalizeStrokes:
+    """Strokes 1 and 3 as run_cycle runs them, with the bath states of cycle_operators."""
+
     def test_idempotent_on_product_input(self, rng, small_point):
         spec, params = small_point
-        parts = build_hamiltonian(spec)
-        sigma_a = gibbs_state(parts.h_a_local, params.beta1)
-        rho = kron(sigma_a, random_density_matrix(4, rng))
-        out = stroke_thermalize_a(rho, parts.h_a_local, params.beta1)
+        ops = cycle_operators(build_hamiltonian(spec), params)
+        rho = kron(ops.sigma_a, random_density_matrix(4, rng))
+        out = replace_first_factor(rho, ops.sigma_a, DIMS)
         assert np.abs(out - rho).max() <= 1e-14
 
     def test_projection_property(self, rng, small_point):
         spec, params = small_point
-        parts = build_hamiltonian(spec)
-        rho = full_random_state(rng, 3)
-        once = stroke_thermalize_a(rho, parts.h_a_local, params.beta1)
-        twice = stroke_thermalize_a(once, parts.h_a_local, params.beta1)
+        ops = cycle_operators(build_hamiltonian(spec), params)
+        once = replace_first_factor(full_random_state(rng, 3), ops.sigma_a, DIMS)
+        twice = replace_first_factor(once, ops.sigma_a, DIMS)
         assert np.abs(twice - once).max() <= 1e-14
 
     def test_infinite_temperature_bath(self, rng, small_point):
         spec, _ = small_point
-        parts = build_hamiltonian(spec)
-        out = stroke_thermalize_a(full_random_state(rng, 3), parts.h_a_local, 0.0)
-        reduced_a = partial_trace(out, [0], [2, 2, 2])
+        sigma = gibbs_state(build_hamiltonian(spec).h_a_local, 0.0)
+        out = replace_first_factor(full_random_state(rng, 3), sigma, DIMS)
+        reduced_a = partial_trace(out, [0], DIMS)
         assert np.abs(reduced_a - np.eye(2) / 2).max() < 1e-14
 
     def test_b_stroke_sets_gibbs_and_keeps_rest(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
         rho = full_random_state(rng, 3)
-        out = stroke_thermalize_b(rho, parts.h_b_local, params.beta2)
+        out = replace_last_factor(rho, cycle_operators(parts, params).sigma_b, DIMS)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
-        assert trace_distance(partial_trace(out, [2], [2, 2, 2]), sigma_b) < 1e-12
-        before = partial_trace(rho, [0, 1], [2, 2, 2])
-        after = partial_trace(out, [0, 1], [2, 2, 2])
+        assert trace_distance(partial_trace(out, [2], DIMS), sigma_b) < 1e-12
+        before = partial_trace(rho, [0, 1], DIMS)
+        after = partial_trace(out, [0, 1], DIMS)
         assert trace_distance(before, after) < 1e-12
 
     def test_outputs_are_density_matrices(self, rng, small_point):
         spec, params = small_point
-        parts = build_hamiltonian(spec)
+        ops = cycle_operators(build_hamiltonian(spec), params)
         rho = full_random_state(rng, 3)
-        for out in (stroke_thermalize_a(rho, parts.h_a_local, params.beta1),
-                    stroke_thermalize_b(rho, parts.h_b_local, params.beta2),
-                    stroke_unitary(rho, parts.h_s, params.tau1)):
+        for out in (replace_first_factor(rho, ops.sigma_a, DIMS),
+                    replace_last_factor(rho, ops.sigma_b, DIMS),
+                    evolve(ops.u1, rho)):
             check_density_matrix(out)
 
 
 class TestUnitaryStroke:
+    """Strokes 2 and 4: conjugation by the u1 and u2 of cycle_operators."""
+
     def test_zero_time_identity(self, rng, small_point):
         spec, _ = small_point
-        parts = build_hamiltonian(spec)
+        params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.0, tau2=0.0)
+        ops = cycle_operators(build_hamiltonian(spec), params)
         rho = full_random_state(rng, 3)
-        assert np.abs(stroke_unitary(rho, parts.h_s, 0.0) - rho).max() < 1e-14
+        assert np.abs(evolve(ops.u1, rho) - rho).max() < 1e-14
 
     def test_magnetization_invariant(self, rng):
+        params = CycleParams(beta1=1.0, beta2=0.75, tau1=1.7, tau2=1.7)
         for n in (3, 4):
             spec = random_chain_spec(np.random.default_rng(n), n)
-            parts = build_hamiltonian(spec)
+            u1 = cycle_operators(build_hamiltonian(spec), params).u1
             sz = total_magnetization(n)
             rho = full_random_state(rng, n)
-            out = stroke_unitary(rho, parts.h_s, 1.7)
+            out = evolve(u1, rho)
             assert abs(np.trace(sz @ out) - np.trace(sz @ rho)) <= 1e-10
 
     def test_spectrum_preserved(self, rng, small_point):
         spec, params = small_point
-        parts = build_hamiltonian(spec)
+        u1 = cycle_operators(build_hamiltonian(spec), params).u1
         rho = full_random_state(rng, 3)
-        out = stroke_unitary(rho, parts.h_s, params.tau1)
+        out = evolve(u1, rho)
         assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() <= 1e-10
 
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
-                    build_hamiltonian, channel_matrix, check_density_matrix, cold_half_cycle,
+                    build_hamiltonian, check_density_matrix, cold_half_cycle,
                     cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, total_magnetization,
                     trace_distance, unvec, vec)
-from qcycle import CycleParams, ansatz_state, commutator_norm
+from qcycle import ansatz_state, commutator_norm
+from qcycle.limitcycle import sector_blocks, sector_eigenvalues, swap_index
 from conftest import carnot_point, random_engine_point
 from oracle_naive import NaiveCycle, naive_channel_matrix
 
@@ -48,7 +49,7 @@ class TestChannelProperties:
     def test_repeated_apply_matches_matrix_power(self, rng, small_point):
         spec, params = small_point
         ch = cycle_channel_cb(build_hamiltonian(spec), params)
-        cm = channel_matrix(ch)
+        cm = naive_channel_matrix(ch)
         rho = random_density_matrix(ch.dim, rng)
         by_apply = rho
         for _ in range(5):
@@ -72,24 +73,42 @@ class TestChannelMethods:
         assert abs(ch.completeness_residual() - loop) < 1e-14
 
 
+def full_matrix(ch):
+    """The d^2 x d^2 channel matrix assembled from :func:`sector_blocks`.
+
+    The -q sector is the conjugate of the +q block on the swapped indices.
+    """
+    d = ch.dim
+    cm = np.zeros((d * d, d * d), dtype=complex)
+    for q, order, block in sector_blocks(ch):
+        cm[np.ix_(order, order)] = block
+        if q:
+            swapped = swap_index(order, d)
+            cm[np.ix_(swapped, swapped)] = block.conj()
+    return cm
+
+
 class TestChannelMatrix:
+    """The channel matrix as the solvers build it, sector by sector from the Kraus stack."""
+
     def test_identity_channel(self):
-        cm = channel_matrix(identity_channel(3))
-        assert np.abs(cm - np.eye(9)).max() == 0.0
+        (q, _, block), = sector_blocks(identity_channel(3))  # d = 3 does not split
+        assert q is None
+        assert np.abs(block - np.eye(9)).max() == 0.0
 
     def test_unitary_channel_moduli(self, rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u = np.linalg.qr(h)[0]
-        cm = channel_matrix(Channel(u[None]))
-        assert np.abs(np.abs(np.linalg.eigvals(cm)) - 1.0).max() < 1e-12
+        evals, _, _ = sector_eigenvalues(Channel(u[None]))
+        assert np.abs(np.abs(evals) - 1.0).max() < 1e-12
 
     def test_matrix_reproduces_apply(self, rng, small_point):
         spec, params = small_point
         ch = cycle_channel_ac(build_hamiltonian(spec), params)
-        cm = channel_matrix(ch)
         for _ in range(5):
-            rho = random_density_matrix(ch.dim, rng)
-            assert np.abs(unvec(cm @ vec(rho), ch.dim) - ch.apply(rho)).max() <= 1e-11
+            # any operator, not only a state: the -q blocks are taken by conjugation
+            x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
+            assert np.abs(unvec(full_matrix(ch) @ vec(x), ch.dim) - ch.apply(x)).max() <= 1e-11
 
 
 class TestKrausForm:
@@ -107,11 +126,12 @@ class TestKrausForm:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matrix_matches_tabulated_apply(self, rng, n):
+        # the sectors, with zeros between them, are the whole matrix
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
         for maker in (cycle_channel_cb, cycle_channel_ac):
             ch = maker(parts, params)
-            assert np.abs(channel_matrix(ch) - naive_channel_matrix(ch)).max() < 1e-13
+            assert np.abs(full_matrix(ch) - naive_channel_matrix(ch)).max() < 1e-13
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]))
@@ -124,7 +144,7 @@ class TestKrausForm:
             assert len(ch.kraus) <= 16
             completeness = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
             assert np.abs(completeness - np.eye(ch.dim)).max() < 1e-12
-            moduli = np.sort(np.abs(np.linalg.eigvals(channel_matrix(ch))))
+            moduli = np.sort(np.abs(sector_eigenvalues(ch)[0]))
             gaps.append(1.0 - moduli[-2])
         # CB = BA and AC = AB share their spectrum
         assert abs(gaps[0] - gaps[1]) < 1e-10

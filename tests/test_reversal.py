@@ -2,26 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, Channel, CycleParams, NotCPError, NotFixedPointError,
-                    RankDeficientError, ZeroProbabilityError, build_hamiltonian, channel_matrix,
-                    choi_matrix, choi_output_trace, cycle_channel_ac,
-                    cycle_channel_cb, fixed_point_spectral, kraus_from_choi, kraus_from_stack,
-                    post_interaction_state, random_density_matrix,
-                    reverse_channel, sequence_probability, trace_distance)
+from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDeficientError,
+                    build_hamiltonian, cycle_channel_ac, cycle_channel_cb,
+                    fixed_point_spectral, kraus_from_stack, partial_trace,
+                    random_density_matrix, reverse_channel, sequence_probability,
+                    trace_distance)
 from qcycle.limitcycle import popcount_charges
-from qcycle.reversal import choi_from_matrix
 from conftest import random_engine_point
-from oracle_naive import naive_choi
+from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
 
 def haar_unitary(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def unitary_channel(u):
-    return Channel(u[None])
 
 
 def identity_channel(d):
@@ -33,56 +27,62 @@ def engine_fixture(small_point, maker):
     parts = build_hamiltonian(spec)
     ch = maker(parts, params)
     fp = fixed_point_spectral(ch)
-    kraus = kraus_from_choi(choi_matrix(ch))
+    kraus, _ = kraus_from_stack(ch.kraus)
     return ch, fp, kraus
 
 
+def weights(kraus):
+    """||A_l||_F^2 of each operator: its Choi eigenvalue when the operators are Choi-canonical."""
+    return np.array([np.vdot(a, a).real for a in kraus.kraus])
+
+
 class TestChoiMatrix:
+    """The Choi matrix of the extracted operators against the defining sum over matrix units."""
+
     def test_identity_channel_rank_one(self):
         d = 3
-        j = choi_matrix(identity_channel(d))
+        j = naive_choi(identity_channel(d))
         # the maximally entangled projector: flat identity against itself
         w = np.eye(d, dtype=complex).reshape(-1)
         assert np.abs(j - np.outer(w, w.conj())).max() < 1e-14
-        eigs = np.sort(np.linalg.eigvalsh(j))
-        assert abs(eigs[-1] - d) < 1e-12 and np.abs(eigs[:-1]).max() < 1e-12
+        # three copies of I / sqrt(3) span its one eigenvector, of eigenvalue d
+        kraus, _ = kraus_from_stack(np.repeat(np.eye(d)[None], 3, axis=0) / np.sqrt(3))
+        assert len(kraus.kraus) == 1 and abs(weights(kraus)[0] - d) < 1e-12
+        assert np.abs(naive_choi(kraus) - j).max() < 1e-14
 
     def test_replacement_channel(self, rng):
         sigma = random_density_matrix(3, rng)
         p, v = np.linalg.eigh(sigma)  # rho -> sigma Tr[rho], Kraus operators sqrt(p_a) |v_a><j|
-        ch = Channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(3)[j])
-                      for a in range(3) for j in range(3)])
-        assert np.abs(choi_matrix(ch) - np.kron(sigma, np.eye(3))).max() < 1e-14
+        kraus, _ = kraus_from_stack([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(3)[j])
+                                     for a in range(3) for j in range(3)])
+        assert np.abs(naive_choi(kraus) - np.kron(sigma, np.eye(3))).max() < 1e-14
+        assert np.abs(weights(kraus) - np.repeat(np.sort(p)[::-1], 3)).max() < 1e-14
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_engine_channel_certificates(self, small_point, maker):
         spec, params = small_point
         ch = maker(build_hamiltonian(spec), params)
-        j = choi_matrix(ch)
+        j = naive_choi(ch)
         assert np.abs(j - j.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh((j + j.conj().T) / 2).min() >= -1e-9
-        assert np.abs(choi_output_trace(j, ch.dim) - np.eye(ch.dim)).max() <= 1e-10
+        # tracing out the output leg leaves the identity on the input leg
+        assert np.abs(partial_trace(j, [1], [ch.dim, ch.dim]) - np.eye(ch.dim)).max() <= 1e-10
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_matches_kron_definition(self, rng, maker):
         for n in (3, 4):
             spec, params = random_engine_point(rng, n)
             ch = maker(build_hamiltonian(spec), params)
-            assert np.abs(choi_matrix(ch) - naive_choi(ch)).max() < 1e-14
-
-    def test_non_cp_channel_rejected(self):
-        # half replacement by I/2, half transpose: positive and trace
-        # preserving with a unique full-rank fixed point, but not CP; its
-        # Choi matrix sum_ij ch(E_ij) (x) E_ij is I/4 + SWAP/2, eigenvalue -1/4
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        with pytest.raises(NotCPError):
-            kraus_from_choi(0.25 * np.eye(4) + 0.5 * swap)
+            kraus, _ = kraus_from_stack(ch.kraus)
+            assert np.abs(naive_choi(kraus) - naive_choi(ch)).max() < 1e-14
 
 
 class TestKrausFromChoi:
+    """The operators themselves: one per Choi eigenvector, from the Gram route."""
+
     def test_unitary_channel_single_operator(self, rng):
         u = haar_unitary(rng, 4)
-        kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
+        kraus, _ = kraus_from_stack([0.6 * u, 0.8j * u])  # rank one, split over two operators
         assert len(kraus.kraus) == 1
         a = kraus.kraus[0]
         phase = a[np.unravel_index(np.argmax(np.abs(u)), u.shape)] / \
@@ -91,7 +91,7 @@ class TestKrausFromChoi:
         assert np.abs(a - phase * u).max() < 1e-10
 
     def test_identity_channel_single_identity(self):
-        kraus = kraus_from_choi(choi_matrix(identity_channel(3)))
+        kraus, _ = kraus_from_stack(np.array([np.eye(3), 1j * np.eye(3)]) / np.sqrt(2))
         assert len(kraus.kraus) == 1
         a = kraus.kraus[0]
         assert np.abs(a - a[0, 0] * np.eye(3)).max() < 1e-12
@@ -106,7 +106,8 @@ class TestKrausFromChoi:
 
     def test_channel_matrix_round_trip(self, small_point):
         ch, _, kraus = engine_fixture(small_point, cycle_channel_cb)
-        assert np.linalg.norm(channel_matrix(ch) - channel_matrix(kraus), 2) <= 1e-10
+        exact = naive_channel_matrix(ch) - naive_channel_matrix(kraus)
+        assert np.linalg.norm(exact, 2) <= 1e-10
 
 
 class TestKrausFromStack:
@@ -118,15 +119,14 @@ class TestKrausFromStack:
     def test_matches_choi_route(self, seed, n, maker):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         ch = maker(build_hamiltonian(spec), params)
-        cm = channel_matrix(ch)
+        cm = naive_channel_matrix(ch)
         kraus, bound = kraus_from_stack(ch.kraus)
         ops = kraus.kraus
-        choi = choi_from_matrix(cm)
-        assert len(ops) == len(kraus_from_choi(choi).kraus) <= 16
+        choi = naive_choi(ch)
+        assert len(ops) == len(dense_kraus(choi)[0]) <= 16
 
         choi_weights = np.sort(np.linalg.eigvalsh((choi + choi.conj().T) / 2))[::-1]
-        weights = np.array([np.vdot(a, a).real for a in ops])
-        assert np.abs(weights - choi_weights[:len(ops)]).max() < 1e-12
+        assert np.abs(weights(kraus) - choi_weights[:len(ops)]).max() < 1e-12
         assert kraus.discarded_weight == 0.0
 
         charge = popcount_charges(ch.dim)
@@ -135,13 +135,13 @@ class TestKrausFromStack:
             own = charge == charge.flat[np.argmax(moduli)]
             assert moduli[~own].max(initial=0.0) <= 1e-12 * moduli.max()
 
-        rebuilt = channel_matrix(kraus)
+        rebuilt = naive_channel_matrix(kraus)
         assert np.abs(rebuilt - cm).max() < 1e-12
         assert float(np.linalg.norm(cm - rebuilt, 2)) <= bound < 1e-10
 
         rev = reverse_channel(kraus, fixed_point_spectral(ch).rho_star)
         back = reverse_channel(rev.kraus, rev.rho_star)
-        assert np.abs(channel_matrix(back.kraus) - cm).max() < 1e-10
+        assert np.abs(naive_channel_matrix(back.kraus) - cm).max() < 1e-10
 
     def test_bound_covers_dropped_weight(self):
         # a second operator whose weight falls under rank_tol is dropped; the bound must
@@ -153,7 +153,8 @@ class TestKrausFromStack:
         kraus, bound = kraus_from_stack(stack)
         assert len(kraus.kraus) == 1
         assert kraus.discarded_weight == pytest.approx(1e-14, rel=1e-12)
-        exact = float(np.linalg.norm(channel_matrix(Channel(stack)) - channel_matrix(kraus), 2))
+        exact = naive_channel_matrix(Channel(stack)) - naive_channel_matrix(kraus)
+        exact = float(np.linalg.norm(exact, 2))
         assert exact == pytest.approx(1e-14, rel=1e-6)
         assert exact <= bound
 
@@ -161,7 +162,7 @@ class TestKrausFromStack:
 class TestSequenceProbability:
     def test_unitary_single_event(self, rng):
         u = haar_unitary(rng, 3)
-        kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
+        kraus, _ = kraus_from_stack(u[None])
         rho = random_density_matrix(3, rng)
         assert abs(sequence_probability([kraus.kraus[0]], rho) - 1.0) < 1e-12
 
@@ -183,42 +184,10 @@ class TestSequenceProbability:
             assert -1e-12 <= p <= 1.0 + 1e-12
 
 
-class TestPostInteractionState:
-    def test_unitary_event(self, rng):
-        u = haar_unitary(rng, 3)
-        rho = random_density_matrix(3, rng)
-        out, p = post_interaction_state(u, rho)
-        assert abs(p - 1.0) < 1e-12
-        assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
-
-    def test_projector_update(self, rng):
-        rho = random_density_matrix(4, rng)
-        proj = np.zeros((4, 4), dtype=complex)
-        proj[0, 0] = proj[1, 1] = 1.0
-        out, p = post_interaction_state(proj, rho)
-        assert abs(p - (rho[0, 0] + rho[1, 1]).real) < 1e-12
-        assert np.abs(out - proj @ rho @ proj / p).max() < 1e-12
-
-    def test_mixture_reassembles_channel(self, rng, small_point):
-        ch, _, kraus = engine_fixture(small_point, cycle_channel_cb)
-        rho = random_density_matrix(ch.dim, rng)
-        mix = np.zeros_like(rho)
-        for a in kraus.kraus:
-            out, p = post_interaction_state(a, rho)
-            mix = mix + p * out
-        assert np.abs(mix - ch.apply(rho)).max() <= 1e-10
-
-    def test_zero_probability_branch(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        kill = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(ZeroProbabilityError):
-            post_interaction_state(kill, rho)
-
-
 class TestReverseChannel:
     def test_unitary_reversal_is_inverse(self, rng):
         u = haar_unitary(rng, 4)
-        kraus = kraus_from_choi(choi_matrix(unitary_channel(u)))
+        kraus, _ = kraus_from_stack(u[None])
         rev = reverse_channel(kraus, np.eye(4) / 4)
         a = rev.kraus.kraus[0]
         udag = u.conj().T

@@ -1,9 +1,12 @@
 """The S^Z charge-sector blocks built from the Kraus stack against the dense matrices.
 
-The dense route (``channel_matrix`` and one ``eig``/``eigh``/2-norm over the
+The dense route (the tabulated ``naive_channel_matrix`` and ``naive_choi``
+of ``tests/oracle_naive.py``, and one ``eig``/``eigh``/2-norm over the
 whole d^2 x d^2 matrix) is the reference: the blocks must reproduce it on
-covariant cycle channels and be exactly it on maps that do not split, where
-the fixed point is also the solver's own inverse iteration on the whole matrix.
+covariant cycle channels and be it on maps that do not split, where the
+fixed point is also the solver's own inverse iteration on the whole matrix.
+The Gram route's Kraus operators (``kraus_from_stack``) are checked against
+the same references, by count and by the 2-norm bound they report.
 """
 
 from collections import Counter
@@ -14,16 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, channel_matrix,
-                    cold_half_cycle, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, kraus_from_choi, project_density, reverse_channel,
-                    trace_distance)
+from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, cold_half_cycle,
+                    cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_spectral,
+                    kraus_from_stack, project_density, reverse_channel, trace_distance)
 from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, _unit_vector, carried_fixed_point,
                                from_hermitian_frame, hermitian_frame, sector_blocks,
                                sector_eigenvalues, swap_index, to_hermitian_frame, unvec)
 from qcycle.linalg import hermitian_part
-from qcycle.reversal import choi_from_matrix, kraus_from_stack
 from conftest import random_engine_point
+from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
 
 def dense_fixed_point(cm, d):
@@ -33,22 +35,6 @@ def dense_fixed_point(cm, d):
     x = evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape((d, d), order="F")
     rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
     return rho, float(1.0 - moduli[1])
-
-
-def dense_kraus(j, rank_tol=1e-12):
-    """(operators, discarded weight) from one eigh of the whole Choi matrix."""
-    d = int(round(np.sqrt(j.shape[0])))
-    w, v = np.linalg.eigh(hermitian_part(j))
-    order = np.argsort(-w)
-    w, v = w[order], v[:, order]
-    cut = rank_tol * max(float(w[0]), 0.0)
-    ops, discarded = [], 0.0
-    for lam, col in zip(w, v.T):
-        if lam >= cut and lam > 0.0:
-            ops.append(np.sqrt(lam) * col.reshape(d, d))
-        else:
-            discarded += float(lam)
-    return ops, discarded
 
 
 def multiset_distance(a, b):
@@ -101,7 +87,7 @@ class TestCycleChannelsSplit:
     def test_matches_dense(self, seed, n, maker):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         ch = maker(build_hamiltonian(spec), params)
-        cm = channel_matrix(ch)
+        cm = naive_channel_matrix(ch)
 
         evals, charges, _ = sector_eigenvalues(ch)
         per_sector = by_charge(evals, charges)
@@ -124,13 +110,9 @@ class TestCycleChannelsSplit:
             assert abs(result.spectral_gap - gap) < 1e-12
             assert np.abs(result.rho_star - rho).max() < 1e-12
 
-        j = choi_from_matrix(cm)
-        count = len(dense_kraus(j)[0])
-        assert len(kraus_from_choi(j).kraus) == count
-
         kraus, bound = kraus_from_stack(ch.kraus)
-        assert len(kraus.kraus) == count
-        exact = float(np.linalg.norm(cm - channel_matrix(kraus), 2))
+        assert len(kraus.kraus) == len(dense_kraus(naive_choi(ch))[0])
+        exact = float(np.linalg.norm(cm - naive_channel_matrix(kraus), 2))
         assert exact <= bound < 1e-10
 
     def test_degeneracy_names_sectors(self, decoupled_point):
@@ -208,7 +190,7 @@ class TestFallbackIsDense:
     ], ids=["qubit-random-unitary", "qubit-transpose", "qutrit-random-unitary"])
     def test_bit_identical(self, rng, make):
         ch = make(rng)
-        cm = channel_matrix(ch)
+        cm = naive_channel_matrix(ch)
         assert len(_charge_groups(ch.kraus)) == 1
         (q, order, block), = sector_blocks(ch)  # one class, one tile: the whole matrix
         assert q is None and np.array_equal(order, np.arange(ch.dim**2))
@@ -227,15 +209,9 @@ class TestFallbackIsDense:
         rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
         assert np.array_equal(result.rho_star, rho)
 
-        j = choi_from_matrix(cm)
-        kraus = kraus_from_choi(j)
-        ops, discarded = dense_kraus(j)
-        assert len(kraus.kraus) == len(ops)
-        assert all(np.array_equal(a, b) for a, b in zip(kraus.kraus, ops))
-        assert kraus.discarded_weight == discarded
-
         gram, bound = kraus_from_stack(ch.kraus)
-        exact = float(np.linalg.norm(cm - channel_matrix(gram), 2))
+        assert len(gram.kraus) == len(dense_kraus(naive_choi(ch))[0])
+        exact = float(np.linalg.norm(cm - naive_channel_matrix(gram), 2))
         assert exact <= bound < 1e-10
 
     def test_unsplit_degeneracy_has_no_charges(self):
