@@ -13,10 +13,9 @@ Run:  python3 demos/efficiency_sweep_demo.py
 
 import numpy as np
 
-from qcycle import (ChainSpec, CycleParams, ZeroHeatError, ansatz_state,
-                    build_hamiltonian, cycle_channel_cb,
-                    fixed_point_spectral, limit_cycle_report, limit_cycle_states,
-                    partial_trace, trace_distance)
+from qcycle import (ChainSpec, CycleParams, ansatz_state, build_hamiltonian, cycle_channel_cb,
+                    cycle_operators, fixed_point_spectral, limit_cycle_report,
+                    limit_cycle_states, partial_trace, trace_distance)
 
 spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0.4, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
 beta1 = 1.5
@@ -32,14 +31,11 @@ print(f"{'beta2':>8} {'q_h':>13} {'w_ledger':>13} {'|w|/q_h':>12} "
 for beta2 in (0.30, 0.45, 0.60, 0.70, 0.74, matched_beta2, 0.76, 0.90):
     params = CycleParams(beta1=beta1, beta2=beta2, tau1=0.7, tau2=1.3)
     parts = build_hamiltonian(spec)
-    fp = fixed_point_spectral(cycle_channel_cb(parts, params))
-    cycle = limit_cycle_states(fp.rho_star, parts, params)
-    try:
-        report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap)
-        eta = f"{report.eta:12.9f}"
-    except ZeroHeatError as err:
-        report = err.report
-        eta = "   undefined"
+    ops = cycle_operators(parts, params)
+    fp = fixed_point_spectral(cycle_channel_cb(ops))
+    cycle = limit_cycle_states(fp.rho_star, parts, ops)
+    report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
+    eta = "   undefined" if np.isnan(report.eta) else f"{report.eta:12.9f}"
     if abs(report.q_h_star) < 1e-12:
         mode = "matched"
     elif report.q_h_star > 0:
@@ -51,8 +47,7 @@ for beta2 in (0.30, 0.45, 0.60, 0.70, 0.74, matched_beta2, 0.76, 0.90):
 
 print()
 params = CycleParams(beta1=beta1, beta2=matched_beta2, tau1=0.7, tau2=1.3)
-parts = build_hamiltonian(spec)
-fp = fixed_point_spectral(cycle_channel_cb(parts, params))
+fp = fixed_point_spectral(cycle_channel_cb(cycle_operators(build_hamiltonian(spec), params)))
 ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
 print("at the matched point:")
 print(f"  solver fixed point vs closed-form magnetization state: "

@@ -36,7 +36,7 @@ for seed in (1, 2):
     history = []
     prev = None
     for cycle_idx in range(1, 2001):
-        state, rec = run_cycle(rho, parts, params, ops=ops)
+        state, rec = run_cycle(rho, parts, ops)
         if prev is not None:
             history.append(trace_distance(rho, prev))
             if history[-1] < 1e-12:
@@ -55,7 +55,7 @@ for idx in range(0, max(len(hist_a), len(hist_b)), 3):
 meeting = trace_distance(trajectories[0][0], trajectories[1][0])
 print(f"\ndistance between the two converged states: {meeting:.3e}")
 
-ch = cycle_channel_cb(parts, params)
+ch = cycle_channel_cb(ops)
 gap = fixed_point_spectral(ch).spectral_gap
 ratio = hist_a[-1] / hist_a[-2]
 print(f"spectral gap of the cycle channel:  {gap:.6f}")

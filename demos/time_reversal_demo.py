@@ -16,14 +16,14 @@ Run:  python3 demos/time_reversal_demo.py
 import numpy as np
 
 from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cycle_channel_cb,
-                    fixed_point_spectral, kraus_from_stack, random_density_matrix,
-                    reverse_channel, sequence_probability, trace_distance)
+                    cycle_operators, fixed_point_spectral, kraus_from_stack,
+                    random_density_matrix, reverse_channel, sequence_probability,
+                    trace_distance)
 
 spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0.4, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
 params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.7, tau2=1.3)
 
-parts = build_hamiltonian(spec)
-channel = cycle_channel_cb(parts, params)
+channel = cycle_channel_cb(cycle_operators(build_hamiltonian(spec), params))
 fp = fixed_point_spectral(channel)
 print(f"cycle channel on the {channel.dim}-dimensional end-to-middle subsystem, "
       f"spectral gap {fp.spectral_gap:.4f}")

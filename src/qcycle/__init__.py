@@ -15,7 +15,7 @@ from .engine import (CycleOperators, CycleParams, CycleRecord, CycleState,
                      cycle_operators, cycle_record, run_cycle)
 from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
                      DegenerateFixedPointError, NotFixedPointError, QcycleError,
-                     RankDeficientError, ZeroHeatError)
+                     RankDeficientError)
 from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_channel_ac,
                          cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
                          limit_cycle_states, unvec, vec)
@@ -43,5 +43,5 @@ __all__ = [
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",
     "QcycleError", "ConfigError", "RankDeficientError", "DegenerateFixedPointError",
-    "NotFixedPointError", "CriteriaViolatedError", "ZeroHeatError", "ClosureViolationError",
+    "NotFixedPointError", "CriteriaViolatedError", "ClosureViolationError",
 ]

@@ -58,6 +58,8 @@ class ChainSpec:
     couplings (in-plane exchange, antisymmetric exchange, and longitudinal
     coupling respectively). Units are energy with hbar = k_B = 1. Invalid
     values raise :class:`ConfigError` naming the field (``E[0]``, ``J``).
+    ``energy_bound`` is sum |E| + 4 sum (|J| + |K| + |F|), which bounds the
+    chain Hamiltonian's entries and its norm.
     """
 
     n: int
@@ -65,6 +67,7 @@ class ChainSpec:
     J: tuple = field(default=())
     K: tuple = field(default=())
     F: tuple = field(default=())
+    energy_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -79,11 +82,12 @@ class ChainSpec:
             for i, x in enumerate(vals):
                 if not math.isfinite(x):
                     raise ConfigError(f"{name}[{i}]", f"must be finite, got {x}")
-        bound = 0.0  # sum |E| + 4 sum (|J| + |K| + |F|) bounds the Hamiltonian's entries
+        bound = 0.0
         for name in ("E", "J", "K", "F"):
             bound += (1.0 if name == "E" else 4.0) * sum(abs(x) for x in getattr(self, name))
             if not math.isfinite(bound):
                 raise ConfigError(name, "too large: the chain Hamiltonian overflows")
+        self.energy_bound = bound
         if self.E[0] == 0.0:
             raise ConfigError("E[0]", "must be nonzero (end qubit A needs a finite gap)")
         if self.E[-1] == 0.0:

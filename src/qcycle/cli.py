@@ -26,7 +26,7 @@ import numpy as np
 from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                     NotFixedPointError, RankDeficientError, ZeroHeatError)
+                     NotFixedPointError, RankDeficientError)
 from .limitcycle import (carried_fixed_point, cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
                          sector_eigenvalues, spectral_summary)
@@ -63,7 +63,14 @@ class RunConfig:
 # config parsing with field-path errors
 
 
-def _section(raw: dict, key: str, required: bool = True):
+def _known(section: dict, prefix: str, fields) -> None:
+    """Reject the first key of ``section`` that is not one of its documented ``fields``."""
+    for key in section:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown field")
+
+
+def _section(raw: dict, key: str, fields, required: bool = True):
     if key not in raw:
         if required:
             raise ConfigError(key, "missing required section")
@@ -71,6 +78,7 @@ def _section(raw: dict, key: str, required: bool = True):
     val = raw[key]
     if not isinstance(val, dict):
         raise ConfigError(key, f"must be an object, got {type(val).__name__}")
+    _known(val, key + ".", fields)
     return val
 
 
@@ -127,18 +135,24 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
+    _known(raw, "", ("chain", "cycle", "solver", "seed", "initial_state", "output"))
 
     # JSON types and shapes are checked here; value rules belong to ChainSpec/CycleParams
-    chain = _section(raw, "chain")
+    chain = _section(raw, "chain", ("n", "E", "J", "K", "F"))
     n = _int_field(chain, "n", "chain.n", minimum=3)
     lengths = {"E": n, "J": n - 1, "K": n - 1, "F": n - 1}
     spec = _build("chain", ChainSpec, n=n, **{key: _float_list(chain, key, f"chain.{key}", length)
                                               for key, length in lengths.items()})
-    cyc = _section(raw, "cycle")
+    fields = ("beta1", "beta2", "tau1", "tau2")
+    cyc = _section(raw, "cycle", fields)
     params = _build("cycle", CycleParams, **{key: _float_field(cyc, key, f"cycle.{key}")
-                                             for key in ("beta1", "beta2", "tau1", "tau2")})
+                                             for key in fields})
+    tau = "tau1" if params.tau1 >= params.tau2 else "tau2"
+    if not math.isfinite(spec.energy_bound * getattr(params, tau)):
+        # the stroke unitaries' phases, energy times duration, would overflow
+        raise ConfigError(f"cycle.{tau}", "too long: the chain's energy bound times it overflows")
 
-    solver = _section(raw, "solver", required=False)
+    solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
     tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
     if not tol > 0.0:
         raise ConfigError("solver.tol", f"must be positive, got {tol}")
@@ -153,7 +167,7 @@ def parse_config(path: str) -> RunConfig:
     if initial_state is not None and not isinstance(initial_state, str):
         raise ConfigError("initial_state", "must be a path string")
 
-    output = _section(raw, "output", required=False)
+    output = _section(raw, "output", ("format", "path"), required=False)
     out_format = output.get("format")
     if out_format is not None and out_format not in ("json", "csv"):
         raise ConfigError("output.format", f"must be json or csv, got {out_format!r}")
@@ -259,7 +273,7 @@ def cmd_simulate(cfg: RunConfig):
     prev_rho0 = None
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
-        state, rec = run_cycle(rho0, parts, cfg.params, ops=ops)
+        state, rec = run_cycle(rho0, parts, ops)
         rec.delta_prev = (trace_distance(rho0, prev_rho0)
                           if prev_rho0 is not None else float("nan"))
         row = (cycle_idx, rec.delta_prev, rec.q_c, rec.q_h, rec.w1, rec.w2, rec.w3,
@@ -309,16 +323,12 @@ def cmd_report(cfg: RunConfig):
     """Limit-cycle thermodynamic report; returns (exit_status, doc or None)."""
     parts = build_hamiltonian(cfg.spec)
     ops = cycle_operators(parts, cfg.params)
-    rho_star, spectral, _ = _solve_fixed_point(cfg, cycle_channel_cb(parts, cfg.params, ops=ops))
+    rho_star, spectral, _ = _solve_fixed_point(cfg, cycle_channel_cb(ops))
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
-    cycle = limit_cycle_states(rho_star, parts, cfg.params, tol=cfg.tol, ops=ops)
-    try:
-        report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap,
-                                    ops=ops)
-    except ZeroHeatError as exc:
-        report = exc.report  # eta is NaN -> emitted as null
-    return EXIT_OK, report.to_dict()
+    cycle = limit_cycle_states(rho_star, parts, ops, tol=cfg.tol)
+    report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap, ops)
+    return EXIT_OK, report.to_dict()  # an undefined eta is NaN, emitted as null
 
 
 def _reverse_one(cfg: RunConfig, channel, rho_star):
@@ -358,13 +368,12 @@ def cmd_reverse(cfg: RunConfig):
     point is the cold half-cycle's image of CB's, and its uniqueness is CB's
     (the :mod:`qcycle.limitcycle` docstring).
     """
-    parts = build_hamiltonian(cfg.spec)
-    ops = cycle_operators(parts, cfg.params)
-    cb = cycle_channel_cb(parts, cfg.params, ops=ops)
+    ops = cycle_operators(build_hamiltonian(cfg.spec), cfg.params)
+    cb = cycle_channel_cb(ops)
     rho_star = fixed_point_spectral(cb).rho_star
-    rho_ac = carried_fixed_point(cold_half_cycle(parts, cfg.params, ops=ops), rho_star)
+    rho_ac = carried_fixed_point(cold_half_cycle(ops), rho_star)
     return EXIT_OK, {"cb": _reverse_one(cfg, cb, rho_star),
-                     "ac": _reverse_one(cfg, cycle_channel_ac(parts, cfg.params, ops=ops), rho_ac)}
+                     "ac": _reverse_one(cfg, cycle_channel_ac(ops), rho_ac)}
 
 
 def _spectrum_one(channel):
@@ -387,8 +396,7 @@ def cmd_spectrum(cfg: RunConfig):
     the two share their eigenvalues sector by sector (the
     :mod:`qcycle.limitcycle` docstring), and the ``ac`` block is CB's.
     """
-    parts = build_hamiltonian(cfg.spec)
-    cb = _spectrum_one(cycle_channel_cb(parts, cfg.params))
+    cb = _spectrum_one(cycle_channel_cb(cycle_operators(build_hamiltonian(cfg.spec), cfg.params)))
     return EXIT_OK, {"cb": cb, "ac": dict(cb)}
 
 

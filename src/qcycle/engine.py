@@ -139,11 +139,8 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.vdot(op, rho).real)
 
 
-def cycle_record(state: CycleState, parts: HamiltonianParts, params: CycleParams,
-                 ops: CycleOperators | None = None) -> CycleRecord:
+def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators) -> CycleRecord:
     """Heat/work bookkeeping for one traversed cycle."""
-    if ops is None:
-        ops = cycle_operators(parts, params)
     n = parts.n
     dims = [2] * n
 
@@ -168,20 +165,13 @@ def cycle_record(state: CycleState, parts: HamiltonianParts, params: CycleParams
     )
 
 
-def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, params: CycleParams,
-              ops: CycleOperators | None = None):
-    """Run one full cycle from rho0. Returns (CycleState, CycleRecord).
-
-    Pass a precomputed :class:`CycleOperators` when iterating many cycles to
-    avoid rediagonalizing the chain Hamiltonian every call.
-    """
+def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, ops: CycleOperators):
+    """One full cycle from rho0 with the point's operators; returns (CycleState, CycleRecord)."""
     rho0 = np.asarray(rho0, dtype=complex)
     dims = _qubit_dims(rho0)
     if len(dims) != parts.n:
         raise ValueError(f"state is on {len(dims)} qubits but the chain has {parts.n}")
-    if ops is None:
-        ops = cycle_operators(parts, params)
 
     rho1 = hermitize(replace_first_factor(rho0, ops.sigma_a, dims))
     state = CycleState(rho0, rho1, *strokes_2_to_4(rho1, ops, dims))
-    return state, cycle_record(state, parts, params, ops)
+    return state, cycle_record(state, parts, ops)

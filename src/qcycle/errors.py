@@ -73,18 +73,6 @@ class CriteriaViolatedError(QcycleError):
         self.mismatch = mismatch
 
 
-class ZeroHeatError(QcycleError):
-    """Hot-side heat vanished, so the efficiency ratio is undefined.
-
-    Carries the otherwise-complete report (with ``eta`` set to NaN) so callers
-    can still emit every well-defined quantity.
-    """
-
-    def __init__(self, report):
-        super().__init__("hot-side heat is numerically zero; efficiency undefined")
-        self.report = report
-
-
 class ClosureViolationError(QcycleError):
     """Replaying the strokes from a claimed fixed point did not close the loop."""
 

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import HamiltonianParts
-from .engine import CycleOperators, CycleParams, CycleState, cycle_operators, strokes_2_to_4
+from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_density,
                      trace_distance)
@@ -96,9 +96,8 @@ class Channel:
     recombined from another stack (:func:`qcycle.reversal.kraus_from_stack`).
     """
 
-    def __init__(self, kraus, label: str = "", discarded_weight: float = 0.0):
+    def __init__(self, kraus, discarded_weight: float = 0.0):
         self.kraus = np.asarray(kraus, dtype=complex)
-        self.label = label
         self.discarded_weight = discarded_weight
         k, d, _ = self.kraus.shape
         # row (k, m) is row m of K_k^*; apply's stacked product multiplies by it
@@ -120,17 +119,17 @@ class Channel:
 
     def adjoint(self) -> Channel:
         """The adjoint map x -> sum_k K_k^* x K_k, w.r.t. the trace inner product."""
-        return Channel(self.kraus.conj().transpose(0, 2, 1), label=self.label)
+        return Channel(self.kraus.conj().transpose(0, 2, 1))
 
 
 @dataclass
 class FixedPointResult:
     """Outcome of a fixed-point solve.
 
-    ``spectral_gap`` is 1 - |second eigenvalue|: exact for the spectral
-    solver, a tail-ratio estimate for the iterative one. ``final_delta`` is
-    the trace distance between the last two iterates (or, for the spectral
-    solver, between the fixed point and its image).
+    ``spectral_gap`` is 1 - |second eigenvalue| for the spectral solver
+    and NaN for the iterative one, which does not estimate it.
+    ``final_delta`` is the trace distance between the last two iterates (or,
+    for the spectral solver, between the fixed point and its image).
     """
 
     rho_star: np.ndarray
@@ -171,35 +170,19 @@ def _cycle_kraus(ops: CycleOperators, cold_first: bool) -> np.ndarray:
     return (second[:, None] @ first[None, :]).reshape(16, *cold.shape[1:])
 
 
-def cycle_channel_cb(parts: HamiltonianParts, params: CycleParams, *,
-                     ops: CycleOperators | None = None) -> Channel:
-    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}.
-
-    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
-    """
-    ops = cycle_operators(parts, params) if ops is None else ops
-    return Channel(_cycle_kraus(ops, cold_first=True), label="cycle_cb")
+def cycle_channel_cb(ops: CycleOperators) -> Channel:
+    """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}."""
+    return Channel(_cycle_kraus(ops, cold_first=True))
 
 
-def cycle_channel_ac(parts: HamiltonianParts, params: CycleParams, *,
-                     ops: CycleOperators | None = None) -> Channel:
-    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}.
-
-    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
-    """
-    ops = cycle_operators(parts, params) if ops is None else ops
-    return Channel(_cycle_kraus(ops, cold_first=False), label="cycle_ac")
+def cycle_channel_ac(ops: CycleOperators) -> Channel:
+    """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}."""
+    return Channel(_cycle_kraus(ops, cold_first=False))
 
 
-def cold_half_cycle(parts: HamiltonianParts, params: CycleParams, *,
-                    ops: CycleOperators | None = None) -> Channel:
-    """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}.
-
-    ``ops`` are the point's :func:`cycle_operators`, built here when not given.
-    """
-    ops = cycle_operators(parts, params) if ops is None else ops
-    return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True),
-                   label="cold_half_cycle")
+def cold_half_cycle(ops: CycleOperators) -> Channel:
+    """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
+    return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True))
 
 
 def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
@@ -387,18 +370,6 @@ def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
     return np.concatenate(evals), [q for q, w in zip(charges, evals) for _ in w], vector
 
 
-def _estimate_gap(deltas) -> float:
-    """Tail-ratio estimate of 1 - |second eigenvalue| from the delta history."""
-    tail = [d for d in deltas[-12:] if d > 0.0]
-    if len(tail) < 4:
-        return float("nan")
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
-    if not ratios:
-        return float("nan")
-    r = float(np.median(ratios))
-    return float(min(max(1.0 - r, 0.0), 1.0))
-
-
 def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
     """Iterate the channel until successive iterates are tol-close.
@@ -426,40 +397,40 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
         rho_star=project_density(rho, psd_atol=SOLVER_PSD_ATOL),
         iterations=len(deltas),
         final_delta=deltas[-1] if deltas else 0.0,
-        spectral_gap=_estimate_gap(deltas),
+        spectral_gap=float("nan"),
         degenerate=False,
         converged=converged,
         delta_history=np.asarray(deltas),
     )
 
 
-def spectral_summary(evals: np.ndarray, tol: float = DEGENERACY_TOL):
+def spectral_summary(evals: np.ndarray):
     """(moduli, gap, near_unit) of a channel's eigenvalues.
 
     ``moduli`` are the |eigenvalues| in descending order, ``gap`` is
     1 - |second eigenvalue|, and ``near_unit`` is the mask of the
-    eigenvalues whose modulus is within ``tol`` of 1.
+    eigenvalues whose modulus is within ``DEGENERACY_TOL`` of 1.
     """
     absolute = np.abs(evals)
     moduli = np.sort(absolute)[::-1]
     gap = float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0
-    return moduli, gap, np.abs(absolute - 1.0) <= tol
+    return moduli, gap, np.abs(absolute - 1.0) <= DEGENERACY_TOL
 
 
-def fixed_point_spectral(ch: Channel, tol: float = DEGENERACY_TOL) -> FixedPointResult:
+def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
     The eigenproblem is split by :func:`sector_blocks`, built from ch's
     Kraus stack; the eigenvector comes from the
     q = 0 block, which carries the trace, by inverse iteration
-    (:func:`_unit_vector`). Eigenvalues whose modulus is within ``tol`` of 1
-    count as fixed-point candidates; more than one raises
-    :class:`DegenerateFixedPointError` carrying all of them (sector by
-    sector), their charges, and the (arbitrary) candidate it would have
+    (:func:`_unit_vector`). Eigenvalues whose modulus is within
+    ``DEGENERACY_TOL`` of 1 count as fixed-point candidates; more than one
+    raises :class:`DegenerateFixedPointError` carrying all of them (sector
+    by sector), their charges, and the (arbitrary) candidate it would have
     returned.
     """
     evals, charges, vector = sector_eigenvalues(ch, trace_vector=True)
-    _, gap, near = spectral_summary(evals, tol)
+    _, gap, near = spectral_summary(evals)
     near_unit = evals[near]
 
     x = unvec(vector, ch.dim)
@@ -483,20 +454,17 @@ def fixed_point_spectral(ch: Channel, tol: float = DEGENERACY_TOL) -> FixedPoint
     return result
 
 
-def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts,
-                       params: CycleParams, tol: float = DEFAULT_TOL, *,
-                       ops: CycleOperators | None = None) -> CycleState:
+def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts, ops: CycleOperators,
+                       tol: float = DEFAULT_TOL) -> CycleState:
     """Reconstruct the four full-chain stroke states from a CB fixed point.
 
     Verifies closure: tracing A out of the post-stroke-4 state must return
     the input fixed point within 10x the solver tolerance. The cycle-start
     state ``rho0`` is the post-stroke-4 state, which is what closing the
-    loop means. ``ops`` are the point's :func:`cycle_operators`, built here
-    when not given.
+    loop means. ``ops`` are the point's :func:`~qcycle.engine.cycle_operators`.
     """
     n = parts.n
     dims = [2] * n
-    ops = cycle_operators(parts, params) if ops is None else ops
 
     rho1 = hermitize(kron(ops.sigma_a, rho_cb_star))
     rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)

@@ -16,6 +16,8 @@ HERMITICITY_ATOL = 1e-10
 # Eigenvalues in [-PSD_CLIP_ATOL, 0) are clipped to zero and the state
 # renormalized; anything more negative is a genuine positivity violation.
 PSD_CLIP_ATOL = 1e-10
+# Eigenvalues at or below this fraction of the largest count as zero in rank and inverse roots.
+RANK_TOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,10 +58,10 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def expm_unitary(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Evolution operator e^{-i h t / hbar} for Hermitian h.
+def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """Evolution operator e^{-i h t} for Hermitian h (hbar = 1).
 
-    Computed as V e^{-i L t / hbar} V* from the eigendecomposition h = V L V*.
+    Computed as V e^{-i L t} V* from the eigendecomposition h = V L V*.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -68,24 +70,23 @@ def expm_unitary(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     if dev > 1e-12:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * (t / hbar))
+    phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
 
 
-def psd_sqrt_invsqrt(rho: np.ndarray, rank_tol: float = 1e-12,
-                     require_full_rank: bool = False):
+def psd_sqrt_invsqrt(rho: np.ndarray, require_full_rank: bool = False):
     """Square root and (pseudo-)inverse square root of a PSD matrix.
 
-    ``rank_tol`` is relative to the largest eigenvalue; eigenvalues at or
-    below the cutoff are treated as zero and contribute nothing to the
-    inverse root (pseudo-inverse on the support).
+    Eigenvalues at or below ``RANK_TOL`` of the largest are treated as zero
+    and contribute nothing to the inverse root (pseudo-inverse on the
+    support).
 
     Returns ``(sqrt, invsqrt, effective_rank)``. With ``require_full_rank``
     a deficient input raises :class:`RankDeficientError` instead.
     """
     rho = np.asarray(rho, dtype=complex)
     w, v = np.linalg.eigh(hermitian_part(rho))
-    cut = rank_tol * max(float(w.max()), 0.0)
+    cut = RANK_TOL * max(float(w.max()), 0.0)
     support = w > cut
     rank = int(support.sum())
     if require_full_rank and rank < len(w):
@@ -124,17 +125,18 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def hermitize(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
     Drift accumulates over thousands of channel applications, so channel
-    outputs pass through here; deviations above ``atol`` indicate a bug and
-    raise instead of being papered over.
+    outputs pass through here; deviations above ``HERMITICITY_ATOL``
+    indicate a bug and raise instead of being papered over.
     """
     m = np.asarray(m, dtype=complex)
     dev = float(np.abs(m - m.conj().T).max())
-    if dev > atol:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (allowed {atol:.3e})")
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} "
+                         f"(allowed {HERMITICITY_ATOL:.3e})")
     return (m + m.conj().T) / 2.0
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NotFixedPointError
 from .limitcycle import CHARGE_LEAKAGE_TOL, Channel, _charge_groups, popcount_charges
-from .linalg import hermitian_part, psd_sqrt_invsqrt, trace_distance
+from .linalg import RANK_TOL, hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 
 def _dot_rounding(m: int) -> float:
@@ -49,7 +49,7 @@ def _dot_rounding(m: int) -> float:
     return float(np.sqrt(2.0) * (m + 2) * u / (1.0 - (m + 2) * u))
 
 
-def kraus_from_stack(stack, rank_tol: float = 1e-12):
+def kraus_from_stack(stack):
     """Choi-canonical Kraus operators of a (k, d, d) stack, from its Gram matrix.
 
     Returns ``(channel, residual)``. Per charge group of the stack
@@ -57,7 +57,7 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
     gives the operators A = V^T F of weight w, the Choi eigenvalues (module
     docstring), so each operator lies in one sector. The operators of all
     groups are merged in descending weight, which fixes the gauge; weights
-    below ``rank_tol`` of the largest are dropped and their sum is the
+    below ``RANK_TOL`` of the largest are dropped and their sum is the
     channel's ``discarded_weight``.
 
     ``residual`` is an upper bound on the 2-norm of D, the difference
@@ -81,7 +81,7 @@ def kraus_from_stack(stack, rank_tol: float = 1e-12):
         w, v = np.linalg.eigh(gram[np.ix_(idx, idx)])
         pairs += [(lam, idx, col) for lam, col in zip(w, v.T)]
     weights = np.array([lam for lam, _, _ in pairs])
-    cut = rank_tol * max(float(weights.max()), 0.0)
+    cut = RANK_TOL * max(float(weights.max()), 0.0)
     ops, discarded, rounding = [], 0.0, 0.0
     kept = np.zeros((k, k), dtype=complex)  # conj(V_kept) V_kept^T
     for i in np.argsort(-weights):
@@ -156,20 +156,19 @@ def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
     return np.where(off, 0.0, rho)
 
 
-def reverse_channel(forward: Channel, rho_star: np.ndarray, rank_tol: float = 1e-12,
+def reverse_channel(forward: Channel, rho_star: np.ndarray,
                     fp_tol: float = 1e-10) -> ReversedChannel:
     """Build the time-reversed channel around a full-rank fixed point.
 
     Parameters
     ----------
     forward : the forward channel.
-    rho_star : claimed fixed point; must be full rank (else
+    rho_star : claimed fixed point; must be full rank to ``RANK_TOL`` (else
         :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
         (else :class:`NotFixedPointError`). It is refined by two steps of the
         forward map, and the reversal is built around the refined state.
         Before and after each step, its entries between different popcounts
         are zeroed when they are rounding (:func:`_charge_diagonal`).
-    rank_tol : relative eigenvalue cutoff for the rank check.
     fp_tol : solver tolerance the fixed point was computed at.
 
     The reversed set is verified trace preserving within 1e-9 (equivalent to
@@ -177,7 +176,7 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, rank_tol: float = 1e
     the adjoint-sandwich route on seeded random states.
     """
     rho_star = np.asarray(rho_star, dtype=complex)
-    psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)  # rank check
+    psd_sqrt_invsqrt(rho_star, require_full_rank=True)  # rank check
     residual = trace_distance(forward.apply(rho_star), rho_star)
     if residual > 100.0 * fp_tol:
         raise NotFixedPointError(residual, 100.0 * fp_tol)
@@ -188,7 +187,7 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, rank_tol: float = 1e
     for _ in range(2):
         rho_star = hermitian_part(forward.apply(rho_star))
         rho_star = _charge_diagonal(rho_star / np.trace(rho_star).real)
-    sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, rank_tol=rank_tol, require_full_rank=True)
+    sqrt, invsqrt, _ = psd_sqrt_invsqrt(rho_star, require_full_rank=True)
 
     rev = ReversedChannel(
         kraus=Channel(sqrt @ forward.adjoint().kraus @ invsqrt,

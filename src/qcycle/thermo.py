@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import ChainSpec, HamiltonianParts, total_magnetization
 from .engine import CycleOperators, CycleParams, CycleState, cycle_record
-from .errors import CriteriaViolatedError, ZeroHeatError
+from .errors import CriteriaViolatedError
 from .linalg import partial_trace, trace_distance
 
 CRITERIA_ATOL = 1e-9   # |beta1 E_1 - beta2 E_N| below this counts as matched baths
@@ -93,16 +93,13 @@ def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
 
 
 def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSpec,
-                       params: CycleParams, gap: float, *,
-                       ops: CycleOperators | None = None) -> LimitCycleReport:
+                       params: CycleParams, gap: float, ops: CycleOperators) -> LimitCycleReport:
     """Thermodynamic report at a converged limit cycle.
 
-    Raises :class:`ZeroHeatError` when the hot-side heat is numerically
-    zero; the exception carries the otherwise-complete report with
-    ``eta`` set to NaN so callers can still emit it. ``ops`` are the
-    point's :func:`~qcycle.engine.cycle_operators`, built when not given.
+    ``eta`` is NaN when the hot-side heat is numerically zero. ``ops`` are
+    the point's :func:`~qcycle.engine.cycle_operators`.
     """
-    rec = cycle_record(cycle, parts, params, ops)
+    rec = cycle_record(cycle, parts, ops)
     e_1, e_n = spec.E[0], spec.E[-1]
 
     ansatz_distance = None
@@ -112,12 +109,12 @@ def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSp
         rho_cb_star = partial_trace(cycle.rho1, range(1, spec.n), dims)
         ansatz_distance = trace_distance(rho_cb_star, ansatz_cb)
 
-    report = LimitCycleReport(
+    return LimitCycleReport(
         q_c_star=rec.q_c,
         q_h_star=rec.q_h,
         w_star_paper=rec.w_total,
         w_star_ledger=rec.w_ledger,
-        eta=float("nan"),
+        eta=abs(rec.w_ledger) / rec.q_h if abs(rec.q_h) >= ZERO_HEAT_ATOL else float("nan"),
         eta_predicted=1.0 - e_1 / e_n,
         carnot_eta=1.0 - params.beta2 / params.beta1,
         eq18_residual=abs(rec.q_c / e_1 + rec.q_h / e_n),
@@ -125,7 +122,3 @@ def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSp
         spectral_gap=gap,
         ansatz_distance=ansatz_distance,
     )
-    if abs(rec.q_h) < ZERO_HEAT_ATOL:
-        raise ZeroHeatError(report)
-    report.eta = abs(rec.w_ledger) / rec.q_h
-    return report

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcycle import ChainSpec, CycleParams
+from qcycle import ChainSpec, CycleParams, build_hamiltonian, cycle_operators
 
 
 def random_couplings(rng, count, lo=0.2, hi=0.8):
@@ -49,6 +49,11 @@ def carnot_point(rng, n):
     params = CycleParams(beta1=beta1, beta2=beta2,
                          tau1=rng.uniform(0.3, 2.0), tau2=rng.uniform(0.3, 2.0))
     return spec, params
+
+
+def point_operators(spec, params):
+    """The working point's cycle operators, built from its chain Hamiltonian."""
+    return cycle_operators(build_hamiltonian(spec), params)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from qcycle import (DegenerateFixedPointError, build_hamiltonian, commutator_nor
                     total_magnetization, trace_distance)
 from qcycle import ChainSpec, CycleParams, ansatz_state
 from qcycle.cli import main as cli_main
-from conftest import carnot_point, random_engine_point
+from conftest import carnot_point, point_operators, random_engine_point
 from oracle_naive import NaiveCycle, dense_kraus, naive_channel_matrix, naive_choi
 
 ENSEMBLE_CHAIN_SIZES = [3] * 8 + [4] * 6 + [5] * 4 + [6] * 2  # twenty points
@@ -40,12 +40,13 @@ def ensemble():
     for n in ENSEMBLE_CHAIN_SIZES:
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
-        channel = cycle_channel_cb(parts, params)
+        ops = cycle_operators(parts, params)
+        channel = cycle_channel_cb(ops)
         iterated = fixed_point_iterate(channel, random_density_matrix(channel.dim, rng),
                                        tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
         spectral = fixed_point_spectral(channel)
-        cycle = limit_cycle_states(iterated.rho_star, parts, params, tol=1e-10)
-        record = cycle_record(cycle, parts, params)
+        cycle = limit_cycle_states(iterated.rho_star, parts, ops, tol=1e-10)
+        record = cycle_record(cycle, parts, ops)
         points.append(SimpleNamespace(n=n, spec=spec, params=params, parts=parts,
                                       channel=channel, iterated=iterated,
                                       spectral=spectral, cycle=cycle, record=record))
@@ -142,8 +143,7 @@ def test_criterion_06_matched_bath_regime():
     for trial in range(5):
         n = (3, 3, 4, 4, 5)[trial]
         spec, params = carnot_point(rng, n)
-        parts = build_hamiltonian(spec)
-        channel = cycle_channel_cb(parts, params)
+        channel = cycle_channel_cb(point_operators(spec, params))
         res = fixed_point_iterate(channel, random_density_matrix(channel.dim, rng),
                                   tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
         ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, n), [2] * n)
@@ -160,10 +160,10 @@ def test_criterion_06_matched_bath_regime():
 def test_criterion_07_cptp_certificates(reversal_points):
     failures = []
     for spec, params in reversal_points:
-        parts = build_hamiltonian(spec)
-        for maker in (cycle_channel_cb, cycle_channel_ac):
-            channel = maker(parts, params)
-            label = f"n={spec.n} {channel.label}"
+        cycle_ops = point_operators(spec, params)
+        for name, maker in (("cycle_cb", cycle_channel_cb), ("cycle_ac", cycle_channel_ac)):
+            channel = maker(cycle_ops)
+            label = f"n={spec.n} {name}"
             j = naive_choi(channel)
             min_eig = float(np.linalg.eigvalsh((j + j.conj().T) / 2).min())
             if min_eig < -1e-9:
@@ -192,10 +192,10 @@ def test_criterion_08_time_reversal(reversal_points):
     rng = np.random.default_rng(1234)
     failures = []
     for spec, params in reversal_points:
-        parts = build_hamiltonian(spec)
-        for maker in (cycle_channel_cb, cycle_channel_ac):
-            channel = maker(parts, params)
-            label = f"n={spec.n} {channel.label}"
+        cycle_ops = point_operators(spec, params)
+        for name, maker in (("cycle_cb", cycle_channel_cb), ("cycle_ac", cycle_channel_ac)):
+            channel = maker(cycle_ops)
+            label = f"n={spec.n} {name}"
             fp = fixed_point_spectral(channel)
             kraus, _ = kraus_from_stack(channel.kraus)
             rev = reverse_channel(kraus, fp.rho_star)
@@ -228,7 +228,7 @@ def test_criterion_09_degeneracy_handling(tmp_path):
     failures = []
     spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0, 0], K=[0, 0], F=[0, 0])
     params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.7, tau2=1.3)
-    channel = cycle_channel_cb(build_hamiltonian(spec), params)
+    channel = cycle_channel_cb(point_operators(spec, params))
     try:
         fixed_point_spectral(channel)
         failures.append("spectral solver accepted a degenerate channel")
@@ -251,19 +251,20 @@ def test_criterion_09_degeneracy_handling(tmp_path):
 def test_criterion_10_brute_force_oracle(reversal_points):
     rng = np.random.default_rng(31337)
     spec, params = reversal_points[0]  # the 3-qubit point
-    parts = build_hamiltonian(spec)
+    ops = point_operators(spec, params)
     oracle = NaiveCycle(spec, params)
-    cb = cycle_channel_cb(parts, params)
-    ac = cycle_channel_ac(parts, params)
+    cb = cycle_channel_cb(ops)
+    ac = cycle_channel_ac(ops)
     failures = []
     worst = 0.0
     for _ in range(20):
         rho = random_density_matrix(4, rng)
-        for channel, naive in ((cb, oracle.apply_cb), (ac, oracle.apply_ac)):
+        for name, channel, naive in (("cycle_cb", cb, oracle.apply_cb),
+                                     ("cycle_ac", ac, oracle.apply_ac)):
             diff = float(np.abs(channel.apply(rho) - naive(rho)).max())
             worst = max(worst, diff)
             if diff >= 1e-11:
-                failures.append(f"{channel.label}: oracle disagreement {diff:.3e}")
+                failures.append(f"{name}: oracle disagreement {diff:.3e}")
     print(f"           (worst oracle disagreement: {worst:.3e})")
     verdict(10, "channel applications match an independent brute-force pipeline",
             failures)

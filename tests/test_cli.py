@@ -8,7 +8,7 @@ import qcycle.engine
 import qcycle.limitcycle
 import qcycle.reversal
 import qcycle.thermo
-from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb,
+from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     fixed_point_spectral, random_density_matrix)
 from qcycle.cli import COMMANDS, TRACE_COLUMNS, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
@@ -96,6 +96,22 @@ class TestConfigParsing:
         doc = variant(**{"chain.J": [1e308, 0.5]})
         assert main([command, "--config", write_config(tmp_path, doc)]) == 1
         assert "qcycle: config error: chain.J: too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("coupling, tau", [(4e307, "tau1"), (1e300, "tau2")])
+    def test_overflowing_stroke_phase_named(self, tmp_path, capsys, command, coupling, tau):
+        # the energy bound is finite, but times the longer stroke it overflows: the
+        # phases of expm_unitary were inf and every command ended in a LinAlgError
+        doc = variant(**{"chain.J": [coupling, 0.5], f"cycle.{tau}": 1e10})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert f"qcycle: config error: cycle.{tau}: too long" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["sead", "chain.m", "cycle.beta3", "solver.tolerence",
+                                       "output.file"])
+    def test_unknown_field_named(self, tmp_path, capsys, field):
+        doc = variant(**{field: 1})
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == f"qcycle: config error: {field}: unknown field\n"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -349,10 +365,10 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg_path]) == 0
         out = json.loads(capsys.readouterr().out)
         cfg = parse_config(cfg_path)
-        parts = build_hamiltonian(cfg.spec)
+        ops = cycle_operators(build_hamiltonian(cfg.spec), cfg.params)
         for key, build in (("cb", cycle_channel_cb), ("ac", cycle_channel_ac)):
             try:
-                result = fixed_point_spectral(build(parts, cfg.params))
+                result = fixed_point_spectral(build(ops))
             except DegenerateFixedPointError as exc:
                 result = exc.result
             assert out[key]["degenerate"] is result.degenerate

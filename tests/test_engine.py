@@ -117,7 +117,7 @@ class TestRunCycle:
         sigma_a = gibbs_state(parts.h_a_local, params.beta1)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
         rho0 = kron(kron(sigma_a, random_density_matrix(2, rng)), sigma_b)
-        _, rec = run_cycle(rho0, parts, params)
+        _, rec = run_cycle(rho0, parts, cycle_operators(parts, params))
         assert abs(rec.q_c) < 1e-14
         assert abs(rec.q_h) < 1e-14
         for w in (rec.w1, rec.w2, rec.w3, rec.w4, rec.w_ledger):
@@ -127,7 +127,7 @@ class TestRunCycle:
         spec, _ = small_point
         params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.0, tau2=0.0)
         parts = build_hamiltonian(spec)
-        state, rec = run_cycle(full_random_state(rng, 3), parts, params)
+        state, rec = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
         assert np.abs(state.rho2 - state.rho1).max() < 1e-14
         assert np.abs(state.rho4 - state.rho3).max() < 1e-14
         sigma_a = gibbs_state(parts.h_a_local, params.beta1)
@@ -138,7 +138,7 @@ class TestRunCycle:
     def test_work_sum_consistency(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        _, rec = run_cycle(full_random_state(rng, 3), parts, params)
+        _, rec = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
         assert abs(rec.w_total - (rec.w1 + rec.w2 + rec.w3 + rec.w4)) <= 1e-12
 
     def test_ledger_closes_for_any_state(self, rng):
@@ -148,36 +148,37 @@ class TestRunCycle:
             spec, params = random_engine_point(rng, n=3 + trial % 2)
             parts = build_hamiltonian(spec)
             rho0 = full_random_state(rng, spec.n)
-            state, rec = run_cycle(rho0, parts, params)
+            state, rec = run_cycle(rho0, parts, cycle_operators(parts, params))
             energy_change = np.trace(parts.h_s @ (state.rho4 - rho0)).real
             assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) < 1e-9
 
     def test_stroke_states_validity(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        state, _ = run_cycle(full_random_state(rng, 3), parts, params)
+        state, _ = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
         for rho in (state.rho1, state.rho2, state.rho3, state.rho4):
             check_density_matrix(rho)
 
     def test_ledger_residual_vanishes_at_fixed_point(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
+        ops = cycle_operators(parts, params)
+        ch = cycle_channel_cb(ops)
         fp = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-13)
-        cycle = limit_cycle_states(fp.rho_star, parts, params, tol=1e-13)
-        _, rec = run_cycle(cycle.rho0, parts, params)
+        cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=1e-13)
+        _, rec = run_cycle(cycle.rho0, parts, ops)
         assert rec.first_law_residual_ledger < 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_record_matches_matmul_definition(self, rng, n):
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
-        state, rec = run_cycle(full_random_state(rng, n), parts, params)
+        ops = cycle_operators(parts, params)
+        state, rec = run_cycle(full_random_state(rng, n), parts, ops)
 
         def expect(op, rho):
             return np.trace(op @ rho).real
 
-        ops = cycle_operators(parts, params)
         dims = [2] * n
         reference = {
             "q_c": expect(parts.h_a_local, partial_trace(state.rho0, [0], dims) - ops.sigma_a),
@@ -194,16 +195,16 @@ class TestRunCycle:
         energy_change = expect(parts.h_s, state.rho4 - state.rho0)
         assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) <= 1e-12
 
-        fp = fixed_point_spectral(cycle_channel_cb(parts, params))
-        cycle = limit_cycle_states(fp.rho_star, parts, params)
-        assert run_cycle(cycle.rho0, parts, params)[1].first_law_residual_ledger <= 1e-12
+        fp = fixed_point_spectral(cycle_channel_cb(ops))
+        cycle = limit_cycle_states(fp.rho_star, parts, ops)
+        assert run_cycle(cycle.rho0, parts, ops)[1].first_law_residual_ledger <= 1e-12
 
     def test_reuses_precomputed_operators(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         rho0 = full_random_state(rng, 3)
-        state_a, rec_a = run_cycle(rho0, parts, params)
-        state_b, rec_b = run_cycle(rho0, parts, params, ops=ops)
+        state_a, rec_a = run_cycle(rho0, parts, cycle_operators(parts, params))
+        state_b, rec_b = run_cycle(rho0, parts, ops)
         assert np.abs(state_a.rho4 - state_b.rho4).max() == 0.0
         assert rec_a.q_c == rec_b.q_c

@@ -4,18 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     build_hamiltonian, check_density_matrix, cold_half_cycle,
-                    cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                    cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, total_magnetization,
                     trace_distance, unvec, vec)
 from qcycle import ansatz_state, commutator_norm
 from qcycle.limitcycle import sector_blocks, sector_eigenvalues, swap_index
-from conftest import carnot_point, random_engine_point
+from conftest import carnot_point, point_operators, random_engine_point
 from oracle_naive import NaiveCycle, naive_channel_matrix
 
 
 def identity_channel(d):
-    return Channel(np.eye(d)[None], label="id")
+    return Channel(np.eye(d)[None])
 
 
 def replacement_channel(sigma):
@@ -23,14 +23,14 @@ def replacement_channel(sigma):
     d = sigma.shape[0]
     p, v = np.linalg.eigh(sigma)
     return Channel([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(d)[j])
-                    for a in range(d) for j in range(d)], label="replace")
+                    for a in range(d) for j in range(d)])
 
 
 class TestChannelProperties:
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_cptp_on_random_states(self, rng, small_point, maker):
         spec, params = small_point
-        ch = maker(build_hamiltonian(spec), params)
+        ch = maker(point_operators(spec, params))
         for _ in range(100):
             out = ch.apply(random_density_matrix(ch.dim, rng))
             assert abs(np.trace(out) - 1.0) <= 1e-10
@@ -40,7 +40,7 @@ class TestChannelProperties:
     def test_decoupled_zero_time_channel_replaces_b_only(self, rng, decoupled_point):
         spec, params = decoupled_point
         parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
+        ch = cycle_channel_cb(cycle_operators(parts, params))
         rho_cb = random_density_matrix(4, rng)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
         expected = kron(partial_trace(rho_cb, [0], [2, 2]), sigma_b)
@@ -48,7 +48,7 @@ class TestChannelProperties:
 
     def test_repeated_apply_matches_matrix_power(self, rng, small_point):
         spec, params = small_point
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         cm = naive_channel_matrix(ch)
         rho = random_density_matrix(ch.dim, rng)
         by_apply = rho
@@ -62,7 +62,7 @@ class TestChannelMethods:
     def test_match_loop_sums(self, rng, small_point):
         # the stacked products against the per-operator sums they replace
         spec, params = small_point
-        ch = cycle_channel_ac(build_hamiltonian(spec), params)
+        ch = cycle_channel_ac(point_operators(spec, params))
         ops = list(ch.kraus)
         rho = random_density_matrix(ch.dim, rng)
         x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
@@ -104,7 +104,7 @@ class TestChannelMatrix:
 
     def test_matrix_reproduces_apply(self, rng, small_point):
         spec, params = small_point
-        ch = cycle_channel_ac(build_hamiltonian(spec), params)
+        ch = cycle_channel_ac(point_operators(spec, params))
         for _ in range(5):
             # any operator, not only a state: the -q blocks are taken by conjugation
             x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
@@ -115,11 +115,11 @@ class TestKrausForm:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_oracle(self, rng, n):
         spec, params = random_engine_point(rng, n)
-        parts = build_hamiltonian(spec)
+        ops = point_operators(spec, params)
         oracle = NaiveCycle(spec, params)
-        for ch, naive in ((cycle_channel_cb(parts, params), oracle.apply_cb),
-                          (cycle_channel_ac(parts, params), oracle.apply_ac),
-                          (cold_half_cycle(parts, params), oracle.apply_cold)):
+        for ch, naive in ((cycle_channel_cb(ops), oracle.apply_cb),
+                          (cycle_channel_ac(ops), oracle.apply_ac),
+                          (cold_half_cycle(ops), oracle.apply_cold)):
             for _ in range(3):
                 rho = random_density_matrix(ch.dim, rng)
                 assert np.abs(ch.apply(rho) - naive(rho)).max() < 1e-11
@@ -128,19 +128,19 @@ class TestKrausForm:
     def test_matrix_matches_tabulated_apply(self, rng, n):
         # the sectors, with zeros between them, are the whole matrix
         spec, params = random_engine_point(rng, n)
-        parts = build_hamiltonian(spec)
+        ops = point_operators(spec, params)
         for maker in (cycle_channel_cb, cycle_channel_ac):
-            ch = maker(parts, params)
+            ch = maker(ops)
             assert np.abs(full_matrix(ch) - naive_channel_matrix(ch)).max() < 1e-13
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]))
     def test_kraus_properties(self, seed, n):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
-        parts = build_hamiltonian(spec)
+        ops = point_operators(spec, params)
         gaps = []
         for maker in (cycle_channel_cb, cycle_channel_ac):
-            ch = maker(parts, params)
+            ch = maker(ops)
             assert len(ch.kraus) <= 16
             completeness = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
             assert np.abs(completeness - np.eye(ch.dim)).max() < 1e-12
@@ -159,7 +159,7 @@ class TestFixedPointIterate:
 
     def test_unique_fixed_point_from_two_starts(self, rng, small_point):
         spec, params = small_point
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         tol = 1e-11
         a = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=tol)
         b = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=tol)
@@ -168,8 +168,7 @@ class TestFixedPointIterate:
 
     def test_matched_bath_fixed_point_is_ansatz(self, rng):
         spec, params = carnot_point(rng, 4)
-        parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         tol = 1e-11
         res = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
         ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
@@ -177,7 +176,7 @@ class TestFixedPointIterate:
 
     def test_non_convergence_returns_history(self, rng, small_point):
         spec, params = small_point
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-14, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
@@ -191,7 +190,7 @@ class TestFixedPointIterate:
 
     def test_tail_deltas_decreasing(self, rng, small_point):
         spec, params = small_point
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-12)
         tail = res.delta_history[-10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -207,7 +206,7 @@ class TestFixedPointSpectral:
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_agrees_with_iteration(self, rng, small_point, maker):
         spec, params = small_point
-        ch = maker(build_hamiltonian(spec), params)
+        ch = maker(point_operators(spec, params))
         tol = 1e-11
         spectral = fixed_point_spectral(ch)
         iterated = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
@@ -217,7 +216,7 @@ class TestFixedPointSpectral:
 
     def test_zero_coupling_degenerate(self, decoupled_point):
         spec, params = decoupled_point
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         with pytest.raises(DegenerateFixedPointError) as err:
             fixed_point_spectral(ch)
         assert len(err.value.eigenvalues) > 1
@@ -228,9 +227,10 @@ class TestLimitCycleStates:
     def test_closure_at_converged_point(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
+        ops = cycle_operators(parts, params)
+        ch = cycle_channel_cb(ops)
         res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-12)
-        cycle = limit_cycle_states(res.rho_star, parts, params, tol=1e-10)
+        cycle = limit_cycle_states(res.rho_star, parts, ops, tol=1e-10)
         assert trace_distance(partial_trace(cycle.rho4, [1, 2], [2, 2, 2]), res.rho_star) <= 1e-9
         for rho in (cycle.rho1, cycle.rho2, cycle.rho3, cycle.rho4):
             check_density_matrix(rho)
@@ -239,7 +239,7 @@ class TestLimitCycleStates:
         spec, params = carnot_point(rng, 3)
         parts = build_hamiltonian(spec)
         ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
-        cycle = limit_cycle_states(ansatz_cb, parts, params, tol=1e-10)
+        cycle = limit_cycle_states(ansatz_cb, parts, cycle_operators(parts, params), tol=1e-10)
         sz = total_magnetization(spec.n)
         for rho in (cycle.rho1, cycle.rho2, cycle.rho3, cycle.rho4):
             assert commutator_norm(rho, sz) < 1e-10
@@ -248,7 +248,8 @@ class TestLimitCycleStates:
         spec, params = small_point
         parts = build_hamiltonian(spec)
         with pytest.raises(ClosureViolationError):
-            limit_cycle_states(random_density_matrix(4, rng), parts, params, tol=1e-10)
+            limit_cycle_states(random_density_matrix(4, rng), parts, cycle_operators(parts, params),
+                               tol=1e-10)
 
     def test_decoupled_zero_time_any_c_state_closes(self, rng, decoupled_point):
         # the untouched middle qubit makes every diagonal-in-C product close
@@ -256,14 +257,14 @@ class TestLimitCycleStates:
         parts = build_hamiltonian(spec)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
         rho_cb = kron(random_density_matrix(2, rng), sigma_b)
-        limit_cycle_states(rho_cb, parts, params, tol=1e-10)
+        limit_cycle_states(rho_cb, parts, cycle_operators(parts, params), tol=1e-10)
 
 
 class TestEnginePoints:
     def test_generic_points_converge_and_agree(self, rng):
         for n in (3, 4):
             spec, params = random_engine_point(rng, n)
-            ch = cycle_channel_cb(build_hamiltonian(spec), params)
+            ch = cycle_channel_cb(point_operators(spec, params))
             tol = 1e-11
             iterated = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
             spectral = fixed_point_spectral(ch)

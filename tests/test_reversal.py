@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDeficientError,
-                    build_hamiltonian, cycle_channel_ac, cycle_channel_cb,
-                    fixed_point_spectral, kraus_from_stack, partial_trace,
-                    random_density_matrix, reverse_channel, sequence_probability,
+                    cycle_channel_ac, cycle_channel_cb, fixed_point_spectral, kraus_from_stack,
+                    partial_trace, random_density_matrix, reverse_channel, sequence_probability,
                     trace_distance)
 from qcycle.limitcycle import popcount_charges
-from conftest import random_engine_point
+from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
 
@@ -23,9 +22,7 @@ def identity_channel(d):
 
 
 def engine_fixture(small_point, maker):
-    spec, params = small_point
-    parts = build_hamiltonian(spec)
-    ch = maker(parts, params)
+    ch = maker(point_operators(*small_point))
     fp = fixed_point_spectral(ch)
     kraus, _ = kraus_from_stack(ch.kraus)
     return ch, fp, kraus
@@ -61,7 +58,7 @@ class TestChoiMatrix:
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_engine_channel_certificates(self, small_point, maker):
         spec, params = small_point
-        ch = maker(build_hamiltonian(spec), params)
+        ch = maker(point_operators(spec, params))
         j = naive_choi(ch)
         assert np.abs(j - j.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh((j + j.conj().T) / 2).min() >= -1e-9
@@ -72,7 +69,7 @@ class TestChoiMatrix:
     def test_matches_kron_definition(self, rng, maker):
         for n in (3, 4):
             spec, params = random_engine_point(rng, n)
-            ch = maker(build_hamiltonian(spec), params)
+            ch = maker(point_operators(spec, params))
             kraus, _ = kraus_from_stack(ch.kraus)
             assert np.abs(naive_choi(kraus) - naive_choi(ch)).max() < 1e-14
 
@@ -118,7 +115,7 @@ class TestKrausFromStack:
            maker=st.sampled_from([cycle_channel_cb, cycle_channel_ac]))
     def test_matches_choi_route(self, seed, n, maker):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
-        ch = maker(build_hamiltonian(spec), params)
+        ch = maker(point_operators(spec, params))
         cm = naive_channel_matrix(ch)
         kraus, bound = kraus_from_stack(ch.kraus)
         ops = kraus.kraus
@@ -144,7 +141,7 @@ class TestKrausFromStack:
         assert np.abs(naive_channel_matrix(back.kraus) - cm).max() < 1e-10
 
     def test_bound_covers_dropped_weight(self):
-        # a second operator whose weight falls under rank_tol is dropped; the bound must
+        # a second operator whose weight falls under RANK_TOL is dropped; the bound must
         # cover the map it leaves out, conj(B) (x) B with ||B||_F^2 = 1e-14
         d = 4
         b = np.zeros((d, d), dtype=complex)

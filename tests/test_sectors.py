@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from qcycle import (Channel, DegenerateFixedPointError, build_hamiltonian, cold_half_cycle,
-                    cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_spectral,
-                    kraus_from_stack, project_density, reverse_channel, trace_distance)
+from qcycle import (Channel, DegenerateFixedPointError, cold_half_cycle, cycle_channel_ac,
+                    cycle_channel_cb, fixed_point_spectral, kraus_from_stack, project_density,
+                    reverse_channel, trace_distance)
 from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, _unit_vector, carried_fixed_point,
                                from_hermitian_frame, hermitian_frame, sector_blocks,
                                sector_eigenvalues, swap_index, to_hermitian_frame, unvec)
 from qcycle.linalg import hermitian_part
-from conftest import random_engine_point
+from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
 
@@ -70,7 +70,7 @@ class TestCycleChannelsSplit:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sector_sizes(self, rng, n):
         spec, params = random_engine_point(rng, n)
-        ch = cycle_channel_cb(build_hamiltonian(spec), params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         k = n - 1  # qubits in the reduced chain; a sector is q = popcount(a) - popcount(b)
         sectors = list(sector_blocks(ch))
         assert [q for q, _, _ in sectors] == list(range(k + 1))
@@ -86,7 +86,7 @@ class TestCycleChannelsSplit:
            maker=st.sampled_from([cycle_channel_cb, cycle_channel_ac, cold_half_cycle]))
     def test_matches_dense(self, seed, n, maker):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
-        ch = maker(build_hamiltonian(spec), params)
+        ch = maker(point_operators(spec, params))
         cm = naive_channel_matrix(ch)
 
         evals, charges, _ = sector_eigenvalues(ch)
@@ -118,7 +118,7 @@ class TestCycleChannelsSplit:
     def test_degeneracy_names_sectors(self, decoupled_point):
         spec, params = decoupled_point
         with pytest.raises(DegenerateFixedPointError) as err:
-            fixed_point_spectral(cycle_channel_cb(build_hamiltonian(spec), params))
+            fixed_point_spectral(cycle_channel_cb(point_operators(spec, params)))
         # the untouched middle qubit: populations in q = 0, coherences in q = -1, +1
         assert err.value.charges == [-1, 0, 0, 1]
 
@@ -135,10 +135,9 @@ class TestOneLoopTwoAnchors:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
     def test_ac_from_cb(self, seed, n):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
-        parts = build_hamiltonian(spec)
-        ops = cycle_operators(parts, params)
-        cb = cycle_channel_cb(parts, params, ops=ops)
-        ac = cycle_channel_ac(parts, params, ops=ops)
+        ops = point_operators(spec, params)
+        cb = cycle_channel_cb(ops)
+        ac = cycle_channel_ac(ops)
 
         # M_CB = H C and M_AC = C H share their eigenvalues, sector by sector
         sectors_cb = by_charge(*sector_eigenvalues(cb)[:2])
@@ -152,7 +151,7 @@ class TestOneLoopTwoAnchors:
         rho_ac = fixed_point_spectral(ac).rho_star
         rho_cb = fixed_point_spectral(cb).rho_star
         refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb).rho_star
-        cold = cold_half_cycle(parts, params, ops=ops)
+        cold = cold_half_cycle(ops)
         for rho in (rho_cb, refined):
             assert trace_distance(carried_fixed_point(cold, rho), rho_ac) < 1e-12
 

@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ZeroHeatError,
-                    ansatz_state, build_hamiltonian, cold_half_cycle, commutator_norm,
-                    cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_iterate,
+from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ansatz_state,
+                    build_hamiltonian, cold_half_cycle, commutator_norm, cycle_channel_ac,
+                    cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
                     random_density_matrix, trace_distance)
-from conftest import carnot_point, random_chain_spec, random_engine_point
+from conftest import carnot_point, point_operators, random_chain_spec, random_engine_point
 
 
 def solved_report(spec, params, tol=1e-12):
     parts = build_hamiltonian(spec)
-    ch = cycle_channel_cb(parts, params)
-    fp = fixed_point_spectral(ch)
-    cycle = limit_cycle_states(fp.rho_star, parts, params, tol=tol)
-    return limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap)
+    ops = cycle_operators(parts, params)
+    fp = fixed_point_spectral(cycle_channel_cb(ops))
+    cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=tol)
+    return limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
 
 
 class TestCycleIdentities:
@@ -29,10 +29,10 @@ class TestCycleIdentities:
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         for maker in (cycle_channel_cb, cycle_channel_ac, cold_half_cycle):
-            assert maker(parts, params, ops=ops).completeness_residual() <= 1e-12
-        fp = fixed_point_spectral(cycle_channel_cb(parts, params, ops=ops))
-        cycle = limit_cycle_states(fp.rho_star, parts, params, ops=ops)
-        report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops=ops)
+            assert maker(ops).completeness_residual() <= 1e-12
+        fp = fixed_point_spectral(cycle_channel_cb(ops))
+        cycle = limit_cycle_states(fp.rho_star, parts, ops)
+        report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
         assert report.first_law_residual <= 1e-9  # the ledger's first law
         assert report.eq18_residual <= 1e-8  # |q_c/E_1 + q_h/E_N|
 
@@ -54,9 +54,7 @@ class TestLimitCycleReport:
         # beta1 = 2, beta2 = 1 halves the reversible bound
         spec = ChainSpec(n=3, E=[1.0, 1.1, 2.0], J=[0.3, 0.4], K=[0.1, 0.2], F=[0.2, 0.3])
         params = CycleParams(beta1=2.0, beta2=1.0, tau1=0.8, tau2=1.2)
-        with pytest.raises(ZeroHeatError) as err:
-            solved_report(spec, params)  # beta1 E_1 = beta2 E_N: matched baths
-        report = err.value.report
+        report = solved_report(spec, params)  # beta1 E_1 = beta2 E_N: matched baths
         assert report.carnot_eta == 0.5
         assert np.isnan(report.eta)
         assert report.ansatz_distance is not None and report.ansatz_distance < 1e-10
@@ -64,14 +62,14 @@ class TestLimitCycleReport:
     def test_zero_heat_on_decoupled_chain(self, rng, decoupled_point):
         spec, params = decoupled_point
         parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
-        fp = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-12)
+        ops = cycle_operators(parts, params)
+        fp = fixed_point_iterate(cycle_channel_cb(ops), random_density_matrix(4, rng), tol=1e-12)
         assert fp.converged
-        cycle = limit_cycle_states(fp.rho_star, parts, params, tol=1e-10)
-        with pytest.raises(ZeroHeatError) as err:
-            limit_cycle_report(cycle, parts, spec, params, gap=float("nan"))
-        assert abs(err.value.report.q_c_star) < 1e-13
-        assert abs(err.value.report.q_h_star) < 1e-13
+        cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=1e-10)
+        report = limit_cycle_report(cycle, parts, spec, params, float("nan"), ops)
+        assert np.isnan(report.eta)
+        assert abs(report.q_c_star) < 1e-13
+        assert abs(report.q_h_star) < 1e-13
 
     def test_serialization_shape(self, small_point):
         spec, params = small_point
@@ -82,10 +80,8 @@ class TestLimitCycleReport:
 
     def test_serialization_includes_conditional_field(self, rng):
         spec, params = carnot_point(rng, 3)
-        try:
-            report = solved_report(spec, params)
-        except ZeroHeatError as err:
-            report = err.report
+        report = solved_report(spec, params)
+        assert np.isnan(report.eta)  # matched baths carry no heat
         assert "ansatz_distance" in report.to_dict()
 
 
@@ -102,11 +98,8 @@ class TestOperatingModes:
             balance = params.beta2 * spec.E[-1] - params.beta1 * spec.E[0]
             if abs(balance) < 0.05:
                 continue  # too close to the crossover for a stable sign
-            try:
-                report = solved_report(spec, params)
-            except ZeroHeatError:
-                continue
-            if abs(report.q_h_star) < 1e-10:
+            report = solved_report(spec, params)
+            if abs(report.q_h_star) < 1e-10:  # eta is NaN below 1e-13
                 continue
             assert np.sign(report.q_h_star) == np.sign(balance)
             assert abs(abs(report.w_star_ledger) / abs(report.q_h_star)
@@ -140,8 +133,7 @@ class TestAnsatz:
 
     def test_invariant_under_cycle_channel(self, rng):
         spec, params = carnot_point(rng, 3)
-        parts = build_hamiltonian(spec)
-        ch = cycle_channel_cb(parts, params)
+        ch = cycle_channel_cb(point_operators(spec, params))
         ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
         assert trace_distance(ch.apply(ansatz_cb), ansatz_cb) < 1e-12
 
