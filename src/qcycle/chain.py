@@ -18,14 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import kron
+from .linalg import eigh_hermitian, kron
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def _embed(term: np.ndarray, site: int, n: int) -> np.ndarray:
+    """``term`` on the sites from 1-based ``site`` on, tensored with identities up to n sites."""
+    left = 2 ** (site - 1)
+    return kron(kron(np.eye(left), term), np.eye(2**n // (left * term.shape[0])))
 
 
 def site_operator(axis: str, site: int, n: int) -> np.ndarray:
@@ -37,10 +42,7 @@ def site_operator(axis: str, site: int, n: int) -> np.ndarray:
         raise ValueError(f"axis must be one of 'X', 'Y', 'Z', got {axis!r}")
     if not (1 <= site <= n):
         raise ValueError(f"site {site} out of range 1..{n}")
-    op = np.array([[1.0 + 0j]])
-    for k in range(1, n + 1):
-        op = kron(op, PAULI[axis] / 2.0 if k == site else IDENTITY_2)
-    return op
+    return _embed(PAULI[axis] / 2.0, site, n)
 
 
 def total_magnetization(n: int) -> np.ndarray:
@@ -117,32 +119,33 @@ class HamiltonianParts:
     n: int
 
 
-def _bond_terms(spec: ChainSpec, bond: int, sx, sy, sz) -> np.ndarray:
-    """All coupling terms on the given 1-based bond (J, K and F families)."""
+def _bond_terms(spec: ChainSpec, bond: int) -> np.ndarray:
+    """All coupling terms on the given 1-based bond (J, K and F families).
+
+    Built on the bond's two sites and embedded with identities, not
+    multiplied out of full-size site operators.
+    """
     i = bond - 1
-    return (4.0 * spec.J[i] * (sx[i] @ sx[i + 1] + sy[i] @ sy[i + 1])
-            + 4.0 * spec.K[i] * (sx[i] @ sy[i + 1] - sy[i] @ sx[i + 1])
-            + 4.0 * spec.F[i] * (sz[i] @ sz[i + 1]))
+    sx, sy, sz = (PAULI[axis] / 2.0 for axis in "XYZ")
+    return _embed(4.0 * spec.J[i] * (kron(sx, sx) + kron(sy, sy))
+                  + 4.0 * spec.K[i] * (kron(sx, sy) - kron(sy, sx))
+                  + 4.0 * spec.F[i] * kron(sz, sz), bond, spec.n)
 
 
 def build_hamiltonian(spec: ChainSpec) -> HamiltonianParts:
     """Assemble the chain Hamiltonian and its subsystem decomposition."""
     n = spec.n
-    sx = [site_operator("X", i, n) for i in range(1, n + 1)]
-    sy = [site_operator("Y", i, n) for i in range(1, n + 1)]
-    sz = [site_operator("Z", i, n) for i in range(1, n + 1)]
-
-    h_a = spec.E[0] * sz[0]
-    h_b = spec.E[-1] * sz[-1]
-    h_ac = _bond_terms(spec, 1, sx, sy, sz)
-    h_cb = _bond_terms(spec, n - 1, sx, sy, sz)
+    h_a = spec.E[0] * site_operator("Z", 1, n)
+    h_b = spec.E[-1] * site_operator("Z", n, n)
+    h_ac = _bond_terms(spec, 1)
+    h_cb = _bond_terms(spec, n - 1)
 
     d = 2**n
     h_c = np.zeros((d, d), dtype=complex)
     for i in range(2, n):  # interior fields
-        h_c = h_c + spec.E[i - 1] * sz[i - 1]
+        h_c = h_c + spec.E[i - 1] * site_operator("Z", i, n)
     for bond in range(2, n - 1):  # interior bonds (empty for n = 3)
-        h_c = h_c + _bond_terms(spec, bond, sx, sy, sz)
+        h_c = h_c + _bond_terms(spec, bond)
 
     h_s = h_a + h_b + h_c + h_ac + h_cb
     return HamiltonianParts(
@@ -161,11 +164,7 @@ def gibbs_state(h_local: np.ndarray, beta: float) -> np.ndarray:
     """
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    h_local = np.asarray(h_local, dtype=complex)
-    dev = float(np.abs(h_local - h_local.conj().T).max())
-    if dev > 1e-12:
-        raise ValueError(f"Hamiltonian is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(h_local)
+    w, v = eigh_hermitian(h_local)
     weights = np.exp(-beta * (w - w.min()))  # shift cancels in the ratio
     rho = (v * weights) @ v.conj().T
     return rho / np.trace(rho).real

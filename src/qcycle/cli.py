@@ -30,7 +30,7 @@ from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointErr
 from .limitcycle import (carried_fixed_point, cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
                          sector_eigenvalues, spectral_summary)
-from .linalg import check_density_matrix, random_density_matrix, trace_distance
+from .linalg import check_density_matrix, partial_trace, random_density_matrix, trace_distance
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import limit_cycle_report
 
@@ -264,18 +264,27 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_simulate(cfg: RunConfig):
-    """Iterate full-chain cycles; returns (exit_status, csv_text)."""
+    """Iterate full-chain cycles; returns (exit_status, csv_text).
+
+    From cycle 3 on, both start states that ``delta_prev`` compares are
+    U2 (Z (x) sigma_b) U2* with Z = Tr_B rho2. The trace distance ignores the
+    unitary and the sigma_b factor, so it is taken between the two Z.
+    Cycle 2 compares with the initial state, on the full chain.
+    """
     parts = build_hamiltonian(cfg.spec)
     ops = cycle_operators(parts, cfg.params)
-    rho0 = _initial_full_state(cfg)
+    rho0 = initial = _initial_full_state(cfg)
+    n = cfg.spec.n
 
     lines = [",".join(TRACE_COLUMNS)]
-    prev_rho0 = None
+    ac = prev_ac = None  # the AC states of the last two cycles
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
         state, rec = run_cycle(rho0, parts, ops)
-        rec.delta_prev = (trace_distance(rho0, prev_rho0)
-                          if prev_rho0 is not None else float("nan"))
+        if prev_ac is not None:
+            rec.delta_prev = trace_distance(ac, prev_ac)
+        elif cycle_idx == 2:
+            rec.delta_prev = trace_distance(rho0, initial)
         row = (cycle_idx, rec.delta_prev, rec.q_c, rec.q_h, rec.w1, rec.w2, rec.w3,
                rec.w4, rec.w_total, rec.w_ledger, rec.first_law_residual_paper,
                rec.first_law_residual_ledger)
@@ -283,7 +292,7 @@ def cmd_simulate(cfg: RunConfig):
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
             converged = True
             break
-        prev_rho0 = rho0
+        prev_ac, ac = ac, partial_trace(state.rho2, range(n - 1), [2] * n)
         rho0 = state.rho4
     status = EXIT_OK if converged else EXIT_NO_CONVERGENCE
     return status, "\n".join(lines) + "\n"

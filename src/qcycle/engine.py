@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError
-from .linalg import expm_unitary, hermitize, kron, partial_trace
+from .linalg import eigh_hermitian, hermitize, kron, partial_trace, unitary_from_eigh
 
 
 @dataclass
@@ -95,21 +95,21 @@ class CycleOperators:
 
 
 def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperators:
-    """Build the two bath Gibbs states and the two stroke unitaries once."""
+    """The two bath Gibbs states, and both stroke unitaries from one eigendecomposition of h_s.
+
+    A duration whose phases (eigenvalue times duration) overflow raises ConfigError naming it.
+    """
+    w, v = eigh_hermitian(parts.h_s)
+    w_max = float(np.abs(w).max())
+    for name in ("tau1", "tau2"):
+        if not math.isfinite(w_max * getattr(params, name)):
+            raise ConfigError(name, "too long: the chain's largest energy times it overflows")
     return CycleOperators(
         sigma_a=gibbs_state(parts.h_a_local, params.beta1),
         sigma_b=gibbs_state(parts.h_b_local, params.beta2),
-        u1=expm_unitary(parts.h_s, params.tau1),
-        u2=expm_unitary(parts.h_s, params.tau2),
+        u1=unitary_from_eigh(w, v, params.tau1),
+        u2=unitary_from_eigh(w, v, params.tau2),
     )
-
-
-def _qubit_dims(rho: np.ndarray) -> list:
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    if rho.ndim != 2 or rho.shape != (d, d) or 2**n != d:
-        raise ValueError(f"expected a square matrix on qubits, got shape {rho.shape}")
-    return [2] * n
 
 
 def replace_first_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
@@ -126,10 +126,11 @@ def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
     """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
 
     Stroke 2 evolves by u1, stroke 3 replaces the last qubit with sigma_b,
-    stroke 4 evolves by u2.
+    stroke 4 evolves by u2. rho3 needs no symmetrizing: Tr_B of the exactly
+    Hermitian rho2, tensored with the real diagonal sigma_b, is exactly Hermitian.
     """
     rho2 = hermitize(ops.u1 @ rho1 @ ops.u1.conj().T)
-    rho3 = hermitize(replace_last_factor(rho2, ops.sigma_b, dims))
+    rho3 = replace_last_factor(rho2, ops.sigma_b, dims)
     rho4 = hermitize(ops.u2 @ rho3 @ ops.u2.conj().T)
     return rho2, rho3, rho4
 
@@ -168,9 +169,10 @@ def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators
 def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, ops: CycleOperators):
     """One full cycle from rho0 with the point's operators; returns (CycleState, CycleRecord)."""
     rho0 = np.asarray(rho0, dtype=complex)
-    dims = _qubit_dims(rho0)
-    if len(dims) != parts.n:
-        raise ValueError(f"state is on {len(dims)} qubits but the chain has {parts.n}")
+    n = parts.n
+    if rho0.shape != (2**n, 2**n):
+        raise ValueError(f"expected a state on the chain's {n} qubits, got shape {rho0.shape}")
+    dims = [2] * n
 
     rho1 = hermitize(replace_first_factor(rho0, ops.sigma_a, dims))
     state = CycleState(rho0, rho1, *strokes_2_to_4(rho1, ops, dims))

@@ -59,19 +59,24 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
 
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Evolution operator e^{-i h t} for Hermitian h (hbar = 1).
+    """Evolution operator e^{-i h t} for Hermitian h (hbar = 1); see :func:`unitary_from_eigh`."""
+    return unitary_from_eigh(*eigh_hermitian(h), t)
 
-    Computed as V e^{-i L t} V* from the eigendecomposition h = V L V*.
-    """
+
+def eigh_hermitian(h: np.ndarray):
+    """Eigendecomposition ``(w, v)`` with h = V diag(w) V*; a non-Hermitian h raises ValueError."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     dev = float(np.abs(h - h.conj().T).max())
     if dev > 1e-12:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    return np.linalg.eigh(h)
+
+
+def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i h t} as V e^{-i diag(w) t} V*, from the eigendecomposition of h."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def psd_sqrt_invsqrt(rho: np.ndarray, require_full_rank: bool = False):

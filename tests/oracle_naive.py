@@ -3,7 +3,9 @@
 Deliberately shares no code paths with the package: Kronecker products and
 partial traces are explicit index loops, matrix exponentials come from
 scipy.linalg.expm instead of a Hermitian eigendecomposition, and the chain
-Hamiltonian is reassembled from scratch. Slow and only meant for n <= 5.
+Hamiltonian is reassembled from products of full-size site operators
+instead of embedded two-site terms. Slow: ``NaiveCycle`` is only meant for
+n <= 5, ``naive_hamiltonian`` for n <= 7.
 
 ``naive_choi`` is the defining Choi sum over matrix units,
 ``naive_channel_matrix`` the channel's images of the matrix units, and
@@ -60,23 +62,36 @@ def naive_site_operator(pauli, site, n):
     return op
 
 
+def naive_bond(spec, bond, n):
+    """All coupling terms on the 1-based bond, as products of full-size site operators."""
+    i = bond - 1
+    sx = [naive_site_operator(SX, site, n) for site in (bond, bond + 1)]
+    sy = [naive_site_operator(SY, site, n) for site in (bond, bond + 1)]
+    sz = [naive_site_operator(SZ, site, n) for site in (bond, bond + 1)]
+    return (4.0 * spec.J[i] * (sx[0] @ sx[1] + sy[0] @ sy[1])
+            + 4.0 * spec.K[i] * (sx[0] @ sy[1] - sy[0] @ sx[1])
+            + 4.0 * spec.F[i] * (sz[0] @ sz[1]))
+
+
 def naive_hamiltonian(spec):
+    """The six full-size parts of the chain Hamiltonian, keyed as in HamiltonianParts.
+
+    Summed in the package's order, so the values agree exactly.
+    """
     n = spec.n
     d = 2**n
-    h = np.zeros((d, d), dtype=complex)
-    for i in range(1, n + 1):
-        h += spec.E[i - 1] * naive_site_operator(SZ, i, n)
-    for i in range(1, n):
-        sxi = naive_site_operator(SX, i, n)
-        sxj = naive_site_operator(SX, i + 1, n)
-        syi = naive_site_operator(SY, i, n)
-        syj = naive_site_operator(SY, i + 1, n)
-        szi = naive_site_operator(SZ, i, n)
-        szj = naive_site_operator(SZ, i + 1, n)
-        h += 4 * spec.J[i - 1] * (sxi @ sxj + syi @ syj)
-        h += 4 * spec.K[i - 1] * (sxi @ syj - syi @ sxj)
-        h += 4 * spec.F[i - 1] * (szi @ szj)
-    return h
+    parts = {"h_a": spec.E[0] * naive_site_operator(SZ, 1, n),
+             "h_b": spec.E[-1] * naive_site_operator(SZ, n, n),
+             "h_ac": naive_bond(spec, 1, n),
+             "h_cb": naive_bond(spec, n - 1, n)}
+    h_c = np.zeros((d, d), dtype=complex)
+    for i in range(2, n):
+        h_c = h_c + spec.E[i - 1] * naive_site_operator(SZ, i, n)
+    for bond in range(2, n - 1):
+        h_c = h_c + naive_bond(spec, bond, n)
+    parts["h_c"] = h_c
+    parts["h_s"] = parts["h_a"] + parts["h_b"] + h_c + parts["h_ac"] + parts["h_cb"]
+    return parts
 
 
 def naive_gibbs(h, beta):
@@ -89,7 +104,7 @@ class NaiveCycle:
 
     def __init__(self, spec, params):
         self.n = spec.n
-        h_s = naive_hamiltonian(spec)
+        h_s = naive_hamiltonian(spec)["h_s"]
         self.sigma_a = naive_gibbs(spec.E[0] * SZ / 2.0, params.beta1)
         self.sigma_b = naive_gibbs(spec.E[-1] * SZ / 2.0, params.beta2)
         self.u1 = expm(-1j * h_s * params.tau1)

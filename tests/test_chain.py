@@ -4,6 +4,7 @@ import pytest
 from qcycle import (ChainSpec, build_hamiltonian, commutator_norm, gibbs_state,
                     site_operator, total_magnetization)
 from conftest import random_chain_spec
+from oracle_naive import naive_hamiltonian
 
 
 class TestSiteOperator:
@@ -63,6 +64,15 @@ class TestBuildHamiltonian:
         parts = build_hamiltonian(spec)
         expected = np.diag([1, 1, -1, -1, -1, -1, 1, 1]).astype(complex)
         assert np.abs(parts.h_ac - expected).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_parts_equal_site_operator_products(self, rng, n):
+        # the two-site terms embedded with identities give the exact values of the
+        # products of full-size site operators
+        spec = random_chain_spec(rng, n)
+        parts = build_hamiltonian(spec)
+        for name, h in naive_hamiltonian(spec).items():
+            assert np.array_equal(getattr(parts, name), h), name
 
     def test_part_sum_identity(self, rng):
         for n in (3, 4, 5):

@@ -9,7 +9,7 @@ import qcycle.limitcycle
 import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, random_density_matrix)
+                    fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
 from qcycle.cli import COMMANDS, TRACE_COLUMNS, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
 
@@ -120,7 +120,50 @@ class TestConfigParsing:
             parse_config(str(path))
 
 
+def chain_of(n):
+    """The chain of the n = 6 CI config, cut to n sites and keeping its last field."""
+    return {"n": n, "E": [1.0, 1.3, 0.9, 1.6, 1.1][:n - 1] + [2.0],
+            "J": [0.4, 0.5, -0.3, 0.6, 0.45][:n - 1], "K": [0.2, 0.1, 0.25, -0.15, 0.3][:n - 1],
+            "F": [0.3, 0.2, -0.25, 0.35, 0.15][:n - 1]}
+
+
 class TestSimulate:
+    @staticmethod
+    def assert_full_chain_deltas(tmp_path, doc, status):
+        """Run simulate; each row's delta_prev must be the full-chain trace distance
+        between the run_cycle start states of its cycle and the one before."""
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == status
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        cfg = parse_config(cfg_path)
+        parts = build_hamiltonian(cfg.spec)
+        ops = cycle_operators(parts, cfg.params)
+        rho0, prev = qcycle.cli._initial_full_state(cfg), None
+        for row in rows:
+            if prev is None:
+                assert row[1] == "nan"
+            else:
+                assert abs(float(row[1]) - trace_distance(rho0, prev)) <= 1e-14, row[0]
+            prev, rho0 = rho0, run_cycle(rho0, parts, ops)[0].rho4
+        return rows
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_delta_prev_is_full_chain_distance(self, tmp_path, n):
+        # from cycle 3 on it is taken between the AC states, on 2^(n-1)
+        rows = self.assert_full_chain_deltas(tmp_path, variant(chain=chain_of(n)), status=0)
+        assert len(rows) >= 3
+
+    def test_delta_prev_from_supplied_initial_state(self, tmp_path):
+        np.save(tmp_path / "init.npy", random_density_matrix(16, np.random.default_rng(5)))
+        doc = variant(chain=chain_of(4), initial_state=str(tmp_path / "init.npy"))
+        self.assert_full_chain_deltas(tmp_path, doc, status=0)
+
+    def test_delta_prev_of_two_cycles(self, tmp_path):
+        # the second cycle's distance is to the initial state, on the full chain
+        rows = self.assert_full_chain_deltas(tmp_path, variant(**{"solver.max_iter": 2}), status=2)
+        assert len(rows) == 2
+
     def test_generic_run_converges(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GENERIC)
         out = tmp_path / "trace.csv"

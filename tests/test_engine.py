@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcycle import (ChainSpec, CycleParams, build_hamiltonian,
+from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
                     check_density_matrix, cycle_operators, gibbs_state, kron,
                     partial_trace, random_density_matrix, run_cycle,
                     total_magnetization, trace_distance)
@@ -108,6 +108,15 @@ class TestUnitaryStroke:
         out = evolve(u1, rho)
         assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() <= 1e-10
 
+    @pytest.mark.parametrize("tau", ["tau1", "tau2"])
+    def test_overflowing_phase_named(self, tau):
+        # the couplings and the durations are finite, but an eigenvalue of h_s times the
+        # duration overflows: u1 used to come back full of NaN
+        spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[4e307, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
+        times = {"tau1": 0.7, "tau2": 1.3, tau: 1e10}
+        with pytest.raises(ConfigError, match=f"^{tau}: too long"):
+            cycle_operators(build_hamiltonian(spec), CycleParams(beta1=1.0, beta2=0.75, **times))
+
 
 class TestRunCycle:
     def test_decoupled_equilibrium_is_quiet(self, rng):
@@ -151,6 +160,17 @@ class TestRunCycle:
             state, rec = run_cycle(rho0, parts, cycle_operators(parts, params))
             energy_change = np.trace(parts.h_s @ (state.rho4 - rho0)).real
             assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_hot_stroke_output_exactly_hermitian(self, rng, n):
+        # rho3 is not symmetrized: Tr_B of the exactly Hermitian rho2, tensored with the
+        # real diagonal sigma_b, equals its conjugate transpose entry for entry
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        assert np.array_equal(ops.sigma_b, np.diag(np.diag(ops.sigma_b).real))
+        state, _ = run_cycle(full_random_state(rng, n), parts, ops)
+        assert np.array_equal(state.rho3, state.rho3.conj().T)
 
     def test_stroke_states_validity(self, rng, small_point):
         spec, params = small_point
