@@ -20,8 +20,8 @@ from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_chann
                          cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
                          limit_cycle_states, unvec, vec)
 from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
-                     partial_trace, project_density, psd_sqrt_invsqrt,
-                     random_density_matrix, trace_distance)
+                     partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
+                     trace_distance)
 from .reversal import ReversedChannel, kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
@@ -37,7 +37,7 @@ __all__ = [
     "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
     "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
-    "trace_distance", "commutator_norm", "project_density",
+    "trace_distance", "commutator_norm", "to_state",
     "check_density_matrix", "random_density_matrix",
     "ReversedChannel", "kraus_from_stack", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",

@@ -29,7 +29,8 @@ import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError
-from .linalg import eigh_hermitian, hermitize, kron, partial_trace, unitary_from_eigh
+from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_trace,
+                     unitary_from_eigh)
 
 
 @dataclass
@@ -126,12 +127,13 @@ def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
     """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
 
     Stroke 2 evolves by u1, stroke 3 replaces the last qubit with sigma_b,
-    stroke 4 evolves by u2. rho3 needs no symmetrizing: Tr_B of the exactly
+    stroke 4 evolves by u2. U rho U* of a Hermitian rho is Hermitian up to rounding,
+    which hermitian_part removes. rho3 needs no symmetrizing: Tr_B of the exactly
     Hermitian rho2, tensored with the real diagonal sigma_b, is exactly Hermitian.
     """
-    rho2 = hermitize(ops.u1 @ rho1 @ ops.u1.conj().T)
+    rho2 = hermitian_part(ops.u1 @ rho1 @ ops.u1.conj().T)
     rho3 = replace_last_factor(rho2, ops.sigma_b, dims)
-    rho4 = hermitize(ops.u2 @ rho3 @ ops.u2.conj().T)
+    rho4 = hermitian_part(ops.u2 @ rho3 @ ops.u2.conj().T)
     return rho2, rho3, rho4
 
 

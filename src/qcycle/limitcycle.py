@@ -20,8 +20,7 @@ multiplicity. Both half-cycles preserve the S^Z charge below, so this holds
 sector by sector. The cold half-cycle also carries fixed points: if
 Phi_CB(rho) = rho then Phi_AC(Phi_cold(rho)) = Phi_cold(Phi_hot(Phi_cold(rho)))
 = Phi_cold(rho), so Phi_cold(rho*_CB) is AC's fixed point, unique when
-CB's is. :func:`cold_half_cycle` exposes Phi_cold as a channel and
-:func:`carried_fixed_point` maps a fixed point across it.
+CB's is. :func:`cold_half_cycle` exposes Phi_cold as a channel.
 
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
@@ -71,8 +70,7 @@ import numpy as np
 from .chain import HamiltonianParts
 from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import (hermitian_part, hermitize, kron, partial_trace, project_density,
-                     trace_distance)
+from .linalg import hermitize, kron, partial_trace, to_state, trace_distance
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -82,9 +80,6 @@ DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-p
 CHARGE_LEAKAGE_TOL = 1e-12
 # The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
 UNIT_SHIFT = 1e-10
-# Solver candidates (last iterate, unit eigenvector) may have eigenvalues down to -1e-6 and
-# are still clipped to a state; linalg.PSD_CLIP_ATOL is the floor for states already valid.
-SOLVER_PSD_ATOL = 1e-6
 
 
 class Channel:
@@ -153,8 +148,8 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
     """Operators sqrt(p_e) <t|_out u |v_e>_bath, the bath entering as site 1 or n."""
-    p, v = np.linalg.eigh(sigma)
-    bath = v * np.sqrt(np.clip(p, 0.0, None))  # column e is sqrt(p_e) v_e
+    p, v = np.linalg.eigh(sigma)  # a Gibbs state of a diagonal h_local: p are its weights, >= 0
+    bath = v * np.sqrt(p)  # column e is sqrt(p_e) v_e
     d = u.shape[0] // 2
     # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
     # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
@@ -183,16 +178,6 @@ def cycle_channel_ac(ops: CycleOperators) -> Channel:
 def cold_half_cycle(ops: CycleOperators) -> Channel:
     """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
     return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True))
-
-
-def carried_fixed_point(half: Channel, rho_star: np.ndarray) -> np.ndarray:
-    """half(rho_star), cleaned to a state the way :func:`fixed_point_spectral` cleans its own.
-
-    With ``half`` the :func:`cold_half_cycle` and ``rho_star`` CB's fixed
-    point, this is AC's fixed point (module docstring).
-    """
-    x = hermitian_part(half.apply(rho_star))
-    return project_density(x / np.trace(x).real, psd_atol=SOLVER_PSD_ATOL)
 
 
 def popcount_charges(d: int) -> np.ndarray | None:
@@ -372,21 +357,22 @@ def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
 
 def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
-    """Iterate the channel until successive iterates are tol-close.
+    """Iterate the channel from ``hermitize(rho_init)`` until successive iterates are tol-close.
 
-    Non-convergence is not an exception: the result carries the best iterate,
-    the full delta history, and ``converged=False``.
+    The last iterate is made a state by :func:`~qcycle.linalg.to_state`. Non-convergence
+    is not an exception: the result carries the best iterate, the full delta history, and
+    ``converged=False``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     rho = np.asarray(rho_init, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"initial state shape {rho.shape} does not match channel dim {ch.dim}")
+    rho = hermitize(rho)
     deltas = []
     converged = False
     for _ in range(max_iter):
-        nxt = hermitize(ch.apply(rho))
-        nxt = nxt / np.trace(nxt).real  # guard against trace drift
+        nxt = ch.apply(rho)
         delta = trace_distance(nxt, rho)
         deltas.append(delta)
         rho = nxt
@@ -394,7 +380,7 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
             converged = True
             break
     return FixedPointResult(
-        rho_star=project_density(rho, psd_atol=SOLVER_PSD_ATOL),
+        rho_star=to_state(rho),
         iterations=len(deltas),
         final_delta=deltas[-1] if deltas else 0.0,
         spectral_gap=float("nan"),
@@ -421,9 +407,10 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
 
     The eigenproblem is split by :func:`sector_blocks`, built from ch's
-    Kraus stack; the eigenvector comes from the
-    q = 0 block, which carries the trace, by inverse iteration
-    (:func:`_unit_vector`). Eigenvalues whose modulus is within
+    Kraus stack; the eigenvector comes from the q = 0 block, which carries
+    the trace, by inverse iteration (:func:`_unit_vector`), and is made a
+    state by :func:`~qcycle.linalg.to_state`, which raises on the zero trace
+    a trace-preserving map cannot give. Eigenvalues whose modulus is within
     ``DEGENERACY_TOL`` of 1 count as fixed-point candidates; more than one
     raises :class:`DegenerateFixedPointError` carrying all of them (sector
     by sector), their charges, and the (arbitrary) candidate it would have
@@ -433,11 +420,7 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     _, gap, near = spectral_summary(evals)
     near_unit = evals[near]
 
-    x = unvec(vector, ch.dim)
-    tr = complex(np.trace(x))  # a trace-preserving map's steps only rescale the start's trace, d
-    if abs(tr) < 1e-12:
-        raise ValueError("fixed-point vector has zero trace; channel is not trace preserving")
-    rho = project_density(hermitian_part(x / tr), psd_atol=SOLVER_PSD_ATOL)
+    rho = to_state(unvec(vector, ch.dim))
     residual = trace_distance(ch.apply(rho), rho)
 
     result = FixedPointResult(
@@ -466,7 +449,7 @@ def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts, ops: Cy
     n = parts.n
     dims = [2] * n
 
-    rho1 = hermitize(kron(ops.sigma_a, rho_cb_star))
+    rho1 = kron(ops.sigma_a, rho_cb_star)
     rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)
 
     closure = trace_distance(partial_trace(rho4, range(1, n), dims), rho_cb_star)

@@ -13,9 +13,10 @@ from .errors import RankDeficientError
 
 # Hermiticity drift below this is symmetrized away, above it is rejected.
 HERMITICITY_ATOL = 1e-10
-# Eigenvalues in [-PSD_CLIP_ATOL, 0) are clipped to zero and the state
-# renormalized; anything more negative is a genuine positivity violation.
-PSD_CLIP_ATOL = 1e-10
+# to_state clips eigenvalues in [-STATE_PSD_ATOL, 0) to zero and rejects anything more
+# negative. A last iterate lies about solver tol / gap from the fixed point, so where that
+# has zero eigenvalues the iterate's can be that negative.
+STATE_PSD_ATOL = 1e-6
 # Eigenvalues at or below this fraction of the largest count as zero in rank and inverse roots.
 RANK_TOL = 1e-12
 
@@ -96,10 +97,9 @@ def psd_sqrt_invsqrt(rho: np.ndarray, require_full_rank: bool = False):
     rank = int(support.sum())
     if require_full_rank and rank < len(w):
         raise RankDeficientError(rank, len(w))
-    root = np.sqrt(np.clip(w, 0.0, None))
-    inv_root = np.zeros_like(root)
+    root, inv_root = np.zeros_like(w), np.zeros_like(w)
+    root[support] = np.sqrt(w[support])
     inv_root[support] = 1.0 / root[support]
-    root[~support] = 0.0
     sqrt = (v * root) @ v.conj().T
     invsqrt = (v * inv_root) @ v.conj().T
     return sqrt, invsqrt, rank
@@ -133,9 +133,9 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
-    Drift accumulates over thousands of channel applications, so channel
-    outputs pass through here; deviations above ``HERMITICITY_ATOL``
-    indicate a bug and raise instead of being papered over.
+    For a state a caller hands in (``run_cycle``'s rho0 after stroke 1,
+    ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
+    mean it is no state and raise instead of being papered over.
     """
     m = np.asarray(m, dtype=complex)
     dev = float(np.abs(m - m.conj().T).max())
@@ -145,22 +145,22 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def project_density(m: np.ndarray, psd_atol: float = PSD_CLIP_ATOL) -> np.ndarray:
-    """Clean a nearly-valid density matrix: symmetrize, clip, renormalize.
+def to_state(m: np.ndarray) -> np.ndarray:
+    """The density matrix a computed candidate stands for: the one cleaner of solver output.
 
-    Eigenvalues in [-psd_atol, 0) are clipped to zero; anything more
-    negative raises. The result has unit trace to machine precision.
+    Divides by the complex trace, which removes an eigenvector's scale and phase (ValueError
+    below 1e-12), takes the Hermitian part, clips eigenvalues in [-``STATE_PSD_ATOL``, 0) to
+    zero (ValueError below that) and renormalizes to unit trace.
     """
-    m = hermitize(m)
-    w, v = np.linalg.eigh(m)
-    if float(w.min()) < -psd_atol:
+    m = np.asarray(m, dtype=complex)
+    tr = complex(np.trace(m))
+    if abs(tr) < 1e-12:
+        raise ValueError("matrix has zero trace; it is no multiple of a state")
+    w, v = np.linalg.eigh(hermitian_part(m / tr))
+    if float(w.min()) < -STATE_PSD_ATOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.conj().T
-    tr = float(np.trace(m).real)
-    if tr <= 0.0:
-        raise ValueError("non-positive trace after clipping")
-    return hermitian_part(m / tr)
+    m = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return hermitian_part(m / np.trace(m).real)
 
 
 def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-12,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFixedPointError
-from .limitcycle import CHARGE_LEAKAGE_TOL, Channel, _charge_groups, popcount_charges
+from .limitcycle import Channel, _charge_groups, popcount_charges
 from .linalg import RANK_TOL, hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 
@@ -142,18 +142,14 @@ def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
     vanish; computed ones read about 1e-17. The popcount blocks are each well
     conditioned, but their scales can run from 1e-8 to 1, and the map carries
     that rounding into the smallest block with a relative error of about
-    1e-10, which the reversed set's completeness then shows. A state with
-    such entries above ``CHARGE_LEAKAGE_TOL`` of its largest entry is not
-    covariant and is returned as it is.
+    1e-10, which the reversed set's completeness then shows. A state that is
+    not charge pure of charge 0 by the leakage test of :func:`_charge_groups`,
+    read as a one-operator stack, is not covariant and is returned as it is.
     """
-    charge = popcount_charges(rho.shape[0])
-    if charge is None:
+    [(q, _)] = _charge_groups(rho[None])
+    if q != 0:  # None when rho leaks or d is not a power of two
         return rho
-    off = charge != 0
-    moduli = np.abs(rho)
-    if moduli[off].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
-        return rho
-    return np.where(off, 0.0, rho)
+    return np.where(popcount_charges(rho.shape[0]) != 0, 0.0, rho)
 
 
 def reverse_channel(forward: Channel, rho_star: np.ndarray,
@@ -182,7 +178,8 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray,
         raise NotFixedPointError(residual, 100.0 * fp_tol)
 
     # The solver's absolute error reaches the reversed set amplified by cond(rho_star);
-    # two steps of the map leave only the map's own rounding.
+    # two steps of the map leave only the map's own rounding. They stay linear: to_state's eigh
+    # adds rounding to the 1e-8 popcount block that cond(rho_star) amplifies past the 1e-10 check.
     rho_star = _charge_diagonal(rho_star)
     for _ in range(2):
         rho_star = hermitian_part(forward.apply(rho_star))

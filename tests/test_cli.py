@@ -53,7 +53,7 @@ class TestConfigParsing:
             parse_config(write_config(tmp_path, {"chain": GENERIC["chain"]}))
 
     def test_wrong_bond_count_names_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="chain.J"):
+        with pytest.raises(ConfigError, match=r"^chain\.J: must have length 2, got 1$"):
             parse_config(write_config(tmp_path, variant(**{"chain.J": [0.4]})))
 
     def test_zero_end_field_named(self, tmp_path):
@@ -179,6 +179,14 @@ class TestSimulate:
     def test_forced_non_convergence(self, tmp_path):
         cfg = write_config(tmp_path, variant(**{"solver.max_iter": 1}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_stall_exits_early(self, tmp_path, capsys):
+        # zero couplings leave a degenerate fixed point, so delta_prev is flat from cycle 3 on
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, DECOUPLED),
+                     "--out", str(out)]) == 2
+        assert len(out.read_text().splitlines()) - 1 < 2000
+        assert "simulate stalled" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, GENERIC)

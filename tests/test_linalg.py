@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qcycle import (RankDeficientError, commutator_norm, expm_unitary, kron,
-                    partial_trace, project_density, psd_sqrt_invsqrt,
-                    random_density_matrix, trace_distance)
-from qcycle.linalg import hermitize
+                    partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
+                    trace_distance)
+from qcycle.linalg import STATE_PSD_ATOL, hermitize
 
 
 def random_hermitian(rng, d):
@@ -169,28 +169,33 @@ class TestHygiene:
         with pytest.raises(ValueError):
             hermitize(m)
 
-    def test_project_density_clips_small_negatives(self, rng):
-        rho = random_density_matrix(4, rng)
-        w, v = np.linalg.eigh(rho)
-        w[0] = -5e-11  # within the clip band
-        dirty = (v * w) @ v.conj().T
-        clean = project_density(dirty)
-        # reconstruction rounding can leave eigenvalues at the -1e-16 scale
-        assert np.linalg.eigvalsh(clean).min() >= -1e-15
-        assert abs(np.trace(clean) - 1.0) < 1e-14
+    @staticmethod
+    def with_least_eigenvalue(rng, least):
+        """A random 4 x 4 unit-trace matrix with the given least eigenvalue."""
+        w, v = np.linalg.eigh(random_density_matrix(4, rng))
+        w[0] = least
+        w[1:] *= (1.0 - least) / w[1:].sum()
+        return (v * w) @ v.conj().T
 
-    def test_project_density_solver_floor(self, rng):
-        rho = random_density_matrix(4, rng)
-        w, v = np.linalg.eigh(rho)
-        w[0] = -1e-7  # past the default clip band, within the solver one
-        dirty = (v * w) @ v.conj().T
-        with pytest.raises(ValueError):
-            project_density(dirty)
-        assert np.linalg.eigvalsh(project_density(dirty, psd_atol=1e-6)).min() >= -1e-15
+    def test_to_state_clips_small_negatives(self, rng):
+        for least in (-5e-11, -1e-7, -0.999e-6):  # within the clip band
+            clean = to_state(self.with_least_eigenvalue(rng, least))
+            # reconstruction rounding can leave eigenvalues at the -1e-16 scale
+            assert np.linalg.eigvalsh(clean).min() >= -1e-15
+            assert abs(np.trace(clean) - 1.0) < 1e-14
+            assert np.array_equal(clean, clean.conj().T)
 
-    def test_project_density_rejects_large_negatives(self, rng):
+    def test_to_state_rejects_large_negatives(self, rng):
+        assert STATE_PSD_ATOL == 1e-6
+        with pytest.raises(ValueError, match="not PSD"):
+            to_state(self.with_least_eigenvalue(rng, -1.001e-6))
+
+    def test_to_state_rejects_zero_trace(self):
+        with pytest.raises(ValueError, match="zero trace"):
+            to_state(np.diag([0.5, -0.5]))
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, np.pi / 2, np.pi, -2.5])
+    def test_to_state_removes_scale_and_phase(self, rng, phi):
+        # an eigenvector's arbitrary factor: the complex trace divides it out
         rho = random_density_matrix(4, rng)
-        w, v = np.linalg.eigh(rho)
-        w[0] = -1e-6
-        with pytest.raises(ValueError):
-            project_density((v * w) @ v.conj().T)
+        assert np.abs(to_state(3.7 * np.exp(1j * phi) * rho) - rho).max() < 1e-15

@@ -18,12 +18,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qcycle import (Channel, DegenerateFixedPointError, cold_half_cycle, cycle_channel_ac,
-                    cycle_channel_cb, fixed_point_spectral, kraus_from_stack, project_density,
-                    reverse_channel, trace_distance)
-from qcycle.limitcycle import (SOLVER_PSD_ATOL, _charge_groups, _unit_vector, carried_fixed_point,
-                               from_hermitian_frame, hermitian_frame, sector_blocks,
-                               sector_eigenvalues, swap_index, to_hermitian_frame, unvec)
-from qcycle.linalg import hermitian_part
+                    cycle_channel_cb, fixed_point_spectral, kraus_from_stack, reverse_channel,
+                    to_state, trace_distance)
+from qcycle.limitcycle import (_charge_groups, _unit_vector, from_hermitian_frame, hermitian_frame,
+                               sector_blocks, sector_eigenvalues, swap_index, to_hermitian_frame,
+                               unvec)
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
@@ -32,8 +31,7 @@ def dense_fixed_point(cm, d):
     """(rho_star, gap) from one eig of the whole channel matrix of a d x d map."""
     evals, evecs = np.linalg.eig(cm)
     moduli = np.sort(np.abs(evals))[::-1]
-    x = evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape((d, d), order="F")
-    rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
+    rho = to_state(evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape((d, d), order="F"))
     return rho, float(1.0 - moduli[1])
 
 
@@ -153,7 +151,7 @@ class TestOneLoopTwoAnchors:
         refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb).rho_star
         cold = cold_half_cycle(ops)
         for rho in (rho_cb, refined):
-            assert trace_distance(carried_fixed_point(cold, rho), rho_ac) < 1e-12
+            assert trace_distance(to_state(cold.apply(rho)), rho_ac) < 1e-12
 
 
 class TestHermitianFrame:
@@ -204,8 +202,7 @@ class TestFallbackIsDense:
         assert trace_distance(result.rho_star, rho) < 1e-12
         # the solver's inverse iteration on the whole matrix, with no frame or pairing
         d = ch.dim
-        x = unvec(_unit_vector(block.copy(), np.arange(d) * (d + 1)), d)
-        rho = project_density(hermitian_part(x / complex(np.trace(x))), psd_atol=SOLVER_PSD_ATOL)
+        rho = to_state(unvec(_unit_vector(block.copy(), np.arange(d) * (d + 1)), d))
         assert np.array_equal(result.rho_star, rho)
 
         gram, bound = kraus_from_stack(ch.kraus)
