@@ -28,18 +28,18 @@ fp = fixed_point_spectral(channel)
 print(f"cycle channel on the {channel.dim}-dimensional end-to-middle subsystem, "
       f"spectral gap {fp.spectral_gap:.4f}")
 
-kraus, recon = kraus_from_stack(channel.kraus)
+kraus, discarded, recon = kraus_from_stack(channel.kraus)
 print(f"\nKraus extraction from the Gram matrix of the {len(channel.kraus)} cycle operators:")
 print(f"  operators kept:            {len(kraus.kraus)}")
-print(f"  discarded Choi weight:     {kraus.discarded_weight:.3e}")
+print(f"  discarded Choi weight:     {discarded:.3e}")
 print(f"  completeness residual:     {kraus.completeness_residual():.3e}")
 print(f"  reconstruction bound:      {recon:.3e}")
 
-rev = reverse_channel(kraus, fp.rho_star)
+rev, _ = reverse_channel(kraus, fp.rho_star)
 print(f"\nreversed channel certificates:")
-print(f"  reversed completeness:     {rev.kraus.completeness_residual():.3e}")
+print(f"  reversed completeness:     {rev.completeness_residual():.3e}")
 print(f"  fixed point shared:        "
-      f"{trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star):.3e}")
+      f"{trace_distance(rev.apply(fp.rho_star), fp.rho_star):.3e}")
 
 print("\ntwo-step path probabilities from the limit state")
 print("(forward order (a1, a2) vs reversed order (a2, a1)):")
@@ -48,13 +48,13 @@ print(f"{'a1':>4} {'a2':>4} {'forward':>14} {'reversed':>14} {'difference':>12}"
 for _ in range(6):
     a1, a2 = rng.integers(0, len(kraus.kraus), size=2)
     p_fwd = sequence_probability([kraus.kraus[a1], kraus.kraus[a2]], fp.rho_star)
-    p_rev = sequence_probability([rev.kraus.kraus[a2], rev.kraus.kraus[a1]], fp.rho_star)
+    p_rev = sequence_probability([rev.kraus[a2], rev.kraus[a1]], fp.rho_star)
     print(f"{a1:>4} {a2:>4} {p_fwd:14.10f} {p_rev:14.10f} {abs(p_fwd - p_rev):12.3e}")
 
-back = reverse_channel(rev.kraus, fp.rho_star)
+back, _ = reverse_channel(rev, fp.rho_star)
 worst = 0.0
 for _ in range(10):
     probe = random_density_matrix(channel.dim, rng)
-    worst = max(worst, float(np.abs(back.kraus.apply(probe) - channel.apply(probe)).max()))
+    worst = max(worst, float(np.abs(back.apply(probe) - channel.apply(probe)).max()))
 print(f"\nreversing the reversed channel recovers the forward map: "
       f"worst deviation {worst:.3e}")

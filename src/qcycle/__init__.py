@@ -22,7 +22,7 @@ from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_chann
 from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
                      partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
                      trace_distance)
-from .reversal import ReversedChannel, kraus_from_stack, reverse_channel, sequence_probability
+from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
 
@@ -39,7 +39,7 @@ __all__ = [
     "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
     "trace_distance", "commutator_norm", "to_state",
     "check_density_matrix", "random_density_matrix",
-    "ReversedChannel", "kraus_from_stack", "reverse_channel", "sequence_probability",
+    "kraus_from_stack", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",
     "QcycleError", "ConfigError", "RankDeficientError", "DegenerateFixedPointError",

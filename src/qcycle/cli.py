@@ -159,8 +159,8 @@ def parse_config(path: str) -> RunConfig:
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
     tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
-    if not tol > 0.0:
-        raise ConfigError("solver.tol", f"must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("solver.tol", f"must be finite and positive, got {tol}")
     max_iter = _int_field(solver, "max_iter", "solver.max_iter", default=100_000, minimum=1)
     method = solver.get("method", "both")
     if method not in ("iterate", "spectral", "both"):
@@ -349,33 +349,34 @@ def cmd_report(cfg: RunConfig):
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
     cycle = limit_cycle_states(rho_star, parts, ops, tol=cfg.tol)
-    report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap, ops)
+    report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap, ops,
+                                tol=cfg.tol)
     return EXIT_OK, report.to_dict()  # an undefined eta is NaN, emitted as null
 
 
 def _reverse_one(cfg: RunConfig, channel, rho_star):
     """Certificates of one channel, reversed around its fixed point ``rho_star``."""
-    forward, recon = kraus_from_stack(channel.kraus)
-    rev = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
-    rev_fp_dist = trace_distance(rev.kraus.apply(rev.rho_star), rev.rho_star)
+    forward, discarded, recon = kraus_from_stack(channel.kraus)
+    rev, rho_star = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
+    rev_fp_dist = trace_distance(rev.apply(rho_star), rho_star)
 
     rng = np.random.default_rng(cfg.seed)
-    ops, reversed_ops = forward.kraus, rev.kraus.kraus
+    ops, reversed_ops = forward.kraus, rev.kraus
     pairs = rng.integers(0, len(ops), size=(50, 2))
     balance = 0.0
     for a1, a2 in pairs:
-        p_fwd = sequence_probability([ops[a1], ops[a2]], rev.rho_star)
-        p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], rev.rho_star)
+        p_fwd = sequence_probability([ops[a1], ops[a2]], rho_star)
+        p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], rho_star)
         balance = max(balance, abs(p_fwd - p_rev))
 
     return {
         "dim": channel.dim,
         "kraus_count": len(ops),
-        "discarded_choi_weight": forward.discarded_weight,
+        "discarded_choi_weight": discarded,
         # the Choi matrix's output trace is (sum_k K_k^* K_k)^T over any Kraus set of the map
         "choi_output_trace_residual": channel.completeness_residual(),
         "completeness_residual": forward.completeness_residual(),
-        "reversed_completeness_residual": rev.kraus.completeness_residual(),
+        "reversed_completeness_residual": rev.completeness_residual(),
         "reconstruction_residual": recon,
         "reversed_fixed_point_distance": rev_fp_dist,
         "max_detailed_balance_violation": balance,

@@ -87,13 +87,10 @@ class Channel:
 
     ``kraus`` is the stack, ``dim`` its operators' size. The spectral
     solvers build their sector blocks from it (:func:`sector_blocks`).
-    ``discarded_weight`` is the Choi weight dropped when the operators were
-    recombined from another stack (:func:`qcycle.reversal.kraus_from_stack`).
     """
 
-    def __init__(self, kraus, discarded_weight: float = 0.0):
+    def __init__(self, kraus):
         self.kraus = np.asarray(kraus, dtype=complex)
-        self.discarded_weight = discarded_weight
         k, d, _ = self.kraus.shape
         # row (k, m) is row m of K_k^*; apply's stacked product multiplies by it
         self._adjoints = self.kraus.conj().transpose(0, 2, 1).reshape(k * d, d)

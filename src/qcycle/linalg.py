@@ -17,7 +17,7 @@ HERMITICITY_ATOL = 1e-10
 # negative. A last iterate lies about solver tol / gap from the fixed point, so where that
 # has zero eigenvalues the iterate's can be that negative.
 STATE_PSD_ATOL = 1e-6
-# Eigenvalues at or below this fraction of the largest count as zero in rank and inverse roots.
+# Eigenvalues at or below this fraction of the largest count as zero in rank checks and Kraus cuts.
 RANK_TOL = 1e-12
 
 
@@ -80,29 +80,20 @@ def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def psd_sqrt_invsqrt(rho: np.ndarray, require_full_rank: bool = False):
-    """Square root and (pseudo-)inverse square root of a PSD matrix.
+def psd_sqrt_invsqrt(rho: np.ndarray):
+    """Square root and inverse square root ``(sqrt, invsqrt)`` of a full-rank PSD matrix.
 
-    Eigenvalues at or below ``RANK_TOL`` of the largest are treated as zero
-    and contribute nothing to the inverse root (pseudo-inverse on the
-    support).
-
-    Returns ``(sqrt, invsqrt, effective_rank)``. With ``require_full_rank``
-    a deficient input raises :class:`RankDeficientError` instead.
+    Eigenvalues at or below ``RANK_TOL`` of the largest count as zero; any
+    such raises :class:`RankDeficientError`.
     """
     rho = np.asarray(rho, dtype=complex)
     w, v = np.linalg.eigh(hermitian_part(rho))
-    cut = RANK_TOL * max(float(w.max()), 0.0)
-    support = w > cut
-    rank = int(support.sum())
-    if require_full_rank and rank < len(w):
+    rank = int((w > RANK_TOL * max(float(w.max()), 0.0)).sum())
+    if rank < len(w):
         raise RankDeficientError(rank, len(w))
-    root, inv_root = np.zeros_like(w), np.zeros_like(w)
-    root[support] = np.sqrt(w[support])
-    inv_root[support] = 1.0 / root[support]
-    sqrt = (v * root) @ v.conj().T
-    invsqrt = (v * inv_root) @ v.conj().T
-    return sqrt, invsqrt, rank
+    root = np.sqrt(w)
+    inv_root = 1.0 / root
+    return (v * root) @ v.conj().T, (v * inv_root) @ v.conj().T
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,10 +18,10 @@ import numpy as np
 from .chain import ChainSpec, HamiltonianParts, total_magnetization
 from .engine import CycleOperators, CycleParams, CycleState, cycle_record
 from .errors import CriteriaViolatedError
+from .limitcycle import DEFAULT_TOL
 from .linalg import partial_trace, trace_distance
 
 CRITERIA_ATOL = 1e-9   # |beta1 E_1 - beta2 E_N| below this counts as matched baths
-ZERO_HEAT_ATOL = 1e-13
 
 
 @dataclass
@@ -93,14 +93,20 @@ def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
 
 
 def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSpec,
-                       params: CycleParams, gap: float, ops: CycleOperators) -> LimitCycleReport:
+                       params: CycleParams, gap: float, ops: CycleOperators,
+                       tol: float = DEFAULT_TOL) -> LimitCycleReport:
     """Thermodynamic report at a converged limit cycle.
 
-    ``eta`` is NaN when the hot-side heat is numerically zero. ``ops`` are
-    the point's :func:`~qcycle.engine.cycle_operators`.
+    ``ops`` are the point's :func:`~qcycle.engine.cycle_operators` and
+    ``tol`` the tolerance the fixed point was solved and closed at
+    (:func:`~qcycle.limitcycle.limit_cycle_states`). ``eta`` is NaN when
+    |q_h| <= 10 tol |E_N|: closure accepts a state within trace distance
+    10 tol, and a state within delta moves q_h by at most delta |E_N|,
+    since the hot-side site Hamiltonian has norm |E_N| / 2.
     """
     rec = cycle_record(cycle, parts, ops)
     e_1, e_n = spec.E[0], spec.E[-1]
+    zero_heat = 10.0 * tol * abs(e_n)
 
     ansatz_distance = None
     if bath_criteria_mismatch(spec, params) <= CRITERIA_ATOL:
@@ -114,7 +120,7 @@ def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSp
         q_h_star=rec.q_h,
         w_star_paper=rec.w_total,
         w_star_ledger=rec.w_ledger,
-        eta=abs(rec.w_ledger) / rec.q_h if abs(rec.q_h) >= ZERO_HEAT_ATOL else float("nan"),
+        eta=abs(rec.w_ledger) / rec.q_h if abs(rec.q_h) > zero_heat else float("nan"),
         eta_predicted=1.0 - e_1 / e_n,
         carnot_eta=1.0 - params.beta2 / params.beta1,
         eq18_residual=abs(rec.q_c / e_1 + rec.q_h / e_n),

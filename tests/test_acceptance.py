@@ -172,7 +172,7 @@ def test_criterion_07_cptp_certificates(reversal_points):
             tp = float(np.abs(output_trace - np.eye(channel.dim)).max())
             if tp >= 1e-10:
                 failures.append(f"{label}: output-trace residual {tp:.3e}")
-            kraus, bound = kraus_from_stack(channel.kraus)
+            kraus, _, bound = kraus_from_stack(channel.kraus)
             rank = len(dense_kraus(j)[0])
             if len(kraus.kraus) != rank:
                 failures.append(f"{label}: {len(kraus.kraus)} operators, Choi rank {rank}")
@@ -197,14 +197,14 @@ def test_criterion_08_time_reversal(reversal_points):
             channel = maker(cycle_ops)
             label = f"n={spec.n} {name}"
             fp = fixed_point_spectral(channel)
-            kraus, _ = kraus_from_stack(channel.kraus)
-            rev = reverse_channel(kraus, fp.rho_star)
+            kraus, _, _ = kraus_from_stack(channel.kraus)
+            rev, _ = reverse_channel(kraus, fp.rho_star)
 
-            dist = trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star)
+            dist = trace_distance(rev.apply(fp.rho_star), fp.rho_star)
             if dist >= 1e-9:
                 failures.append(f"{label}: reversed fixed point moved {dist:.3e}")
 
-            ops, reversed_ops = kraus.kraus, rev.kraus.kraus
+            ops, reversed_ops = kraus.kraus, rev.kraus
             for _ in range(50):
                 a1, a2 = rng.integers(0, len(ops), size=2)
                 p_fwd = sequence_probability([ops[a1], ops[a2]], fp.rho_star)
@@ -213,10 +213,10 @@ def test_criterion_08_time_reversal(reversal_points):
                     failures.append(f"{label}: detailed balance off {abs(p_fwd - p_rev):.3e}")
                     break
 
-            back = reverse_channel(rev.kraus, fp.rho_star)
+            back, _ = reverse_channel(rev, fp.rho_star)
             for _ in range(10):
                 probe = random_density_matrix(channel.dim, rng)
-                gap = float(np.abs(back.kraus.apply(probe) - channel.apply(probe)).max())
+                gap = float(np.abs(back.apply(probe) - channel.apply(probe)).max())
                 if gap >= 1e-8:
                     failures.append(f"{label}: double reversal off by {gap:.3e}")
                     break

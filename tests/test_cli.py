@@ -79,8 +79,10 @@ class TestConfigParsing:
         assert "chain.E" in capsys.readouterr().err
 
     def test_nan_tolerance_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="solver.tol"):
-            parse_config(write_config(tmp_path, variant(**{"solver.tol": float("nan")})))
+        # json reads a bare NaN or Infinity; an infinite tol accepted any iterate
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="solver.tol"):
+                parse_config(write_config(tmp_path, variant(**{"solver.tol": tol})))
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_negative_seed_named(self, tmp_path, capsys, command):
@@ -278,6 +280,27 @@ class TestReport:
         out = json.loads(capsys.readouterr().out)
         assert out["ansatz_distance"] < 1e-8
         assert out["eta"] is None  # no transported heat at the matched point
+
+    def test_matched_bath_iterate_eta_null(self, tmp_path, capsys):
+        # the iterate lands about tol from the fixed point, which leaves q_h at 3.4e-11
+        # rather than rounding; below 10 tol |E_N| that heat is no heat
+        doc = {"chain": {"n": 5, "E": [0.9131652892127087, 1.981666365008762,
+                                       0.949622235757263, 0.8828966611052188,
+                                       2.1372709394849916],
+                         "J": [-0.22346675779426134, -0.3734164121908062,
+                               0.35381925279680015, 0.2923921254029992],
+                         "K": [-0.7493218958776404, 0.4644855870054037,
+                               0.23980044381106258, 0.4093912531311628],
+                         "F": [0.6386933458668431, 0.6458778318333795,
+                               -0.7379997939069745, -0.4814933934243145]},
+               "cycle": {"beta1": 0.6696698728259383, "beta2": 0.28612155426746727,
+                         "tau1": 0.7053587653267195, "tau2": 1.8489566109205093},
+               "solver": {"method": "iterate"},
+               "seed": 983522172}
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.0 < abs(out["q_h_star"]) <= 10 * 1e-10 * doc["chain"]["E"][-1]
+        assert out["eta"] is None
 
     def test_deterministic_document(self, tmp_path):
         cfg = write_config(tmp_path, GENERIC)

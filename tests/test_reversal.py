@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDeficientError,
                     cycle_channel_ac, cycle_channel_cb, fixed_point_spectral, kraus_from_stack,
-                    partial_trace, random_density_matrix, reverse_channel, sequence_probability,
-                    trace_distance)
+                    partial_trace, psd_sqrt_invsqrt, random_density_matrix, reverse_channel,
+                    sequence_probability, trace_distance)
 from qcycle.limitcycle import popcount_charges
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
@@ -24,7 +24,7 @@ def identity_channel(d):
 def engine_fixture(small_point, maker):
     ch = maker(point_operators(*small_point))
     fp = fixed_point_spectral(ch)
-    kraus, _ = kraus_from_stack(ch.kraus)
+    kraus, _, _ = kraus_from_stack(ch.kraus)
     return ch, fp, kraus
 
 
@@ -43,14 +43,14 @@ class TestChoiMatrix:
         w = np.eye(d, dtype=complex).reshape(-1)
         assert np.abs(j - np.outer(w, w.conj())).max() < 1e-14
         # three copies of I / sqrt(3) span its one eigenvector, of eigenvalue d
-        kraus, _ = kraus_from_stack(np.repeat(np.eye(d)[None], 3, axis=0) / np.sqrt(3))
+        kraus, _, _ = kraus_from_stack(np.repeat(np.eye(d)[None], 3, axis=0) / np.sqrt(3))
         assert len(kraus.kraus) == 1 and abs(weights(kraus)[0] - d) < 1e-12
         assert np.abs(naive_choi(kraus) - j).max() < 1e-14
 
     def test_replacement_channel(self, rng):
         sigma = random_density_matrix(3, rng)
         p, v = np.linalg.eigh(sigma)  # rho -> sigma Tr[rho], Kraus operators sqrt(p_a) |v_a><j|
-        kraus, _ = kraus_from_stack([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(3)[j])
+        kraus, _, _ = kraus_from_stack([np.sqrt(p[a]) * np.outer(v[:, a], np.eye(3)[j])
                                      for a in range(3) for j in range(3)])
         assert np.abs(naive_choi(kraus) - np.kron(sigma, np.eye(3))).max() < 1e-14
         assert np.abs(weights(kraus) - np.repeat(np.sort(p)[::-1], 3)).max() < 1e-14
@@ -70,7 +70,7 @@ class TestChoiMatrix:
         for n in (3, 4):
             spec, params = random_engine_point(rng, n)
             ch = maker(point_operators(spec, params))
-            kraus, _ = kraus_from_stack(ch.kraus)
+            kraus, _, _ = kraus_from_stack(ch.kraus)
             assert np.abs(naive_choi(kraus) - naive_choi(ch)).max() < 1e-14
 
 
@@ -79,7 +79,7 @@ class TestKrausFromChoi:
 
     def test_unitary_channel_single_operator(self, rng):
         u = haar_unitary(rng, 4)
-        kraus, _ = kraus_from_stack([0.6 * u, 0.8j * u])  # rank one, split over two operators
+        kraus, _, _ = kraus_from_stack([0.6 * u, 0.8j * u])  # rank one, split over two operators
         assert len(kraus.kraus) == 1
         a = kraus.kraus[0]
         phase = a[np.unravel_index(np.argmax(np.abs(u)), u.shape)] / \
@@ -88,7 +88,7 @@ class TestKrausFromChoi:
         assert np.abs(a - phase * u).max() < 1e-10
 
     def test_identity_channel_single_identity(self):
-        kraus, _ = kraus_from_stack(np.array([np.eye(3), 1j * np.eye(3)]) / np.sqrt(2))
+        kraus, _, _ = kraus_from_stack(np.array([np.eye(3), 1j * np.eye(3)]) / np.sqrt(2))
         assert len(kraus.kraus) == 1
         a = kraus.kraus[0]
         assert np.abs(a - a[0, 0] * np.eye(3)).max() < 1e-12
@@ -117,14 +117,14 @@ class TestKrausFromStack:
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         ch = maker(point_operators(spec, params))
         cm = naive_channel_matrix(ch)
-        kraus, bound = kraus_from_stack(ch.kraus)
+        kraus, discarded, bound = kraus_from_stack(ch.kraus)
         ops = kraus.kraus
         choi = naive_choi(ch)
         assert len(ops) == len(dense_kraus(choi)[0]) <= 16
 
         choi_weights = np.sort(np.linalg.eigvalsh((choi + choi.conj().T) / 2))[::-1]
         assert np.abs(weights(kraus) - choi_weights[:len(ops)]).max() < 1e-12
-        assert kraus.discarded_weight == 0.0
+        assert discarded == 0.0
 
         charge = popcount_charges(ch.dim)
         for a in ops:
@@ -136,9 +136,9 @@ class TestKrausFromStack:
         assert np.abs(rebuilt - cm).max() < 1e-12
         assert float(np.linalg.norm(cm - rebuilt, 2)) <= bound < 1e-10
 
-        rev = reverse_channel(kraus, fixed_point_spectral(ch).rho_star)
-        back = reverse_channel(rev.kraus, rev.rho_star)
-        assert np.abs(naive_channel_matrix(back.kraus) - cm).max() < 1e-10
+        rev, rho_star = reverse_channel(kraus, fixed_point_spectral(ch).rho_star)
+        back, _ = reverse_channel(rev, rho_star)
+        assert np.abs(naive_channel_matrix(back) - cm).max() < 1e-10
 
     def test_bound_covers_dropped_weight(self):
         # a second operator whose weight falls under RANK_TOL is dropped; the bound must
@@ -147,9 +147,9 @@ class TestKrausFromStack:
         b = np.zeros((d, d), dtype=complex)
         b[0, 1] = 1e-7
         stack = np.array([np.eye(d, dtype=complex), b])
-        kraus, bound = kraus_from_stack(stack)
+        kraus, discarded, bound = kraus_from_stack(stack)
         assert len(kraus.kraus) == 1
-        assert kraus.discarded_weight == pytest.approx(1e-14, rel=1e-12)
+        assert discarded == pytest.approx(1e-14, rel=1e-12)
         exact = naive_channel_matrix(Channel(stack)) - naive_channel_matrix(kraus)
         exact = float(np.linalg.norm(exact, 2))
         assert exact == pytest.approx(1e-14, rel=1e-6)
@@ -159,7 +159,7 @@ class TestKrausFromStack:
 class TestSequenceProbability:
     def test_unitary_single_event(self, rng):
         u = haar_unitary(rng, 3)
-        kraus, _ = kraus_from_stack(u[None])
+        kraus, _, _ = kraus_from_stack(u[None])
         rho = random_density_matrix(3, rng)
         assert abs(sequence_probability([kraus.kraus[0]], rho) - 1.0) < 1e-12
 
@@ -184,9 +184,9 @@ class TestSequenceProbability:
 class TestReverseChannel:
     def test_unitary_reversal_is_inverse(self, rng):
         u = haar_unitary(rng, 4)
-        kraus, _ = kraus_from_stack(u[None])
-        rev = reverse_channel(kraus, np.eye(4) / 4)
-        a = rev.kraus.kraus[0]
+        kraus, _, _ = kraus_from_stack(u[None])
+        rev, _ = reverse_channel(kraus, np.eye(4) / 4)
+        a = rev.kraus[0]
         udag = u.conj().T
         idx = np.unravel_index(np.argmax(np.abs(udag)), udag.shape)
         phase = a[idx] / udag[idx]
@@ -195,13 +195,13 @@ class TestReverseChannel:
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_shares_fixed_point(self, small_point, maker):
         _, fp, kraus = engine_fixture(small_point, maker)
-        rev = reverse_channel(kraus, fp.rho_star)
-        assert trace_distance(rev.kraus.apply(fp.rho_star), fp.rho_star) <= 1e-9
+        rev, _ = reverse_channel(kraus, fp.rho_star)
+        assert trace_distance(rev.apply(fp.rho_star), fp.rho_star) <= 1e-9
 
     def test_two_step_detailed_balance(self, rng, small_point):
         _, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
-        rev = reverse_channel(kraus, fp.rho_star)
-        ops, reversed_ops = kraus.kraus, rev.kraus.kraus
+        rev, _ = reverse_channel(kraus, fp.rho_star)
+        ops, reversed_ops = kraus.kraus, rev.kraus
         for _ in range(50):
             a1, a2 = rng.integers(0, len(ops), size=2)
             p_fwd = sequence_probability([ops[a1], ops[a2]], fp.rho_star)
@@ -210,17 +210,21 @@ class TestReverseChannel:
 
     def test_reversal_involution(self, rng, small_point):
         ch, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
-        rev = reverse_channel(kraus, fp.rho_star)
-        back = reverse_channel(rev.kraus, fp.rho_star)
+        rev, _ = reverse_channel(kraus, fp.rho_star)
+        back, _ = reverse_channel(rev, fp.rho_star)
         for _ in range(10):
             rho = random_density_matrix(ch.dim, rng)
-            assert np.abs(back.kraus.apply(rho) - ch.apply(rho)).max() <= 1e-8
+            assert np.abs(back.apply(rho) - ch.apply(rho)).max() <= 1e-8
 
     def test_adjoint_route_agrees(self, rng, small_point):
+        # the Kraus route against rho^{1/2} ch^*(rho^{-1/2} X rho^{-1/2}) rho^{1/2}
         _, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
-        rev = reverse_channel(kraus, fp.rho_star)
-        rho = random_density_matrix(kraus.dim, rng)
-        assert np.abs(rev.kraus.apply(rho) - rev.apply_adjoint_route(rho)).max() <= 1e-9
+        rev, rho_star = reverse_channel(kraus, fp.rho_star)
+        sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
+        for _ in range(3):
+            rho = random_density_matrix(kraus.dim, rng)
+            sandwich = sqrt @ kraus.adjoint().apply(invsqrt @ rho @ invsqrt) @ sqrt
+            assert np.abs(rev.apply(rho) - sandwich).max() <= 1e-9
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
     def test_ill_conditioned_fixed_point(self, maker):
@@ -230,9 +234,9 @@ class TestReverseChannel:
                          K=[0.696, 0.586, 0.6], F=[0.511, 0.216, 0.291])
         params = CycleParams(beta1=6.026, beta2=0.653, tau1=1.83, tau2=1.872)
         _, fp, kraus = engine_fixture((spec, params), maker)
-        rev = reverse_channel(kraus, fp.rho_star)
-        assert trace_distance(rev.rho_star, fp.rho_star) <= 1e-13
-        assert rev.kraus.completeness_residual() <= 1e-10
+        rev, rho_star = reverse_channel(kraus, fp.rho_star)
+        assert trace_distance(rho_star, fp.rho_star) <= 1e-13
+        assert rev.completeness_residual() <= 1e-10
 
     def test_rejects_non_fixed_state(self, rng, small_point):
         _, _, kraus = engine_fixture(small_point, cycle_channel_cb)

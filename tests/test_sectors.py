@@ -108,7 +108,7 @@ class TestCycleChannelsSplit:
             assert abs(result.spectral_gap - gap) < 1e-12
             assert np.abs(result.rho_star - rho).max() < 1e-12
 
-        kraus, bound = kraus_from_stack(ch.kraus)
+        kraus, _, bound = kraus_from_stack(ch.kraus)
         assert len(kraus.kraus) == len(dense_kraus(naive_choi(ch))[0])
         exact = float(np.linalg.norm(cm - naive_channel_matrix(kraus), 2))
         assert exact <= bound < 1e-10
@@ -148,7 +148,7 @@ class TestOneLoopTwoAnchors:
         # the cold half-cycle carries CB's fixed point, solved or refined, to AC's
         rho_ac = fixed_point_spectral(ac).rho_star
         rho_cb = fixed_point_spectral(cb).rho_star
-        refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb).rho_star
+        refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb)[1]
         cold = cold_half_cycle(ops)
         for rho in (rho_cb, refined):
             assert trace_distance(to_state(cold.apply(rho)), rho_ac) < 1e-12
@@ -205,7 +205,7 @@ class TestFallbackIsDense:
         rho = to_state(unvec(_unit_vector(block.copy(), np.arange(d) * (d + 1)), d))
         assert np.array_equal(result.rho_star, rho)
 
-        gram, bound = kraus_from_stack(ch.kraus)
+        gram, _, bound = kraus_from_stack(ch.kraus)
         assert len(gram.kraus) == len(dense_kraus(naive_choi(ch))[0])
         exact = float(np.linalg.norm(cm - naive_channel_matrix(gram), 2))
         assert exact <= bound < 1e-10

@@ -99,7 +99,7 @@ class TestOperatingModes:
             if abs(balance) < 0.05:
                 continue  # too close to the crossover for a stable sign
             report = solved_report(spec, params)
-            if abs(report.q_h_star) < 1e-10:  # eta is NaN below 1e-13
+            if abs(report.q_h_star) < 1e-10:  # too little heat for a stable sign
                 continue
             assert np.sign(report.q_h_star) == np.sign(balance)
             assert abs(abs(report.w_star_ledger) / abs(report.q_h_star)
