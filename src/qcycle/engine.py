@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianParts, gibbs_state
+from .chain import HamiltonianParts, gibbs_state, popcount_charges, popcount_classes
 from .errors import ConfigError
 from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_trace,
                      unitary_from_eigh)
@@ -87,30 +87,57 @@ class CycleRecord:
 
 @dataclass
 class CycleOperators:
-    """Precomputed per-cycle operators: end-qubit Gibbs states and unitaries."""
+    """Precomputed per-cycle operators: end-qubit Gibbs states and unitaries.
+
+    h_s conserves total S^Z, so both unitaries are block diagonal over the
+    popcount ``classes`` of :func:`~qcycle.chain.popcount_classes`, and
+    ``u1_blocks``/``u2_blocks`` hold one block per class. The dense ``u1``/``u2``
+    are assembled from those blocks, so their entries between classes are exactly zero.
+    """
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
+    classes: list
+    u1_blocks: list
+    u2_blocks: list
 
 
 def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperators:
-    """The two bath Gibbs states, and both stroke unitaries from one eigendecomposition of h_s.
+    """The two bath Gibbs states, and both stroke unitaries from one eigh of h_s per popcount class.
 
-    A duration whose phases (eigenvalue times duration) overflow raises ConfigError naming it.
+    An entry of h_s between two classes raises ValueError: S^Z is not conserved. A duration
+    whose phases (eigenvalue times duration) overflow raises ConfigError naming it.
     """
-    w, v = eigh_hermitian(parts.h_s)
-    w_max = float(np.abs(w).max())
+    d = parts.h_s.shape[0]
+    if np.any(parts.h_s[popcount_charges(d) != 0]):
+        raise ValueError("h_s couples basis states of different popcount: S^Z is not conserved")
+    classes = popcount_classes(d)
+    eigs = [eigh_hermitian(parts.h_s[np.ix_(c, c)]) for c in classes]
+    w_max = max(float(np.abs(w).max()) for w, _ in eigs)
     for name in ("tau1", "tau2"):
         if not math.isfinite(w_max * getattr(params, name)):
             raise ConfigError(name, "too long: the chain's largest energy times it overflows")
+    u1_blocks = [unitary_from_eigh(w, v, params.tau1) for w, v in eigs]
+    u2_blocks = [unitary_from_eigh(w, v, params.tau2) for w, v in eigs]
     return CycleOperators(
         sigma_a=gibbs_state(parts.h_a_local, params.beta1),
         sigma_b=gibbs_state(parts.h_b_local, params.beta2),
-        u1=unitary_from_eigh(w, v, params.tau1),
-        u2=unitary_from_eigh(w, v, params.tau2),
+        u1=_assemble(u1_blocks, classes, d),
+        u2=_assemble(u2_blocks, classes, d),
+        classes=classes,
+        u1_blocks=u1_blocks,
+        u2_blocks=u2_blocks,
     )
+
+
+def _assemble(blocks, classes, d: int) -> np.ndarray:
+    """The d x d matrix with the given blocks on the classes and zeros between them."""
+    u = np.zeros((d, d), dtype=complex)
+    for c, block in zip(classes, blocks):
+        u[np.ix_(c, c)] = block
+    return u
 
 
 def replace_first_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
@@ -123,17 +150,35 @@ def replace_last_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
     return kron(partial_trace(m, range(0, len(dims) - 1), dims), sigma)
 
 
+def _left_multiply(m: np.ndarray, blocks, classes) -> np.ndarray:
+    """U m for the block-diagonal U of ``blocks``: each class's rows of m times its block."""
+    out = np.empty(m.shape, dtype=complex)
+    for c, block in zip(classes, blocks):
+        out[c] = block @ m[c]
+    return out
+
+
+def _evolve(rho: np.ndarray, blocks, classes) -> np.ndarray:
+    """The Hermitian part of U rho U*, for the block-diagonal U of ``blocks``.
+
+    A matrix and its adjoint have the same Hermitian part, so the adjoint
+    (U rho U*)* = U (U rho)* is formed instead: both its products multiply rows by blocks.
+    """
+    u_rho = _left_multiply(rho, blocks, classes)
+    return hermitian_part(_left_multiply(u_rho.conj().T, blocks, classes))
+
+
 def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
     """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
 
     Stroke 2 evolves by u1, stroke 3 replaces the last qubit with sigma_b,
-    stroke 4 evolves by u2. U rho U* of a Hermitian rho is Hermitian up to rounding,
-    which hermitian_part removes. rho3 needs no symmetrizing: Tr_B of the exactly
+    stroke 4 evolves by u2, each evolution by the unitary's popcount blocks
+    (:func:`_evolve`). rho3 needs no symmetrizing: Tr_B of the exactly
     Hermitian rho2, tensored with the real diagonal sigma_b, is exactly Hermitian.
     """
-    rho2 = hermitian_part(ops.u1 @ rho1 @ ops.u1.conj().T)
+    rho2 = _evolve(rho1, ops.u1_blocks, ops.classes)
     rho3 = replace_last_factor(rho2, ops.sigma_b, dims)
-    rho4 = hermitian_part(ops.u2 @ rho3 @ ops.u2.conj().T)
+    rho4 = _evolve(rho3, ops.u2_blocks, ops.classes)
     return rho2, rho3, rho4
 
 

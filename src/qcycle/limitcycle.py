@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import HamiltonianParts
+from .chain import HamiltonianParts, popcount_charges, popcount_classes
 from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import hermitize, kron, partial_trace, to_state, trace_distance
@@ -177,18 +177,6 @@ def cold_half_cycle(ops: CycleOperators) -> Channel:
     return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True))
 
 
-def popcount_charges(d: int) -> np.ndarray | None:
-    """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
-
-    Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
-    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
-    """
-    if d < 2 or d & (d - 1):
-        return None
-    pop = np.array([k.bit_count() for k in range(d)])
-    return pop[:, None] - pop[None, :]
-
-
 def _charge_groups(stack: np.ndarray) -> list:
     """``[(s, indices), ...]``: a (k, d, d) stack's operators grouped by S^Z charge s, ascending.
 
@@ -281,8 +269,7 @@ def sector_blocks(ch: Channel):
     if groups[0][0] is None:
         classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
     else:
-        pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
-        classes = [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
+        classes = popcount_classes(d)
         charges, by_charge = range(len(classes)), dict(groups)
     for q in charges:
         shift = q or 0

@@ -116,9 +116,23 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2, unconditionally."""
+    """(m + m*) / 2, unconditionally.
+
+    Formed in the one array of :func:`_adjoint`, added to and halved in place.
+    The sum commutes and halving is exact, so this is ``(m + m.conj().T) / 2``
+    bit for bit, except that an exactly zero real or imaginary part may carry
+    the other sign.
+    """
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2.0
+    h = _adjoint(m)
+    h += m
+    h *= 0.5
+    return h
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """m* as a new C-ordered array, written in one pass."""
+    return np.conjugate(m.T, out=np.empty(m.T.shape, dtype=complex))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -126,14 +140,18 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
     For a state a caller hands in (``run_cycle``'s rho0 after stroke 1,
     ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
-    mean it is no state and raise instead of being papered over.
+    mean it is no state and raise instead of being papered over. Returns
+    :func:`hermitian_part`'s value, formed the same way.
     """
     m = np.asarray(m, dtype=complex)
-    dev = float(np.abs(m - m.conj().T).max())
+    h = _adjoint(m)
+    dev = float(np.abs(m - h).max())
     if dev > HERMITICITY_ATOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} "
                          f"(allowed {HERMITICITY_ATOL:.3e})")
-    return (m + m.conj().T) / 2.0
+    h += m
+    h *= 0.5
+    return h
 
 
 def to_state(m: np.ndarray) -> np.ndarray:

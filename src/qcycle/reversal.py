@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chain import popcount_charges
 from .errors import NotFixedPointError
-from .limitcycle import Channel, _charge_groups, popcount_charges
+from .limitcycle import Channel, _charge_groups
 from .linalg import RANK_TOL, hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 

@@ -100,7 +100,11 @@ def naive_gibbs(h, beta):
 
 
 class NaiveCycle:
-    """Full stroke pipeline for one (spec, params) point, oracle edition."""
+    """Full stroke pipeline for one (spec, params) point, oracle edition.
+
+    ``run`` is the full-chain cycle; ``apply_cb``, ``apply_cold`` and ``apply_ac``
+    are the reduced-chain channels.
+    """
 
     def __init__(self, spec, params):
         self.n = spec.n
@@ -109,6 +113,16 @@ class NaiveCycle:
         self.sigma_b = naive_gibbs(spec.E[-1] * SZ / 2.0, params.beta2)
         self.u1 = expm(-1j * h_s * params.tau1)
         self.u2 = expm(-1j * h_s * params.tau2)
+
+    def run(self, rho0):
+        """The post-stroke states (rho1, rho2, rho3, rho4) of one full-chain cycle from rho0."""
+        d_rest = 2 ** (self.n - 1)
+        rest = naive_ptrace_first(np.asarray(rho0, dtype=complex), 2, d_rest)
+        rho1 = naive_kron(self.sigma_a, rest)
+        rho2 = self.u1 @ rho1 @ self.u1.conj().T
+        rho3 = naive_kron(naive_ptrace_last(rho2, d_rest, 2), self.sigma_b)
+        rho4 = self.u2 @ rho3 @ self.u2.conj().T
+        return rho1, rho2, rho3, rho4
 
     def apply_cb(self, rho_cb):
         full = naive_kron(self.sigma_a, np.asarray(rho_cb, dtype=complex))

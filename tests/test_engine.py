@@ -5,10 +5,12 @@ from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
                     check_density_matrix, cycle_operators, gibbs_state, kron,
                     partial_trace, random_density_matrix, run_cycle,
                     total_magnetization, trace_distance)
+from qcycle.chain import popcount_charges
 from qcycle.engine import replace_first_factor, replace_last_factor
-from qcycle.limitcycle import cycle_channel_cb, fixed_point_iterate, fixed_point_spectral
-from qcycle.limitcycle import limit_cycle_states
-from conftest import random_chain_spec, random_engine_point
+from qcycle.limitcycle import (_charge_groups, cycle_channel_ac, cycle_channel_cb,
+                               fixed_point_iterate, fixed_point_spectral, limit_cycle_states)
+from conftest import point_operators, random_chain_spec, random_engine_point
+from oracle_naive import NaiveCycle
 
 DIMS = [2, 2, 2]
 
@@ -116,6 +118,45 @@ class TestUnitaryStroke:
         times = {"tau1": 0.7, "tau2": 1.3, tau: 1e10}
         with pytest.raises(ConfigError, match=f"^{tau}: too long"):
             cycle_operators(build_hamiltonian(spec), CycleParams(beta1=1.0, beta2=0.75, **times))
+
+
+class TestPopcountBlocks:
+    """h_s conserves total S^Z, so cycle_operators builds u1 and u2 one popcount block at a time."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_unitaries_exactly_block_diagonal(self, rng, n):
+        # a dense eigh of h_s would leave rounding of about 1e-16 between the blocks
+        ops = point_operators(*random_engine_point(rng, n))
+        between = popcount_charges(2**n) != 0
+        for u in (ops.u1, ops.u2):
+            assert np.count_nonzero(u[between]) == 0
+        charge = popcount_charges(2 ** (n - 1))
+        for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops)):
+            groups = _charge_groups(ch.kraus)
+            assert groups[0][0] is not None
+            for s, ks in groups:
+                assert np.count_nonzero(ch.kraus[ks][:, charge != s]) == 0
+
+    def test_rejects_coupling_between_popcounts(self, small_point):
+        spec, params = small_point
+        parts = build_hamiltonian(spec)
+        parts.h_s = parts.h_s + 0.1 * kron(kron(np.eye(2), np.eye(2)), [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="S\\^Z is not conserved"):
+            cycle_operators(parts, params)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_stroke_states_match_oracle(self, rng, n):
+        # the oracle evolves by expm's dense unitaries and uses explicit kron and trace loops
+        spec, params = random_engine_point(rng, n)
+        rho0 = full_random_state(rng, n)
+        charge = popcount_charges(2**n)
+        for q in np.unique(charge):  # every charge sector starts populated
+            assert np.abs(rho0[charge == q]).max() > 1e-4
+        parts = build_hamiltonian(spec)
+        state, _ = run_cycle(rho0, parts, cycle_operators(parts, params))
+        expected = NaiveCycle(spec, params).run(rho0)
+        for got, want in zip((state.rho1, state.rho2, state.rho3, state.rho4), expected):
+            assert np.abs(got - want).max() < 1e-12
 
 
 class TestRunCycle:

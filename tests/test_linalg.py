@@ -4,7 +4,7 @@ import pytest
 from qcycle import (RankDeficientError, commutator_norm, expm_unitary, kron,
                     partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
                     trace_distance)
-from qcycle.linalg import STATE_PSD_ATOL, hermitize
+from qcycle.linalg import STATE_PSD_ATOL, hermitian_part, hermitize
 
 
 def random_hermitian(rng, d):
@@ -153,7 +153,26 @@ class TestCommutatorNorm:
             commutator_norm(np.eye(2), np.eye(3))
 
 
+def bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
 class TestHygiene:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("clean", [hermitian_part, hermitize])
+    def test_returns_the_half_sum(self, rng, clean, layout):
+        drift = 1e-12 * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        m = random_hermitian(rng, 9) + drift
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "strided":
+            spread = np.zeros((18, 27), dtype=complex)
+            spread[::2, ::3] = m
+            m = spread[::2, ::3]
+        out = clean(m)
+        assert np.array_equal(bits(out), bits((m + m.conj().T) / 2))
+        assert out.flags.c_contiguous
+
     def test_hermitize_rejects_real_asymmetry(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(ValueError):
