@@ -81,9 +81,9 @@ class ChainSpec:
     ``E`` holds the n local fields; ``J``, ``K``, ``F`` hold the n-1 bond
     couplings (in-plane exchange, antisymmetric exchange, and longitudinal
     coupling respectively). Units are energy with hbar = k_B = 1. Invalid
-    values raise :class:`ConfigError` naming the field (``E[0]``, ``J``).
-    ``energy_bound`` is sum |E| + 4 sum (|J| + |K| + |F|), which bounds the
-    chain Hamiltonian's entries and its norm.
+    values raise :class:`ConfigError` naming the field (``E[0]``, ``J``), as
+    does a bound sum |E| + 4 sum (|J| + |K| + |F|) on the chain Hamiltonian's
+    entries that overflows.
     """
 
     n: int
@@ -91,7 +91,6 @@ class ChainSpec:
     J: tuple = field(default=())
     K: tuple = field(default=())
     F: tuple = field(default=())
-    energy_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -111,7 +110,6 @@ class ChainSpec:
             bound += (1.0 if name == "E" else 4.0) * sum(abs(x) for x in getattr(self, name))
             if not math.isfinite(bound):
                 raise ConfigError(name, "too large: the chain Hamiltonian overflows")
-        self.energy_bound = bound
         if self.E[0] == 0.0:
             raise ConfigError("E[0]", "must be nonzero (end qubit A needs a finite gap)")
         if self.E[-1] == 0.0:
@@ -121,18 +119,13 @@ class ChainSpec:
 
 @dataclass
 class HamiltonianParts:
-    """Five-part decomposition of the chain Hamiltonian.
+    """The chain Hamiltonian ``h_s`` and the parts of it the cycle accounting reads.
 
-    ``h_s = h_a + h_b + h_c + h_ac + h_cb`` holds exactly by construction:
-    ``h_a``/``h_b`` are the end-qubit field terms, ``h_ac``/``h_cb`` the
-    first/last bond terms, ``h_c`` everything in between. ``h_a_local`` and
-    ``h_b_local`` are the 2x2 single-site versions of the end terms, used
-    wherever a reduced end-qubit state is paired with its Hamiltonian.
+    ``h_ac``/``h_cb`` are the first/last bond terms. ``h_a_local`` and
+    ``h_b_local`` are the 2x2 end-qubit field terms, used wherever a reduced
+    end-qubit state is paired with its Hamiltonian.
     """
 
-    h_a: np.ndarray
-    h_b: np.ndarray
-    h_c: np.ndarray
     h_ac: np.ndarray
     h_cb: np.ndarray
     h_s: np.ndarray
@@ -155,7 +148,7 @@ def _bond_terms(spec: ChainSpec, bond: int) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ChainSpec) -> HamiltonianParts:
-    """Assemble the chain Hamiltonian and its subsystem decomposition."""
+    """Assemble the chain Hamiltonian, summed as end fields + interior + end bonds."""
     n = spec.n
     h_a = spec.E[0] * site_operator("Z", 1, n)
     h_b = spec.E[-1] * site_operator("Z", n, n)
@@ -171,7 +164,7 @@ def build_hamiltonian(spec: ChainSpec) -> HamiltonianParts:
 
     h_s = h_a + h_b + h_c + h_ac + h_cb
     return HamiltonianParts(
-        h_a=h_a, h_b=h_b, h_c=h_c, h_ac=h_ac, h_cb=h_cb, h_s=h_s,
+        h_ac=h_ac, h_cb=h_cb, h_s=h_s,
         h_a_local=spec.E[0] * PAULI["Z"] / 2.0,
         h_b_local=spec.E[-1] * PAULI["Z"] / 2.0,
         n=n,

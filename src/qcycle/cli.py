@@ -31,8 +31,8 @@ from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointErr
 from .limitcycle import (DEGENERACY_TOL, cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
                          sector_eigenvalues, spectral_summary)
-from .linalg import (check_density_matrix, partial_trace, random_density_matrix, to_state,
-                     trace_distance)
+from .linalg import (check_density_matrix, hermitian_part, partial_trace, random_density_matrix,
+                     to_state, trace_distance)
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import limit_cycle_report
 
@@ -152,10 +152,6 @@ def parse_config(path: str) -> RunConfig:
     cyc = _section(raw, "cycle", fields)
     params = _build("cycle", CycleParams, **{key: _float_field(cyc, key, f"cycle.{key}")
                                              for key in fields})
-    tau = "tau1" if params.tau1 >= params.tau2 else "tau2"
-    if not math.isfinite(spec.energy_bound * getattr(params, tau)):
-        # the stroke unitaries' phases, energy times duration, would overflow
-        raise ConfigError(f"cycle.{tau}", "too long: the chain's energy bound times it overflows")
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
     tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
@@ -263,9 +259,15 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
             check_density_matrix(rho, herm_atol=1e-10, trace_atol=1e-10)
         except ValueError as exc:
             raise ConfigError("initial_state", str(exc)) from exc
-        return np.asarray(rho, dtype=complex)
+        return hermitian_part(rho)  # exact, so run_cycle's check sees none of the drift accepted
     rng = np.random.default_rng(cfg.seed)
     return random_density_matrix(dim, rng)
+
+
+def _operators(cfg: RunConfig):
+    """The point's (parts, ops); an overflowing stroke phase is a config error under ``cycle.``."""
+    parts = build_hamiltonian(cfg.spec)
+    return parts, _build("cycle", cycle_operators, parts=parts, params=cfg.params)
 
 
 def cmd_simulate(cfg: RunConfig):
@@ -277,8 +279,7 @@ def cmd_simulate(cfg: RunConfig):
     Cycle 2 compares with the initial state, on the full chain. The later
     distances never grow, and a run exits 2 where they stall (``STALL_WINDOW``).
     """
-    parts = build_hamiltonian(cfg.spec)
-    ops = cycle_operators(parts, cfg.params)
+    parts, ops = _operators(cfg)
     rho0 = initial = _initial_full_state(cfg)
     n = cfg.spec.n
 
@@ -343,8 +344,7 @@ def _solve_fixed_point(cfg: RunConfig, channel):
 
 def cmd_report(cfg: RunConfig):
     """Limit-cycle thermodynamic report; returns (exit_status, doc or None)."""
-    parts = build_hamiltonian(cfg.spec)
-    ops = cycle_operators(parts, cfg.params)
+    parts, ops = _operators(cfg)
     rho_star, spectral, _ = _solve_fixed_point(cfg, cycle_channel_cb(ops))
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
@@ -391,7 +391,7 @@ def cmd_reverse(cfg: RunConfig):
     point is the cold half-cycle's image of CB's, and its uniqueness is CB's
     (the :mod:`qcycle.limitcycle` docstring).
     """
-    ops = cycle_operators(build_hamiltonian(cfg.spec), cfg.params)
+    _, ops = _operators(cfg)
     cb = cycle_channel_cb(ops)
     rho_star = fixed_point_spectral(cb).rho_star
     rho_ac = to_state(cold_half_cycle(ops).apply(rho_star))
@@ -419,7 +419,7 @@ def cmd_spectrum(cfg: RunConfig):
     the two share their eigenvalues sector by sector (the
     :mod:`qcycle.limitcycle` docstring), and the ``ac`` block is CB's.
     """
-    cb = _spectrum_one(cycle_channel_cb(cycle_operators(build_hamiltonian(cfg.spec), cfg.params)))
+    cb = _spectrum_one(cycle_channel_cb(_operators(cfg)[1]))
     return EXIT_OK, {"cb": cb, "ac": dict(cb)}
 
 

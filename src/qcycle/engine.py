@@ -91,14 +91,13 @@ class CycleOperators:
 
     h_s conserves total S^Z, so both unitaries are block diagonal over the
     popcount ``classes`` of :func:`~qcycle.chain.popcount_classes`, and
-    ``u1_blocks``/``u2_blocks`` hold one block per class. The dense ``u1``/``u2``
-    are assembled from those blocks, so their entries between classes are exactly zero.
+    ``u1_blocks``/``u2_blocks`` hold one block per class, the unitaries' only form.
+    The dense matrices are assembled only where the half-cycle Kraus operators are
+    cut (:mod:`qcycle.limitcycle`).
     """
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
     classes: list
     u1_blocks: list
     u2_blocks: list
@@ -124,25 +123,10 @@ def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperat
     return CycleOperators(
         sigma_a=gibbs_state(parts.h_a_local, params.beta1),
         sigma_b=gibbs_state(parts.h_b_local, params.beta2),
-        u1=_assemble(u1_blocks, classes, d),
-        u2=_assemble(u2_blocks, classes, d),
         classes=classes,
         u1_blocks=u1_blocks,
         u2_blocks=u2_blocks,
     )
-
-
-def _assemble(blocks, classes, d: int) -> np.ndarray:
-    """The d x d matrix with the given blocks on the classes and zeros between them."""
-    u = np.zeros((d, d), dtype=complex)
-    for c, block in zip(classes, blocks):
-        u[np.ix_(c, c)] = block
-    return u
-
-
-def replace_first_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
-    """Linear map m -> sigma (x) Tr_first[m]; building block of stroke 1."""
-    return kron(sigma, partial_trace(m, range(1, len(dims)), dims))
 
 
 def replace_last_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
@@ -214,13 +198,16 @@ def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators
 
 
 def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, ops: CycleOperators):
-    """One full cycle from rho0 with the point's operators; returns (CycleState, CycleRecord)."""
+    """One full cycle from rho0 with the point's operators; returns (CycleState, CycleRecord).
+
+    Stroke 1 keeps Tr_A rho0, which :func:`~qcycle.linalg.hermitize` checks and symmetrizes.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     n = parts.n
     if rho0.shape != (2**n, 2**n):
         raise ValueError(f"expected a state on the chain's {n} qubits, got shape {rho0.shape}")
     dims = [2] * n
 
-    rho1 = hermitize(replace_first_factor(rho0, ops.sigma_a, dims))
+    rho1 = kron(ops.sigma_a, hermitize(partial_trace(rho0, range(1, n), dims)))
     state = CycleState(rho0, rho1, *strokes_2_to_4(rho1, ops, dims))
     return state, cycle_record(state, parts, ops)

@@ -143,10 +143,23 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
-    """Operators sqrt(p_e) <t|_out u |v_e>_bath, the bath entering as site 1 or n."""
+def _assemble(blocks, classes) -> np.ndarray:
+    """The dense matrix with the given blocks on the classes and zeros between them."""
+    d = sum(len(c) for c in classes)
+    u = np.zeros((d, d), dtype=complex)
+    for c, block in zip(classes, blocks):
+        u[np.ix_(c, c)] = block
+    return u
+
+
+def _half_cycle_kraus(blocks, classes, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
+    """Operators sqrt(p_e) <t|_out U |v_e>_bath, the bath entering as site 1 or n.
+
+    U, the stroke unitary of the popcount ``blocks``, is assembled dense only here.
+    """
     p, v = np.linalg.eigh(sigma)  # a Gibbs state of a diagonal h_local: p are its weights, >= 0
     bath = v * np.sqrt(p)  # column e is sqrt(p_e) v_e
+    u = _assemble(blocks, classes)
     d = u.shape[0] // 2
     # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
     # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
@@ -156,8 +169,8 @@ def _half_cycle_kraus(u: np.ndarray, sigma: np.ndarray, bath_first: bool) -> np.
 
 def _cycle_kraus(ops: CycleOperators, cold_first: bool) -> np.ndarray:
     """The 16 products S F of the half-cycles, F = cold (CB) or hot (AC) acting first."""
-    cold = _half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True)
-    hot = _half_cycle_kraus(ops.u2, ops.sigma_b, bath_first=False)
+    cold = _half_cycle_kraus(ops.u1_blocks, ops.classes, ops.sigma_a, bath_first=True)
+    hot = _half_cycle_kraus(ops.u2_blocks, ops.classes, ops.sigma_b, bath_first=False)
     first, second = (cold, hot) if cold_first else (hot, cold)
     return (second[:, None] @ first[None, :]).reshape(16, *cold.shape[1:])
 
@@ -174,7 +187,7 @@ def cycle_channel_ac(ops: CycleOperators) -> Channel:
 
 def cold_half_cycle(ops: CycleOperators) -> Channel:
     """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
-    return Channel(_half_cycle_kraus(ops.u1, ops.sigma_a, bath_first=True))
+    return Channel(_half_cycle_kraus(ops.u1_blocks, ops.classes, ops.sigma_a, bath_first=True))
 
 
 def _charge_groups(stack: np.ndarray) -> list:

@@ -138,7 +138,7 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
-    For a state a caller hands in (``run_cycle``'s rho0 after stroke 1,
+    For a state a caller hands in (``run_cycle``'s Tr_A rho0,
     ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
     mean it is no state and raise instead of being papered over. Returns
     :func:`hermitian_part`'s value, formed the same way.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, HamiltonianParts, total_magnetization
+from .chain import ChainSpec, HamiltonianParts
 from .engine import CycleOperators, CycleParams, CycleState, cycle_record
 from .errors import CriteriaViolatedError
 from .limitcycle import DEFAULT_TOL
@@ -68,8 +68,8 @@ class LimitCycleReport:
 
 def magnetization_gibbs(n: int, kappa: float) -> np.ndarray:
     """The product state e^{-kappa S_Z} / Z on n qubits."""
-    sz = total_magnetization(n)
-    w = np.exp(-kappa * np.diag(sz).real)
+    sz = np.array([n / 2 - k.bit_count() for k in range(2**n)])  # diagonal; |0> is S^Z = +1/2
+    w = np.exp(-kappa * sz)
     w /= w.sum()
     return np.diag(w).astype(complex)
 

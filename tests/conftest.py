@@ -56,6 +56,18 @@ def point_operators(spec, params):
     return cycle_operators(build_hamiltonian(spec), params)
 
 
+def dense_unitaries(ops):
+    """The dense (u1, u2) of ``ops``, each assembled from its popcount blocks."""
+    d = sum(len(c) for c in ops.classes)
+    dense = []
+    for blocks in (ops.u1_blocks, ops.u2_blocks):
+        u = np.zeros((d, d), dtype=complex)
+        for c, block in zip(ops.classes, blocks):
+            u[np.ix_(c, c)] = block
+        dense.append(u)
+    return tuple(dense)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

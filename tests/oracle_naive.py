@@ -74,23 +74,22 @@ def naive_bond(spec, bond, n):
 
 
 def naive_hamiltonian(spec):
-    """The six full-size parts of the chain Hamiltonian, keyed as in HamiltonianParts.
+    """The full-size parts of the chain Hamiltonian, keyed as in HamiltonianParts.
 
-    Summed in the package's order, so the values agree exactly.
+    ``h_s`` is summed in the package's order (end fields, interior, end
+    bonds), so the values agree exactly.
     """
     n = spec.n
     d = 2**n
-    parts = {"h_a": spec.E[0] * naive_site_operator(SZ, 1, n),
-             "h_b": spec.E[-1] * naive_site_operator(SZ, n, n),
-             "h_ac": naive_bond(spec, 1, n),
-             "h_cb": naive_bond(spec, n - 1, n)}
+    h_a = spec.E[0] * naive_site_operator(SZ, 1, n)
+    h_b = spec.E[-1] * naive_site_operator(SZ, n, n)
+    parts = {"h_ac": naive_bond(spec, 1, n), "h_cb": naive_bond(spec, n - 1, n)}
     h_c = np.zeros((d, d), dtype=complex)
     for i in range(2, n):
         h_c = h_c + spec.E[i - 1] * naive_site_operator(SZ, i, n)
     for bond in range(2, n - 1):
         h_c = h_c + naive_bond(spec, bond, n)
-    parts["h_c"] = h_c
-    parts["h_s"] = parts["h_a"] + parts["h_b"] + h_c + parts["h_ac"] + parts["h_cb"]
+    parts["h_s"] = h_a + h_b + h_c + parts["h_ac"] + parts["h_cb"]
     return parts
 
 

@@ -19,7 +19,7 @@ from qcycle import (DegenerateFixedPointError, build_hamiltonian, commutator_nor
                     total_magnetization, trace_distance)
 from qcycle import ChainSpec, CycleParams, ansatz_state
 from qcycle.cli import main as cli_main
-from conftest import carnot_point, point_operators, random_engine_point
+from conftest import carnot_point, dense_unitaries, point_operators, random_engine_point
 from oracle_naive import NaiveCycle, dense_kraus, naive_channel_matrix, naive_choi
 
 ENSEMBLE_CHAIN_SIZES = [3] * 8 + [4] * 6 + [5] * 4 + [6] * 2  # twenty points
@@ -91,7 +91,7 @@ def test_criterion_02_spin_conservation(ensemble):
             failures.append(f"point {i}: [H, S_Z] = {comm:.3e}")
         rho = random_density_matrix(2**pt.n, rng)
         ops = cycle_operators(pt.parts, pt.params)
-        for u in (ops.u1, ops.u2):
+        for u in dense_unitaries(ops):
             out = u @ rho @ u.conj().T
             drift = abs(np.trace(sz @ out) - np.trace(sz @ rho))
             if drift > 1e-10:

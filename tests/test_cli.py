@@ -12,6 +12,7 @@ from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle
                     fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
 from qcycle.cli import COMMANDS, TRACE_COLUMNS, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
+from qcycle.linalg import hermitian_part
 
 GENERIC = {
     "chain": {"n": 3, "E": [1.0, 1.3, 2.0], "J": [0.4, 0.5], "K": [0.2, 0.1], "F": [0.3, 0.2]},
@@ -211,6 +212,17 @@ class TestSimulate:
         cfg = write_config(tmp_path, variant(initial_state=str(state_path)))
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_initial_state_within_hermiticity_tolerance(self, tmp_path, capsys):
+        # the load check accepts 0.9e-10 of drift per entry, and Tr_A adds the drifts of
+        # entries [0, 1] and [4, 5] past HERMITICITY_ATOL: only the load check may judge it
+        rho = hermitian_part(random_density_matrix(8, np.random.default_rng(0)))
+        rho[0, 1] += 0.9e-10
+        rho[4, 5] += 0.9e-10
+        np.save(tmp_path / "init.npy", rho)
+        cfg = write_config(tmp_path, variant(initial_state=str(tmp_path / "init.npy")))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_wrong_initial_state_shape(self, tmp_path):
         np.save(tmp_path / "init.npy", np.eye(4) / 4)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
                     partial_trace, random_density_matrix, run_cycle,
                     total_magnetization, trace_distance)
 from qcycle.chain import popcount_charges
-from qcycle.engine import replace_first_factor, replace_last_factor
+from qcycle.engine import replace_last_factor
+from qcycle.linalg import HERMITICITY_ATOL, hermitian_part
 from qcycle.limitcycle import (_charge_groups, cycle_channel_ac, cycle_channel_cb,
                                fixed_point_iterate, fixed_point_spectral, limit_cycle_states)
-from conftest import point_operators, random_chain_spec, random_engine_point
+from conftest import dense_unitaries, point_operators, random_chain_spec, random_engine_point
 from oracle_naive import NaiveCycle
 
 DIMS = [2, 2, 2]
@@ -38,29 +41,60 @@ class TestCycleParams:
             CycleParams(beta1=1.0, beta2=1.0, tau1=float("inf"), tau2=0.1)
 
 
+def stroke_1(rho, parts, ops):
+    """run_cycle's post-stroke-1 state rho1."""
+    return run_cycle(rho, parts, ops)[0].rho1
+
+
 class TestThermalizeStrokes:
     """Strokes 1 and 3 as run_cycle runs them, with the bath states of cycle_operators."""
 
     def test_idempotent_on_product_input(self, rng, small_point):
         spec, params = small_point
-        ops = cycle_operators(build_hamiltonian(spec), params)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
         rho = kron(ops.sigma_a, random_density_matrix(4, rng))
-        out = replace_first_factor(rho, ops.sigma_a, DIMS)
+        out = stroke_1(rho, parts, ops)
         assert np.abs(out - rho).max() <= 1e-14
 
     def test_projection_property(self, rng, small_point):
         spec, params = small_point
-        ops = cycle_operators(build_hamiltonian(spec), params)
-        once = replace_first_factor(full_random_state(rng, 3), ops.sigma_a, DIMS)
-        twice = replace_first_factor(once, ops.sigma_a, DIMS)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        once = stroke_1(full_random_state(rng, 3), parts, ops)
+        twice = stroke_1(once, parts, ops)
         assert np.abs(twice - once).max() <= 1e-14
 
     def test_infinite_temperature_bath(self, rng, small_point):
-        spec, _ = small_point
-        sigma = gibbs_state(build_hamiltonian(spec).h_a_local, 0.0)
-        out = replace_first_factor(full_random_state(rng, 3), sigma, DIMS)
+        spec, params = small_point
+        parts = build_hamiltonian(spec)
+        ops = replace(cycle_operators(parts, params), sigma_a=gibbs_state(parts.h_a_local, 0.0))
+        out = stroke_1(full_random_state(rng, 3), parts, ops)
         reduced_a = partial_trace(out, [0], DIMS)
         assert np.abs(reduced_a - np.eye(2) / 2).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_stroke_1_is_kron_of_reduced_state(self, rng, n):
+        # run_cycle symmetrizes Tr_A rho0, which returns the same bits for an exactly
+        # Hermitian rho0, and tensors sigma_a in without a second pass over rho1
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        rho0 = hermitian_part(full_random_state(rng, n))
+        expected = kron(ops.sigma_a, partial_trace(rho0, range(1, n), [2] * n))
+        assert np.array_equal(stroke_1(rho0, parts, ops), expected)
+
+    def test_stroke_1_rejects_non_hermitian_reduced_state(self, rng, small_point):
+        # drift is judged on Tr_A rho0, the state stroke 1 keeps: 0.6 ATOL on each of the
+        # two entries Tr_A sums into its [0, 1] is 1.2 ATOL there
+        spec, params = small_point
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        rho0 = hermitian_part(full_random_state(rng, 3))
+        rho0[0, 1] += 0.6 * HERMITICITY_ATOL
+        rho0[4, 5] += 0.6 * HERMITICITY_ATOL
+        with pytest.raises(ValueError, match="deviates from Hermitian"):
+            run_cycle(rho0, parts, ops)
 
     def test_b_stroke_sets_gibbs_and_keeps_rest(self, rng, small_point):
         spec, params = small_point
@@ -75,11 +109,12 @@ class TestThermalizeStrokes:
 
     def test_outputs_are_density_matrices(self, rng, small_point):
         spec, params = small_point
-        ops = cycle_operators(build_hamiltonian(spec), params)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
         rho = full_random_state(rng, 3)
-        for out in (replace_first_factor(rho, ops.sigma_a, DIMS),
+        for out in (stroke_1(rho, parts, ops),
                     replace_last_factor(rho, ops.sigma_b, DIMS),
-                    evolve(ops.u1, rho)):
+                    evolve(dense_unitaries(ops)[0], rho)):
             check_density_matrix(out)
 
 
@@ -91,13 +126,13 @@ class TestUnitaryStroke:
         params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.0, tau2=0.0)
         ops = cycle_operators(build_hamiltonian(spec), params)
         rho = full_random_state(rng, 3)
-        assert np.abs(evolve(ops.u1, rho) - rho).max() < 1e-14
+        assert np.abs(evolve(dense_unitaries(ops)[0], rho) - rho).max() < 1e-14
 
     def test_magnetization_invariant(self, rng):
         params = CycleParams(beta1=1.0, beta2=0.75, tau1=1.7, tau2=1.7)
         for n in (3, 4):
             spec = random_chain_spec(np.random.default_rng(n), n)
-            u1 = cycle_operators(build_hamiltonian(spec), params).u1
+            u1 = dense_unitaries(cycle_operators(build_hamiltonian(spec), params))[0]
             sz = total_magnetization(n)
             rho = full_random_state(rng, n)
             out = evolve(u1, rho)
@@ -105,7 +140,7 @@ class TestUnitaryStroke:
 
     def test_spectrum_preserved(self, rng, small_point):
         spec, params = small_point
-        u1 = cycle_operators(build_hamiltonian(spec), params).u1
+        u1 = dense_unitaries(cycle_operators(build_hamiltonian(spec), params))[0]
         rho = full_random_state(rng, 3)
         out = evolve(u1, rho)
         assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho)).max() <= 1e-10
@@ -128,7 +163,7 @@ class TestPopcountBlocks:
         # a dense eigh of h_s would leave rounding of about 1e-16 between the blocks
         ops = point_operators(*random_engine_point(rng, n))
         between = popcount_charges(2**n) != 0
-        for u in (ops.u1, ops.u2):
+        for u in dense_unitaries(ops):
             assert np.count_nonzero(u[between]) == 0
         charge = popcount_charges(2 ** (n - 1))
         for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops)):

@@ -7,7 +7,7 @@ from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ansatz_state,
                     cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
-                    random_density_matrix, trace_distance)
+                    random_density_matrix, total_magnetization, trace_distance)
 from conftest import carnot_point, point_operators, random_chain_spec, random_engine_point
 
 
@@ -120,6 +120,12 @@ class TestAnsatz:
 
     def test_kappa_zero_is_maximally_mixed(self):
         assert np.abs(magnetization_gibbs(3, 0.0) - np.eye(8) / 8).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_matches_dense_magnetization(self, n):
+        # n/2 - popcount(k) is the diagonal of total_magnetization(n) exactly: sums of halves
+        w = np.exp(-0.8 * np.diag(total_magnetization(n)).real)
+        assert np.array_equal(magnetization_gibbs(n, 0.8), np.diag(w / w.sum()).astype(complex))
 
     def test_criteria_enforced(self, small_point):
         spec, params = small_point  # beta1 E_1 = 1.0, beta2 E_N = 1.5
