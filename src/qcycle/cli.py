@@ -400,7 +400,7 @@ def cmd_reverse(cfg: RunConfig):
 
 
 def _spectrum_one(channel):
-    evals, _, _ = sector_eigenvalues(channel)
+    evals, _ = sector_eigenvalues(channel)
     moduli, gap, near = spectral_summary(evals)
     near_unit = evals[near]
     return {

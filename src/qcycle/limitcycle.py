@@ -57,8 +57,28 @@ is real in the Hermitian basis T: the unit vectors e_{a*d+a} of the
 diagonal, plus (e_{a*d+b} + e_{b*d+a})/sqrt(2) and
 i(e_{a*d+b} - e_{b*d+a})/sqrt(2) for each pair a < b, i.e. the vectorized
 E_ab + E_ba and i(E_ab - E_ba) over sqrt(2). Both hold exactly for any
-Kraus stack, so :func:`sector_eigenvalues` builds and decomposes only the
+Kraus stack, so the sector spectra below build and decompose only the
 q >= 0 blocks, the q = 0 block as the real matrix T^* M_0 T.
+
+Certificate and listing. The fixed point is unique, and the spectral gap
+known, once each sector's largest eigenvalue modulus is known, the trace's
+eigenvalue 1 aside. :func:`sector_certificate`, which
+:func:`fixed_point_spectral` and so ``report`` and ``reverse`` run, takes
+it from each sector of more than ``DENSE_SECTOR_SIZE`` entries by Arnoldi
+(:func:`top_ritz_value`), on the dense block that :func:`sector_blocks`
+builds. A Krylov method started from one vector cannot see the
+multiplicity of an eigenvalue, so the q = 0 sector is iterated on its
+traceless matrices: a trace-preserving map keeps them, and on them the
+eigenvalue 1 has one copy fewer, so a second fixed point shows as a top
+Ritz value near 1. Dense ``eigvals`` stays where every eigenvalue is
+needed or the Arnoldi does not pay: ``spectrum`` (:func:`sector_eigenvalues`),
+which lists all moduli, the sectors of at most ``DENSE_SECTOR_SIZE``
+entries (all of them up to n = 5), and the degenerate case, whose error
+lists every near-unit eigenvalue. On the n = 8 config of the CI
+``Large chain`` step (2-core Xeon, OpenBLAS 0.3.31), ``report`` takes
+4.2-4.5 s and ``reverse`` 3.1-3.4 s, against 31.7 and 33.6 s with dense
+``eigvals`` on every sector, and ``spectrum`` 29-31 s either way; on its
+n = 7 config, 0.6-0.7 s and 0.4-0.6 s, against 1.5-1.7 s and 1.3 s.
 """
 
 from __future__ import annotations
@@ -80,6 +100,17 @@ DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-p
 CHARGE_LEAKAGE_TOL = 1e-12
 # The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
 UNIT_SHIFT = 1e-10
+# sector_certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense. Below
+# about 100 entries eigvals is as fast as the Arnoldi (best of 5 on a 2-core Xeon: 0.8-1.2 ms
+# against 0.9-1.8 ms for n = 5's largest sector, 70 entries); above it the Arnoldi wins (n = 6's
+# sectors of 120, 210 and 252 entries: 2.3-9.7 ms against 7.7-35 ms).
+DENSE_SECTOR_SIZE = 100
+# top_ritz_value accepts a Ritz value whose residual is at most RITZ_TOL. Over 96 n = 6 and 12
+# n = 7 cycle channels, the certified moduli are within 2.8e-14 of dense eigvals'. On 90 other
+# n = 6 sectors, 1e-12 saved 3% of the steps and let the error reach 4.2e-13.
+RITZ_TOL = 1e-13
+RITZ_CHECK_STEPS = 5  # top_ritz_value's steps between two Ritz checks
+ARNOLDI_MAX_STEPS = 400  # top_ritz_value's largest basis; above it the sector goes dense
 
 
 class Channel:
@@ -321,27 +352,81 @@ def _unit_vector(block: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return x
 
 
-def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
-    """Eigenvalues of ch's channel matrix sector by sector, over :func:`sector_blocks`.
+def top_ritz_value(block: np.ndarray, diag=None):
+    """The largest-modulus eigenvalue of ``block`` by Arnoldi, or None if it did not converge.
 
-    Returns ``(eigenvalues, charges, vector)``: the eigenvalues sector after
-    sector in ascending charge, the charge of each (None where the stack did
-    not split) and, with ``trace_vector``, the full-length eigenvector at
-    eigenvalue 1 within the q = 0 (or the one) sector, which holds index 0
-    and so the trace (else None), from :func:`_unit_vector`.
+    Unrestarted Arnoldi (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2nd ed., SIAM 2011, Sec. 6.2) from a fixed-seed random start,
+    so every call on the same block gives the same bits and leaves no random
+    state behind. Each new basis vector is orthogonalized by classical
+    Gram-Schmidt run twice, and the basis grows with the steps, up to
+    ``ARNOLDI_MAX_STEPS``. Every ``RITZ_CHECK_STEPS`` steps the Ritz value
+    theta of largest modulus, with unit eigenvector y of the m x m
+    Hessenberg matrix H_m, is accepted once its residual
+    |h_{m+1,m} y_m| = |block V_m y - theta V_m y| is at most ``RITZ_TOL``.
 
-    The q = 0 block is decomposed as the real matrix T^* M_0 T, and the -q
-    sector's eigenvalues are the conjugates of the +q ones, in the +q order
-    (module docstring).
+    With ``diag``, the iteration runs on the matrices of zero trace: the
+    mean of the ``diag`` coordinates is subtracted from the start vector and
+    after every product. A trace-preserving map keeps that subspace, and on
+    it the eigenvalue 1 of the trace has one copy fewer, so the top Ritz
+    value is the largest other eigenvalue, and is near 1 if the eigenvalue 1
+    is not simple.
     """
+    size = len(block)
+    start = np.random.default_rng(0).standard_normal((2, size))
+    v = start[0] if block.dtype.kind == "f" else start[0] + 1j * start[1]
+    if diag is not None:
+        v[diag] -= v[diag].mean()
+    steps = min(ARNOLDI_MAX_STEPS, size)
+    room = min(4 * RITZ_CHECK_STEPS, steps) + 1  # basis rows; h, (room + 1) x room, grows alike
+    basis = np.empty((room, size), dtype=block.dtype)
+    basis[0] = v / np.linalg.norm(v)
+    h = np.zeros((room + 1, room), dtype=block.dtype)
+    for m in range(1, steps + 1):
+        w = block @ basis[m - 1]
+        if diag is not None:
+            w[diag] -= w[diag].mean()
+        done = basis[:m]
+        for _ in range(2):
+            c = (done @ w.conj()).conj()  # c_i = <v_i, w>
+            w -= c @ done
+            h[:m, m - 1] += c
+        beta = np.linalg.norm(w)
+        h[m, m - 1] = beta
+        if m % RITZ_CHECK_STEPS == 0 or m == steps or beta <= RITZ_TOL:
+            theta, y = np.linalg.eig(h[:m, :m])
+            top = np.abs(theta).argmax()
+            if beta * abs(y[-1, top]) <= RITZ_TOL:
+                return complex(theta[top])
+        if m == steps:
+            return None
+        if m == len(basis):
+            more = min(m, steps + 1 - m)
+            basis = np.concatenate([basis, np.empty((more, size), basis.dtype)])
+            h = np.pad(h, ((0, more), (0, more)))
+        basis[m] = w / beta
+
+
+def _sector_spectra(ch: Channel, certificate: bool):
+    """(eigenvalues, charges, vector) over :func:`sector_blocks`, for the two functions below."""
     d = ch.dim
     solved, vector = {}, None
     for q, order, block in sector_blocks(ch):
+        traced = q in (0, None)  # the sector that holds the diagonal, and so the trace
+        diag = np.flatnonzero(order // d == order % d) if traced else None
         if q == 0:
             block = to_hermitian_frame(block, d).real  # the sector's d diagonal indices come first
-        solved[q] = np.linalg.eigvals(block)
-        if trace_vector and q in (0, None):
-            v = _unit_vector(block, np.flatnonzero(order // d == order % d))
+        top = None
+        if certificate and len(block) > DENSE_SECTOR_SIZE:
+            # q = 0's real view is copied contiguous, for BLAS products, and freed before
+            # _unit_vector runs
+            top = top_ritz_value(np.ascontiguousarray(block), diag)
+        if top is None:
+            solved[q] = np.linalg.eigvals(block)
+        else:  # the traced sector's top is its second eigenvalue: the first is the trace's 1
+            solved[q] = np.array([1.0, top] if traced else [top], dtype=complex)
+        if certificate and traced:
+            v = _unit_vector(block, diag)
             vector = np.zeros(d * d, dtype=complex)
             vector[order] = from_hermitian_frame(v, d) if q == 0 else v
         if q:
@@ -350,6 +435,34 @@ def sector_eigenvalues(ch: Channel, trace_vector: bool = False):
     charges = sorted(solved)
     evals = [solved[q] for q in charges]
     return np.concatenate(evals), [q for q, w in zip(charges, evals) for _ in w], vector
+
+
+def sector_eigenvalues(ch: Channel):
+    """All eigenvalues of ch's channel matrix, sector by sector, by dense ``eigvals``.
+
+    Returns ``(eigenvalues, charges)``: the eigenvalues of each block of
+    :func:`sector_blocks`, sector after sector in ascending charge, and the
+    charge of each (None where the stack did not split). The q = 0 block is
+    decomposed as the real matrix T^* M_0 T, and the -q sector's eigenvalues
+    are the conjugates of the +q ones, in the +q order (module docstring).
+    """
+    return _sector_spectra(ch, certificate=False)[:2]
+
+
+def sector_certificate(ch: Channel):
+    """What :func:`fixed_point_spectral` needs of each sector: its top eigenvalues.
+
+    Returns ``(eigenvalues, charges, vector)`` as :func:`sector_eigenvalues`
+    does, except that a sector of more than ``DENSE_SECTOR_SIZE`` entries
+    lists only its largest-modulus eigenvalue, from :func:`top_ritz_value`
+    (and its -q partner the conjugate). The sector that holds the trace
+    (q = 0, or the one sector) lists the trace's eigenvalue 1 and the top
+    Ritz value of the traceless subspace. A sector whose Arnoldi does not
+    converge is decomposed dense. ``vector`` is the full-length eigenvector
+    at eigenvalue 1 within the trace's sector, from :func:`_unit_vector`,
+    which runs after the Arnoldi since it overwrites the block.
+    """
+    return _sector_spectra(ch, certificate=True)
 
 
 def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_TOL,
@@ -401,20 +514,32 @@ def spectral_summary(evals: np.ndarray):
 
 
 def fixed_point_spectral(ch: Channel) -> FixedPointResult:
-    """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1.
+    """Fixed point from the eigenvector of the vectorized channel at eigenvalue 1, and its gap.
 
-    The eigenproblem is split by :func:`sector_blocks`, built from ch's
-    Kraus stack; the eigenvector comes from the q = 0 block, which carries
-    the trace, by inverse iteration (:func:`_unit_vector`), and is made a
-    state by :func:`~qcycle.linalg.to_state`, which raises on the zero trace
-    a trace-preserving map cannot give. Eigenvalues whose modulus is within
-    ``DEGENERACY_TOL`` of 1 count as fixed-point candidates; more than one
-    raises :class:`DegenerateFixedPointError` carrying all of them (sector
-    by sector), their charges, and the (arbitrary) candidate it would have
-    returned.
+    ch must be trace preserving. The eigenproblem is split by
+    :func:`sector_blocks`, built from ch's Kraus stack, and certified by
+    :func:`sector_certificate`: the top eigenvalue of each large sector by
+    Arnoldi, all eigenvalues of each small one by ``eigvals``. The
+    eigenvector comes from the q = 0 block, which carries the trace, by
+    inverse iteration (:func:`_unit_vector`), and is made a state by
+    :func:`~qcycle.linalg.to_state`, which raises on the zero trace a
+    trace-preserving map cannot give. Eigenvalues whose modulus is within
+    ``DEGENERACY_TOL`` of 1 count as fixed-point candidates. The Arnoldi of
+    the q = 0 sector runs without the trace's eigenvalue 1, so a second 1
+    there, like one in any other sector, is a second candidate. More than
+    one raises :class:`DegenerateFixedPointError` carrying all of them,
+    from the dense :func:`sector_eigenvalues` (sector by sector), their
+    charges, and the (arbitrary) candidate it would have returned.
+
+    ``report`` and ``reverse`` certify with it; ``spectrum`` lists every
+    eigenvalue by :func:`sector_eigenvalues` instead. The module docstring
+    gives both commands' times at n = 7 and 8.
     """
-    evals, charges, vector = sector_eigenvalues(ch, trace_vector=True)
+    evals, charges, vector = sector_certificate(ch)
     _, gap, near = spectral_summary(evals)
+    if near.sum() > 1 and len(evals) < ch.dim ** 2:  # an Arnoldi sector listed its top only
+        evals, charges = sector_eigenvalues(ch)
+        _, gap, near = spectral_summary(evals)
     near_unit = evals[near]
 
     rho = to_state(unvec(vector, ch.dim))

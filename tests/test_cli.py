@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
-from qcycle.cli import COMMANDS, TRACE_COLUMNS, main, parse_config
+from qcycle.cli import COMMANDS, TRACE_COLUMNS, dumps, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
+from qcycle.limitcycle import sector_eigenvalues, spectral_summary
 from qcycle.linalg import hermitian_part
 
 GENERIC = {
@@ -463,11 +468,16 @@ class TestSpectrum:
 
 
 class TestOneSolvePerConfig:
-    """One set of cycle operators and one decomposition per config."""
+    """One set of cycle operators and one decomposition per config.
+
+    ``report`` and ``reverse`` decompose by the certificate (top eigenvalues),
+    ``spectrum`` by the full dense listing.
+    """
 
     @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
     def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
-        calls = {"cycle_operators": 0, "sector_eigenvalues": 0}
+        decomposition = "sector_eigenvalues" if command == "spectrum" else "sector_certificate"
+        calls = {"cycle_operators": 0, "sector_eigenvalues": 0, "sector_certificate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -485,7 +495,56 @@ class TestOneSolvePerConfig:
                    write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
         assert main([command, "--config", *configs, "--sweep"]) == 0
         assert all(entry["status"] == 0 for entry in json.loads(capsys.readouterr().out))
-        assert calls == {"cycle_operators": 2, "sector_eigenvalues": 2}  # one each per config
+        expected = {name: 0 for name in calls}
+        expected.update({"cycle_operators": 2, decomposition: 2})  # one each per config
+        assert calls == expected
+
+
+# the n = 6 config of the CI Large chain step: its q = 0, 1 and 2 sectors take the Arnoldi
+N6 = {"chain": {"n": 6, "E": [1.0, 1.3, 0.9, 1.6, 1.1, 2.0], "J": [0.4, 0.5, -0.3, 0.6, 0.45],
+                "K": [0.2, 0.1, 0.25, -0.15, 0.3], "F": [0.3, 0.2, -0.25, 0.35, 0.15]},
+      "cycle": {"beta1": 1.0, "beta2": 0.75, "tau1": 0.7, "tau2": 1.3}, "seed": 7}
+
+
+class TestArnoldiCertificate:
+    """report and reverse at n = 6, where the certificate runs the Arnoldi."""
+
+    def test_report_identical_alone_twice_and_in_sweep(self, tmp_path, capsys):
+        # the start vector comes from its own fixed-seed generator: no state carries over
+        cfg = write_config(tmp_path, N6, "n6.json")
+        docs = []
+        for _ in range(2):
+            assert main(["report", "--config", cfg]) == 0
+            docs.append(capsys.readouterr().out)
+        assert main(["report", "--config", write_config(tmp_path, GENERIC), cfg, "--sweep"]) == 0
+        docs.append(dumps(json.loads(capsys.readouterr().out)[1]["document"]) + "\n")
+        assert docs[0] == docs[1] == docs[2]
+
+    @pytest.mark.parametrize("command", ["report", "reverse"])
+    def test_zero_coupling_lists_dense_spectrum(self, tmp_path, capsys, command):
+        doc = json.loads(json.dumps(N6))
+        doc["chain"].update(J=[0.0] * 5, K=[0.0] * 5, F=[0.0] * 5)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 3
+        parsed = parse_config(cfg)
+        evals, charges = sector_eigenvalues(cycle_channel_cb(
+            cycle_operators(build_hamiltonian(parsed.spec), parsed.params)))
+        near = spectral_summary(evals)[2]
+        listed = ", ".join(f"{ev:.12g} (q={charges[i]})" for i, ev in zip(np.flatnonzero(near),
+                                                                          evals[near]))
+        assert capsys.readouterr().err == (
+            f"qcycle: degenerate fixed point; near-unit eigenvalues: [{listed}]\n")
+
+    def test_report_imports_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, N6)
+        src = str(Path(qcycle.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "qcycle.cli", "report",
+                              "--config", cfg, "--out", str(tmp_path / "report.json")],
+                             env=env, capture_output=True, text=True, check=True)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+        assert "qcycle.limitcycle" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 class TestUnwritableOutput:

@@ -99,7 +99,7 @@ class TestChannelMatrix:
     def test_unitary_channel_moduli(self, rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u = np.linalg.qr(h)[0]
-        evals, _, _ = sector_eigenvalues(Channel(u[None]))
+        evals, _ = sector_eigenvalues(Channel(u[None]))
         assert np.abs(np.abs(evals) - 1.0).max() < 1e-12
 
     def test_matrix_reproduces_apply(self, rng, small_point):

@@ -87,7 +87,7 @@ class TestCycleChannelsSplit:
         ch = maker(point_operators(spec, params))
         cm = naive_channel_matrix(ch)
 
-        evals, charges, _ = sector_eigenvalues(ch)
+        evals, charges = sector_eigenvalues(ch)
         per_sector = by_charge(evals, charges)
         assert sorted(per_sector) == list(range(1 - n, n))
         for q, order, block in sector_blocks(ch):
@@ -138,8 +138,8 @@ class TestOneLoopTwoAnchors:
         ac = cycle_channel_ac(ops)
 
         # M_CB = H C and M_AC = C H share their eigenvalues, sector by sector
-        sectors_cb = by_charge(*sector_eigenvalues(cb)[:2])
-        sectors_ac = by_charge(*sector_eigenvalues(ac)[:2])
+        sectors_cb = by_charge(*sector_eigenvalues(cb))
+        sectors_ac = by_charge(*sector_eigenvalues(ac))
         assert sorted(sectors_cb) == sorted(sectors_ac) == list(range(1 - n, n))
         for q, evals in sectors_cb.items():
             assert len(evals) == len(sectors_ac[q])
@@ -193,7 +193,7 @@ class TestFallbackIsDense:
         assert q is None and np.array_equal(order, np.arange(ch.dim**2))
         assert np.abs(block - cm).max() <= 1e-14 * np.abs(cm).max()
 
-        evals, charges, _ = sector_eigenvalues(ch)
+        evals, charges = sector_eigenvalues(ch)
         assert np.array_equal(evals, np.linalg.eigvals(block))
         assert charges == [None] * len(evals)
         result = fixed_point_spectral(ch)
