@@ -9,8 +9,7 @@ verifies the spin-symmetry efficiency identity, and constructs the
 time-reversed channel that shares the forward fixed point.
 """
 
-from .chain import (ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state,
-                    site_operator, total_magnetization)
+from .chain import ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state, site_operator
 from .engine import (CycleOperators, CycleParams, CycleRecord, CycleState,
                      cycle_operators, cycle_record, run_cycle)
 from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
@@ -19,9 +18,8 @@ from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
 from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_channel_ac,
                          cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
                          limit_cycle_states, unvec, vec)
-from .linalg import (commutator_norm, expm_unitary, check_density_matrix, kron,
-                     partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
-                     trace_distance)
+from .linalg import (check_density_matrix, kron, partial_trace, psd_sqrt_invsqrt,
+                     random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
                      limit_cycle_report, magnetization_gibbs)
@@ -30,14 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainSpec", "HamiltonianParts", "build_hamiltonian", "gibbs_state",
-    "site_operator", "total_magnetization",
+    "site_operator",
     "CycleOperators", "CycleParams", "CycleRecord", "CycleState",
     "cycle_operators", "cycle_record", "run_cycle",
     "Channel", "FixedPointResult",
     "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
-    "kron", "partial_trace", "expm_unitary", "psd_sqrt_invsqrt",
-    "trace_distance", "commutator_norm", "to_state",
+    "kron", "partial_trace", "psd_sqrt_invsqrt", "trace_distance", "to_state",
     "check_density_matrix", "random_density_matrix",
     "kraus_from_stack", "reverse_channel", "sequence_probability",
     "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",

@@ -45,35 +45,6 @@ def site_operator(axis: str, site: int, n: int) -> np.ndarray:
     return _embed(PAULI[axis] / 2.0, site, n)
 
 
-def popcount_charges(d: int) -> np.ndarray | None:
-    """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
-
-    Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
-    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
-    """
-    if d < 2 or d & (d - 1):
-        return None
-    pop = np.array([k.bit_count() for k in range(d)])
-    return pop[:, None] - pop[None, :]
-
-
-def popcount_classes(d: int) -> list:
-    """``[C_0, ..., C_k]`` for d = 2^k: C_m holds the basis states with m bits set, ascending.
-
-    C_m is the total-S^Z sector k/2 - m (|0> is S^Z = +1/2). Every term of the
-    chain Hamiltonian maps each sector to itself.
-    """
-    pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
-    return [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
-
-
-def total_magnetization(n: int) -> np.ndarray:
-    """Sum of the single-site S^Z operators; diagonal in the computational basis."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return sum(site_operator("Z", i, n) for i in range(1, n + 1))
-
-
 @dataclass
 class ChainSpec:
     """Parameters of the n-qubit chain.

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianParts, gibbs_state, popcount_charges, popcount_classes
+from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError
 from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_trace,
-                     unitary_from_eigh)
+                     popcount_charges, popcount_classes, unitary_from_eigh)
 
 
 @dataclass
@@ -90,7 +90,7 @@ class CycleOperators:
     """Precomputed per-cycle operators: end-qubit Gibbs states and unitaries.
 
     h_s conserves total S^Z, so both unitaries are block diagonal over the
-    popcount ``classes`` of :func:`~qcycle.chain.popcount_classes`, and
+    popcount ``classes`` of :func:`~qcycle.linalg.popcount_classes`, and
     ``u1_blocks``/``u2_blocks`` hold one block per class, the unitaries' only form.
     The dense matrices are assembled only where the half-cycle Kraus operators are
     cut (:mod:`qcycle.limitcycle`).

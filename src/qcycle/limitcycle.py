@@ -42,7 +42,7 @@ charge popcount(a) - popcount(b), and the channel matrix is block diagonal
 over those sectors. The fixed point, like every state, lives partly in
 q = 0, which holds the diagonal and so the trace. :func:`sector_blocks`
 builds each block from the operators whose charge it needs, after the one
-check (:func:`_charge_groups`) that every operator is charge pure.
+check (:func:`~qcycle.linalg.charge_groups`) that every operator is charge pure.
 
 Hermitian pairing. A Kraus map sends Hermitian matrices to Hermitian
 matrices, and vec(rho^*) = S conj(vec(rho)) for the swap S that sends index
@@ -87,17 +87,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import HamiltonianParts, popcount_charges, popcount_classes
+from .chain import HamiltonianParts
 from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import hermitize, kron, partial_trace, to_state, trace_distance
+from .linalg import (assemble, charge_groups, hermitize, kron, partial_trace, popcount_classes,
+                     to_state, trace_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-point candidates
-# Entries of a Kraus operator or a state outside its own S^Z charge, up to this fraction of
-# its largest |entry|, are rounding; above it the stack or the state is not covariant.
-CHARGE_LEAKAGE_TOL = 1e-12
 # The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
 UNIT_SHIFT = 1e-10
 # sector_certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense. Below
@@ -174,15 +172,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def _assemble(blocks, classes) -> np.ndarray:
-    """The dense matrix with the given blocks on the classes and zeros between them."""
-    d = sum(len(c) for c in classes)
-    u = np.zeros((d, d), dtype=complex)
-    for c, block in zip(classes, blocks):
-        u[np.ix_(c, c)] = block
-    return u
-
-
 def _half_cycle_kraus(blocks, classes, sigma: np.ndarray, bath_first: bool) -> np.ndarray:
     """Operators sqrt(p_e) <t|_out U |v_e>_bath, the bath entering as site 1 or n.
 
@@ -190,7 +179,7 @@ def _half_cycle_kraus(blocks, classes, sigma: np.ndarray, bath_first: bool) -> n
     """
     p, v = np.linalg.eigh(sigma)  # a Gibbs state of a diagonal h_local: p are its weights, >= 0
     bath = v * np.sqrt(p)  # column e is sqrt(p_e) v_e
-    u = _assemble(blocks, classes)
+    u = assemble(blocks, classes)
     d = u.shape[0] // 2
     # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
     # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
@@ -219,29 +208,6 @@ def cycle_channel_ac(ops: CycleOperators) -> Channel:
 def cold_half_cycle(ops: CycleOperators) -> Channel:
     """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
     return Channel(_half_cycle_kraus(ops.u1_blocks, ops.classes, ops.sigma_a, bath_first=True))
-
-
-def _charge_groups(stack: np.ndarray) -> list:
-    """``[(s, indices), ...]``: a (k, d, d) stack's operators grouped by S^Z charge s, ascending.
-
-    Each operator must carry one charge popcount(row) - popcount(column):
-    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
-    largest entry, whose charge it takes. If any operator fails, and when d
-    is not a power of two, all operators form the one group ``(None, all)``.
-    """
-    k, d, _ = stack.shape
-    charge = popcount_charges(d)
-    whole = [(None, np.arange(k))]
-    if charge is None:
-        return whole
-    charge = charge.reshape(-1)
-    moduli = np.abs(stack).reshape(k, -1)
-    peak = moduli.argmax(axis=1)
-    q = charge[peak]
-    leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
-    if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
-        return whole
-    return [(int(c), np.flatnonzero(q == c)) for c in np.unique(q)]
 
 
 def swap_index(indices: np.ndarray, d: int) -> np.ndarray:
@@ -301,7 +267,7 @@ def sector_blocks(ch: Channel):
     basis states of popcount m, sector q pairs C_m (the column a of an entry
     index a*d + b) with C_{m-q} (its row b), and its tile between the pairs
     of m and m' is sum_k conj(K_k[C_m, C_m']) (x) K_k[C_{m-q}, C_{m'-q}]
-    over the operators of charge m - m' (:func:`_charge_groups`). ``order``
+    over the operators of charge m - m' (:func:`~qcycle.linalg.charge_groups`). ``order``
     is ascending, except for q = 0, which is in :func:`hermitian_frame`
     order. A stack that does not split by charge, or a d that is not a power
     of two, gives the one sector ``q = None``: one class C of all basis
@@ -309,7 +275,7 @@ def sector_blocks(ch: Channel):
     The -q sectors are not built (module docstring).
     """
     stack, d = ch.kraus, ch.dim
-    groups = _charge_groups(stack)
+    groups = charge_groups(stack)
     if groups[0][0] is None:
         classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
     else:
@@ -469,9 +435,9 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
                         max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
     """Iterate the channel from ``hermitize(rho_init)`` until successive iterates are tol-close.
 
-    The last iterate is made a state by :func:`~qcycle.linalg.to_state`. Non-convergence
-    is not an exception: the result carries the best iterate, the full delta history, and
-    ``converged=False``.
+    The last iterate is made a state by :func:`~qcycle.linalg.to_state`, per popcount class
+    when its entries between classes are rounding. Non-convergence is not an exception: the
+    result carries the best iterate, the full delta history, and ``converged=False``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")

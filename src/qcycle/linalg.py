@@ -1,8 +1,21 @@
-"""Dense complex-matrix primitives used by every other module.
+"""Dense complex-matrix primitives used by every other module, and the S^Z popcount classes.
 
 Units are hbar = k_B = 1 throughout. All matrix functions go through a
 Hermitian eigendecomposition rather than series expansions; dimensions stay
 at or below 2**10, where exact diagonalization is cheap and stable.
+
+Popcount classes. With |0> the S^Z = +1/2 state, the basis states of d = 2^k
+fall into the classes C_m of popcount m (:func:`popcount_classes`), the
+total-S^Z sectors k/2 - m. An operator that commutes with S^Z is block
+diagonal over them and is stored as the pair (classes, blocks), one block
+per class (:func:`assemble` makes it dense). :func:`charge_groups` is the
+one test of that structure: it gives each operator of a stack the charge
+popcount(row) - popcount(column) of its largest entry and accepts the split
+when its entries of other charges are rounding (``CHARGE_LEAKAGE_TOL``).
+:func:`to_state` and :func:`psd_sqrt_invsqrt` decompose a charge-0 matrix
+class by class, so a covariant fixed point whose classes differ in scale by
+1e8 keeps exact zeros between them and each class's own relative accuracy;
+any other matrix is one class of all indices, the same code.
 """
 
 from __future__ import annotations
@@ -19,6 +32,9 @@ HERMITICITY_ATOL = 1e-10
 STATE_PSD_ATOL = 1e-6
 # Eigenvalues at or below this fraction of the largest count as zero in rank checks and Kraus cuts.
 RANK_TOL = 1e-12
+# Entries of a Kraus operator or a state outside its own S^Z charge, up to this fraction of
+# its largest |entry|, are rounding; above it the stack or the state is not covariant.
+CHARGE_LEAKAGE_TOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,11 +75,6 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Evolution operator e^{-i h t} for Hermitian h (hbar = 1); see :func:`unitary_from_eigh`."""
-    return unitary_from_eigh(*eigh_hermitian(h), t)
-
-
 def eigh_hermitian(h: np.ndarray):
     """Eigendecomposition ``(w, v)`` with h = V diag(w) V*; a non-Hermitian h raises ValueError."""
     h = np.asarray(h, dtype=complex)
@@ -83,17 +94,15 @@ def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 def psd_sqrt_invsqrt(rho: np.ndarray):
     """Square root and inverse square root ``(sqrt, invsqrt)`` of a full-rank PSD matrix.
 
-    Eigenvalues at or below ``RANK_TOL`` of the largest count as zero; any
-    such raises :class:`RankDeficientError`.
+    Decomposed per popcount class when rho is charge-0 pure (:func:`_class_eigh`).
+    Eigenvalues at or below ``RANK_TOL`` of the largest over all classes count
+    as zero; any such raises :class:`RankDeficientError`.
     """
-    rho = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh(hermitian_part(rho))
+    w, spectral = _class_eigh(hermitian_part(np.asarray(rho, dtype=complex)))
     rank = int((w > RANK_TOL * max(float(w.max()), 0.0)).sum())
     if rank < len(w):
         raise RankDeficientError(rank, len(w))
-    root = np.sqrt(w)
-    inv_root = 1.0 / root
-    return (v * root) @ v.conj().T, (v * inv_root) @ v.conj().T
+    return spectral(np.sqrt), spectral(lambda x: 1.0 / np.sqrt(x))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,15 +113,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     w = np.linalg.eigvalsh(hermitian_part(a - b))
     return 0.5 * float(np.abs(w).sum())
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-abs entry of the commutator ab - ba."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"expected equal square shapes, got {a.shape} and {b.shape}")
-    return float(np.abs(a @ b - b @ a).max())
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -159,17 +159,36 @@ def to_state(m: np.ndarray) -> np.ndarray:
 
     Divides by the complex trace, which removes an eigenvector's scale and phase (ValueError
     below 1e-12), takes the Hermitian part, clips eigenvalues in [-``STATE_PSD_ATOL``, 0) to
-    zero (ValueError below that) and renormalizes to unit trace.
+    zero (ValueError below that) and renormalizes to unit trace. The eigenvalues are taken per
+    popcount class when the Hermitian part is charge-0 pure (:func:`_class_eigh`).
     """
     m = np.asarray(m, dtype=complex)
     tr = complex(np.trace(m))
     if abs(tr) < 1e-12:
         raise ValueError("matrix has zero trace; it is no multiple of a state")
-    w, v = np.linalg.eigh(hermitian_part(m / tr))
+    w, spectral = _class_eigh(hermitian_part(m / tr))
     if float(w.min()) < -STATE_PSD_ATOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
-    m = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    m = spectral(lambda x: np.clip(x, 0.0, None))
     return hermitian_part(m / np.trace(m).real)
+
+
+def _class_eigh(h: np.ndarray):
+    """``(w, spectral)``: the eigenvalues of the Hermitian h, and f -> f(h) from its eigenvectors.
+
+    h is decomposed by one ``eigh`` per popcount class when :func:`charge_groups` finds it
+    charge-0 pure, else as one class of every index. ``spectral(f)`` is the block-diagonal
+    V f(w) V* of those decompositions, exactly zero between classes; on one class it is the
+    dense V f(w) V*, bit for bit.
+    """
+    [(q, _)] = charge_groups(h[None])
+    classes = popcount_classes(len(h)) if q == 0 else [np.arange(len(h))]
+    eighs = [np.linalg.eigh(h[np.ix_(c, c)]) for c in classes]
+
+    def spectral(f):
+        return assemble([(v * f(w)) @ v.conj().T for w, v in eighs], classes)
+
+    return np.concatenate([w for w, _ in eighs]), spectral
 
 
 def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-12,
@@ -197,3 +216,57 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def popcount_charges(d: int) -> np.ndarray | None:
+    """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
+
+    Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
+    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
+    """
+    if d < 2 or d & (d - 1):
+        return None
+    pop = np.array([k.bit_count() for k in range(d)])
+    return pop[:, None] - pop[None, :]
+
+
+def popcount_classes(d: int) -> list:
+    """``[C_0, ..., C_k]`` for d = 2^k: C_m holds the basis states with m bits set, ascending.
+
+    C_m is the total-S^Z sector k/2 - m (|0> is S^Z = +1/2). Every term of the
+    chain Hamiltonian maps each sector to itself.
+    """
+    pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
+    return [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
+
+
+def charge_groups(stack: np.ndarray) -> list:
+    """``[(s, indices), ...]``: a (k, d, d) stack's operators grouped by S^Z charge s, ascending.
+
+    Each operator must carry one charge popcount(row) - popcount(column):
+    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
+    largest entry, whose charge it takes. If any operator fails, and when d
+    is not a power of two, all operators form the one group ``(None, all)``.
+    """
+    k, d, _ = stack.shape
+    charge = popcount_charges(d)
+    whole = [(None, np.arange(k))]
+    if charge is None:
+        return whole
+    charge = charge.reshape(-1)
+    moduli = np.abs(stack).reshape(k, -1)
+    peak = moduli.argmax(axis=1)
+    q = charge[peak]
+    leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
+    if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
+        return whole
+    return [(int(c), np.flatnonzero(q == c)) for c in np.unique(q)]
+
+
+def assemble(blocks, classes) -> np.ndarray:
+    """The dense matrix with the given blocks on the classes and zeros between them."""
+    d = sum(len(c) for c in classes)
+    u = np.zeros((d, d), dtype=complex)
+    for c, block in zip(classes, blocks):
+        u[np.ix_(c, c)] = block
+    return u

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import popcount_charges
 from .errors import NotFixedPointError
-from .limitcycle import Channel, _charge_groups
-from .linalg import RANK_TOL, hermitian_part, psd_sqrt_invsqrt, trace_distance
+from .limitcycle import Channel
+from .linalg import RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 
 def _dot_rounding(m: int) -> float:
@@ -54,7 +53,7 @@ def kraus_from_stack(stack):
     """Choi-canonical Kraus operators of a (k, d, d) stack, from its Gram matrix.
 
     Returns ``(channel, discarded, residual)``. Per charge group of the stack
-    (:func:`_charge_groups`), the group's Gram matrix G = V diag(w) V^*
+    (:func:`~qcycle.linalg.charge_groups`), the group's Gram matrix G = V diag(w) V^*
     gives the operators A = V^T F of weight w, the Choi eigenvalues (module
     docstring), so each operator lies in one sector. The operators of all
     groups are merged in descending weight, which fixes the gauge; weights
@@ -78,7 +77,7 @@ def kraus_from_stack(stack):
     gram = f.conj() @ f.T
     norms = np.linalg.norm(f, axis=1)
     pairs = []  # (weight, group, eigenvector)
-    for _, idx in _charge_groups(stack):
+    for _, idx in charge_groups(stack):
         w, v = np.linalg.eigh(gram[np.ix_(idx, idx)])
         pairs += [(lam, idx, col) for lam, col in zip(w, v.T)]
     weights = np.array([lam for lam, _, _ in pairs])
@@ -115,23 +114,6 @@ def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
     return float(np.trace(state).real)
 
 
-def _charge_diagonal(rho: np.ndarray) -> np.ndarray:
-    """rho without its entries between basis states of different popcount, if they are rounding.
-
-    A covariant channel's fixed point commutes with S^Z, so those entries
-    vanish; computed ones read about 1e-17. The popcount blocks are each well
-    conditioned, but their scales can run from 1e-8 to 1, and the map carries
-    that rounding into the smallest block with a relative error of about
-    1e-10, which the reversed set's completeness then shows. A state that is
-    not charge pure of charge 0 by the leakage test of :func:`_charge_groups`,
-    read as a one-operator stack, is not covariant and is returned as it is.
-    """
-    [(q, _)] = _charge_groups(rho[None])
-    if q != 0:  # None when rho leaks or d is not a power of two
-        return rho
-    return np.where(popcount_charges(rho.shape[0]) != 0, 0.0, rho)
-
-
 def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = 1e-10):
     """Build the time-reversed channel around a full-rank fixed point.
 
@@ -140,15 +122,17 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = 1e-1
     forward : the forward channel.
     rho_star : claimed fixed point; must be full rank to ``RANK_TOL`` (else
         :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
-        (else :class:`NotFixedPointError`). It is refined by two steps of the
+        (else :class:`NotFixedPointError`). It is refined by one step of the
         forward map, and the reversal is built around the refined state.
-        Before and after each step, its entries between different popcounts
-        are zeroed when they are rounding (:func:`_charge_diagonal`).
     fp_tol : solver tolerance the fixed point was computed at.
 
     Returns ``(reversed, rho_star)``: the reversed :class:`Channel` and the
     refined state. The reversed set is verified trace preserving within 1e-9,
-    which is equivalent to the fixed-point property.
+    which is equivalent to the fixed-point property. The square roots of a
+    covariant fixed point are taken per popcount class
+    (:func:`~qcycle.linalg.psd_sqrt_invsqrt`): its classes can differ in scale
+    by 1e8, and one dense ``eigh`` would spread the whole matrix's rounding
+    into the smallest class, which the inverse root then amplifies.
     """
     rho_star = np.asarray(rho_star, dtype=complex)
     psd_sqrt_invsqrt(rho_star)  # rank check
@@ -156,13 +140,11 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = 1e-1
     if residual > 100.0 * fp_tol:
         raise NotFixedPointError(residual, 100.0 * fp_tol)
 
-    # The solver's absolute error reaches the reversed set amplified by cond(rho_star);
-    # two steps of the map leave only the map's own rounding. They stay linear: to_state's eigh
-    # adds rounding to the 1e-8 popcount block that cond(rho_star) amplifies past the 1e-10 check.
-    rho_star = _charge_diagonal(rho_star)
-    for _ in range(2):
-        rho_star = hermitian_part(forward.apply(rho_star))
-        rho_star = _charge_diagonal(rho_star / np.trace(rho_star).real)
+    # The solver's absolute error reaches the reversed set amplified by cond(rho_star); one step
+    # of the map leaves only the map's own rounding. It stays linear, so a covariant state keeps
+    # its exact zeros between popcount classes.
+    rho_star = hermitian_part(forward.apply(rho_star))
+    rho_star = rho_star / np.trace(rho_star).real
     sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
 
     rev = Channel(sqrt @ forward.adjoint().kraus @ invsqrt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcycle import ChainSpec, CycleParams, build_hamiltonian, cycle_operators
+from qcycle.linalg import assemble
 
 
 def random_couplings(rng, count, lo=0.2, hi=0.8):
@@ -58,14 +59,7 @@ def point_operators(spec, params):
 
 def dense_unitaries(ops):
     """The dense (u1, u2) of ``ops``, each assembled from its popcount blocks."""
-    d = sum(len(c) for c in ops.classes)
-    dense = []
-    for blocks in (ops.u1_blocks, ops.u2_blocks):
-        u = np.zeros((d, d), dtype=complex)
-        for c, block in zip(ops.classes, blocks):
-            u[np.ix_(c, c)] = block
-        dense.append(u)
-    return tuple(dense)
+    return assemble(ops.u1_blocks, ops.classes), assemble(ops.u2_blocks, ops.classes)
 
 
 @pytest.fixture

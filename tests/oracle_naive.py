@@ -13,10 +13,18 @@ n <= 5, ``naive_hamiltonian`` for n <= 7.
 Choi matrix: the references for the Choi eigenvalues and Kraus operators
 that ``kraus_from_stack`` takes from the Gram matrix, and for the channel
 matrix that ``sector_blocks`` builds sector by sector.
+
+``total_magnetization``, ``commutator_norm`` and ``expm_unitary`` are the
+helpers the tests need and the package does not call. ``expm_unitary``
+composes the package's ``eigh_hermitian`` and ``unitary_from_eigh``, the two
+halves that ``cycle_operators`` runs per popcount class, so that its tests
+keep covering them on whole matrices.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from qcycle.linalg import eigh_hermitian, unitary_from_eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -180,3 +188,24 @@ def dense_kraus(j, rank_tol=1e-12):
         else:
             discarded += float(lam)
     return ops, discarded
+
+
+def total_magnetization(n):
+    """Sum of the single-site S^Z operators; diagonal in the computational basis."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return sum(naive_site_operator(SZ, i, n) for i in range(1, n + 1))
+
+
+def commutator_norm(a, b):
+    """Max-abs entry of the commutator ab - ba."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise ValueError(f"expected equal square shapes, got {a.shape} and {b.shape}")
+    return float(np.abs(a @ b - b @ a).max())
+
+
+def expm_unitary(h, t):
+    """Evolution operator e^{-i h t} for Hermitian h (hbar = 1); a non-Hermitian h raises."""
+    return unitary_from_eigh(*eigh_hermitian(h), t)

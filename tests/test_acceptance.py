@@ -11,16 +11,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qcycle import (DegenerateFixedPointError, build_hamiltonian, commutator_norm,
+from qcycle import (DegenerateFixedPointError, build_hamiltonian,
                     cycle_channel_ac, cycle_channel_cb, cycle_operators, cycle_record,
                     fixed_point_iterate, fixed_point_spectral, kraus_from_stack,
                     limit_cycle_states, partial_trace,
                     random_density_matrix, reverse_channel, sequence_probability,
-                    total_magnetization, trace_distance)
+                    trace_distance)
 from qcycle import ChainSpec, CycleParams, ansatz_state
 from qcycle.cli import main as cli_main
 from conftest import carnot_point, dense_unitaries, point_operators, random_engine_point
-from oracle_naive import NaiveCycle, dense_kraus, naive_channel_matrix, naive_choi
+from oracle_naive import (NaiveCycle, commutator_norm, dense_kraus, naive_channel_matrix,
+                          naive_choi, total_magnetization)
 
 ENSEMBLE_CHAIN_SIZES = [3] * 8 + [4] * 6 + [5] * 4 + [6] * 2  # twenty points
 SOLVER_TOL = 1e-12

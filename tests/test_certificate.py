@@ -13,9 +13,9 @@ import pytest
 import qcycle.limitcycle
 from qcycle import (Channel, ChainSpec, CycleParams, DegenerateFixedPointError, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral)
-from qcycle.chain import popcount_classes
 from qcycle.limitcycle import (DENSE_SECTOR_SIZE, RITZ_TOL, sector_blocks, sector_certificate,
                                sector_eigenvalues, spectral_summary, top_ritz_value)
+from qcycle.linalg import popcount_classes
 from conftest import carnot_point, point_operators, random_engine_point
 from test_sectors import random_unitary
 

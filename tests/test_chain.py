@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from qcycle import (ChainSpec, build_hamiltonian, commutator_norm, gibbs_state,
-                    site_operator, total_magnetization)
+from qcycle import ChainSpec, build_hamiltonian, gibbs_state, site_operator
 from conftest import random_chain_spec
-from oracle_naive import naive_hamiltonian
+from oracle_naive import commutator_norm, naive_hamiltonian, total_magnetization
 
 
 class TestSiteOperator:

@@ -5,15 +5,13 @@ import pytest
 
 from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
                     check_density_matrix, cycle_operators, gibbs_state, kron,
-                    partial_trace, random_density_matrix, run_cycle,
-                    total_magnetization, trace_distance)
-from qcycle.chain import popcount_charges
+                    partial_trace, random_density_matrix, run_cycle, trace_distance)
 from qcycle.engine import replace_last_factor
-from qcycle.linalg import HERMITICITY_ATOL, hermitian_part
-from qcycle.limitcycle import (_charge_groups, cycle_channel_ac, cycle_channel_cb,
-                               fixed_point_iterate, fixed_point_spectral, limit_cycle_states)
+from qcycle.linalg import HERMITICITY_ATOL, charge_groups, hermitian_part, popcount_charges
+from qcycle.limitcycle import (cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                               fixed_point_spectral, limit_cycle_states)
 from conftest import dense_unitaries, point_operators, random_chain_spec, random_engine_point
-from oracle_naive import NaiveCycle
+from oracle_naive import NaiveCycle, total_magnetization
 
 DIMS = [2, 2, 2]
 
@@ -167,7 +165,7 @@ class TestPopcountBlocks:
             assert np.count_nonzero(u[between]) == 0
         charge = popcount_charges(2 ** (n - 1))
         for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops)):
-            groups = _charge_groups(ch.kraus)
+            groups = charge_groups(ch.kraus)
             assert groups[0][0] is not None
             for s, ks in groups:
                 assert np.count_nonzero(ch.kraus[ks][:, charge != s]) == 0

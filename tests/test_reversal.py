@@ -6,7 +6,7 @@ from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDef
                     cycle_channel_ac, cycle_channel_cb, fixed_point_spectral, kraus_from_stack,
                     partial_trace, psd_sqrt_invsqrt, random_density_matrix, reverse_channel,
                     sequence_probability, trace_distance)
-from qcycle.chain import popcount_charges
+from qcycle.linalg import popcount_charges
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 

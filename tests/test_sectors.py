@@ -20,9 +20,9 @@ from scipy.optimize import linear_sum_assignment
 from qcycle import (Channel, DegenerateFixedPointError, cold_half_cycle, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral, kraus_from_stack, reverse_channel,
                     to_state, trace_distance)
-from qcycle.limitcycle import (_charge_groups, _unit_vector, from_hermitian_frame, hermitian_frame,
-                               sector_blocks, sector_eigenvalues, swap_index, to_hermitian_frame,
-                               unvec)
+from qcycle.limitcycle import (_unit_vector, from_hermitian_frame, hermitian_frame, sector_blocks,
+                               sector_eigenvalues, swap_index, to_hermitian_frame, unvec)
+from qcycle.linalg import charge_groups
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
@@ -188,7 +188,7 @@ class TestFallbackIsDense:
     def test_bit_identical(self, rng, make):
         ch = make(rng)
         cm = naive_channel_matrix(ch)
-        assert len(_charge_groups(ch.kraus)) == 1
+        assert len(charge_groups(ch.kraus)) == 1
         (q, order, block), = sector_blocks(ch)  # one class, one tile: the whole matrix
         assert q is None and np.array_equal(order, np.arange(ch.dim**2))
         assert np.abs(block - cm).max() <= 1e-14 * np.abs(cm).max()
