@@ -253,6 +253,8 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
             raise ConfigError("initial_state", f"cannot read {cfg.initial_state}: {exc}") from exc
         if not isinstance(rho, np.ndarray):  # an .npz archive
             raise ConfigError("initial_state", f"{cfg.initial_state} is not a .npy array")
+        if rho.dtype.kind not in "iufc":  # a structured, boolean or string array is no matrix
+            raise ConfigError("initial_state", f"expected a numeric array, got dtype {rho.dtype}")
         if rho.shape != (dim, dim):
             raise ConfigError("initial_state", f"expected shape ({dim}, {dim}), got {rho.shape}")
         try:

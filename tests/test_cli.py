@@ -242,6 +242,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
         assert "initial_state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", [[("a", "f8"), ("b", "f8")], bool], ids=["structured", "bool"])
+    def test_non_numeric_initial_state_named(self, tmp_path, capsys, dtype):
+        # a structured array failed the complex cast of check_density_matrix with a TypeError
+        np.save(tmp_path / "init.npy", np.zeros((8, 8), dtype=dtype))
+        cfg = write_config(tmp_path, variant(initial_state=str(tmp_path / "init.npy")))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qcycle: config error: initial_state: expected a numeric array")
+
     @pytest.mark.parametrize("kind", ["text", "npz", "empty"])
     def test_unreadable_initial_state_named(self, tmp_path, capsys, kind):
         path = tmp_path / "init.npy"
@@ -380,8 +389,9 @@ class TestReverse:
 
     def test_slowly_mixing_ill_conditioned_point(self, tmp_path, capsys):
         # the seventh reverse-n6 point of benchmark seed 12: CB cond(rho_star) = 2.3e8, gap
-        # 0.026; the rounding of rho_star's entries between popcount blocks, carried by the
-        # map into its 1e-8 block, put the CB reversed completeness at 1.57e-10
+        # 0.026. With one dense eigh, the rounding of the whole matrix reached rho_star's 1e-8
+        # popcount block and its inverse square root: the CB reversed completeness read
+        # 1.57e-10 before those entries were zeroed, and 2.8e-13 after. Per class it is 3.3e-15
         doc = {"chain": {"n": 6,
                          "E": [1.1319760882910113, 1.8289437512462674, 1.4707114516048694,
                                0.6909971249971828, 1.5198564136276, 6.827000652627963],
@@ -397,12 +407,13 @@ class TestReverse:
         assert main(["reverse", "--config", write_config(tmp_path, doc)]) == 0
         out = json.loads(capsys.readouterr().out)
         for key in ("cb", "ac"):
-            assert out[key]["reversed_completeness_residual"] < 1e-10
+            assert out[key]["reversed_completeness_residual"] <= 1e-13
 
     def test_ac_carried_from_spectral_fixed_point(self, tmp_path, capsys):
         # the 27th reverse-n6 point of benchmark seed 0: AC cond(rho_star) = 2.7e7; carried
         # from CB's refined fixed point instead of its spectral one, AC's reversed
-        # completeness read 9.2e-12, the rounding of CB's two refinement steps amplified
+        # completeness read 9.2e-12, the rounding of CB's refinement amplified; 5.9e-13 with
+        # the dense square roots, 2.7e-15 with the per-class ones
         doc = {"chain": {"n": 6,
                          "E": [1.1363264857333941, 1.3510584885478443, 1.032092275085464,
                                1.1847494407309231, 1.3989605858016965, 5.943711471523708],
@@ -416,7 +427,7 @@ class TestReverse:
                          "tau1": 0.480011144306103, "tau2": 1.7540969724455937},
                "seed": 630981085}
         assert main(["reverse", "--config", write_config(tmp_path, doc)]) == 0
-        assert json.loads(capsys.readouterr().out)["ac"]["reversed_completeness_residual"] < 2e-12
+        assert json.loads(capsys.readouterr().out)["ac"]["reversed_completeness_residual"] <= 1e-13
 
     def test_near_pure_fixed_point_rank_deficient(self, tmp_path, capsys):
         doc = variant(**{"cycle.beta1": 200.0, "cycle.beta2": 150.0})

@@ -3,7 +3,8 @@ import pytest
 
 from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
                     random_density_matrix, to_state, trace_distance)
-from qcycle.linalg import STATE_PSD_ATOL, hermitian_part, hermitize
+from qcycle.linalg import (STATE_PSD_ATOL, hermitian_part, hermitize, popcount_charges,
+                           popcount_classes)
 from oracle_naive import commutator_norm, expm_unitary
 
 
@@ -155,6 +156,58 @@ class TestCommutatorNorm:
 
 def bits(m):
     return np.ascontiguousarray(m).view(np.uint64)
+
+
+class TestPerClassDecomposition:
+    """to_state and psd_sqrt_invsqrt decompose a charge-0 state class by class."""
+
+    @staticmethod
+    def block_state(rng, d=16, small=2, scale=1e-8):
+        """A block-diagonal state whose popcount class ``small`` is ``scale`` times the others.
+
+        Returns the state and, for that class, its block and the block's exact inverse
+        square root, both from one known eigendecomposition.
+        """
+        rho = np.zeros((d, d), dtype=complex)
+        for m, c in enumerate(popcount_classes(d)):
+            q, _ = np.linalg.qr(rng.normal(size=(len(c), len(c)))
+                                + 1j * rng.normal(size=(len(c), len(c))))
+            w = rng.uniform(0.2, 1.0, size=len(c)) * (scale if m == small else 1.0)
+            rho[np.ix_(c, c)] = (q * w) @ q.conj().T
+            if m == small:
+                block, inv_root = rho[np.ix_(c, c)], (q / np.sqrt(w)) @ q.conj().T
+        total = np.trace(rho).real
+        return rho / total, block / total, inv_root * np.sqrt(total)
+
+    def test_exact_zeros_between_classes(self, rng):
+        rho, _, _ = self.block_state(rng)
+        between = popcount_charges(16) != 0
+        for out in (to_state(rho), *psd_sqrt_invsqrt(rho)):
+            assert not out[between].any()
+
+    def test_small_class_keeps_its_relative_accuracy(self, rng):
+        # one dense eigh over the whole matrix leaves the 1e-8 class about 1e-8 relative error
+        rho, block, inv_root = self.block_state(rng)
+        c = popcount_classes(16)[2]
+        sqrt, invsqrt = psd_sqrt_invsqrt(rho)
+        error = np.linalg.norm(invsqrt[np.ix_(c, c)] - inv_root) / np.linalg.norm(inv_root)
+        assert error <= 1e-13
+        assert np.abs(sqrt @ invsqrt - np.eye(16)).max() <= 1e-13
+        state = to_state(rho)[np.ix_(c, c)]
+        assert np.linalg.norm(state - block) / np.linalg.norm(block) <= 1e-13
+
+    def test_non_covariant_input_is_the_dense_formula(self, rng):
+        # a random state is not charge pure: it is one class, bit for bit the dense formula
+        rho = random_density_matrix(8, rng)
+        w, v = np.linalg.eigh(hermitian_part(rho))
+        root = np.sqrt(w)
+        sqrt, invsqrt = psd_sqrt_invsqrt(rho)
+        assert np.array_equal(bits(sqrt), bits((v * root) @ v.conj().T))
+        assert np.array_equal(bits(invsqrt), bits((v * (1.0 / root)) @ v.conj().T))
+        m = rho * (1.0 + 0.5j)
+        w, v = np.linalg.eigh(hermitian_part(m / complex(np.trace(m))))
+        dense = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        assert np.array_equal(bits(to_state(m)), bits(hermitian_part(dense / np.trace(dense).real)))
 
 
 class TestHygiene:
