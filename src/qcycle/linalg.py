@@ -98,7 +98,7 @@ def psd_sqrt_invsqrt(rho: np.ndarray):
     Eigenvalues at or below ``RANK_TOL`` of the largest over all classes count
     as zero; any such raises :class:`RankDeficientError`.
     """
-    w, spectral = _class_eigh(hermitian_part(np.asarray(rho, dtype=complex)))
+    w, spectral = _class_eigh(hermitian_part(rho))
     rank = int((w > RANK_TOL * max(float(w.max()), 0.0)).sum())
     if rank < len(w):
         raise RankDeficientError(rank, len(w))
