@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -86,8 +85,7 @@ def stored() -> dict:
 def _cell(token: str):
     if token == "nan":
         return None
-    number = float(token)
-    return int(token) if re.fullmatch(r"-?\d+", token) else number
+    return int(token) if re.fullmatch(r"-?\d+", token) else float(token)
 
 
 def parse(command: str, stdout: str):
@@ -111,8 +109,7 @@ def compare(expected, fresh, path: str, worst: dict, errors: list) -> None:
             if expected != fresh:
                 errors.append(f"{path}: {expected} != {fresh}")
             return
-        diff = abs(expected - fresh) if math.isfinite(expected - fresh) else (
-            0.0 if expected == fresh else math.inf)
+        diff = 0.0 if expected == fresh else abs(expected - fresh)  # equal infinities too
         worst[path] = max(worst.get(path, 0.0), diff)
         if not diff <= TOLERANCE:
             errors.append(f"{path}: {expected!r} and {fresh!r} differ by {diff:.3e}")
