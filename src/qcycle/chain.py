@@ -13,6 +13,8 @@ which is the symmetry the engine's efficiency identity rests on.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +53,11 @@ class ChainSpec:
 
     ``E`` holds the n local fields; ``J``, ``K``, ``F`` hold the n-1 bond
     couplings (in-plane exchange, antisymmetric exchange, and longitudinal
-    coupling respectively). Units are energy with hbar = k_B = 1. Invalid
-    values raise :class:`ConfigError` naming the field (``E[0]``, ``J``), as
-    does a bound sum |E| + 4 sum (|J| + |K| + |F|) on the chain Hamiltonian's
-    entries that overflows.
+    coupling respectively). Units are energy with hbar = k_B = 1. ``n`` must
+    be an integer and each list an iterable of real numbers, a ``bool`` being
+    neither. Invalid values raise :class:`ConfigError` naming the field
+    (``n``, ``E[0]``, ``J``), as does a bound sum |E| + 4 sum (|J| + |K| + |F|)
+    on the chain Hamiltonian's entries that overflows.
     """
 
     n: int
@@ -64,12 +67,18 @@ class ChainSpec:
     F: tuple = field(default=())
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
-            raise ConfigError("n", f"must be an integer >= 3, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ConfigError("n", f"must be an integer, got {self.n!r}")
+        if self.n < 3:
+            raise ConfigError("n", f"must be >= 3, got {self.n}")
         self.n = int(self.n)
         for name in ("E", "J", "K", "F"):
             length = self.n if name == "E" else self.n - 1
-            vals = tuple(float(x) for x in getattr(self, name))
+            vals = getattr(self, name)
+            vals = tuple(vals) if isinstance(vals, Iterable) else (None,)  # None: no number
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in vals):
+                raise ConfigError(name, "must be a list of numbers")
+            vals = tuple(float(x) for x in vals)
             setattr(self, name, vals)
             if len(vals) != length:
                 raise ConfigError(name, f"must have length {length}, got {len(vals)}")

@@ -79,6 +79,7 @@ def _known(section: dict, prefix: str, fields) -> None:
 
 
 def _section(raw: dict, key: str, fields, required: bool = True):
+    """The object ``raw[key]``; a required section must hold every one of its ``fields``."""
     if key not in raw:
         if required:
             raise ConfigError(key, "missing required section")
@@ -87,15 +88,14 @@ def _section(raw: dict, key: str, fields, required: bool = True):
     if not isinstance(val, dict):
         raise ConfigError(key, f"must be an object, got {type(val).__name__}")
     _known(val, key + ".", fields)
+    for name in fields if required else ():
+        if name not in val:
+            raise ConfigError(f"{key}.{name}", "missing required field")
     return val
 
 
 def _int_field(section: dict, key: str, path: str, default=None, minimum=None) -> int:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(path, "missing required field")
-    val = section[key]
+    val = section.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(path, f"must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
@@ -103,24 +103,11 @@ def _int_field(section: dict, key: str, path: str, default=None, minimum=None) -
     return val
 
 
-def _float_field(section: dict, key: str, path: str, default=None) -> float:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(path, "missing required field")
-    val = section[key]
+def _float_field(section: dict, key: str, path: str, default: float) -> float:
+    val = section.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(path, f"must be a number, got {val!r}")
     return float(val)
-
-
-def _float_list(section: dict, key: str, path: str) -> list:
-    if key not in section:
-        raise ConfigError(path, "missing required field")
-    val = section[key]
-    if not isinstance(val, list) or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val):
-        raise ConfigError(path, "must be a list of numbers")
-    return [float(x) for x in val]
 
 
 def _build(section: str, cls, **fields):
@@ -143,15 +130,10 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("config", "top level must be a JSON object")
     _known(raw, "", ("chain", "cycle", "solver", "seed", "initial_state", "output"))
 
-    # JSON types are checked here; lengths and value rules belong to ChainSpec/CycleParams
-    chain = _section(raw, "chain", ("n", "E", "J", "K", "F"))
-    n = _int_field(chain, "n", "chain.n", minimum=3)
-    spec = _build("chain", ChainSpec, n=n, **{key: _float_list(chain, key, f"chain.{key}")
-                                              for key in ("E", "J", "K", "F")})
-    fields = ("beta1", "beta2", "tau1", "tau2")
-    cyc = _section(raw, "cycle", fields)
-    params = _build("cycle", CycleParams, **{key: _float_field(cyc, key, f"cycle.{key}")
-                                             for key in fields})
+    # ChainSpec and CycleParams check their fields' types and values
+    spec = _build("chain", ChainSpec, **_section(raw, "chain", ("n", "E", "J", "K", "F")))
+    params = _build("cycle", CycleParams,
+                    **_section(raw, "cycle", ("beta1", "beta2", "tau1", "tau2")))
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
     tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
@@ -324,7 +306,6 @@ def _solve_fixed_point(cfg: RunConfig, channel):
     point, so it runs at tol * min(1, gap / (1 - gap)) to land within tol.
     """
     spectral = fixed_point_spectral(channel)  # raises DegenerateFixedPointError
-    iterate = None
     if cfg.method in ("iterate", "both"):
         gap = spectral.spectral_gap
         tol = cfg.tol * (min(1.0, gap / (1.0 - gap)) if gap < 1.0 else 1.0)
@@ -335,19 +316,18 @@ def _solve_fixed_point(cfg: RunConfig, channel):
             print(f"qcycle: fixed-point iteration did not converge: {iterate.iterations} "
                   f"iterations, final delta {iterate.final_delta:.3e}, tol {tol:.3e}",
                   file=sys.stderr)
-            return None, spectral, iterate
+            return None, spectral
         if cfg.method == "both":
             gap_between = trace_distance(iterate.rho_star, spectral.rho_star)
             if gap_between > 10.0 * cfg.tol:
                 print(f"qcycle: warning: solvers disagree by {gap_between:.3e}", file=sys.stderr)
-    rho_star = iterate.rho_star if cfg.method == "iterate" else spectral.rho_star
-    return rho_star, spectral, iterate
+    return (iterate.rho_star if cfg.method == "iterate" else spectral.rho_star), spectral
 
 
 def cmd_report(cfg: RunConfig):
     """Limit-cycle thermodynamic report; returns (exit_status, doc or None)."""
     parts, ops = _operators(cfg)
-    rho_star, spectral, _ = _solve_fixed_point(cfg, cycle_channel_cb(ops))
+    rho_star, spectral = _solve_fixed_point(cfg, cycle_channel_cb(ops))
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
     cycle = limit_cycle_states(rho_star, parts, ops, tol=cfg.tol)

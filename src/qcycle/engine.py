@@ -23,6 +23,7 @@ Sign conventions in the accounting:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_tr
 class CycleParams:
     """Bath inverse temperatures and stroke durations (hbar = k_B = 1).
 
-    Invalid values raise :class:`ConfigError` naming the field.
+    Each must be a real number, a ``bool`` being none. Invalid values raise
+    :class:`ConfigError` naming the field.
     """
 
     beta1: float
@@ -47,7 +49,10 @@ class CycleParams:
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "tau1", "tau2"):
-            val = float(getattr(self, name))
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ConfigError(name, f"must be a number, got {val!r}")
+            val = float(val)
             setattr(self, name, val)
             if not math.isfinite(val):
                 raise ConfigError(name, f"must be finite, got {val}")

@@ -73,8 +73,12 @@ eigenvalue 1 has one copy fewer, so a second fixed point shows as a top
 Ritz value near 1. Dense ``eigvals`` stays where every eigenvalue is
 needed or the Arnoldi does not pay: ``spectrum`` (:func:`sector_eigenvalues`),
 which lists all moduli, the sectors of at most ``DENSE_SECTOR_SIZE``
-entries (all of them up to n = 5), and the degenerate case, whose error
-lists every near-unit eigenvalue. On the n = 8 config of the CI
+entries (all of them up to n = 5), and, in the same pass, a sector whose
+Arnoldi does not converge or whose top is within ``DEGENERACY_TOL`` of unit
+modulus. Every sector with a near-unit eigenvalue besides the trace's 1 has
+such a top, so a degenerate channel's error lists its near-unit eigenvalues
+bit for bit as :func:`sector_eigenvalues` does, the trace's 1 aside (exactly
+1 where its sector took the Arnoldi). On the n = 8 config of the CI
 ``Large chain`` step (2-core Xeon, OpenBLAS 0.3.31), ``report`` takes
 4.2-4.5 s and ``reverse`` 3.1-3.4 s, against 31.7 and 33.6 s with dense
 ``eigvals`` on every sector, and ``spectrum`` 29-31 s either way; on its
@@ -387,7 +391,7 @@ def _sector_spectra(ch: Channel, certificate: bool):
             # q = 0's real view is copied contiguous, for BLAS products, and freed before
             # _unit_vector runs
             top = top_ritz_value(np.ascontiguousarray(block), diag)
-        if top is None:
+        if top is None or abs(abs(top) - 1.0) <= DEGENERACY_TOL:  # small, unconverged or degenerate
             solved[q] = np.linalg.eigvals(block)
         else:  # the traced sector's top is its second eigenvalue: the first is the trace's 1
             solved[q] = np.array([1.0, top] if traced else [top], dtype=complex)
@@ -424,9 +428,11 @@ def sector_certificate(ch: Channel):
     (and its -q partner the conjugate). The sector that holds the trace
     (q = 0, or the one sector) lists the trace's eigenvalue 1 and the top
     Ritz value of the traceless subspace. A sector whose Arnoldi does not
-    converge is decomposed dense. ``vector`` is the full-length eigenvector
-    at eigenvalue 1 within the trace's sector, from :func:`_unit_vector`,
-    which runs after the Arnoldi since it overwrites the block.
+    converge, or whose top is within ``DEGENERACY_TOL`` of unit modulus, is
+    listed in full by ``eigvals``, as :func:`sector_eigenvalues` lists it.
+    ``vector`` is the full-length eigenvector at eigenvalue 1 within the
+    trace's sector, from :func:`_unit_vector`, which runs after the sector's
+    decomposition since it overwrites the block.
     """
     return _sector_spectra(ch, certificate=True)
 
@@ -484,8 +490,9 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
 
     ch must be trace preserving. The eigenproblem is split by
     :func:`sector_blocks`, built from ch's Kraus stack, and certified by
-    :func:`sector_certificate`: the top eigenvalue of each large sector by
-    Arnoldi, all eigenvalues of each small one by ``eigvals``. The
+    one :func:`sector_certificate` pass: the top eigenvalue of each large
+    sector by Arnoldi, all eigenvalues of each small one, and of each one
+    whose top is near unit, by ``eigvals``. The
     eigenvector comes from the q = 0 block, which carries the trace, by
     inverse iteration (:func:`_unit_vector`), and is made a state by
     :func:`~qcycle.linalg.to_state`, which raises on the zero trace a
@@ -494,8 +501,8 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     the q = 0 sector runs without the trace's eigenvalue 1, so a second 1
     there, like one in any other sector, is a second candidate. More than
     one raises :class:`DegenerateFixedPointError` carrying all of them,
-    from the dense :func:`sector_eigenvalues` (sector by sector), their
-    charges, and the (arbitrary) candidate it would have returned.
+    from the same pass (sector by sector), their charges, and the
+    (arbitrary) candidate it would have returned.
 
     ``report`` and ``reverse`` certify with it; ``spectrum`` lists every
     eigenvalue by :func:`sector_eigenvalues` instead. The module docstring
@@ -503,9 +510,6 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     """
     evals, charges, vector = sector_certificate(ch)
     _, gap, near = spectral_summary(evals)
-    if near.sum() > 1 and len(evals) < ch.dim ** 2:  # an Arnoldi sector listed its top only
-        evals, charges = sector_eigenvalues(ch)
-        _, gap, near = spectral_summary(evals)
     near_unit = evals[near]
 
     rho = to_state(unvec(vector, ch.dim))

@@ -136,14 +136,15 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = 1e-1
     """
     rho_star = np.asarray(rho_star, dtype=complex)
     psd_sqrt_invsqrt(rho_star)  # rank check
-    residual = trace_distance(forward.apply(rho_star), rho_star)
+    image = forward.apply(rho_star)
+    residual = trace_distance(image, rho_star)
     if residual > 100.0 * fp_tol:
         raise NotFixedPointError(residual, 100.0 * fp_tol)
 
     # The solver's absolute error reaches the reversed set amplified by cond(rho_star); one step
     # of the map leaves only the map's own rounding. It stays linear, so a covariant state keeps
     # its exact zeros between popcount classes.
-    rho_star = hermitian_part(forward.apply(rho_star))
+    rho_star = hermitian_part(image)
     rho_star = rho_star / np.trace(rho_star).real
     sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
 

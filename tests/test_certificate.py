@@ -2,7 +2,8 @@
 
 ``sector_certificate`` lists each sector of more than ``DENSE_SECTOR_SIZE``
 entries by its top Ritz value (the q = 0 sector on its traceless subspace,
-after the trace's eigenvalue 1), and each smaller one in full. The dense
+after the trace's eigenvalue 1), and each smaller one in full, as it does a
+sector whose top is within ``DEGENERACY_TOL`` of unit modulus. The dense
 ``sector_eigenvalues`` is the reference: per sector, the listed moduli must
 be its largest, and the gap and the degeneracy verdict must be its own.
 """
@@ -109,15 +110,17 @@ class TestDegeneracy:
         ch = popcount_class_channel(6, rng)
         (q, order, _), = [s for s in sector_blocks(ch) if s[0] == 0]
         assert len(order) > DENSE_SECTOR_SIZE  # so the sector takes the Arnoldi
-        certified, charges, _ = sector_certificate(ch)
-        q0 = certified[[c == 0 for c in charges]]
-        assert len(q0) == 2 and abs(abs(q0[1]) - 1.0) < 1e-12  # a second 1, traceless
-
         evals, charges = sector_eigenvalues(ch)
+        certified, certified_charges, _ = sector_certificate(ch)
+        # its traceless top is a second 1, so the sector is listed in full, equal to the dense listing
+        assert np.array_equal(certified[[c == 0 for c in certified_charges]],
+                              evals[[c == 0 for c in charges]])
+
         _, _, near = spectral_summary(evals)
         with pytest.raises(DegenerateFixedPointError) as err:
             fixed_point_spectral(ch)
-        # the error carries the dense listing: one 1 per popcount class, all of charge 0
+        # the error carries the dense listing's near-unit entries: one 1 per popcount class,
+        # all of charge 0
         assert np.array_equal(err.value.eigenvalues, evals[near])
         assert err.value.charges == [0] * 6
         assert err.value.result.degenerate

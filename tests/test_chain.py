@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcycle import ChainSpec, build_hamiltonian, gibbs_state, site_operator
+from qcycle import ChainSpec, ConfigError, build_hamiltonian, gibbs_state, site_operator
 from conftest import random_chain_spec
 from oracle_naive import commutator_norm, naive_hamiltonian, total_magnetization
 
@@ -48,6 +48,19 @@ class TestChainSpec:
     def test_non_finite_coupling_named(self, bad):
         with pytest.raises(ValueError, match=r"K\[1\]"):
             ChainSpec(n=3, E=[1.0, 1.0, 1.0], J=[0.1, 0.1], K=[0.1, bad], F=[0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", ["1.0", True, None, 1j])
+    def test_non_real_value_named(self, bad):
+        fields = dict(n=3, E=[1.0, 1.0, 1.0], J=[0.1, 0.1], K=[0.1, 0.1], F=[0.1, 0.1])
+        with pytest.raises(ConfigError, match=r"^n: must be an integer, got "):
+            ChainSpec(**dict(fields, n=bad))
+        for name in ("E", "J", "K", "F"):
+            vals = list(fields[name])
+            vals[1] = bad
+            with pytest.raises(ConfigError, match=f"^{name}: must be a list of numbers$"):
+                ChainSpec(**dict(fields, **{name: vals}))
+        with pytest.raises(ConfigError, match=r"^E: must be a list of numbers$"):
+            ChainSpec(**dict(fields, E=bad))
 
 
 class TestBuildHamiltonian:

@@ -121,6 +121,26 @@ class TestConfigParsing:
         assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
         assert capsys.readouterr().err == f"qcycle: config error: {field}: unknown field\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("chain.n", 3.0, "chain.n: must be an integer, got 3.0"),
+        ("chain.n", 2, "chain.n: must be >= 3, got 2"),
+        ("chain.E", [1.0, True, 2.0], "chain.E: must be a list of numbers"),
+        ("chain.F", "0.3", "chain.F: must be a list of numbers"),
+        ("cycle.beta1", "1.0", "cycle.beta1: must be a number, got '1.0'"),
+        ("cycle.tau2", None, "cycle.tau2: must be a number, got None"),
+    ])
+    def test_wrong_json_type_named(self, tmp_path, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(write_config(tmp_path, variant(**{field: value})))
+
+    @pytest.mark.parametrize("field", ["chain.n", "chain.K", "cycle.tau1"])
+    def test_missing_field_named(self, tmp_path, field):
+        doc = variant()
+        section, key = field.split(".")
+        del doc[section][key]
+        with pytest.raises(ConfigError, match=f"^{field}: missing required field$"):
+            parse_config(write_config(tmp_path, doc))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -478,30 +498,36 @@ class TestSpectrum:
             assert out[key]["spectral_gap"] == pytest.approx(result.spectral_gap, abs=1e-12)
 
 
-class TestOneSolvePerConfig:
-    """One set of cycle operators and one decomposition per config.
+def count_calls(monkeypatch):
+    """{name: calls} of cycle_operators and the two sector decompositions, counted from now."""
+    calls = {"cycle_operators": 0, "sector_eigenvalues": 0, "sector_certificate": 0}
 
-    ``report`` and ``reverse`` decompose by the certificate (top eigenvalues),
-    ``spectrum`` by the full dense listing.
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every module that binds the names, so an indirect call is counted too
+    for module in (qcycle.cli, qcycle.engine, qcycle.limitcycle, qcycle.reversal, qcycle.thermo):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+class TestOneSolvePerConfig:
+    """One set of cycle operators and one decomposition per config, degenerate or not.
+
+    ``report`` and ``reverse`` decompose by the certificate (top eigenvalues,
+    and every eigenvalue of a sector whose top is near unit), ``spectrum`` by
+    the full dense listing.
     """
 
     @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
     def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
         decomposition = "sector_eigenvalues" if command == "spectrum" else "sector_certificate"
-        calls = {"cycle_operators": 0, "sector_eigenvalues": 0, "sector_certificate": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        # every module that binds the names, so an indirect call is counted too
-        for module in (qcycle.cli, qcycle.engine, qcycle.limitcycle, qcycle.reversal,
-                       qcycle.thermo):
-            for name in calls:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        calls = count_calls(monkeypatch)
         configs = [write_config(tmp_path, GENERIC, "a.json"),
                    write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
         assert main([command, "--config", *configs, "--sweep"]) == 0
@@ -509,6 +535,18 @@ class TestOneSolvePerConfig:
         expected = {name: 0 for name in calls}
         expected.update({"cycle_operators": 2, decomposition: 2})  # one each per config
         assert calls == expected
+
+    @pytest.mark.parametrize("command", ["report", "reverse"])
+    def test_degenerate_one_pass(self, tmp_path, capsys, monkeypatch, command):
+        # the n = 6 zero-coupling chain: its sectors of 120 entries and more take the Arnoldi,
+        # and its degenerate error comes from that one pass, without a dense re-listing
+        doc = json.loads(json.dumps(N6))
+        doc["chain"].update(J=[0.0] * 5, K=[0.0] * 5, F=[0.0] * 5)
+        calls = count_calls(monkeypatch)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "qcycle: degenerate fixed point; near-unit eigenvalues: [")
+        assert calls == {"cycle_operators": 1, "sector_eigenvalues": 0, "sector_certificate": 1}
 
 
 # the n = 6 config of the CI Large chain step: its q = 0, 1 and 2 sectors take the Arnoldi

@@ -38,6 +38,14 @@ class TestCycleParams:
         with pytest.raises(ValueError):
             CycleParams(beta1=1.0, beta2=1.0, tau1=float("inf"), tau2=0.1)
 
+    @pytest.mark.parametrize("bad", ["1.0", True, None, 1j])
+    def test_rejects_non_real_named(self, bad):
+        for name in ("beta1", "beta2", "tau1", "tau2"):
+            fields = dict(beta1=1.0, beta2=1.0, tau1=0.1, tau2=0.1)
+            fields[name] = bad
+            with pytest.raises(ConfigError, match=f"^{name}: must be a number, got "):
+                CycleParams(**fields)
+
 
 def stroke_1(rho, parts, ops):
     """run_cycle's post-stroke-1 state rho1."""
