@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,11 +28,12 @@ from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
                      NotFixedPointError, RankDeficientError)
-from .limitcycle import (DEGENERACY_TOL, cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
-                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states,
-                         sector_eigenvalues, spectral_summary)
-from .linalg import (check_density_matrix, hermitian_part, partial_trace, random_density_matrix,
-                     to_state, trace_distance)
+from .limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, DEGENERACY_TOL, cold_half_cycle,
+                         cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                         fixed_point_spectral, limit_cycle_states, sector_eigenvalues,
+                         spectral_summary)
+from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
+                     random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
 from .thermo import limit_cycle_report
 
@@ -71,15 +72,15 @@ class RunConfig:
 # config parsing with field-path errors
 
 
-def _known(section: dict, prefix: str, fields) -> None:
-    """Reject the first key of ``section`` that is not one of its documented ``fields``."""
+def _known(section: dict, prefix: str, names) -> None:
+    """Reject the first key of ``section`` that is not one of its documented field ``names``."""
     for key in section:
-        if key not in fields:
+        if key not in names:
             raise ConfigError(prefix + key, "unknown field")
 
 
-def _section(raw: dict, key: str, fields, required: bool = True):
-    """The object ``raw[key]``; a required section must hold every one of its ``fields``."""
+def _section(raw: dict, key: str, names, required: bool = True):
+    """The object ``raw[key]``; a required section must hold every one of its field ``names``."""
     if key not in raw:
         if required:
             raise ConfigError(key, "missing required section")
@@ -87,33 +88,31 @@ def _section(raw: dict, key: str, fields, required: bool = True):
     val = raw[key]
     if not isinstance(val, dict):
         raise ConfigError(key, f"must be an object, got {type(val).__name__}")
-    _known(val, key + ".", fields)
-    for name in fields if required else ():
+    _known(val, key + ".", names)
+    for name in names if required else ():
         if name not in val:
             raise ConfigError(f"{key}.{name}", "missing required field")
     return val
 
 
-def _int_field(section: dict, key: str, path: str, default=None, minimum=None) -> int:
-    val = section.get(key, default)
+def _int_field(val, path: str, minimum: int) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(path, f"must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
+    if val < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {val}")
     return val
 
 
-def _float_field(section: dict, key: str, path: str, default: float) -> float:
-    val = section.get(key, default)
+def _float_field(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(path, f"must be a number, got {val!r}")
     return float(val)
 
 
-def _build(section: str, cls, **fields):
-    """``cls(**fields)``, its field errors re-raised under the config section path."""
+def _build(section: str, cls, **kwargs):
+    """``cls(**kwargs)``, its field errors re-raised under the config section path."""
     try:
-        return cls(**fields)
+        return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{section}.{exc.field}", exc.message) from exc
 
@@ -130,21 +129,20 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("config", "top level must be a JSON object")
     _known(raw, "", ("chain", "cycle", "solver", "seed", "initial_state", "output"))
 
-    # ChainSpec and CycleParams check their fields' types and values
-    spec = _build("chain", ChainSpec, **_section(raw, "chain", ("n", "E", "J", "K", "F")))
-    params = _build("cycle", CycleParams,
-                    **_section(raw, "cycle", ("beta1", "beta2", "tau1", "tau2")))
+    # ChainSpec and CycleParams name their sections' fields and check their types and values
+    spec, params = (_build(key, cls, **_section(raw, key, [f.name for f in fields(cls)]))
+                    for key, cls in (("chain", ChainSpec), ("cycle", CycleParams)))
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
-    tol = _float_field(solver, "tol", "solver.tol", default=1e-10)
+    tol = _float_field(solver.get("tol", DEFAULT_TOL), "solver.tol")
     if not 0.0 < tol < math.inf:
         raise ConfigError("solver.tol", f"must be finite and positive, got {tol}")
-    max_iter = _int_field(solver, "max_iter", "solver.max_iter", default=100_000, minimum=1)
+    max_iter = _int_field(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", minimum=1)
     method = solver.get("method", "both")
     if method not in ("iterate", "spectral", "both"):
         raise ConfigError("solver.method", f"must be iterate, spectral or both, got {method!r}")
 
-    seed = _int_field(raw, "seed", "seed", default=0, minimum=0)
+    seed = _int_field(raw.get("seed", 0), "seed", minimum=0)
 
     initial_state = raw.get("initial_state")
     if initial_state is not None and not isinstance(initial_state, str):
@@ -240,7 +238,7 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
         if rho.shape != (dim, dim):
             raise ConfigError("initial_state", f"expected shape ({dim}, {dim}), got {rho.shape}")
         try:
-            check_density_matrix(rho, herm_atol=1e-10, trace_atol=1e-10)
+            check_density_matrix(rho, herm_atol=HERMITICITY_ATOL, trace_atol=1e-10)
         except ValueError as exc:
             raise ConfigError("initial_state", str(exc)) from exc
         return hermitian_part(rho)  # exact, so run_cycle's check sees none of the drift accepted
@@ -279,9 +277,7 @@ def cmd_simulate(cfg: RunConfig):
             window.append(rec.delta_prev)
         elif cycle_idx == 2:
             rec.delta_prev = trace_distance(rho0, initial)
-        row = (cycle_idx, rec.delta_prev, rec.q_c, rec.q_h, rec.w1, rec.w2, rec.w3,
-               rec.w4, rec.w_total, rec.w_ledger, rec.first_law_residual_paper,
-               rec.first_law_residual_ledger)
+        row = [cycle_idx] + [getattr(rec, c) for c in TRACE_COLUMNS[1:]]
         lines.append(",".join(_csv_cell(x) for x in row))
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
             converged = True
@@ -409,23 +405,26 @@ def cmd_spectrum(cfg: RunConfig):
 # driver
 
 
-def _check_output_format(cfg: RunConfig, command: str) -> None:
+def _check_output(cfg: RunConfig, command: str, sweep: bool) -> None:
     expected = "csv" if command == "simulate" else "json"
     if cfg.out_format is not None and cfg.out_format != expected:
         raise ConfigError("output.format", f"{command} emits {expected}, got {cfg.out_format!r}")
+    if sweep and cfg.out_path is not None:
+        raise ConfigError("output.path", "not used with --sweep; the merged document goes to "
+                                         "--out or stdout")
 
 
 COMMANDS = {"simulate": cmd_simulate, "report": cmd_report,
             "reverse": cmd_reverse, "spectrum": cmd_spectrum}
 
 
-def _run_one(command: str, config_path: str, seed_override: int | None):
+def _run_one(command: str, config_path: str, seed_override: int | None, sweep: bool):
     """Returns (exit_status, text_or_doc, cfg). Exceptions mapped to statuses."""
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
-            cfg.seed = _int_field({"seed": seed_override}, "seed", "--seed", minimum=0)
-        _check_output_format(cfg, command)
+            cfg.seed = _int_field(seed_override, "--seed", minimum=0)
+        _check_output(cfg, command, sweep)
         status, payload = COMMANDS[command](cfg)
         return status, payload, cfg
     except ConfigError as exc:
@@ -450,23 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Four-stroke quantum engine on a spin-conserving chain: "
                     "limit cycles, thermodynamic reports, time reversal.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "iterate cycles and write a per-cycle CSV trace"),
-        ("report", "solve the limit cycle and emit the thermodynamic report (JSON)"),
-        ("reverse", "extract Kraus operators and certify the time-reversed channel (JSON)"),
-        ("spectrum", "emit channel eigenvalue diagnostics (JSON)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, nargs="+", metavar="PATH",
-                       help="JSON run configuration (several paths allowed with --sweep)")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="output file (default: output.path from config, else stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--sweep", action="store_true",
-                       help="run each config in turn and merge the documents "
-                            "into one JSON array, in config order")
+    parser.add_argument("command", choices=COMMANDS,
+                        help="simulate: iterate cycles and write a per-cycle CSV trace; "
+                             "report: solve the limit cycle and emit the thermodynamic report "
+                             "(JSON); reverse: extract Kraus operators and certify the "
+                             "time-reversed channel (JSON); spectrum: emit channel eigenvalue "
+                             "diagnostics (JSON)")
+    parser.add_argument("--config", required=True, nargs="+", metavar="PATH",
+                        help="JSON run configuration (several paths allowed with --sweep)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output file (default: output.path from config, else stdout)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--sweep", action="store_true",
+                        help="run each config in turn and merge the documents into one JSON "
+                             "array, in config order (a config may not set output.path)")
     return parser
 
 
@@ -483,9 +479,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if not args.sweep:
-        status, payload, cfg = _run_one(args.command, configs[0], args.seed)
+        status, payload, cfg = _run_one(args.command, configs[0], args.seed, sweep=False)
         if payload is not None:
-            out_path = args.out if args.out is not None else (cfg.out_path if cfg else None)
+            out_path = args.out if args.out is not None else cfg.out_path
             text = payload if isinstance(payload, str) else dumps(payload)
             return _write_text(text, out_path, status)
         return status
@@ -493,7 +489,7 @@ def main(argv=None) -> int:
     merged = []
     worst = EXIT_OK
     for path in configs:
-        status, payload, _ = _run_one(args.command, path, args.seed)
+        status, payload, _ = _run_one(args.command, path, args.seed, sweep=True)
         entry = {"config": path, "status": status}
         if payload is not None:
             entry["document"] = payload

@@ -66,11 +66,13 @@ class NotFixedPointError(QcycleError):
 class CriteriaViolatedError(QcycleError):
     """Closed-form fixed-point ansatz requested outside its validity regime."""
 
-    def __init__(self, mismatch: float):
+    def __init__(self, mismatch: float, tolerance: float):
         super().__init__(
-            f"bath criteria violated: |beta1*E_1 - beta2*E_N| = {mismatch:.3e} exceeds 1e-9"
+            f"bath criteria violated: |beta1*E_1 - beta2*E_N| = {mismatch:.3e} "
+            f"exceeds {tolerance:.3e}"
         )
         self.mismatch = mismatch
+        self.tolerance = tolerance
 
 
 class ClosureViolationError(QcycleError):

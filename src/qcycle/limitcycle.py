@@ -80,9 +80,9 @@ such a top, so a degenerate channel's error lists its near-unit eigenvalues
 bit for bit as :func:`sector_eigenvalues` does, the trace's 1 aside (exactly
 1 where its sector took the Arnoldi). On the n = 8 config of the CI
 ``Large chain`` step (2-core Xeon, OpenBLAS 0.3.31), ``report`` takes
-4.2-4.5 s and ``reverse`` 3.1-3.4 s, against 31.7 and 33.6 s with dense
-``eigvals`` on every sector, and ``spectrum`` 29-31 s either way; on its
-n = 7 config, 0.6-0.7 s and 0.4-0.6 s, against 1.5-1.7 s and 1.3 s.
+4.2-4.5 s, ``reverse`` 3.1-3.4 s and ``spectrum``, dense on every sector,
+29-31 s; on its n = 7 config, ``report`` and ``reverse`` take 0.6-0.7 s
+and 0.4-0.6 s.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotFixedPointError
-from .limitcycle import Channel
+from .limitcycle import DEFAULT_TOL, Channel
 from .linalg import RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, trace_distance
 
 
@@ -114,7 +114,7 @@ def sequence_probability(kraus_sequence, rho: np.ndarray) -> float:
     return float(np.trace(state).real)
 
 
-def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = 1e-10):
+def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFAULT_TOL):
     """Build the time-reversed channel around a full-rank fixed point.
 
     Parameters

@@ -11,7 +11,7 @@ efficiency prediction coincides with the classical reversible bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,21 +49,8 @@ class LimitCycleReport:
     ansatz_distance: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "q_c_star": self.q_c_star,
-            "q_h_star": self.q_h_star,
-            "w_star_paper": self.w_star_paper,
-            "w_star_ledger": self.w_star_ledger,
-            "eta": self.eta,
-            "eta_predicted": self.eta_predicted,
-            "carnot_eta": self.carnot_eta,
-            "eq18_residual": self.eq18_residual,
-            "first_law_residual": self.first_law_residual,
-            "spectral_gap": self.spectral_gap,
-        }
-        if self.ansatz_distance is not None:
-            doc["ansatz_distance"] = self.ansatz_distance
-        return doc
+        """The fields in order, an absent ``ansatz_distance`` left out (a NaN ``eta`` kept)."""
+        return {key: val for key, val in asdict(self).items() if val is not None}
 
 
 def magnetization_gibbs(n: int, kappa: float) -> np.ndarray:
@@ -82,13 +69,13 @@ def bath_criteria_mismatch(spec: ChainSpec, params: CycleParams) -> float:
 def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
     """Closed-form full-chain fixed point in the matched-bath regime.
 
-    Valid only when beta1 E_1 = beta2 E_N (within 1e-9); the exponent
+    Valid only when beta1 E_1 = beta2 E_N (within ``CRITERIA_ATOL``); the exponent
     kappa = beta1 E_1 is forced by matching the A factor to its bath Gibbs
     state. Outside the regime raises :class:`CriteriaViolatedError`.
     """
     mismatch = bath_criteria_mismatch(spec, params)
     if mismatch > CRITERIA_ATOL:
-        raise CriteriaViolatedError(mismatch)
+        raise CriteriaViolatedError(mismatch, CRITERIA_ATOL)
     return magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
 
 

@@ -16,7 +16,7 @@ from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle
                     fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
 from qcycle.cli import COMMANDS, TRACE_COLUMNS, dumps, main, parse_config
 from qcycle.errors import ConfigError, DegenerateFixedPointError
-from qcycle.limitcycle import sector_eigenvalues, spectral_summary
+from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_eigenvalues, spectral_summary
 from qcycle.linalg import hermitian_part
 
 GENERIC = {
@@ -53,6 +53,11 @@ class TestConfigParsing:
         assert cfg.spec.n == 3
         assert cfg.method == "both"
         assert cfg.seed == 7
+
+    def test_solver_defaults_are_the_library_defaults(self, tmp_path):
+        doc = {key: val for key, val in GENERIC.items() if key != "solver"}
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert (cfg.tol, cfg.max_iter, cfg.method) == (DEFAULT_TOL, DEFAULT_MAX_ITER, "both")
 
     def test_missing_section_named(self, tmp_path):
         with pytest.raises(ConfigError, match="cycle"):
@@ -596,6 +601,24 @@ class TestArnoldiCertificate:
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
+class TestParser:
+    """One parser: the command is a positional choice of ``COMMANDS``, the options are shared."""
+
+    def test_help_lists_commands_and_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{simulate,report,reverse,spectrum}" in out
+        assert all(option in out for option in ("--config", "--out", "--seed", "--sweep"))
+
+    def test_unknown_command_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "--config", write_config(tmp_path, GENERIC)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 class TestUnwritableOutput:
     """A write into a missing directory is reported, after the run, with exit status 1."""
 
@@ -646,6 +669,20 @@ class TestSweep:
         assert doc[0]["status"] == 5 and "document" not in doc[0]
         assert doc[1]["status"] == 0 and "document" in doc[1]
         assert "closure" in captured.err
+
+    def test_output_path_rejected_under_sweep(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        with_path = write_config(tmp_path, variant(**{"output.path": str(target)}), "path.json")
+        good = write_config(tmp_path, GENERIC, "good.json")
+        assert main(["report", "--config", with_path, good, "--sweep"]) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [entry["config"] for entry in doc] == [with_path, good]
+        assert doc[0]["status"] == 1 and "document" not in doc[0]
+        assert doc[1]["status"] == 0 and "document" in doc[1]
+        assert not target.exists()
+        assert captured.err == ("qcycle: config error: output.path: not used with --sweep; "
+                                "the merged document goes to --out or stdout\n")
 
     def test_multiple_configs_require_sweep_flag(self, tmp_path, capsys):
         a = write_config(tmp_path, GENERIC, "a.json")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ansatz_state,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
                     random_density_matrix, trace_distance)
+from qcycle.thermo import LimitCycleReport
 from conftest import carnot_point, point_operators, random_chain_spec, random_engine_point
 from oracle_naive import commutator_norm, total_magnetization
 
@@ -78,6 +81,17 @@ class TestLimitCycleReport:
         assert set(doc) == {"q_c_star", "q_h_star", "w_star_paper", "w_star_ledger",
                             "eta", "eta_predicted", "carnot_eta", "eq18_residual",
                             "first_law_residual", "spectral_gap"}
+
+    def test_serialization_follows_dataclass_fields(self):
+        names = [f.name for f in dataclasses.fields(LimitCycleReport)]
+        report = LimitCycleReport(*[0.5] * (len(names) - 1))
+        report.eta = float("nan")
+        doc = report.to_dict()
+        assert list(doc) == names[:-1] and names[-1] == "ansatz_distance"
+        assert np.isnan(doc["eta"])  # an undefined efficiency is kept, as NaN
+        report.ansatz_distance = 0.25
+        assert list(report.to_dict()) == names
+        assert report.to_dict()["ansatz_distance"] == 0.25
 
     def test_serialization_includes_conditional_field(self, rng):
         spec, params = carnot_point(rng, 3)
