@@ -34,7 +34,7 @@ from .limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, DEGENERACY_TOL, cold_hal
                          spectral_summary)
 from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
                      random_density_matrix, to_state, trace_distance)
-from .reversal import kraus_from_stack, reverse_channel, sequence_probability
+from .reversal import kraus_from_stack, path_probabilities, reverse_channel
 from .thermo import limit_cycle_report
 
 TRACE_COLUMNS = ("cycle", "delta_prev", "q_c", "q_h", "w1", "w2", "w3", "w4",
@@ -340,12 +340,10 @@ def _reverse_one(cfg: RunConfig, channel, rho_star):
 
     rng = np.random.default_rng(cfg.seed)
     ops, reversed_ops = forward.kraus, rev.kraus
-    pairs = rng.integers(0, len(ops), size=(50, 2))
-    balance = 0.0
-    for a1, a2 in pairs:
-        p_fwd = sequence_probability([ops[a1], ops[a2]], rho_star)
-        p_rev = sequence_probability([reversed_ops[a2], reversed_ops[a1]], rho_star)
-        balance = max(balance, abs(p_fwd - p_rev))
+    a1, a2 = rng.integers(0, len(ops), size=(50, 2)).T
+    # forward a1 then a2 against reversed a2 then a1; one direction's stacks at a time
+    p_fwd = path_probabilities(ops, rho_star)[a2, a1]
+    balance = float(np.abs(p_fwd - path_probabilities(reversed_ops, rho_star)[a1, a2]).max())
 
     return {
         "dim": channel.dim,

@@ -14,6 +14,12 @@ Choi matrix: the references for the Choi eigenvalues and Kraus operators
 that ``kraus_from_stack`` takes from the Gram matrix, and for the channel
 matrix that ``sector_blocks`` builds sector by sector.
 
+``exact_fixed_point_iterate`` is the iteration with the exact trace
+distance taken every step. It calls the package's ``hermitize`` and
+``trace_distance`` on purpose: it is the reference that
+``fixed_point_iterate``, which skips the steps a Frobenius bound rules out,
+must match bit for bit.
+
 ``total_magnetization``, ``commutator_norm`` and ``expm_unitary`` are the
 helpers the tests need and the package does not call. ``expm_unitary``
 composes the package's ``eigh_hermitian`` and ``unitary_from_eigh``, the two
@@ -24,7 +30,7 @@ keep covering them on whole matrices.
 import numpy as np
 from scipy.linalg import expm
 
-from qcycle.linalg import eigh_hermitian, unitary_from_eigh
+from qcycle.linalg import eigh_hermitian, hermitize, trace_distance, unitary_from_eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -209,3 +215,20 @@ def commutator_norm(a, b):
 def expm_unitary(h, t):
     """Evolution operator e^{-i h t} for Hermitian h (hbar = 1); a non-Hermitian h raises."""
     return unitary_from_eigh(*eigh_hermitian(h), t)
+
+
+def exact_fixed_point_iterate(ch, rho_init, tol, max_iter):
+    """(rho, iterations, final_delta, converged) of the iteration with the exact stop test.
+
+    ``rho`` is the last iterate, before ``to_state``.
+    """
+    rho = hermitize(np.asarray(rho_init, dtype=complex))
+    deltas = []
+    for _ in range(max_iter):
+        nxt = ch.apply(rho)
+        deltas.append(trace_distance(nxt, rho))
+        rho = nxt
+        if deltas[-1] < tol:
+            break
+    converged = bool(deltas) and deltas[-1] < tol
+    return rho, len(deltas), (deltas[-1] if deltas else 0.0), converged

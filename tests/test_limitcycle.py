@@ -8,9 +8,11 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, trace_distance, unvec, vec)
 from qcycle import ansatz_state
-from qcycle.limitcycle import sector_blocks, sector_eigenvalues, swap_index
+from qcycle.limitcycle import _half_cycle_kraus, sector_blocks, sector_eigenvalues, swap_index
+from qcycle.linalg import hermitize, to_state
 from conftest import carnot_point, point_operators, random_engine_point
-from oracle_naive import NaiveCycle, commutator_norm, naive_channel_matrix, total_magnetization
+from oracle_naive import (NaiveCycle, commutator_norm, exact_fixed_point_iterate,
+                          naive_channel_matrix, total_magnetization)
 
 
 def identity_channel(d):
@@ -58,6 +60,20 @@ class TestChannelProperties:
 
 
 class TestChannelMethods:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_staged_channel_is_the_product_stack(self, n):
+        # Channel(cold, hot): the 16 products, the hot index slow, bit for bit, and the staged
+        # apply agrees with the one-stage channel of those products
+        rng = np.random.default_rng(n)
+        ops = point_operators(*random_engine_point(rng, n))
+        cold, hot = _half_cycle_kraus(ops, cold=True), _half_cycle_kraus(ops, cold=False)
+        for first, second, maker in ((cold, hot, cycle_channel_cb), (hot, cold, cycle_channel_ac)):
+            staged = maker(ops)
+            products = np.array([s @ f for s in second for f in first])
+            assert np.array_equal(staged.kraus, products)
+            rho = random_density_matrix(staged.dim, rng)
+            assert np.abs(staged.apply(rho) - Channel(products).apply(rho)).max() <= 1e-14
+
     def test_match_loop_sums(self, rng, small_point):
         # the stacked products against the per-operator sums they replace
         spec, params = small_point
@@ -176,10 +192,12 @@ class TestFixedPointIterate:
     def test_non_convergence_returns_history(self, rng, small_point):
         spec, params = small_point
         ch = cycle_channel_cb(point_operators(spec, params))
-        res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-14, max_iter=3)
+        rho = random_density_matrix(4, rng)
+        res = fixed_point_iterate(ch, rho, tol=1e-14, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
-        assert len(res.delta_history) == 3
+        two = ch.apply(ch.apply(hermitize(rho)))
+        assert res.final_delta == trace_distance(ch.apply(two), two)
         check_density_matrix(res.rho_star)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
@@ -190,9 +208,34 @@ class TestFixedPointIterate:
     def test_tail_deltas_decreasing(self, rng, small_point):
         spec, params = small_point
         ch = cycle_channel_cb(point_operators(spec, params))
-        res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-12)
-        tail = res.delta_history[-10:]
+        rho = hermitize(random_density_matrix(4, rng))
+        res = fixed_point_iterate(ch, rho, tol=1e-12)
+        deltas = []
+        for _ in range(res.iterations):
+            nxt = ch.apply(rho)
+            deltas.append(trace_distance(nxt, rho))
+            rho = nxt
+        assert deltas[-1] == res.final_delta < 1e-12
+        tail = deltas[-10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stops_as_the_exact_loop(self, n, maker):
+        # the Frobenius bound skips only steps the exact trace distance could not stop at: the
+        # same step count, convergence, final delta and fixed point, bit for bit
+        rng = np.random.default_rng(n)
+        ch = maker(point_operators(*random_engine_point(rng, n)))
+        init = random_density_matrix(ch.dim, rng)
+        for tol, max_iter in ((1e-6, 1000), (1e-10, 1000), (1e-10, 5), (1e-15, 1000),
+                              (1e-17, 300)):
+            res = fixed_point_iterate(ch, init, tol=tol, max_iter=max_iter)
+            rho, iterations, final_delta, converged = exact_fixed_point_iterate(
+                ch, init, tol, max_iter)
+            assert (res.iterations, res.converged) == (iterations, converged), tol
+            assert res.final_delta == final_delta
+            assert np.array_equal(res.rho_star, to_state(rho))
+        assert not converged  # tol 1e-17 is below the rounding floor
 
 
 class TestFixedPointSpectral:

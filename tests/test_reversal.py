@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDef
                     partial_trace, psd_sqrt_invsqrt, random_density_matrix, reverse_channel,
                     sequence_probability, trace_distance)
 from qcycle.linalg import popcount_charges
+from qcycle.reversal import path_probabilities
+from cli_documents import DOCUMENTS
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
 
@@ -179,6 +183,20 @@ class TestSequenceProbability:
         for a in kraus.kraus:
             p = sequence_probability([a], fp.rho_star)
             assert -1e-12 <= p <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
+    @pytest.mark.parametrize("config", ["ill-n4.json", "generic-n5.json", "generic-n6.json",
+                                        "ill-n6-seed12.json"])
+    def test_path_probabilities_match_sequence_loop(self, config, maker):
+        # the Gram contraction against the two-step loop it replaces, on the forward and the
+        # reversed operators at stored CLI points; ill-n6-seed12 has cond(rho_star) = 2.3e8
+        doc = json.loads((DOCUMENTS / config).read_text())
+        ch = maker(point_operators(ChainSpec(**doc["chain"]), CycleParams(**doc["cycle"])))
+        forward, _, _ = kraus_from_stack(ch.kraus)
+        rev, rho = reverse_channel(forward, fixed_point_spectral(ch).rho_star)
+        for ops in (forward.kraus, rev.kraus):
+            loop = [[sequence_probability([a, b], rho) for a in ops] for b in ops]
+            assert np.abs(path_probabilities(ops, rho) - np.array(loop)).max() <= 1e-15
 
 
 class TestReverseChannel:
