@@ -8,9 +8,15 @@ non-convergence, 3 degenerate fixed point, 4 rank deficiency, 5 failed
 certificate (cycle closure, reversal fixed point).
 ``--sweep`` runs its configs one after another, in the order given.
 
-All floats are emitted with up to 17 significant digits, enough to
-round-trip doubles exactly; identical config and seed give bit-identical
-output. NaN (an undefined efficiency) is emitted as JSON null.
+Config checks refuse, with exit 1 and the field named, a ``solver.tol``
+below ``TOL_FLOOR``, and a chain the dense route cannot run: ``report``
+and ``reverse`` when the q = 0 sector block exceeds
+``DENSE_BLOCK_MAX_BYTES`` (n >= 10), ``spectrum`` above n = 8.
+
+Floats are written in the shortest form that reads back as the same double
+(``0.1``, ``0.0``, ``-0.0``); identical config and seed give bit-identical
+output. NaN (an undefined efficiency) is emitted as JSON null, and +-inf as
+"Infinity" and "-Infinity"; in the CSV they read ``nan``, ``inf``, ``-inf``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,16 @@ EXIT_CERTIFICATE = 5
 # threshold, 1e-6, is far above the distance's rounding: 7e-14 relative over 2000 cycles of
 # the README chain with zero couplings.
 STALL_WINDOW = 100
+
+# solver.tol's least value. limit_cycle_states checks the closure distance against 10 tol, and
+# at the spectral fixed point that distance is rounding: 0.9e-16 to 7.9e-16 over the stored
+# documents' configs and the n = 6 to 8 probe chains, the largest at n = 8. 10 x 1e-15 clears
+# it twelvefold; tol = 1e-17 failed the closure at 3.5e-16.
+TOL_FLOOR = 1e-15
+# report and reverse build each S^Z sector's block densely, the largest being q = 0's complex
+# C(2n - 2, n - 1)^2 at 16 bytes an entry. n = 9's 2.5 GiB block runs, at a 3.9 GB peak; n =
+# 10's 35 GiB cannot be allocated. The bound admits n = 9 with room and refuses n = 10.
+DENSE_BLOCK_MAX_BYTES = 8 * 2**30
 
 
 @dataclass
@@ -135,8 +151,9 @@ def parse_config(path: str) -> RunConfig:
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
     tol = _float_field(solver.get("tol", DEFAULT_TOL), "solver.tol")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError("solver.tol", f"must be finite and positive, got {tol}")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise ConfigError("solver.tol", f"must be at least {TOL_FLOOR:g} (the closure check "
+                                        f"fails at rounding below it) and finite, got {tol}")
     max_iter = _int_field(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", minimum=1)
     method = solver.get("method", "both")
     if method not in ("iterate", "spectral", "both"):
@@ -165,43 +182,20 @@ def parse_config(path: str) -> RunConfig:
 # deterministic serialization
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return f"{x:.17g}"
-
-
-def dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits; NaN becomes null."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _plain(obj):
+    """obj with NaN as None and +-inf as the strings "Infinity" and "-Infinity"."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {key: _plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+        return [_plain(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _fmt_float(float(x)).strip('"') if not math.isnan(float(x)) else "nan"
+def dumps(obj) -> str:
+    """JSON text, indented by 2, floats in their shortest round-trip form; NaN becomes null."""
+    return json.dumps(_plain(obj), indent=2)
 
 
 def _write_text(text: str, out_path: str | None, status: int) -> int:
@@ -277,8 +271,8 @@ def cmd_simulate(cfg: RunConfig):
             window.append(rec.delta_prev)
         elif cycle_idx == 2:
             rec.delta_prev = trace_distance(rho0, initial)
-        row = [cycle_idx] + [getattr(rec, c) for c in TRACE_COLUMNS[1:]]
-        lines.append(",".join(_csv_cell(x) for x in row))
+        lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
+                                                  for c in TRACE_COLUMNS[1:]]))
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
             converged = True
             break
@@ -412,6 +406,20 @@ def _check_output(cfg: RunConfig, command: str, sweep: bool) -> None:
                                          "--out or stdout")
 
 
+def _check_size(cfg: RunConfig, command: str) -> None:
+    """Refuse a chain whose dense sector blocks cannot be held or decomposed in practice."""
+    n = cfg.spec.n
+    block = math.comb(2 * n - 2, n - 1)  # the q = 0 sector's size
+    size = f"its q = 0 sector block is {block}^2 complex, {16 * block**2 / 2**30:.1f} GiB"
+    if command in ("report", "reverse") and 16 * block**2 > DENSE_BLOCK_MAX_BYTES:
+        raise ConfigError("chain.n", f"{command} cannot run at n = {n}: {size}, above the "
+                                     f"{DENSE_BLOCK_MAX_BYTES / 2**30:g} GiB bound")
+    # dense eigvals on n = 9's 12870-entry q = 0 block ran past 600 s
+    if command == "spectrum" and n > 8:
+        raise ConfigError("chain.n", f"spectrum decomposes every sector densely and runs up to "
+                                     f"n = 8, got n = {n}: {size}")
+
+
 COMMANDS = {"simulate": cmd_simulate, "report": cmd_report,
             "reverse": cmd_reverse, "spectrum": cmd_spectrum}
 
@@ -423,6 +431,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None, sweep: b
         if seed_override is not None:
             cfg.seed = _int_field(seed_override, "--seed", minimum=0)
         _check_output(cfg, command, sweep)
+        _check_size(cfg, command)
         status, payload = COMMANDS[command](cfg)
         return status, payload, cfg
     except ConfigError as exc:

@@ -351,10 +351,10 @@ def top_ritz_value(block: np.ndarray, diag=None):
     if diag is not None:
         v[diag] -= v[diag].mean()
     steps = min(ARNOLDI_MAX_STEPS, size)
-    room = min(4 * RITZ_CHECK_STEPS, steps) + 1  # basis rows; h, (room + 1) x room, grows alike
-    basis = np.empty((room, size), dtype=block.dtype)
+    # np.empty commits a row's pages only when it is written, so memory follows the steps taken
+    basis = np.empty((steps + 1, size), dtype=block.dtype)
     basis[0] = v / np.linalg.norm(v)
-    h = np.zeros((room + 1, room), dtype=block.dtype)
+    h = np.zeros((steps + 1, steps), dtype=block.dtype)
     for m in range(1, steps + 1):
         w = block @ basis[m - 1]
         if diag is not None:
@@ -373,10 +373,6 @@ def top_ritz_value(block: np.ndarray, diag=None):
                 return complex(theta[top])
         if m == steps:
             return None
-        if m == len(basis):
-            more = min(m, steps + 1 - m)
-            basis = np.concatenate([basis, np.empty((more, size), basis.dtype)])
-            h = np.pad(h, ((0, more), (0, more)))
         basis[m] = w / beta
 
 

@@ -8,8 +8,8 @@ Popcount classes. With |0> the S^Z = +1/2 state, the basis states of d = 2^k
 fall into the classes C_m of popcount m (:func:`popcount_classes`), the
 total-S^Z sectors k/2 - m. An operator that commutes with S^Z is block
 diagonal over them and is stored as the pair (classes, blocks), one block
-per class (:func:`assemble` makes it dense). :func:`charge_groups` is the
-one test of that structure: it gives each operator of a stack the charge
+per class (:func:`assemble` makes it dense). :func:`charge_groups` tests a
+stack for that structure: it gives each operator the charge
 popcount(row) - popcount(column) of its largest entry and accepts the split
 when its entries of other charges are rounding (``CHARGE_LEAKAGE_TOL``).
 :func:`to_state` and :func:`psd_sqrt_invsqrt` decompose a charge-0 matrix
@@ -66,11 +66,10 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
         raise ValueError("keep must name at least one tensor factor")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    t = rho.reshape(dims + dims)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    # Trace highest axes first so lower axis labels stay valid.
-    for ax in reversed(traced):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+    # row i carries label i; a kept column label n + i, a traced one its row's label i
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(rho.reshape(dims + dims), list(range(n)) + cols, keep + [n + i for i in keep])
     d_keep = int(np.prod([dims[i] for i in keep]))
     return t.reshape(d_keep, d_keep)
 
@@ -176,13 +175,17 @@ def to_state(m: np.ndarray) -> np.ndarray:
 def _class_eigh(h: np.ndarray):
     """``(w, spectral)``: the eigenvalues of the Hermitian h, and f -> f(h) from its eigenvectors.
 
-    h is decomposed by one ``eigh`` per popcount class when :func:`charge_groups` finds it
-    charge-0 pure, else as one class of every index. ``spectral(f)`` is the block-diagonal
-    V f(w) V* of those decompositions, exactly zero between classes; on one class it is the
-    dense V f(w) V*, bit for bit.
+    h is decomposed by one ``eigh`` per popcount class when it is charge-0 pure: its entries
+    of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its largest, the decision
+    ``charge_groups(h[None])`` makes for charge 0. Else it is one class of every index.
+    ``spectral(f)`` is the block-diagonal V f(w) V* of those decompositions, exactly zero
+    between classes; on one class it is the dense V f(w) V*, bit for bit.
     """
-    [(q, _)] = charge_groups(h[None])
-    classes = popcount_classes(len(h)) if q == 0 else [np.arange(len(h))]
+    charge = popcount_charges(len(h))
+    moduli = np.abs(h)
+    pure = (charge is not None and
+            moduli[charge != 0].max(initial=0.0) <= CHARGE_LEAKAGE_TOL * moduli.max())
+    classes = popcount_classes(len(h)) if pure else [np.arange(len(h))]
     eighs = [np.linalg.eigh(h[np.ix_(c, c)]) for c in classes]
 
     def spectral(f):

@@ -69,6 +69,21 @@ def naive_ptrace_last(rho, d_rest, d_last):
     return out
 
 
+def naive_partial_trace(rho, keep, dims):
+    """Keep the factors ``keep`` by summing each entry whose traced row and column digits agree."""
+    n = len(dims)
+    kept = [dims[i] for i in keep]
+    d_keep = int(np.prod(kept))
+    out = np.zeros((d_keep, d_keep), dtype=complex)
+    for row in np.ndindex(*dims):
+        for col in np.ndindex(*dims):
+            if all(row[i] == col[i] for i in range(n) if i not in keep):
+                r = np.ravel_multi_index([row[i] for i in keep], kept)
+                c = np.ravel_multi_index([col[i] for i in keep], kept)
+                out[r, c] += rho[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)]
+    return out
+
+
 def naive_site_operator(pauli, site, n):
     op = np.array([[1.0 + 0j]])
     for k in range(1, n + 1):

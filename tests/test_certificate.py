@@ -152,6 +152,26 @@ class TestTopRitzValue:
         assert abs(top - (moduli * phases)[0]) <= 1e-10
         assert top_ritz_value(np.ascontiguousarray(block)) == top  # the same bits every call
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_past_first_basis_allocation(self, rng, monkeypatch, dtype):
+        # a normal block, whose eigenvalue error is at most the Ritz residual; the others fill
+        # the disk (or interval) of radius 0.93 below the top 0.97, so 21 steps do not converge
+        size = 300
+        others = 0.93 * np.sqrt(rng.uniform(size=size - 1))
+        if dtype is complex:
+            others = others * np.exp(2j * np.pi * rng.uniform(size=size - 1))
+            u = random_unitary(rng, size)
+        else:
+            others = others * rng.choice([-1.0, 1.0], size=size - 1)
+            u = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        block = np.ascontiguousarray((u * np.concatenate([[0.97], others])) @ u.conj().T)
+        dense = np.linalg.eigvals(block)
+        top = top_ritz_value(block)
+        assert abs(top - dense[np.abs(dense).argmax()]) <= RITZ_TOL
+        assert top_ritz_value(block) == top  # the same bits every call
+        monkeypatch.setattr(qcycle.limitcycle, "ARNOLDI_MAX_STEPS", 21)
+        assert top_ritz_value(block) is None
+
     def test_traceless_subspace(self, rng):
         # a replacement map x -> Tr(x) sigma on 4 x 4: eigenvalue 1 once, all others 0
         d = 4

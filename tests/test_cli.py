@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,8 @@ import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
-from qcycle.cli import COMMANDS, TRACE_COLUMNS, dumps, main, parse_config
-from qcycle.errors import ConfigError, DegenerateFixedPointError
+from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
+from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_eigenvalues, spectral_summary
 from qcycle.linalg import hermitian_part
 
@@ -89,6 +90,16 @@ class TestConfigParsing:
         assert main(["report", "--config", cfg]) == 1
         assert "chain.E" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_tolerance_below_floor_named(self, tmp_path, capsys, method):
+        # tol 1e-17 failed the closure at rounding (spectral) or ran every iteration (both)
+        doc = variant(**{"solver.tol": 1e-17, "solver.method": method})
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "qcycle: config error: solver.tol: must be at least 1e-15")
+        assert parse_config(write_config(tmp_path, variant(**{"solver.tol": TOL_FLOOR}))).tol \
+            == TOL_FLOOR
+
     def test_nan_tolerance_named(self, tmp_path):
         # json reads a bare NaN or Infinity; an infinite tol accepted any iterate
         for tol in (float("nan"), float("inf")):
@@ -151,6 +162,44 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="config"):
             parse_config(str(path))
+
+
+class Unreachable(Exception):
+    pass
+
+
+def long_chain(n):
+    return {"chain": {"n": n, "E": [1.0] * (n - 1) + [2.0], "J": [0.4] * (n - 1),
+                      "K": [0.2] * (n - 1), "F": [0.3] * (n - 1)},
+            "cycle": GENERIC["cycle"], "seed": 7}
+
+
+class TestChainSize:
+    """Chains the dense route cannot hold or decompose exit 1 before any operator is built."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self, monkeypatch):
+        def build_hamiltonian(spec):
+            raise Unreachable
+
+        monkeypatch.setattr(qcycle.cli, "build_hamiltonian", build_hamiltonian)
+
+    @pytest.mark.parametrize("command, n, message", [
+        ("report", 10, "report cannot run at n = 10: its q = 0 sector block is 48620^2 complex, "
+                       "35.2 GiB, above the 8 GiB bound"),
+        ("reverse", 10, "reverse cannot run at n = 10"),
+        ("spectrum", 9, "spectrum decomposes every sector densely and runs up to n = 8, got "
+                        "n = 9: its q = 0 sector block is 12870^2 complex, 2.5 GiB"),
+    ])
+    def test_refused(self, tmp_path, capsys, command, n, message):
+        assert main([command, "--config", write_config(tmp_path, long_chain(n))]) == 1
+        assert capsys.readouterr().err.startswith(f"qcycle: config error: chain.n: {message}")
+
+    @pytest.mark.parametrize("command, n", [("report", 9), ("reverse", 9), ("spectrum", 8),
+                                            ("simulate", 10)])
+    def test_admitted(self, tmp_path, command, n):
+        with pytest.raises(Unreachable):
+            main([command, "--config", write_config(tmp_path, long_chain(n))])
 
 
 def chain_of(n):
@@ -412,6 +461,12 @@ class TestReverse:
             assert section["choi_output_trace_residual"] < 1e-10
             assert section["kraus_count"] >= 1
 
+    def test_discarded_weight_is_a_float(self, tmp_path, capsys):
+        # an exact 0.0 was written as the integer 0
+        assert main(["reverse", "--config", write_config(tmp_path, GENERIC)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [type(doc[side]["discarded_choi_weight"]) for side in ("cb", "ac")] == [float] * 2
+
     def test_slowly_mixing_ill_conditioned_point(self, tmp_path, capsys):
         # the seventh reverse-n6 point of benchmark seed 12: CB cond(rho_star) = 2.3e8, gap
         # 0.026. With one dense eigh, the rounding of the whole matrix reached rho_star's 1e-8
@@ -643,6 +698,24 @@ class TestUnwritableOutput:
         assert f"qcycle: cannot write {target}: " in capsys.readouterr().err
 
 
+class TestDumps:
+    def test_floats_read_back_bit_for_bit(self, rng):
+        values = list(rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200))
+        values += [0.0, -0.0, 5e-324, -2.5e-310, 1.0, -3.0, 2.0**60, 1e308, -1e308, 0.1]
+        back = json.loads(dumps({"x": values}))["x"]
+        assert [type(x) for x in back] == [float] * len(values)
+        assert np.array_equal(np.array(values).view(np.uint64), np.array(back).view(np.uint64))
+
+    def test_non_finite_floats(self):
+        text = dumps([float("nan"), np.float64("inf"), -math.inf, {"eta": np.nan}])
+        assert json.loads(text) == [None, "Infinity", "-Infinity", {"eta": None}]
+
+    def test_layout(self):
+        doc = {"a": [1, 2.5, True, None], "b": {}, "c": [], "d": "\u00e9"}
+        assert dumps(doc) == ('{\n  "a": [\n    1,\n    2.5,\n    true,\n    null\n  ],\n'
+                              '  "b": {},\n  "c": [],\n  "d": "\\u00e9"\n}')
+
+
 class TestSweep:
     def test_sweep_merges_in_config_order(self, tmp_path, capsys):
         good = write_config(tmp_path, GENERIC, "good.json")
@@ -657,18 +730,26 @@ class TestSweep:
         assert doc[0]["status"] == 0 and "document" in doc[0]
         assert doc[1]["status"] == 3 and "document" not in doc[1]
 
-    def test_failing_member_keeps_other_documents(self, tmp_path, capsys):
-        # a tolerance below rounding makes the closure certificate fail
-        tight = write_config(tmp_path, variant(**{"solver.method": "spectral",
-                                                  "solver.tol": 1e-17}), "tight.json")
+    def test_failing_member_keeps_other_documents(self, tmp_path, capsys, monkeypatch):
+        # no tol at or above the floor fails the closure at rounding, so the failure is forced
+        unclosed = write_config(tmp_path, variant(**{"solver.tol": 2e-15}), "unclosed.json")
         good = write_config(tmp_path, GENERIC, "good.json")
-        assert main(["report", "--config", tight, good, "--sweep"]) == 5
+        states = qcycle.cli.limit_cycle_states
+
+        def limit_cycle_states(rho, parts, ops, tol):
+            if tol == 2e-15:
+                raise ClosureViolationError(3.5e-14, 10.0 * tol)
+            return states(rho, parts, ops, tol=tol)
+
+        monkeypatch.setattr(qcycle.cli, "limit_cycle_states", limit_cycle_states)
+        assert main(["report", "--config", unclosed, good, "--sweep"]) == 5
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
-        assert [entry["config"] for entry in doc] == [tight, good]
+        assert [entry["config"] for entry in doc] == [unclosed, good]
         assert doc[0]["status"] == 5 and "document" not in doc[0]
         assert doc[1]["status"] == 0 and "document" in doc[1]
-        assert "closure" in captured.err
+        assert captured.err == ("qcycle: certificate failed: cycle closure violated: distance "
+                                "3.500e-14 exceeds 2.000e-14\n")
 
     def test_output_path_rejected_under_sweep(self, tmp_path, capsys):
         target = tmp_path / "report.json"

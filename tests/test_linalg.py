@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
                     random_density_matrix, to_state, trace_distance)
 from qcycle.linalg import (STATE_PSD_ATOL, hermitian_part, hermitize, popcount_charges,
                            popcount_classes)
-from oracle_naive import commutator_norm, expm_unitary
+from oracle_naive import commutator_norm, expm_unitary, naive_partial_trace
 
 
 def random_hermitian(rng, d):
@@ -54,6 +56,15 @@ class TestPartialTrace:
             red = partial_trace(rho, [1, 3], [2, 2, 2, 2])
             assert abs(np.trace(red) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(red).min() >= -1e-10
+
+    @pytest.mark.parametrize("dims", [[2, 3], [3, 2], [2, 3, 2], [3, 2, 2], [2, 2, 3, 2]])
+    def test_every_keep_subset_against_index_loop(self, rng, dims):
+        d = int(np.prod(dims))
+        m = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+        for size in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), size):
+                reference = naive_partial_trace(m, keep, dims)
+                assert np.abs(partial_trace(m, keep, dims) - reference).max() <= 1e-15
 
     def test_empty_keep_rejected(self, rng):
         with pytest.raises(ValueError):
