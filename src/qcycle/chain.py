@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .linalg import eigh_hermitian, kron
 
 PAULI = {
@@ -67,11 +67,7 @@ class ChainSpec:
     F: tuple = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ConfigError("n", f"must be an integer, got {self.n!r}")
-        if self.n < 3:
-            raise ConfigError("n", f"must be >= 3, got {self.n}")
-        self.n = int(self.n)
+        self.n = integer(self.n, "n", minimum=3)
         for name in ("E", "J", "K", "F"):
             length = self.n if name == "E" else self.n - 1
             vals = getattr(self, name)

@@ -33,11 +33,11 @@ import numpy as np
 from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_operators, run_cycle
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                     NotFixedPointError, RankDeficientError)
-from .limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, DEGENERACY_TOL, cold_half_cycle,
-                         cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
-                         fixed_point_spectral, limit_cycle_states, sector_eigenvalues,
-                         spectral_summary)
+                     NotFixedPointError, RankDeficientError, integer, real)
+from .limitcycle import (CLOSURE_FACTOR, DEFAULT_MAX_ITER, DEFAULT_TOL, STALL_DROP, STALL_WINDOW,
+                         cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                         fixed_point_spectral, limit_cycle_states, sector_spectra,
+                         spectral_summary, stalled)
 from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
                      random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, path_probabilities, reverse_channel
@@ -54,16 +54,10 @@ EXIT_DEGENERATE = 3
 EXIT_RANK_DEFICIENT = 4
 EXIT_CERTIFICATE = 5
 
-# simulate stops once delta_prev fell by less than STALL_WINDOW * DEGENERACY_TOL (relative)
-# over STALL_WINDOW cycles, as under a map whose |lambda_2| report calls degenerate. That
-# threshold, 1e-6, is far above the distance's rounding: 7e-14 relative over 2000 cycles of
-# the README chain with zero couplings.
-STALL_WINDOW = 100
-
-# solver.tol's least value. limit_cycle_states checks the closure distance against 10 tol, and
-# at the spectral fixed point that distance is rounding: 0.9e-16 to 7.9e-16 over the stored
-# documents' configs and the n = 6 to 8 probe chains, the largest at n = 8. 10 x 1e-15 clears
-# it twelvefold; tol = 1e-17 failed the closure at 3.5e-16.
+# solver.tol's least value. limit_cycle_states checks the closure distance against
+# CLOSURE_FACTOR (10) times tol, and at the spectral fixed point that distance is rounding:
+# 0.9e-16 to 7.9e-16 over the stored documents' configs and the n = 6 to 8 probe chains, the
+# largest at n = 8. 10 x 1e-15 clears it twelvefold; tol = 1e-17 failed the closure at 3.5e-16.
 TOL_FLOOR = 1e-15
 # report and reverse build each S^Z sector's block densely, the largest being q = 0's complex
 # C(2n - 2, n - 1)^2 at 16 bytes an entry. n = 9's 2.5 GiB block runs, at a 3.9 GB peak; n =
@@ -111,20 +105,6 @@ def _section(raw: dict, key: str, names, required: bool = True):
     return val
 
 
-def _int_field(val, path: str, minimum: int) -> int:
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(path, f"must be an integer, got {val!r}")
-    if val < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {val}")
-    return val
-
-
-def _float_field(val, path: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(path, f"must be a number, got {val!r}")
-    return float(val)
-
-
 def _build(section: str, cls, **kwargs):
     """``cls(**kwargs)``, its field errors re-raised under the config section path."""
     try:
@@ -150,16 +130,16 @@ def parse_config(path: str) -> RunConfig:
                     for key, cls in (("chain", ChainSpec), ("cycle", CycleParams)))
 
     solver = _section(raw, "solver", ("tol", "max_iter", "method"), required=False)
-    tol = _float_field(solver.get("tol", DEFAULT_TOL), "solver.tol")
+    tol = real(solver.get("tol", DEFAULT_TOL), "solver.tol")
     if not TOL_FLOOR <= tol < math.inf:
         raise ConfigError("solver.tol", f"must be at least {TOL_FLOOR:g} (the closure check "
                                         f"fails at rounding below it) and finite, got {tol}")
-    max_iter = _int_field(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", minimum=1)
+    max_iter = integer(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", minimum=1)
     method = solver.get("method", "both")
     if method not in ("iterate", "spectral", "both"):
         raise ConfigError("solver.method", f"must be iterate, spectral or both, got {method!r}")
 
-    seed = _int_field(raw.get("seed", 0), "seed", minimum=0)
+    seed = integer(raw.get("seed", 0), "seed", minimum=0)
 
     initial_state = raw.get("initial_state")
     if initial_state is not None and not isinstance(initial_state, str):
@@ -253,7 +233,7 @@ def cmd_simulate(cfg: RunConfig):
     U2 (Z (x) sigma_b) U2* with Z = Tr_B rho2. The trace distance ignores the
     unitary and the sigma_b factor, so it is taken between the two Z.
     Cycle 2 compares with the initial state, on the full chain. The later
-    distances never grow, and a run exits 2 where they stall (``STALL_WINDOW``).
+    distances never grow, and a run exits 2 where they stall (:func:`~qcycle.limitcycle.stalled`).
     """
     parts, ops = _operators(cfg)
     rho0 = initial = _initial_full_state(cfg)
@@ -262,7 +242,6 @@ def cmd_simulate(cfg: RunConfig):
     lines = [",".join(TRACE_COLUMNS)]
     ac = prev_ac = None  # the AC states of the last two cycles
     window = deque(maxlen=STALL_WINDOW + 1)  # the last delta_prev values between AC states
-    stall = STALL_WINDOW * DEGENERACY_TOL
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
         state, rec = run_cycle(rho0, parts, ops)
@@ -276,9 +255,9 @@ def cmd_simulate(cfg: RunConfig):
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
             converged = True
             break
-        if len(window) > STALL_WINDOW and window[0] - window[-1] < stall * window[0]:
+        if len(window) > STALL_WINDOW and stalled(window[0], window[-1]):
             print(f"qcycle: simulate stalled at cycle {cycle_idx}: delta_prev fell by less than "
-                  f"{stall:.0e} over {STALL_WINDOW} cycles; see spectrum", file=sys.stderr)
+                  f"{STALL_DROP:.0e} over {STALL_WINDOW} cycles; see spectrum", file=sys.stderr)
             break
         prev_ac, ac = ac, partial_trace(state.rho2, range(n - 1), [2] * n)
         rho0 = state.rho4
@@ -303,13 +282,15 @@ def _solve_fixed_point(cfg: RunConfig, channel):
         init = random_density_matrix(channel.dim, rng)
         iterate = fixed_point_iterate(channel, init, tol=tol, max_iter=cfg.max_iter)
         if not iterate.converged:
-            print(f"qcycle: fixed-point iteration did not converge: {iterate.iterations} "
-                  f"iterations, final delta {iterate.final_delta:.3e}, tol {tol:.3e}",
-                  file=sys.stderr)
+            why = ("did not converge" if iterate.iterations == cfg.max_iter else
+                   f"stalled: its step fell by less than {STALL_DROP:.0e} over {STALL_WINDOW} "
+                   f"iterations")
+            print(f"qcycle: fixed-point iteration {why}: {iterate.iterations} iterations, final "
+                  f"delta {iterate.final_delta:.3e}, tol {tol:.3e}", file=sys.stderr)
             return None, spectral
         if cfg.method == "both":
             gap_between = trace_distance(iterate.rho_star, spectral.rho_star)
-            if gap_between > 10.0 * cfg.tol:
+            if gap_between > CLOSURE_FACTOR * cfg.tol:
                 print(f"qcycle: warning: solvers disagree by {gap_between:.3e}", file=sys.stderr)
     return (iterate.rho_star if cfg.method == "iterate" else spectral.rho_star), spectral
 
@@ -370,13 +351,12 @@ def cmd_reverse(cfg: RunConfig):
 
 
 def _spectrum_one(channel):
-    evals, _ = sector_eigenvalues(channel)
-    moduli, gap, near = spectral_summary(evals)
-    near_unit = evals[near]
+    moduli, gap, near_unit, _, degenerate = spectral_summary(
+        *sector_spectra(channel, certificate=False)[:2])
     return {
         "dim": channel.dim,
         "spectral_gap": gap,
-        "degenerate": len(near_unit) > 1,
+        "degenerate": degenerate,
         "near_unit_eigenvalues": [[float(ev.real), float(ev.imag)] for ev in near_unit],
         "eigenvalue_moduli": [float(m) for m in moduli],
     }
@@ -429,7 +409,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None, sweep: b
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
-            cfg.seed = _int_field(seed_override, "--seed", minimum=0)
+            cfg.seed = integer(seed_override, "--seed", minimum=0)
         _check_output(cfg, command, sweep)
         _check_size(cfg, command)
         status, payload = COMMANDS[command](cfg)

@@ -23,13 +23,12 @@ Sign conventions in the accounting:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
-from .errors import ConfigError
+from .errors import ConfigError, real
 from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_trace,
                      popcount_charges, popcount_classes, unitary_from_eigh)
 
@@ -49,10 +48,7 @@ class CycleParams:
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "tau1", "tau2"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Real):
-                raise ConfigError(name, f"must be a number, got {val!r}")
-            val = float(val)
+            val = real(getattr(self, name), name)
             setattr(self, name, val)
             if not math.isfinite(val):
                 raise ConfigError(name, f"must be finite, got {val}")

@@ -4,6 +4,8 @@ Each family maps to a distinct CLI exit status; library code raises these
 directly and the command layer translates.
 """
 
+import numbers
+
 
 class QcycleError(Exception):
     """Base class for all package errors."""
@@ -21,6 +23,22 @@ class ConfigError(QcycleError, ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
+
+
+def integer(val, field: str, minimum: int) -> int:
+    """int(val) for an integer of at least ``minimum``, a ``bool`` being none; else ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ConfigError(field, f"must be an integer, got {val!r}")
+    if val < minimum:
+        raise ConfigError(field, f"must be >= {minimum}, got {val}")
+    return int(val)
+
+
+def real(val, field: str) -> float:
+    """float(val) for a real number, a ``bool`` being none; else ConfigError on ``field``."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigError(field, f"must be a number, got {val!r}")
+    return float(val)
 
 
 class RankDeficientError(QcycleError):

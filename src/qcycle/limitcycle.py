@@ -64,7 +64,7 @@ q >= 0 blocks, the q = 0 block as the real matrix T^* M_0 T.
 
 Certificate and listing. The fixed point is unique, and the spectral gap
 known, once each sector's largest eigenvalue modulus is known, the trace's
-eigenvalue 1 aside. :func:`sector_certificate`, which
+eigenvalue 1 aside. :func:`sector_spectra` with ``certificate``, which
 :func:`fixed_point_spectral` and so ``report`` and ``reverse`` run, takes
 it from each sector of more than ``DENSE_SECTOR_SIZE`` entries by Arnoldi
 (:func:`top_ritz_value`), on the dense block that :func:`sector_blocks`
@@ -73,18 +73,18 @@ multiplicity of an eigenvalue, so the q = 0 sector is iterated on its
 traceless matrices: a trace-preserving map keeps them, and on them the
 eigenvalue 1 has one copy fewer, so a second fixed point shows as a top
 Ritz value near 1. Dense ``eigvals`` stays where every eigenvalue is
-needed or the Arnoldi does not pay: ``spectrum`` (:func:`sector_eigenvalues`),
-which lists all moduli, the sectors of at most ``DENSE_SECTOR_SIZE``
-entries (all of them up to n = 5), and, in the same pass, a sector whose
-Arnoldi does not converge or whose top is within ``DEGENERACY_TOL`` of unit
-modulus. Every sector with a near-unit eigenvalue besides the trace's 1 has
-such a top, so a degenerate channel's error lists its near-unit eigenvalues
-bit for bit as :func:`sector_eigenvalues` does, the trace's 1 aside (exactly
-1 where its sector took the Arnoldi). On the n = 8 config of the CI
-``Large chain`` step (2-core Xeon, OpenBLAS 0.3.31), ``report`` takes
-1.7 s, 0.36 s of it iterating, ``reverse`` 1.5-1.6 s and ``spectrum``, dense
-on every sector, 17 s; on its n = 7 config, ``report`` and ``reverse`` take
-0.25 s and 0.21 s.
+needed or the Arnoldi does not pay: ``spectrum`` (:func:`sector_spectra`
+without ``certificate``), which lists all moduli, the sectors of at most
+``DENSE_SECTOR_SIZE`` entries (all of them up to n = 5), and, in the same
+pass, a sector whose Arnoldi does not converge or whose top is near unit
+(:func:`is_near_unit`, the one test against ``DEGENERACY_TOL``). Every
+sector with a near-unit eigenvalue besides the trace's 1 has such a top, so
+a degenerate channel's error lists its near-unit eigenvalues bit for bit as
+``spectrum`` does, the trace's 1 aside (exactly 1 where its sector took the
+Arnoldi). On the n = 8 config of the CI ``Large chain`` step (2-core Xeon,
+OpenBLAS 0.3.31), ``report`` takes 1.7 s, 0.36 s of it iterating,
+``reverse`` 1.5-1.6 s and ``spectrum``, dense on every sector, 17 s; on its
+n = 7 config, ``report`` and ``reverse`` take 0.25 s and 0.21 s.
 """
 
 from __future__ import annotations
@@ -102,9 +102,17 @@ from .linalg import (assemble, charge_groups, hermitian_part, hermitize, kron, p
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEGENERACY_TOL = 1e-8  # eigenvalues this close to unit modulus count as fixed-point candidates
+# A distance between iterates stalls when it falls by less than STALL_DROP (relative) over
+# STALL_WINDOW steps, as under a map whose |lambda_2| is within DEGENERACY_TOL of 1:
+# (1 - DEGENERACY_TOL)^STALL_WINDOW ~ 1 - STALL_DROP. That drop, 1e-6, is far above the
+# distance's rounding: 7e-14 relative over 2000 cycles of the README chain with zero couplings.
+STALL_WINDOW = 100
+STALL_DROP = STALL_WINDOW * DEGENERACY_TOL
+# limit_cycle_states accepts a closure distance up to CLOSURE_FACTOR * tol
+CLOSURE_FACTOR = 10.0
 # The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
 UNIT_SHIFT = 1e-10
-# sector_certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense. Below
+# sector_spectra's certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense. Below
 # about 100 entries eigvals is as fast as the Arnoldi (best of 5 on a 2-core Xeon: 0.8-1.2 ms
 # against 0.9-1.8 ms for n = 5's largest sector, 70 entries); above it the Arnoldi wins (n = 6's
 # sectors of 120, 210 and 252 entries: 2.3-9.7 ms against 7.7-35 ms).
@@ -376,8 +384,26 @@ def top_ritz_value(block: np.ndarray, diag=None):
         basis[m] = w / beta
 
 
-def _sector_spectra(ch: Channel, certificate: bool):
-    """(eigenvalues, charges, vector) over :func:`sector_blocks`, for the two functions below."""
+def sector_spectra(ch: Channel, certificate: bool):
+    """``(eigenvalues, charges, vector)`` of ch's channel matrix, in one :func:`sector_blocks` pass.
+
+    ``eigenvalues`` lists each block's eigenvalues, sector after sector in
+    ascending charge, and ``charges`` the charge of each (None where the
+    stack did not split). The q = 0 block is decomposed as the real matrix
+    T^* M_0 T, and the -q sector's eigenvalues are the conjugates of the +q
+    ones, in the +q order (module docstring). Without ``certificate`` every
+    sector is decomposed by dense ``eigvals``, and ``vector`` is None.
+
+    With it, a sector of more than ``DENSE_SECTOR_SIZE`` entries lists only
+    its largest-modulus eigenvalue, from :func:`top_ritz_value` (and its -q
+    partner the conjugate). The sector that holds the trace (q = 0, or the
+    one sector) lists the trace's eigenvalue 1 and the top Ritz value of the
+    traceless subspace. A sector whose Arnoldi does not converge, or whose
+    top :func:`is_near_unit`, is listed in full by ``eigvals``, as without
+    ``certificate``. ``vector`` is the full-length eigenvector at eigenvalue
+    1 within the trace's sector, from :func:`_unit_vector`, which runs after
+    the sector's decomposition since it overwrites the block.
+    """
     d = ch.dim
     solved, vector = {}, None
     for q, order, block in sector_blocks(ch):
@@ -390,7 +416,7 @@ def _sector_spectra(ch: Channel, certificate: bool):
             # q = 0's real view is copied contiguous, for BLAS products, and freed before
             # _unit_vector runs
             top = top_ritz_value(np.ascontiguousarray(block), diag)
-        if top is None or abs(abs(top) - 1.0) <= DEGENERACY_TOL:  # small, unconverged or degenerate
+        if top is None or is_near_unit(top):  # small, unconverged or degenerate
             solved[q] = np.linalg.eigvals(block)
         else:  # the traced sector's top is its second eigenvalue: the first is the trace's 1
             solved[q] = np.array([1.0, top] if traced else [top], dtype=complex)
@@ -406,34 +432,14 @@ def _sector_spectra(ch: Channel, certificate: bool):
     return np.concatenate(evals), [q for q, w in zip(charges, evals) for _ in w], vector
 
 
-def sector_eigenvalues(ch: Channel):
-    """All eigenvalues of ch's channel matrix, sector by sector, by dense ``eigvals``.
-
-    Returns ``(eigenvalues, charges)``: the eigenvalues of each block of
-    :func:`sector_blocks`, sector after sector in ascending charge, and the
-    charge of each (None where the stack did not split). The q = 0 block is
-    decomposed as the real matrix T^* M_0 T, and the -q sector's eigenvalues
-    are the conjugates of the +q ones, in the +q order (module docstring).
-    """
-    return _sector_spectra(ch, certificate=False)[:2]
+def is_near_unit(values):
+    """Whether each value's modulus is within ``DEGENERACY_TOL`` of 1: a fixed-point candidate."""
+    return np.abs(np.abs(values) - 1.0) <= DEGENERACY_TOL
 
 
-def sector_certificate(ch: Channel):
-    """What :func:`fixed_point_spectral` needs of each sector: its top eigenvalues.
-
-    Returns ``(eigenvalues, charges, vector)`` as :func:`sector_eigenvalues`
-    does, except that a sector of more than ``DENSE_SECTOR_SIZE`` entries
-    lists only its largest-modulus eigenvalue, from :func:`top_ritz_value`
-    (and its -q partner the conjugate). The sector that holds the trace
-    (q = 0, or the one sector) lists the trace's eigenvalue 1 and the top
-    Ritz value of the traceless subspace. A sector whose Arnoldi does not
-    converge, or whose top is within ``DEGENERACY_TOL`` of unit modulus, is
-    listed in full by ``eigvals``, as :func:`sector_eigenvalues` lists it.
-    ``vector`` is the full-length eigenvector at eigenvalue 1 within the
-    trace's sector, from :func:`_unit_vector`, which runs after the sector's
-    decomposition since it overwrites the block.
-    """
-    return _sector_spectra(ch, certificate=True)
+def stalled(first: float, last: float) -> bool:
+    """Whether a distance that went from ``first`` to ``last`` in ``STALL_WINDOW`` steps stalled."""
+    return first - last < STALL_DROP * first
 
 
 def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_TOL,
@@ -446,9 +452,15 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     The step is traceless, so ||H||_F <= ||H||_tr / sqrt(2), a margin far above either norm's
     rounding: the loop stops at the step, with the bits, of one taking the exact distance always.
 
+    Every ``STALL_WINDOW`` steps the exact distance is taken too, and the loop stops unconverged
+    where it has :func:`stalled` against the last window's. Under a CPTP map the distances never
+    grow, so only rounding stalls them short of a tol below its floor. The stop test runs first,
+    so a step that converges at a window's end counts as converged.
+
     The last iterate is made a state by :func:`~qcycle.linalg.to_state`, per popcount class
     when its entries between classes are rounding. Non-convergence is not an exception: the
-    result carries the last iterate, the last step's trace distance, and ``converged=False``.
+    result carries the last iterate, the last step's trace distance, and ``converged=False``,
+    after fewer than ``max_iter`` steps where it stalled.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -456,30 +468,38 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"initial state shape {rho.shape} does not match channel dim {ch.dim}")
     rho = hermitize(rho)
-    iterations, delta, converged = 0, 0.0, False
+    iterations, delta, converged, earlier = 0, 0.0, False, None
     for iterations in range(1, max_iter + 1):
         rho, prev = ch.apply(rho), rho
-        if 0.5 * np.linalg.norm(hermitian_part(rho - prev)) >= tol and iterations < max_iter:
+        window_end = iterations % STALL_WINDOW == 0
+        if (not window_end and iterations < max_iter
+                and 0.5 * np.linalg.norm(hermitian_part(rho - prev)) >= tol):
             continue  # the step cannot pass the stop test
         delta = trace_distance(rho, prev)
         if delta < tol:
             converged = True
             break
+        if window_end:
+            if earlier is not None and stalled(earlier, delta):
+                break
+            earlier = delta
     return FixedPointResult(rho_star=to_state(rho), iterations=iterations, final_delta=delta,
                             spectral_gap=float("nan"), converged=converged)
 
 
-def spectral_summary(evals: np.ndarray):
-    """(moduli, gap, near_unit) of a channel's eigenvalues.
+def spectral_summary(evals: np.ndarray, charges):
+    """(moduli, gap, near_unit, near_charges, degenerate) of a channel's eigenvalues.
 
-    ``moduli`` are the |eigenvalues| in descending order, ``gap`` is
-    1 - |second eigenvalue|, and ``near_unit`` is the mask of the
-    eigenvalues whose modulus is within ``DEGENERACY_TOL`` of 1.
+    ``moduli`` are the |eigenvalues| in descending order and ``gap`` is
+    1 - |second eigenvalue|. ``near_unit`` are the eigenvalues that
+    :func:`is_near_unit`, the fixed-point candidates, in the order listed,
+    and ``near_charges`` their charges; more than one makes the channel
+    ``degenerate``.
     """
-    absolute = np.abs(evals)
-    moduli = np.sort(absolute)[::-1]
+    moduli = np.sort(np.abs(evals))[::-1]
     gap = float(1.0 - moduli[1]) if len(moduli) > 1 else 1.0
-    return moduli, gap, np.abs(absolute - 1.0) <= DEGENERACY_TOL
+    near = np.flatnonzero(is_near_unit(evals))
+    return moduli, gap, evals[near], [charges[i] for i in near], len(near) > 1
 
 
 def fixed_point_spectral(ch: Channel) -> FixedPointResult:
@@ -487,14 +507,14 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
 
     ch must be trace preserving. The eigenproblem is split by
     :func:`sector_blocks`, built from ch's Kraus stack, and certified by
-    one :func:`sector_certificate` pass: the top eigenvalue of each large
+    one :func:`sector_spectra` pass: the top eigenvalue of each large
     sector by Arnoldi, all eigenvalues of each small one, and of each one
     whose top is near unit, by ``eigvals``. The
     eigenvector comes from the q = 0 block, which carries the trace, by
     inverse iteration (:func:`_unit_vector`), and is made a state by
     :func:`~qcycle.linalg.to_state`, which raises on the zero trace a
-    trace-preserving map cannot give. Eigenvalues whose modulus is within
-    ``DEGENERACY_TOL`` of 1 count as fixed-point candidates. The Arnoldi of
+    trace-preserving map cannot give. The eigenvalues that
+    :func:`is_near_unit` are the fixed-point candidates. The Arnoldi of
     the q = 0 sector runs without the trace's eigenvalue 1, so a second 1
     there, like one in any other sector, is a second candidate. More than
     one raises :class:`DegenerateFixedPointError` carrying all of them,
@@ -502,27 +522,17 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     (arbitrary) candidate it would have returned.
 
     ``report`` and ``reverse`` certify with it; ``spectrum`` lists every
-    eigenvalue by :func:`sector_eigenvalues` instead. The module docstring
-    gives both commands' times at n = 7 and 8.
+    eigenvalue by :func:`sector_spectra` without the certificate instead.
+    The module docstring gives both commands' times at n = 7 and 8.
     """
-    evals, charges, vector = sector_certificate(ch)
-    _, gap, near = spectral_summary(evals)
-    near_unit = evals[near]
-
+    evals, charges, vector = sector_spectra(ch, certificate=True)
+    _, gap, near_unit, near_charges, degenerate = spectral_summary(evals, charges)
     rho = to_state(unvec(vector, ch.dim))
-    residual = trace_distance(ch.apply(rho), rho)
-
-    result = FixedPointResult(
-        rho_star=rho,
-        iterations=0,
-        final_delta=residual,
-        spectral_gap=gap,
-        degenerate=len(near_unit) > 1,
-        converged=len(near_unit) <= 1,
-    )
-    if result.degenerate:
-        raise DegenerateFixedPointError(near_unit, result=result,
-                                        charges=[charges[i] for i in np.flatnonzero(near)])
+    result = FixedPointResult(rho_star=rho, iterations=0,
+                              final_delta=trace_distance(ch.apply(rho), rho), spectral_gap=gap,
+                              degenerate=degenerate, converged=not degenerate)
+    if degenerate:
+        raise DegenerateFixedPointError(near_unit, result=result, charges=near_charges)
     return result
 
 
@@ -531,7 +541,7 @@ def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts, ops: Cy
     """Reconstruct the four full-chain stroke states from a CB fixed point.
 
     Verifies closure: tracing A out of the post-stroke-4 state must return
-    the input fixed point within 10x the solver tolerance. The cycle-start
+    the input fixed point within ``CLOSURE_FACTOR`` times the solver tolerance. The cycle-start
     state ``rho0`` is the post-stroke-4 state, which is what closing the
     loop means. ``ops`` are the point's :func:`~qcycle.engine.cycle_operators`.
     """
@@ -542,6 +552,6 @@ def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts, ops: Cy
     rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)
 
     closure = trace_distance(partial_trace(rho4, range(1, n), dims), rho_cb_star)
-    if closure > 10.0 * tol:
-        raise ClosureViolationError(closure, 10.0 * tol)
+    if closure > CLOSURE_FACTOR * tol:
+        raise ClosureViolationError(closure, CLOSURE_FACTOR * tol)
     return CycleState(rho0=rho4, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4)

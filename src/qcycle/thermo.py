@@ -18,7 +18,7 @@ import numpy as np
 from .chain import ChainSpec, HamiltonianParts
 from .engine import CycleOperators, CycleParams, CycleState, cycle_record
 from .errors import CriteriaViolatedError
-from .limitcycle import DEFAULT_TOL
+from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL
 from .linalg import partial_trace, trace_distance
 
 CRITERIA_ATOL = 1e-9   # |beta1 E_1 - beta2 E_N| below this counts as matched baths
@@ -87,13 +87,14 @@ def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSp
     ``ops`` are the point's :func:`~qcycle.engine.cycle_operators` and
     ``tol`` the tolerance the fixed point was solved and closed at
     (:func:`~qcycle.limitcycle.limit_cycle_states`). ``eta`` is NaN when
-    |q_h| <= 10 tol |E_N|: closure accepts a state within trace distance
-    10 tol, and a state within delta moves q_h by at most delta |E_N|,
-    since the hot-side site Hamiltonian has norm |E_N| / 2.
+    |q_h| <= ``CLOSURE_FACTOR`` tol |E_N|: closure accepts a state within
+    trace distance ``CLOSURE_FACTOR`` tol, and a state within delta moves
+    q_h by at most delta |E_N|, since the hot-side site Hamiltonian has norm
+    |E_N| / 2.
     """
     rec = cycle_record(cycle, parts, ops)
     e_1, e_n = spec.E[0], spec.E[-1]
-    zero_heat = 10.0 * tol * abs(e_n)
+    zero_heat = CLOSURE_FACTOR * tol * abs(e_n)
 
     ansatz_distance = None
     if bath_criteria_mismatch(spec, params) <= CRITERIA_ATOL:

@@ -15,10 +15,10 @@ that ``kraus_from_stack`` takes from the Gram matrix, and for the channel
 matrix that ``sector_blocks`` builds sector by sector.
 
 ``exact_fixed_point_iterate`` is the iteration with the exact trace
-distance taken every step. It calls the package's ``hermitize`` and
-``trace_distance`` on purpose: it is the reference that
-``fixed_point_iterate``, which skips the steps a Frobenius bound rules out,
-must match bit for bit.
+distance taken every step. It calls the package's ``hermitize``,
+``trace_distance`` and stall rule (``stalled``) on purpose: it is the
+reference that ``fixed_point_iterate``, which skips the steps a Frobenius
+bound rules out, must match bit for bit.
 
 ``total_magnetization``, ``commutator_norm`` and ``expm_unitary`` are the
 helpers the tests need and the package does not call. ``expm_unitary``
@@ -30,6 +30,7 @@ keep covering them on whole matrices.
 import numpy as np
 from scipy.linalg import expm
 
+from qcycle.limitcycle import STALL_WINDOW, stalled
 from qcycle.linalg import eigh_hermitian, hermitize, trace_distance, unitary_from_eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -235,15 +236,20 @@ def expm_unitary(h, t):
 def exact_fixed_point_iterate(ch, rho_init, tol, max_iter):
     """(rho, iterations, final_delta, converged) of the iteration with the exact stop test.
 
-    ``rho`` is the last iterate, before ``to_state``.
+    ``rho`` is the last iterate, before ``to_state``. After the stop test, a step that ends a
+    window of ``STALL_WINDOW`` stops the loop where its delta has ``stalled`` against the one
+    ``STALL_WINDOW`` steps before.
     """
     rho = hermitize(np.asarray(rho_init, dtype=complex))
     deltas = []
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         nxt = ch.apply(rho)
         deltas.append(trace_distance(nxt, rho))
         rho = nxt
         if deltas[-1] < tol:
+            break
+        if (step % STALL_WINDOW == 0 and step > STALL_WINDOW
+                and stalled(deltas[-1 - STALL_WINDOW], deltas[-1])):
             break
     converged = bool(deltas) and deltas[-1] < tol
     return rho, len(deltas), (deltas[-1] if deltas else 0.0), converged

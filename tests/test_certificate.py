@@ -1,11 +1,12 @@
 """The Arnoldi certificate of ``fixed_point_spectral`` against the dense sector listing.
 
-``sector_certificate`` lists each sector of more than ``DENSE_SECTOR_SIZE``
-entries by its top Ritz value (the q = 0 sector on its traceless subspace,
-after the trace's eigenvalue 1), and each smaller one in full, as it does a
-sector whose top is within ``DEGENERACY_TOL`` of unit modulus. The dense
-``sector_eigenvalues`` is the reference: per sector, the listed moduli must
-be its largest, and the gap and the degeneracy verdict must be its own.
+``sector_spectra`` with ``certificate`` lists each sector of more than
+``DENSE_SECTOR_SIZE`` entries by its top Ritz value (the q = 0 sector on its
+traceless subspace, after the trace's eigenvalue 1), and each smaller one in
+full, as it does a sector whose top is near unit. The dense listing,
+``sector_spectra`` without ``certificate``, is the reference: per sector, the
+listed moduli must be its largest, and the gap and the degeneracy verdict
+must be its own.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 import qcycle.limitcycle
 from qcycle import (Channel, ChainSpec, CycleParams, DegenerateFixedPointError, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral)
-from qcycle.limitcycle import (DENSE_SECTOR_SIZE, RITZ_TOL, sector_blocks, sector_certificate,
-                               sector_eigenvalues, spectral_summary, top_ritz_value)
+from qcycle.limitcycle import (DENSE_SECTOR_SIZE, RITZ_TOL, is_near_unit, sector_blocks,
+                               sector_spectra, spectral_summary, top_ritz_value)
 from qcycle.linalg import popcount_classes
 from conftest import carnot_point, point_operators, random_engine_point
 from test_sectors import random_unitary
@@ -70,13 +71,13 @@ class TestAgainstDense:
         ops = point_operators(*make(np.random.default_rng(seed), n))
         for build in builds:
             ch = build(ops)
-            evals, charges = sector_eigenvalues(ch)
-            _, gap, near = spectral_summary(evals)
+            evals, charges, _ = sector_spectra(ch, certificate=False)
+            gap = spectral_summary(evals, charges)[1]
             result = fixed_point_spectral(ch)
             assert abs(result.spectral_gap - gap) <= 1e-12
-            assert result.degenerate is bool(near.sum() > 1)
+            assert result.degenerate is bool(is_near_unit(evals).sum() > 1)
 
-            certified, certified_charges, _ = sector_certificate(ch)
+            certified, certified_charges, _ = sector_spectra(ch, certificate=True)
             dense, listed = by_charge(evals, charges), by_charge(certified, certified_charges)
             assert sorted(dense) == sorted(listed)
             for q, moduli in listed.items():
@@ -110,13 +111,13 @@ class TestDegeneracy:
         ch = popcount_class_channel(6, rng)
         (q, order, _), = [s for s in sector_blocks(ch) if s[0] == 0]
         assert len(order) > DENSE_SECTOR_SIZE  # so the sector takes the Arnoldi
-        evals, charges = sector_eigenvalues(ch)
-        certified, certified_charges, _ = sector_certificate(ch)
+        evals, charges, _ = sector_spectra(ch, certificate=False)
+        certified, certified_charges, _ = sector_spectra(ch, certificate=True)
         # its traceless top is a second 1, so the sector is listed in full, equal to the dense listing
         assert np.array_equal(certified[[c == 0 for c in certified_charges]],
                               evals[[c == 0 for c in charges]])
 
-        _, _, near = spectral_summary(evals)
+        near = is_near_unit(evals)
         with pytest.raises(DegenerateFixedPointError) as err:
             fixed_point_spectral(ch)
         # the error carries the dense listing's near-unit entries: one 1 per popcount class,
@@ -130,8 +131,9 @@ class TestDegeneracy:
         ch = cycle_channel_cb(ops)
         expected = fixed_point_spectral(ch)
         monkeypatch.setattr(qcycle.limitcycle, "ARNOLDI_MAX_STEPS", 3)
-        evals, charges, _ = sector_certificate(ch)
-        assert np.array_equal(evals, sector_eigenvalues(ch)[0])  # every sector listed dense
+        evals, charges, _ = sector_spectra(ch, certificate=True)
+        # every sector listed dense
+        assert np.array_equal(evals, sector_spectra(ch, certificate=False)[0])
         result = fixed_point_spectral(ch)
         assert abs(result.spectral_gap - expected.spectral_gap) <= 1e-12
         assert np.array_equal(result.rho_star, expected.rho_star)

@@ -17,7 +17,7 @@ from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle
                     fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
 from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
 from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
-from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_eigenvalues, spectral_summary
+from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
 
 GENERIC = {
@@ -425,6 +425,19 @@ class TestReport:
                                        "1 iterations, final delta ")
         assert ", tol " in captured.err
 
+    def test_iteration_stall_exits_early(self, tmp_path, capsys):
+        # at solver.tol 1e-15 the gap-scaled tol is 2.4e-16, below the 4.4e-16 to 5.7e-16 that
+        # the steps' trace distances keep from step 150 on; without the stall rule the default
+        # max_iter ran all 100000 iterations
+        doc = json.loads((Path(__file__).parent / "documents" / "generic-n6.json").read_text())
+        doc["solver"] = {"tol": 1e-15}
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qcycle: fixed-point iteration stalled: its step fell by less "
+                              "than 1e-06 over 100 iterations: ")
+        iterations = int(err.split("iterations: ")[1].split()[0])
+        assert iterations % 100 == 0 and iterations <= 1000
+
     def test_slowly_mixing_solvers_agree(self, tmp_path, capsys):
         # spectral gap 0.039: stopping the iteration when one step moves less than
         # tol left it 2.4e-9 from the fixed point, and report warned that the solvers
@@ -559,25 +572,27 @@ class TestSpectrum:
 
 
 def count_calls(monkeypatch):
-    """{name: calls} of cycle_operators and the two sector decompositions, counted from now."""
-    calls = {"cycle_operators": 0, "sector_eigenvalues": 0, "sector_certificate": 0}
+    """Calls of cycle_operators, and of sector_spectra per certificate mode, counted from now."""
+    calls = {"cycle_operators": 0, "certificate": 0, "dense": 0}
+    keys = {"cycle_operators": lambda *args, **kwargs: "cycle_operators",
+            "sector_spectra": lambda ch, certificate: "certificate" if certificate else "dense"}
 
-    def counted(name, fn):
+    def counted(fn, key):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key(*args, **kwargs)] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     # every module that binds the names, so an indirect call is counted too
     for module in (qcycle.cli, qcycle.engine, qcycle.limitcycle, qcycle.reversal, qcycle.thermo):
-        for name in calls:
+        for name, key in keys.items():
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                monkeypatch.setattr(module, name, counted(getattr(module, name), key))
     return calls
 
 
 class TestOneSolvePerConfig:
-    """One set of cycle operators and one decomposition per config, degenerate or not.
+    """One set of cycle operators and one ``sector_spectra`` pass per config, degenerate or not.
 
     ``report`` and ``reverse`` decompose by the certificate (top eigenvalues,
     and every eigenvalue of a sector whose top is near unit), ``spectrum`` by
@@ -586,7 +601,7 @@ class TestOneSolvePerConfig:
 
     @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
     def test_one_call_each(self, tmp_path, capsys, monkeypatch, command):
-        decomposition = "sector_eigenvalues" if command == "spectrum" else "sector_certificate"
+        decomposition = "dense" if command == "spectrum" else "certificate"
         calls = count_calls(monkeypatch)
         configs = [write_config(tmp_path, GENERIC, "a.json"),
                    write_config(tmp_path, variant(**{"cycle.tau1": 0.9}), "b.json")]
@@ -606,7 +621,7 @@ class TestOneSolvePerConfig:
         assert main([command, "--config", write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err.startswith(
             "qcycle: degenerate fixed point; near-unit eigenvalues: [")
-        assert calls == {"cycle_operators": 1, "sector_eigenvalues": 0, "sector_certificate": 1}
+        assert calls == {"cycle_operators": 1, "certificate": 1, "dense": 0}
 
 
 # the n = 6 config of the CI Large chain step: its q = 0, 1 and 2 sectors take the Arnoldi
@@ -636,11 +651,10 @@ class TestArnoldiCertificate:
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg]) == 3
         parsed = parse_config(cfg)
-        evals, charges = sector_eigenvalues(cycle_channel_cb(
-            cycle_operators(build_hamiltonian(parsed.spec), parsed.params)))
-        near = spectral_summary(evals)[2]
-        listed = ", ".join(f"{ev:.12g} (q={charges[i]})" for i, ev in zip(np.flatnonzero(near),
-                                                                          evals[near]))
+        evals, charges, _ = sector_spectra(cycle_channel_cb(
+            cycle_operators(build_hamiltonian(parsed.spec), parsed.params)), certificate=False)
+        _, _, near_unit, near_charges, _ = spectral_summary(evals, charges)
+        listed = ", ".join(f"{ev:.12g} (q={q})" for ev, q in zip(near_unit, near_charges))
         assert capsys.readouterr().err == (
             f"qcycle: degenerate fixed point; near-unit eigenvalues: [{listed}]\n")
 

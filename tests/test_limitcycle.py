@@ -8,7 +8,8 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, trace_distance, unvec, vec)
 from qcycle import ansatz_state
-from qcycle.limitcycle import _half_cycle_kraus, sector_blocks, sector_eigenvalues, swap_index
+from qcycle.limitcycle import (DEFAULT_MAX_ITER, _half_cycle_kraus, sector_blocks, sector_spectra,
+                               swap_index)
 from qcycle.linalg import hermitize, to_state
 from conftest import carnot_point, point_operators, random_engine_point
 from oracle_naive import (NaiveCycle, commutator_norm, exact_fixed_point_iterate,
@@ -114,7 +115,7 @@ class TestChannelMatrix:
     def test_unitary_channel_moduli(self, rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u = np.linalg.qr(h)[0]
-        evals, _ = sector_eigenvalues(Channel(u[None]))
+        evals = sector_spectra(Channel(u[None]), certificate=False)[0]
         assert np.abs(np.abs(evals) - 1.0).max() < 1e-12
 
     def test_matrix_reproduces_apply(self, rng, small_point):
@@ -159,7 +160,7 @@ class TestKrausForm:
             assert len(ch.kraus) <= 16
             completeness = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
             assert np.abs(completeness - np.eye(ch.dim)).max() < 1e-12
-            moduli = np.sort(np.abs(sector_eigenvalues(ch)[0]))
+            moduli = np.sort(np.abs(sector_spectra(ch, certificate=False)[0]))
             gaps.append(1.0 - moduli[-2])
         # CB = BA and AC = AB share their spectrum
         assert abs(gaps[0] - gaps[1]) < 1e-10
@@ -228,7 +229,7 @@ class TestFixedPointIterate:
         ch = maker(point_operators(*random_engine_point(rng, n)))
         init = random_density_matrix(ch.dim, rng)
         for tol, max_iter in ((1e-6, 1000), (1e-10, 1000), (1e-10, 5), (1e-15, 1000),
-                              (1e-17, 300)):
+                              (1e-17, 1000), (1e-17, 300)):
             res = fixed_point_iterate(ch, init, tol=tol, max_iter=max_iter)
             rho, iterations, final_delta, converged = exact_fixed_point_iterate(
                 ch, init, tol, max_iter)
@@ -236,6 +237,24 @@ class TestFixedPointIterate:
             assert res.final_delta == final_delta
             assert np.array_equal(res.rho_star, to_state(rho))
         assert not converged  # tol 1e-17 is below the rounding floor
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5]),
+           exponent=st.floats(6.0, 13.0), maker=st.sampled_from([cycle_channel_cb,
+                                                                 cycle_channel_ac]))
+    def test_stall_never_fires_on_a_mixing_point(self, seed, n, exponent, maker):
+        # a generic engine point's distances fall by far more than STALL_DROP per window until
+        # they pass a tol above the rounding floor: the run converges, as the exact loop does
+        rng = np.random.default_rng(seed)
+        ch = maker(point_operators(*random_engine_point(rng, n)))
+        init = random_density_matrix(ch.dim, rng)
+        tol = 10.0 ** -exponent
+        res = fixed_point_iterate(ch, init, tol=tol)
+        rho, iterations, final_delta, converged = exact_fixed_point_iterate(
+            ch, init, tol, DEFAULT_MAX_ITER)
+        assert res.converged and converged
+        assert (res.iterations, res.final_delta) == (iterations, final_delta)
+        assert np.array_equal(res.rho_star, to_state(rho))
 
 
 class TestFixedPointSpectral:
