@@ -68,13 +68,16 @@ eigenvalue 1 aside. :func:`sector_spectra` with ``certificate``, which
 :func:`fixed_point_spectral` and so ``report`` and ``reverse`` run, takes
 it from each sector of more than ``DENSE_SECTOR_SIZE`` entries by Arnoldi
 (:func:`top_ritz_value`), on the dense block that :func:`sector_blocks`
-builds. A Krylov method started from one vector cannot see the
-multiplicity of an eigenvalue, so the q = 0 sector is iterated on its
-traceless matrices: a trace-preserving map keeps them, and on them the
-eigenvalue 1 has one copy fewer, so a second fixed point shows as a top
-Ritz value near 1. Dense ``eigvals`` stays where every eigenvalue is
-needed or the Arnoldi does not pay: ``spectrum`` (:func:`sector_spectra`
-without ``certificate``), which lists all moduli, the sectors of at most
+builds. Its convergence check takes the Hessenberg matrix's eigenvalues
+without eigenvectors, and the top one's residual from one eigenvector by
+inverse iteration, at steps set by the residual's rate. A Krylov method
+started from one vector cannot see the multiplicity of an eigenvalue, so
+the q = 0 sector is iterated on its traceless matrices: a trace-preserving
+map keeps them, and on them the eigenvalue 1 has one copy fewer, so a
+second fixed point shows as a top Ritz value near 1. Dense ``eigvals``
+stays where every eigenvalue is needed or the Arnoldi does not pay:
+``spectrum`` (:func:`sector_spectra` without ``certificate``), which lists
+all moduli, the sectors of at most
 ``DENSE_SECTOR_SIZE`` entries (all of them up to n = 5), and, in the same
 pass, a sector whose Arnoldi does not converge or whose top is near unit
 (:func:`is_near_unit`, the one test against ``DEGENERACY_TOL``). Every
@@ -82,9 +85,10 @@ sector with a near-unit eigenvalue besides the trace's 1 has such a top, so
 a degenerate channel's error lists its near-unit eigenvalues bit for bit as
 ``spectrum`` does, the trace's 1 aside (exactly 1 where its sector took the
 Arnoldi). On the n = 8 config of the CI ``Large chain`` step (2-core Xeon,
-OpenBLAS 0.3.31), ``report`` takes 1.7 s, 0.36 s of it iterating,
-``reverse`` 1.5-1.6 s and ``spectrum``, dense on every sector, 17 s; on its
-n = 7 config, ``report`` and ``reverse`` take 0.25 s and 0.21 s.
+OpenBLAS 0.3.31), ``report`` takes 2.0-2.1 s, 0.4 s of it iterating and
+0.5 s in the Arnoldi, ``reverse`` 1.7-1.8 s and ``spectrum``, dense on every
+sector, 17-19 s; on its n = 7 config, ``report`` and ``reverse`` take 0.27 s
+and 0.24 s.
 """
 
 from __future__ import annotations
@@ -112,16 +116,24 @@ STALL_DROP = STALL_WINDOW * DEGENERACY_TOL
 CLOSURE_FACTOR = 10.0
 # The fixed point's inverse iteration runs at the shift 1 + UNIT_SHIFT (_unit_vector).
 UNIT_SHIFT = 1e-10
-# sector_spectra's certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense. Below
-# about 100 entries eigvals is as fast as the Arnoldi (best of 5 on a 2-core Xeon: 0.8-1.2 ms
-# against 0.9-1.8 ms for n = 5's largest sector, 70 entries); above it the Arnoldi wins (n = 6's
-# sectors of 120, 210 and 252 entries: 2.3-9.7 ms against 7.7-35 ms).
+# sector_spectra's certificate decomposes a sector of at most DENSE_SECTOR_SIZE entries dense.
+# fixed_point_spectral per generic CB channel, best of 5 on a 2-core Xeon, at DENSE_SECTOR_SIZE
+# 20, 40, 60 and 100: 4.00, 3.71, 3.67 and 3.34 ms at n = 5 (sectors of 1 to 70 entries, all
+# dense at 100); 10.3-10.8 ms at n = 6 at all four, 16 ms at 150 (its sector of 120 entries
+# dense) and 32 ms at 220 (that of 210 too).
 DENSE_SECTOR_SIZE = 100
 # top_ritz_value accepts a Ritz value whose residual is at most RITZ_TOL. Over 96 n = 6 and 12
 # n = 7 cycle channels, the certified moduli are within 2.8e-14 of dense eigvals'. On 90 other
 # n = 6 sectors, 1e-12 saved 3% of the steps and let the error reach 4.2e-13.
 RITZ_TOL = 1e-13
-RITZ_CHECK_STEPS = 5  # top_ritz_value's steps between two Ritz checks
+# top_ritz_value checks its Ritz value first at step RITZ_FIRST_CHECK, then where the geometric
+# rate of its last two residuals predicts RITZ_TOL, within RITZ_AHEAD steps, or RITZ_AHEAD_ROSE
+# steps ahead where there is no rate yet or the residual rose. Per generic n = 6 CB channel (40,
+# 2-core Xeon) that is 10.9 Hessenberg decompositions and 122 steps, and fixed_point_spectral
+# takes 11.0-11.6 ms; a check every 10 steps takes 12.5 and 125, and 13.0-13.3 ms.
+RITZ_FIRST_CHECK = 10
+RITZ_AHEAD = (3, 20)
+RITZ_AHEAD_ROSE = 5
 ARNOLDI_MAX_STEPS = 400  # top_ritz_value's largest basis; above it the sector goes dense
 
 
@@ -333,6 +345,28 @@ def _unit_vector(block: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return x
 
 
+def _top_ritz_pair(h: np.ndarray, beta: float):
+    """``(theta, residual)``: H_m's eigenvalue of largest modulus and its Ritz residual.
+
+    theta is taken from ``eigvals``, and its unit eigenvector y from two solves with
+    H_m - theta I from a vector of ones (inverse iteration), so no eigenvector but y is
+    formed. Where that shift is exactly singular, ``eig`` gives both. The residual is
+    beta |y_m|, with beta = h_{m+1,m}.
+    """
+    values = np.linalg.eigvals(h)
+    theta = values[np.abs(values).argmax()]
+    shifted, y = h - theta * np.eye(len(h)), np.ones(len(h))
+    try:
+        for _ in range(2):
+            y = np.linalg.solve(shifted, y)
+            y /= np.linalg.norm(y)
+    except np.linalg.LinAlgError:  # a zero pivot, e.g. H_1 - theta = 0 or a triangular H_m
+        values, vectors = np.linalg.eig(h)
+        top = np.abs(values).argmax()
+        theta, y = values[top], vectors[:, top]
+    return theta, beta * abs(y[-1])
+
+
 def top_ritz_value(block: np.ndarray, diag=None):
     """The largest-modulus eigenvalue of ``block`` by Arnoldi, or None if it did not converge.
 
@@ -341,10 +375,15 @@ def top_ritz_value(block: np.ndarray, diag=None):
     so every call on the same block gives the same bits and leaves no random
     state behind. Each new basis vector is orthogonalized by classical
     Gram-Schmidt run twice, and the basis grows with the steps, up to
-    ``ARNOLDI_MAX_STEPS``. Every ``RITZ_CHECK_STEPS`` steps the Ritz value
-    theta of largest modulus, with unit eigenvector y of the m x m
-    Hessenberg matrix H_m, is accepted once its residual
-    |h_{m+1,m} y_m| = |block V_m y - theta V_m y| is at most ``RITZ_TOL``.
+    ``ARNOLDI_MAX_STEPS``. The Ritz value theta of largest modulus, with
+    unit eigenvector y of the m x m Hessenberg matrix H_m, is accepted once
+    its residual |h_{m+1,m} y_m| = |block V_m y - theta V_m y| is at most
+    ``RITZ_TOL`` (:func:`_top_ritz_pair`). It is checked at step
+    ``RITZ_FIRST_CHECK``, then where the geometric rate of the last two
+    checks' residuals predicts ``RITZ_TOL``, 3 to 20 steps on
+    (``RITZ_AHEAD``), or 5 steps on (``RITZ_AHEAD_ROSE``) after the first
+    check and where the residual rose; and at the last step, and where
+    h_{m+1,m} <= ``RITZ_TOL``.
 
     With ``diag``, the iteration runs on the matrices of zero trace: the
     mean of the ``diag`` coordinates is subtracted from the start vector and
@@ -363,6 +402,7 @@ def top_ritz_value(block: np.ndarray, diag=None):
     basis = np.empty((steps + 1, size), dtype=block.dtype)
     basis[0] = v / np.linalg.norm(v)
     h = np.zeros((steps + 1, steps), dtype=block.dtype)
+    check, last = RITZ_FIRST_CHECK, None  # the next check's step; the last one's (step, residual)
     for m in range(1, steps + 1):
         w = block @ basis[m - 1]
         if diag is not None:
@@ -374,11 +414,16 @@ def top_ritz_value(block: np.ndarray, diag=None):
             h[:m, m - 1] += c
         beta = np.linalg.norm(w)
         h[m, m - 1] = beta
-        if m % RITZ_CHECK_STEPS == 0 or m == steps or beta <= RITZ_TOL:
-            theta, y = np.linalg.eig(h[:m, :m])
-            top = np.abs(theta).argmax()
-            if beta * abs(y[-1, top]) <= RITZ_TOL:
-                return complex(theta[top])
+        if m == check or m == steps or beta <= RITZ_TOL:
+            theta, residual = _top_ritz_pair(h[:m, :m], beta)
+            if residual <= RITZ_TOL:
+                return complex(theta)
+            if last is not None and residual < last[1]:  # steps to RITZ_TOL at the last rate
+                rate = np.log(residual / last[1]) / (m - last[0])
+                ahead = int(np.clip(np.ceil(np.log(RITZ_TOL / residual) / rate), *RITZ_AHEAD))
+            else:
+                ahead = RITZ_AHEAD_ROSE
+            check, last = m + ahead, (m, residual)
         if m == steps:
             return None
         basis[m] = w / beta

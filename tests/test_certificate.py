@@ -60,6 +60,26 @@ POINTS = (
 )
 
 
+def disk_block(rng, size, dtype, coupling=0.0):
+    """U T U^* for a random unitary (or orthogonal) U and upper-triangular T of eigenvalues 0.97
+    and others filling the disk (or interval) of radius 0.93.
+
+    ``coupling`` scales T's random strictly upper part below its first row: the block is normal
+    at 0 and not otherwise, and the top's left and right eigenvectors agree either way, so its
+    error is at most the Ritz residual.
+    """
+    others = 0.93 * np.sqrt(rng.uniform(size=size - 1))
+    if dtype is complex:
+        others = others * np.exp(2j * np.pi * rng.uniform(size=size - 1))
+        u = random_unitary(rng, size)
+    else:
+        others = others * rng.choice([-1.0, 1.0], size=size - 1)
+        u = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    t = np.diag(np.concatenate([[0.97], others]))
+    t[1:, 1:] += np.triu(coupling / np.sqrt(size) * rng.normal(size=(size - 1, size - 1)), 1)
+    return np.ascontiguousarray(u @ t @ u.conj().T)
+
+
 def by_charge(evals, charges):
     """{q: the moduli of sector q, descending}."""
     return {q: np.sort(np.abs(evals[[c == q for c in charges]]))[::-1] for q in set(charges)}
@@ -158,21 +178,58 @@ class TestTopRitzValue:
     def test_past_first_basis_allocation(self, rng, monkeypatch, dtype):
         # a normal block, whose eigenvalue error is at most the Ritz residual; the others fill
         # the disk (or interval) of radius 0.93 below the top 0.97, so 21 steps do not converge
-        size = 300
-        others = 0.93 * np.sqrt(rng.uniform(size=size - 1))
-        if dtype is complex:
-            others = others * np.exp(2j * np.pi * rng.uniform(size=size - 1))
-            u = random_unitary(rng, size)
-        else:
-            others = others * rng.choice([-1.0, 1.0], size=size - 1)
-            u = np.linalg.qr(rng.normal(size=(size, size)))[0]
-        block = np.ascontiguousarray((u * np.concatenate([[0.97], others])) @ u.conj().T)
+        block = disk_block(rng, 300, dtype)
         dense = np.linalg.eigvals(block)
         top = top_ritz_value(block)
         assert abs(top - dense[np.abs(dense).argmax()]) <= RITZ_TOL
         assert top_ritz_value(block) == top  # the same bits every call
         monkeypatch.setattr(qcycle.limitcycle, "ARNOLDI_MAX_STEPS", 21)
         assert top_ritz_value(block) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("coupling", [0.0, 0.5], ids=["normal", "non-normal"])
+    def test_residual_is_eigs(self, rng, monkeypatch, dtype, coupling):
+        # the accepted value's residual, recomputed from eig's eigenvector of the same H_m, is
+        # within RITZ_TOL, after checks that run past the first rate-scheduled one
+        block = disk_block(rng, 300, dtype, coupling)
+        checks, pair = [], qcycle.limitcycle._top_ritz_pair
+
+        def recorded(h, beta):
+            checks.append((h.copy(), beta))
+            return pair(h, beta)
+
+        monkeypatch.setattr(qcycle.limitcycle, "_top_ritz_pair", recorded)
+        top = top_ritz_value(block)
+        assert [len(h) for h, _ in checks[:3]] == [10, 15, 35]
+        h, beta = checks[-1]
+        values, vectors = np.linalg.eig(h)
+        k = np.abs(values).argmax()
+        assert beta * abs(vectors[-1, k]) <= RITZ_TOL
+        dense = np.linalg.eigvals(block)
+        assert abs(top - dense[np.abs(dense).argmax()]) <= RITZ_TOL
+        assert top_ritz_value(block) == top  # the same bits every call
+
+    def test_ci_n6_decompositions(self, monkeypatch):
+        # one certificate pass on the n = 6 config of the CI Large chain step: its three Arnoldi
+        # sectors take at most 9 Hessenberg decompositions, none of them with eigenvectors
+        # (18 eig calls when every 5th step was checked)
+        counts = {"checks": 0, "eig": 0}
+        pair, eig = qcycle.limitcycle._top_ritz_pair, np.linalg.eig
+
+        def counted(call, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(qcycle.limitcycle, "_top_ritz_pair", counted(pair, "checks"))
+        monkeypatch.setattr(np.linalg, "eig", counted(eig, "eig"))
+        spec = ChainSpec(n=6, E=[1.0, 1.3, 0.9, 1.6, 1.1, 2.0], J=[0.4, 0.5, -0.3, 0.6, 0.45],
+                         K=[0.2, 0.1, 0.25, -0.15, 0.3], F=[0.3, 0.2, -0.25, 0.35, 0.15])
+        params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.7, tau2=1.3)
+        fixed_point_spectral(cycle_channel_cb(point_operators(spec, params)))
+        assert counts["eig"] == 0
+        assert 3 <= counts["checks"] <= 9  # one eigvals each, at least one per Arnoldi sector
 
     def test_traceless_subspace(self, rng):
         # a replacement map x -> Tr(x) sigma on 4 x 4: eigenvalue 1 once, all others 0
