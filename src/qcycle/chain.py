@@ -110,37 +110,33 @@ class HamiltonianParts:
     n: int
 
 
-def _bond_terms(spec: ChainSpec, bond: int) -> np.ndarray:
-    """All coupling terms on the given 1-based bond (J, K and F families).
-
-    Built on the bond's two sites and embedded with identities, not
-    multiplied out of full-size site operators.
-    """
-    i = bond - 1
-    sx, sy, sz = (PAULI[axis] / 2.0 for axis in "XYZ")
-    return _embed(4.0 * spec.J[i] * (kron(sx, sx) + kron(sy, sy))
-                  + 4.0 * spec.K[i] * (kron(sx, sy) - kron(sy, sx))
-                  + 4.0 * spec.F[i] * kron(sz, sz), bond, spec.n)
-
-
 def build_hamiltonian(spec: ChainSpec) -> HamiltonianParts:
-    """Assemble the chain Hamiltonian, summed as end fields + interior + end bonds."""
+    """Assemble the chain Hamiltonian from the bits of the basis states, with no Kronecker product.
+
+    Bit n - i of a basis state x is set where site i is down. Field and F terms are diagonal; the
+    J/K terms of bond i set <x|h|x ^ (the bond's two bits)> = 2 J_i - 2i K_i where site i of x is
+    down and site i + 1 up, and its conjugate back. ``h_s`` is summed as end fields + interior
+    fields + interior bonds + end bonds, the order that gives the Kronecker-embedded terms' values.
+    """
     n = spec.n
-    h_a = spec.E[0] * site_operator("Z", 1, n)
-    h_b = spec.E[-1] * site_operator("Z", n, n)
-    h_ac = _bond_terms(spec, 1)
-    h_cb = _bond_terms(spec, n - 1)
+    down = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # down[x, i - 1]: site i
+    z = 0.5 - down  # S^Z of each site
+    fields = [e * z[:, i] for i, e in enumerate(spec.E)]
+    zz = [4.0 * f * (z[:, i] * z[:, i + 1]) for i, f in enumerate(spec.F)]
+    interior = sum(fields[1:-1] + zz[1:-1], np.zeros(2**n))  # fields, then bonds
 
-    d = 2**n
-    h_c = np.zeros((d, d), dtype=complex)
-    for i in range(2, n):  # interior fields
-        h_c = h_c + spec.E[i - 1] * site_operator("Z", i, n)
-    for bond in range(2, n - 1):  # interior bonds (empty for n = 3)
-        h_c = h_c + _bond_terms(spec, bond)
+    def hamiltonian(diagonal, bonds):
+        h = np.diag(diagonal).astype(complex)
+        for i in bonds:
+            flip = np.flatnonzero(down[:, i] > down[:, i + 1])  # site i + 1 down, i + 2 up
+            flop = flip ^ (3 << (n - 2 - i))
+            h[flip, flop] = complex(2.0 * spec.J[i], -2.0 * spec.K[i])
+            h[flop, flip] = complex(2.0 * spec.J[i], 2.0 * spec.K[i])
+        return h
 
-    h_s = h_a + h_b + h_c + h_ac + h_cb
     return HamiltonianParts(
-        h_ac=h_ac, h_cb=h_cb, h_s=h_s,
+        h_ac=hamiltonian(zz[0], [0]), h_cb=hamiltonian(zz[-1], [n - 2]),
+        h_s=hamiltonian(fields[0] + fields[-1] + interior + zz[0] + zz[-1], range(n - 1)),
         h_a_local=spec.E[0] * PAULI["Z"] / 2.0,
         h_b_local=spec.E[-1] * PAULI["Z"] / 2.0,
         n=n,

@@ -127,10 +127,11 @@ DENSE_SECTOR_SIZE = 100
 # n = 6 sectors, 1e-12 saved 3% of the steps and let the error reach 4.2e-13.
 RITZ_TOL = 1e-13
 # top_ritz_value checks its Ritz value first at step RITZ_FIRST_CHECK, then where the geometric
-# rate of its last two residuals predicts RITZ_TOL, within RITZ_AHEAD steps, or RITZ_AHEAD_ROSE
-# steps ahead where there is no rate yet or the residual rose. Per generic n = 6 CB channel (40,
-# 2-core Xeon) that is 10.9 Hessenberg decompositions and 122 steps, and fixed_point_spectral
-# takes 11.0-11.6 ms; a check every 10 steps takes 12.5 and 125, and 13.0-13.3 ms.
+# rate of its last two residuals (step 0's taken as 1) predicts RITZ_TOL, within RITZ_AHEAD
+# steps, or RITZ_AHEAD_ROSE steps ahead where the residual rose. Per generic n = 6 CB channel
+# (40, 2-core Xeon) that is 8.5 Hessenberg decompositions and 122.5 steps, and
+# fixed_point_spectral takes 10.3 ms; without step 0's residual, 10.9, 122.0 and 10.4 ms. A check
+# every 10 steps took 12.5 and 125, and 13.0-13.3 ms against that schedule's 11.0-11.6 ms.
 RITZ_FIRST_CHECK = 10
 RITZ_AHEAD = (3, 20)
 RITZ_AHEAD_ROSE = 5
@@ -278,14 +279,6 @@ def from_hermitian_frame(v: np.ndarray, nd: int) -> np.ndarray:
     return np.concatenate([v[:nd], sym + anti, sym - anti])
 
 
-def _tile(stack: np.ndarray, ks: np.ndarray, a, a2, b, b2) -> np.ndarray:
-    """sum_{k in ks} conj(K_k[a, a2]) (x) K_k[b, b2], rows and columns in Kronecker order."""
-    x = stack[np.ix_(ks, a, a2)].reshape(len(ks), -1)
-    y = stack[np.ix_(ks, b, b2)].reshape(len(ks), -1)
-    g = (x.conj().T @ y).reshape(len(a), len(a2), len(b), len(b2))
-    return g.transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
-
-
 def sector_blocks(ch: Channel):
     """Yield ``(q, order, block)``: the channel matrix's S^Z sectors q >= 0, from ch's Kraus stack.
 
@@ -294,21 +287,26 @@ def sector_blocks(ch: Channel):
     basis states of popcount m, sector q pairs C_m (the column a of an entry
     index a*d + b) with C_{m-q} (its row b), and its tile between the pairs
     of m and m' is sum_k conj(K_k[C_m, C_m']) (x) K_k[C_{m-q}, C_{m'-q}]
-    over the operators of charge m - m' (:func:`~qcycle.linalg.charge_groups`). ``order``
-    is ascending, except for q = 0, which is in :func:`hermitian_frame`
+    over the operators of charge m - m' (:func:`~qcycle.linalg.charge_groups`).
+    The stack is copied once with its operators sorted by charge and its rows
+    and columns by class, so each tile's two operands are slices of that copy,
+    conjugated per tile, and the tile is scattered to its place in ``order``.
+    ``order`` is ascending, except for q = 0, which is in :func:`hermitian_frame`
     order. A stack that does not split by charge, or a d that is not a power
     of two, gives the one sector ``q = None``: one class C of all basis
     states, one tile, and ``block`` the whole matrix in ascending order.
     The -q sectors are not built (module docstring).
     """
-    stack, d = ch.kraus, ch.dim
-    groups = charge_groups(stack)
-    if groups[0][0] is None:
-        classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
-    else:
-        classes = popcount_classes(d)
-        charges, by_charge = range(len(classes)), dict(groups)
-    for q in charges:
+    d = ch.dim
+    groups = charge_groups(ch.kraus)
+    classes = [np.arange(d)] if groups[0][0] is None else popcount_classes(d)
+    basis = np.concatenate(classes)
+    stack = ch.kraus[np.ix_(np.concatenate([ks for _, ks in groups]), basis, basis)]
+    edges = np.cumsum([0] + [len(ks) for _, ks in groups])
+    by_charge = {s or 0: slice(lo, hi) for (s, _), lo, hi in zip(groups, edges, edges[1:])}
+    edges = np.cumsum([0] + [len(c) for c in classes])
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]  # each class's place in the copy
+    for q in [None] if groups[0][0] is None else range(len(classes)):
         shift = q or 0
         pairs = [(m, m - shift) for m in range(shift, len(classes))]
         cells = [(classes[m][:, None] * d + classes[mb]).reshape(-1) for m, mb in pairs]
@@ -317,13 +315,21 @@ def sector_blocks(ch: Channel):
             order = hermitian_frame(order, d)
         where = np.empty(d * d, dtype=np.intp)
         where[order] = np.arange(len(order))
+        # a cell's places in order, as [a, b] over its column a and row b
+        places = [where[cell].reshape(len(classes[m]), len(classes[mb]))
+                  for cell, (m, mb) in zip(cells, pairs)]
         block = np.zeros((len(order), len(order)), dtype=complex)
-        for (m, mb), rows in zip(pairs, cells):
-            for (m2, mb2), cols in zip(pairs, cells):
+        for (m, mb), rows in zip(pairs, places):
+            for (m2, mb2), cols in zip(pairs, places):
                 ks = by_charge.get(m - m2)
                 if ks is not None:
-                    block[np.ix_(where[rows], where[cols])] = _tile(
-                        stack, ks, classes[m], classes[m2], classes[mb], classes[mb2])
+                    x, y = stack[ks, spans[m], spans[m2]], stack[ks, spans[mb], spans[mb2]]
+                    # both operands C-ordered (k, entries), as the product's BLAS path needs
+                    g = (np.conj(x).reshape(len(x), -1).T
+                         @ np.ascontiguousarray(y).reshape(len(y), -1))
+                    # g[(a, a2), (b, b2)] goes to block[rows[a, b], cols[a2, b2]]
+                    block[rows[:, None, :, None], cols[None, :, None, :]] = g.reshape(
+                        x.shape[1:] + y.shape[1:])
         yield q, order, block
         del block  # the next sector's block is allocated without this one
 
@@ -381,9 +387,10 @@ def top_ritz_value(block: np.ndarray, diag=None):
     ``RITZ_TOL`` (:func:`_top_ritz_pair`). It is checked at step
     ``RITZ_FIRST_CHECK``, then where the geometric rate of the last two
     checks' residuals predicts ``RITZ_TOL``, 3 to 20 steps on
-    (``RITZ_AHEAD``), or 5 steps on (``RITZ_AHEAD_ROSE``) after the first
-    check and where the residual rose; and at the last step, and where
-    h_{m+1,m} <= ``RITZ_TOL``.
+    (``RITZ_AHEAD``), or 5 steps on (``RITZ_AHEAD_ROSE``) where the residual
+    rose; and at the last step, and where h_{m+1,m} <= ``RITZ_TOL``. The
+    unit start vector counts as step 0's residual 1, so the first check
+    already has a rate.
 
     With ``diag``, the iteration runs on the matrices of zero trace: the
     mean of the ``diag`` coordinates is subtracted from the start vector and
@@ -402,7 +409,8 @@ def top_ritz_value(block: np.ndarray, diag=None):
     basis = np.empty((steps + 1, size), dtype=block.dtype)
     basis[0] = v / np.linalg.norm(v)
     h = np.zeros((steps + 1, steps), dtype=block.dtype)
-    check, last = RITZ_FIRST_CHECK, None  # the next check's step; the last one's (step, residual)
+    # the next check's step, and the last one's (step, residual): step 0's, of the unit start, is 1
+    check, last = RITZ_FIRST_CHECK, (0, 1.0)
     for m in range(1, steps + 1):
         w = block @ basis[m - 1]
         if diag is not None:
@@ -418,7 +426,7 @@ def top_ritz_value(block: np.ndarray, diag=None):
             theta, residual = _top_ritz_pair(h[:m, :m], beta)
             if residual <= RITZ_TOL:
                 return complex(theta)
-            if last is not None and residual < last[1]:  # steps to RITZ_TOL at the last rate
+            if residual < last[1]:  # steps to RITZ_TOL at the last rate
                 rate = np.log(residual / last[1]) / (m - last[0])
                 ahead = int(np.clip(np.ceil(np.log(RITZ_TOL / residual) / rate), *RITZ_AHEAD))
             else:

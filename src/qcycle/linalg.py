@@ -263,7 +263,8 @@ def charge_groups(stack: np.ndarray) -> list:
     leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
     if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
         return whole
-    return [(int(c), np.flatnonzero(q == c)) for c in np.unique(q)]
+    # not np.unique, whose first call imports numpy.ma
+    return [(c, np.flatnonzero(q == c)) for c in sorted(set(q.tolist()))]
 
 
 def assemble(blocks, classes) -> np.ndarray:

@@ -4,8 +4,14 @@ Deliberately shares no code paths with the package: Kronecker products and
 partial traces are explicit index loops, matrix exponentials come from
 scipy.linalg.expm instead of a Hermitian eigendecomposition, and the chain
 Hamiltonian is reassembled from products of full-size site operators
-instead of embedded two-site terms. Slow: ``NaiveCycle`` is only meant for
+instead of the basis-state bits. Slow: ``NaiveCycle`` is only meant for
 n <= 5, ``naive_hamiltonian`` for n <= 7.
+
+Two references keep an older construction of a package result, for an
+exact comparison: ``naive_hamiltonian(spec, embedded=True)`` sums the one-
+and two-site terms tensored with identities, and ``tile_sector_blocks``
+gathers each sector tile's operands from the Kraus stack by ``np.ix_``
+(with the package's charge groups, classes and Hermitian frame).
 
 ``naive_choi`` is the defining Choi sum over matrix units,
 ``naive_channel_matrix`` the channel's images of the matrix units, and
@@ -30,8 +36,9 @@ keep covering them on whole matrices.
 import numpy as np
 from scipy.linalg import expm
 
-from qcycle.limitcycle import STALL_WINDOW, stalled
-from qcycle.linalg import eigh_hermitian, hermitize, trace_distance, unitary_from_eigh
+from qcycle.limitcycle import STALL_WINDOW, hermitian_frame, stalled
+from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, popcount_classes,
+                           trace_distance, unitary_from_eigh)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,22 +110,45 @@ def naive_bond(spec, bond, n):
             + 4.0 * spec.F[i] * (sz[0] @ sz[1]))
 
 
-def naive_hamiltonian(spec):
+def kron_embed(term, site, n):
+    """``term`` on the sites from 1-based ``site`` on, tensored with identities by ``np.kron``."""
+    left = 2 ** (site - 1)
+    right = 2**n // (left * term.shape[0])
+    return np.kron(np.kron(np.eye(left, dtype=complex), term), np.eye(right, dtype=complex))
+
+
+def kron_bond(spec, bond, n):
+    """All coupling terms on the 1-based bond, built on its two sites and embedded."""
+    i = bond - 1
+    sx, sy, sz = SX / 2.0, SY / 2.0, SZ / 2.0
+    return kron_embed(4.0 * spec.J[i] * (np.kron(sx, sx) + np.kron(sy, sy))
+                      + 4.0 * spec.K[i] * (np.kron(sx, sy) - np.kron(sy, sx))
+                      + 4.0 * spec.F[i] * np.kron(sz, sz), bond, n)
+
+
+def naive_hamiltonian(spec, embedded=False):
     """The full-size parts of the chain Hamiltonian, keyed as in HamiltonianParts.
 
-    ``h_s`` is summed in the package's order (end fields, interior, end
-    bonds), so the values agree exactly.
+    ``h_s`` is summed in the package's order (end fields, interior fields,
+    interior bonds, end bonds), so the values agree exactly. The terms are
+    products of full-size site operators, or with ``embedded`` the one- and
+    two-site terms tensored with identities (:func:`kron_embed`), fast enough
+    for n = 8.
     """
     n = spec.n
     d = 2**n
-    h_a = spec.E[0] * naive_site_operator(SZ, 1, n)
-    h_b = spec.E[-1] * naive_site_operator(SZ, n, n)
-    parts = {"h_ac": naive_bond(spec, 1, n), "h_cb": naive_bond(spec, n - 1, n)}
+    if embedded:
+        site, bond = (lambda pauli, i, n: kron_embed(pauli / 2.0, i, n)), kron_bond
+    else:
+        site, bond = naive_site_operator, naive_bond
+    h_a = spec.E[0] * site(SZ, 1, n)
+    h_b = spec.E[-1] * site(SZ, n, n)
+    parts = {"h_ac": bond(spec, 1, n), "h_cb": bond(spec, n - 1, n)}
     h_c = np.zeros((d, d), dtype=complex)
     for i in range(2, n):
-        h_c = h_c + spec.E[i - 1] * naive_site_operator(SZ, i, n)
-    for bond in range(2, n - 1):
-        h_c = h_c + naive_bond(spec, bond, n)
+        h_c = h_c + spec.E[i - 1] * site(SZ, i, n)
+    for b in range(2, n - 1):
+        h_c = h_c + bond(spec, b, n)
     parts["h_s"] = h_a + h_b + h_c + parts["h_ac"] + parts["h_cb"]
     return parts
 
@@ -194,6 +224,45 @@ def naive_channel_matrix(ch):
     columns = [ch.apply(e.reshape((d, d), order="F")).reshape(-1, order="F")
                for e in np.eye(d * d, dtype=complex)]
     return np.column_stack(columns)
+
+
+def tile_sector_blocks(ch):
+    """``sector_blocks``' ``(q, order, block)`` with each tile's operands gathered from the stack.
+
+    Each tile's two operands are ``np.ix_`` gathers of the operators of its
+    charge, on the tile's classes, from the stack in its own order, and the
+    tile is scattered by ``np.ix_`` to its place in ``order``; the package
+    slices them from one class-ordered copy instead, with the same bits.
+    """
+    stack, d = ch.kraus, ch.dim
+    groups = charge_groups(stack)
+    if groups[0][0] is None:
+        classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
+    else:
+        classes = popcount_classes(d)
+        charges, by_charge = range(len(classes)), dict(groups)
+    for q in charges:
+        shift = q or 0
+        pairs = [(m, m - shift) for m in range(shift, len(classes))]
+        cells = [(classes[m][:, None] * d + classes[mb]).reshape(-1) for m, mb in pairs]
+        order = np.sort(np.concatenate(cells))
+        if q == 0:
+            order = hermitian_frame(order, d)
+        where = np.empty(d * d, dtype=np.intp)
+        where[order] = np.arange(len(order))
+        block = np.zeros((len(order), len(order)), dtype=complex)
+        for (m, mb), rows in zip(pairs, cells):
+            for (m2, mb2), cols in zip(pairs, cells):
+                ks = by_charge.get(m - m2)
+                if ks is None:
+                    continue
+                a, a2, b, b2 = classes[m], classes[m2], classes[mb], classes[mb2]
+                x = stack[np.ix_(ks, a, a2)].reshape(len(ks), -1)
+                y = stack[np.ix_(ks, b, b2)].reshape(len(ks), -1)
+                g = (x.conj().T @ y).reshape(len(a), len(a2), len(b), len(b2))
+                block[np.ix_(where[rows], where[cols])] = g.transpose(0, 2, 1, 3).reshape(
+                    len(a) * len(b), -1)
+        yield q, order, block
 
 
 def dense_kraus(j, rank_tol=1e-12):

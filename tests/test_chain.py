@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcycle import ChainSpec, ConfigError, build_hamiltonian, gibbs_state, site_operator
 from conftest import random_chain_spec
@@ -84,6 +85,23 @@ class TestBuildHamiltonian:
         spec = random_chain_spec(rng, n)
         parts = build_hamiltonian(spec)
         for name, h in naive_hamiltonian(spec).items():
+            assert np.array_equal(getattr(parts, name), h), name
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(3, 8))
+    def test_parts_equal_embedded_terms(self, data, n):
+        # the bit build gives the values of the one- and two-site terms embedded with
+        # identities, with zero and negative couplings too
+        coupling = st.just(0.0) | st.floats(-2.0, 2.0)
+        end = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+
+        def draw(count):
+            return data.draw(st.lists(coupling, min_size=count, max_size=count))
+
+        spec = ChainSpec(n=n, E=[data.draw(end), *draw(n - 2), data.draw(end)],
+                         J=draw(n - 1), K=draw(n - 1), F=draw(n - 1))
+        parts = build_hamiltonian(spec)
+        for name, h in naive_hamiltonian(spec, embedded=True).items():
             assert np.array_equal(getattr(parts, name), h), name
 
     def test_parts_hermitian(self, rng):

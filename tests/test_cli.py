@@ -658,8 +658,10 @@ class TestArnoldiCertificate:
         assert capsys.readouterr().err == (
             f"qcycle: degenerate fixed point; near-unit eigenvalues: [{listed}]\n")
 
-    def test_report_imports_no_scipy(self, tmp_path):
-        cfg = write_config(tmp_path, N6)
+    @staticmethod
+    def cold_report_imports(tmp_path, doc):
+        """The modules a fresh interpreter imports to run ``report`` on ``doc``."""
+        cfg = write_config(tmp_path, doc)
         src = str(Path(qcycle.cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-X", "importtime", "-m", "qcycle.cli", "report",
@@ -667,7 +669,16 @@ class TestArnoldiCertificate:
                              env=env, capture_output=True, text=True, check=True)
         imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
         assert "qcycle.limitcycle" in imported
+        return imported
+
+    def test_report_imports_no_scipy(self, tmp_path):
+        imported = self.cold_report_imports(tmp_path, N6)
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+    def test_report_imports_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs a cold start about 6 ms; numpy.matrixlib shares its prefix, not its name
+        imported = self.cold_report_imports(tmp_path, GENERIC)
+        assert not [name for name in imported if name.split(".")[:2] == ["numpy", "ma"]]
 
 
 class TestParser:

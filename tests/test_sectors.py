@@ -24,7 +24,7 @@ from qcycle.limitcycle import (_unit_vector, from_hermitian_frame, hermitian_fra
                                sector_spectra, swap_index, to_hermitian_frame, unvec)
 from qcycle.linalg import charge_groups
 from conftest import point_operators, random_engine_point
-from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi
+from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi, tile_sector_blocks
 
 
 def dense_fixed_point(cm, d):
@@ -152,6 +152,33 @@ class TestOneLoopTwoAnchors:
         cold = cold_half_cycle(ops)
         for rho in (rho_cb, refined):
             assert trace_distance(to_state(cold.apply(rho)), rho_ac) < 1e-12
+
+
+class TestSlicedTiles:
+    """The tiles sliced from the class-ordered stack against the gathered ones, bit for bit."""
+
+    @staticmethod
+    def assert_same_blocks(ch):
+        sliced, gathered = list(sector_blocks(ch)), list(tile_sector_blocks(ch))
+        assert [q for q, _, _ in sliced] == [q for q, _, _ in gathered]
+        for (_, order, block), (_, want_order, want) in zip(sliced, gathered):
+            assert np.array_equal(order, want_order)
+            assert np.array_equal(block, want)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_generic(self, rng, n):
+        ops = point_operators(*random_engine_point(rng, n))
+        for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops), cold_half_cycle(ops)):
+            self.assert_same_blocks(ch)
+
+    def test_decoupled(self, decoupled_point):
+        self.assert_same_blocks(cycle_channel_cb(point_operators(*decoupled_point)))
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_unsplit(self, rng, d):
+        ch = stinespring_channel(random_unitary(rng, 4 * d), d)
+        assert len(charge_groups(ch.kraus)) == 1  # a power-of-two d that does not split
+        self.assert_same_blocks(ch)
 
 
 class TestHermitianFrame:
