@@ -313,12 +313,11 @@ def _reverse_one(cfg: RunConfig, channel, rho_star):
     rev, rho_star = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
     rev_fp_dist = trace_distance(rev.apply(rho_star), rho_star)
 
-    rng = np.random.default_rng(cfg.seed)
-    ops, reversed_ops = forward.kraus, rev.kraus
-    a1, a2 = rng.integers(0, len(ops), size=(50, 2)).T
-    # forward a1 then a2 against reversed a2 then a1; one direction's stacks at a time
-    p_fwd = path_probabilities(ops, rho_star)[a2, a1]
-    balance = float(np.abs(p_fwd - path_probabilities(reversed_ops, rho_star)[a1, a2]).max())
+    ops = forward.kraus
+    # forward a then b, p_fwd[b, a], against reversed b then a over every pair; one
+    # direction's stacks at a time
+    p_fwd = path_probabilities(ops, rho_star)
+    balance = float(np.abs(p_fwd - path_probabilities(rev.kraus, rho_star).T).max())
 
     return {
         "dim": channel.dim,
@@ -418,7 +417,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None, sweep: b
         print(f"qcycle: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, None, None
     except DegenerateFixedPointError as exc:
-        evs = ", ".join(f"{ev:.12g}" + ("" if q is None else f" (q={q})")
+        evs = ", ".join(f"{ev:.12g} (q={q})"
                         for ev, q in zip(np.asarray(exc.eigenvalues), exc.charges))
         print(f"qcycle: degenerate fixed point; near-unit eigenvalues: [{evs}]", file=sys.stderr)
         return EXIT_DEGENERATE, None, None

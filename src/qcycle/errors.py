@@ -53,20 +53,20 @@ class RankDeficientError(QcycleError):
 class DegenerateFixedPointError(QcycleError):
     """More than one channel eigenvalue sits on the unit circle.
 
-    Carries every near-unit eigenvalue, the S^Z charge sector q of each
-    (None where the channel matrix did not split into sectors) and, when
+    Carries every near-unit eigenvalue, the S^Z charge sector q of each (all
+    0 where the map does not split: its one sector is q = 0) and, when
     available, the (arbitrary) candidate result so callers can inspect the
     degenerate sector instead of silently trusting one of many fixed points.
     """
 
-    def __init__(self, eigenvalues, result=None, charges=None):
+    def __init__(self, eigenvalues, charges, result=None):
         super().__init__(
             f"{len(eigenvalues)} eigenvalues within tolerance of unit modulus; "
             "the fixed point is not unique"
         )
         self.eigenvalues = eigenvalues
         self.result = result
-        self.charges = [None] * len(eigenvalues) if charges is None else list(charges)
+        self.charges = list(charges)
 
 
 class NotFixedPointError(QcycleError):

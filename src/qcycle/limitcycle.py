@@ -45,6 +45,8 @@ over those sectors. The fixed point, like every state, lives partly in
 q = 0, which holds the diagonal and so the trace. :func:`sector_blocks`
 builds each block from the operators whose charge it needs, after the one
 check (:func:`~qcycle.linalg.charge_groups`) that every operator is charge pure.
+A stack that fails it is one class of all basis states, in which every
+operator has charge 0, so its channel matrix is the one sector q = 0.
 
 Hermitian pairing. A Kraus map sends Hermitian matrices to Hermitian
 matrices, and vec(rho^*) = S conj(vec(rho)) for the swap S that sends index
@@ -101,7 +103,7 @@ from .chain import HamiltonianParts
 from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import (assemble, charge_groups, hermitian_part, hermitize, kron, partial_trace,
-                     popcount_classes, to_state, trace_distance)
+                     to_state, trace_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -292,23 +294,21 @@ def sector_blocks(ch: Channel):
     and columns by class, so each tile's two operands are slices of that copy,
     conjugated per tile, and the tile is scattered to its place in ``order``.
     ``order`` is ascending, except for q = 0, which is in :func:`hermitian_frame`
-    order. A stack that does not split by charge, or a d that is not a power
-    of two, gives the one sector ``q = None``: one class C of all basis
-    states, one tile, and ``block`` the whole matrix in ascending order.
-    The -q sectors are not built (module docstring).
+    order. q = 0, the largest, comes last, with the copy freed before it is
+    yielded. A stack that does not split is one class of all basis states:
+    its only sector is q = 0, one tile, the whole matrix. The -q sectors are
+    not built (module docstring).
     """
     d = ch.dim
-    groups = charge_groups(ch.kraus)
-    classes = [np.arange(d)] if groups[0][0] is None else popcount_classes(d)
+    classes, groups = charge_groups(ch.kraus)
     basis = np.concatenate(classes)
     stack = ch.kraus[np.ix_(np.concatenate([ks for _, ks in groups]), basis, basis)]
     edges = np.cumsum([0] + [len(ks) for _, ks in groups])
-    by_charge = {s or 0: slice(lo, hi) for (s, _), lo, hi in zip(groups, edges, edges[1:])}
+    by_charge = {s: slice(lo, hi) for (s, _), lo, hi in zip(groups, edges, edges[1:])}
     edges = np.cumsum([0] + [len(c) for c in classes])
     spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]  # each class's place in the copy
-    for q in [None] if groups[0][0] is None else range(len(classes)):
-        shift = q or 0
-        pairs = [(m, m - shift) for m in range(shift, len(classes))]
+    for q in [*range(1, len(classes)), 0]:
+        pairs = [(m, m - q) for m in range(q, len(classes))]
         cells = [(classes[m][:, None] * d + classes[mb]).reshape(-1) for m, mb in pairs]
         order = np.sort(np.concatenate(cells))
         if q == 0:
@@ -330,6 +330,8 @@ def sector_blocks(ch: Channel):
                     # g[(a, a2), (b, b2)] goes to block[rows[a, b], cols[a2, b2]]
                     block[rows[:, None, :, None], cols[None, :, None, :]] = g.reshape(
                         x.shape[1:] + y.shape[1:])
+        if q == 0:  # the last sector; x and y are views that would keep the copy alive
+            del stack, x, y, g
         yield q, order, block
         del block  # the next sector's block is allocated without this one
 
@@ -441,7 +443,7 @@ def sector_spectra(ch: Channel, certificate: bool):
     """``(eigenvalues, charges, vector)`` of ch's channel matrix, in one :func:`sector_blocks` pass.
 
     ``eigenvalues`` lists each block's eigenvalues, sector after sector in
-    ascending charge, and ``charges`` the charge of each (None where the
+    ascending charge, and ``charges`` the charge of each (all 0 where the
     stack did not split). The q = 0 block is decomposed as the real matrix
     T^* M_0 T, and the -q sector's eigenvalues are the conjugates of the +q
     ones, in the +q order (module docstring). Without ``certificate`` every
@@ -449,21 +451,20 @@ def sector_spectra(ch: Channel, certificate: bool):
 
     With it, a sector of more than ``DENSE_SECTOR_SIZE`` entries lists only
     its largest-modulus eigenvalue, from :func:`top_ritz_value` (and its -q
-    partner the conjugate). The sector that holds the trace (q = 0, or the
-    one sector) lists the trace's eigenvalue 1 and the top Ritz value of the
-    traceless subspace. A sector whose Arnoldi does not converge, or whose
-    top :func:`is_near_unit`, is listed in full by ``eigvals``, as without
+    partner the conjugate). The sector that holds the trace, q = 0, lists
+    the trace's eigenvalue 1 and the top Ritz value of the traceless
+    subspace. A sector whose Arnoldi does not converge, or whose top
+    :func:`is_near_unit`, is listed in full by ``eigvals``, as without
     ``certificate``. ``vector`` is the full-length eigenvector at eigenvalue
-    1 within the trace's sector, from :func:`_unit_vector`, which runs after
-    the sector's decomposition since it overwrites the block.
+    1 within q = 0, from :func:`_unit_vector`, which runs after the sector's
+    decomposition since it overwrites the block.
     """
     d = ch.dim
     solved, vector = {}, None
     for q, order, block in sector_blocks(ch):
-        traced = q in (0, None)  # the sector that holds the diagonal, and so the trace
-        diag = np.flatnonzero(order // d == order % d) if traced else None
-        if q == 0:
-            block = to_hermitian_frame(block, d).real  # the sector's d diagonal indices come first
+        diag = None
+        if q == 0:  # the sector that holds the diagonal, and so the trace, first in its order
+            diag, block = np.arange(d), to_hermitian_frame(block, d).real
         top = None
         if certificate and len(block) > DENSE_SECTOR_SIZE:
             # q = 0's real view is copied contiguous, for BLAS products, and freed before
@@ -471,12 +472,11 @@ def sector_spectra(ch: Channel, certificate: bool):
             top = top_ritz_value(np.ascontiguousarray(block), diag)
         if top is None or is_near_unit(top):  # small, unconverged or degenerate
             solved[q] = np.linalg.eigvals(block)
-        else:  # the traced sector's top is its second eigenvalue: the first is the trace's 1
-            solved[q] = np.array([1.0, top] if traced else [top], dtype=complex)
-        if certificate and traced:
-            v = _unit_vector(block, diag)
+        else:  # q = 0's top is its second eigenvalue: the first is the trace's 1
+            solved[q] = np.array([top] if q else [1.0, top], dtype=complex)
+        if certificate and q == 0:
             vector = np.zeros(d * d, dtype=complex)
-            vector[order] = from_hermitian_frame(v, d) if q == 0 else v
+            vector[order] = from_hermitian_frame(_unit_vector(block, diag), d)
         if q:
             solved[-q] = solved[q].conj() + 0.0  # + 0.0: no -0.0 imaginary parts
         del block  # only one sector's block is held at a time
@@ -585,7 +585,7 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
                               final_delta=trace_distance(ch.apply(rho), rho), spectral_gap=gap,
                               degenerate=degenerate, converged=not degenerate)
     if degenerate:
-        raise DegenerateFixedPointError(near_unit, result=result, charges=near_charges)
+        raise DegenerateFixedPointError(near_unit, near_charges, result=result)
     return result
 
 

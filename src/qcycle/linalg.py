@@ -11,11 +11,12 @@ diagonal over them and is stored as the pair (classes, blocks), one block
 per class (:func:`assemble` makes it dense). :func:`charge_groups` tests a
 stack for that structure: it gives each operator the charge
 popcount(row) - popcount(column) of its largest entry and accepts the split
-when its entries of other charges are rounding (``CHARGE_LEAKAGE_TOL``).
-:func:`to_state` and :func:`psd_sqrt_invsqrt` decompose a charge-0 matrix
-class by class, so a covariant fixed point whose classes differ in scale by
-1e8 keeps exact zeros between them and each class's own relative accuracy;
-any other matrix is one class of all indices, the same code.
+when its entries of other charges are rounding (``CHARGE_LEAKAGE_TOL``); a
+stack that does not split, or any d that is not a power of two, is one class
+of all basis states, in which every operator has charge 0. :func:`to_state`
+and :func:`psd_sqrt_invsqrt` decompose a matrix per class of the one-operator
+stack, so a covariant fixed point whose classes differ in scale by 1e8 keeps
+exact zeros between them and each class's own relative accuracy.
 """
 
 from __future__ import annotations
@@ -175,17 +176,13 @@ def to_state(m: np.ndarray) -> np.ndarray:
 def _class_eigh(h: np.ndarray):
     """``(w, spectral)``: the eigenvalues of the Hermitian h, and f -> f(h) from its eigenvectors.
 
-    h is decomposed by one ``eigh`` per popcount class when it is charge-0 pure: its entries
-    of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its largest, the decision
-    ``charge_groups(h[None])`` makes for charge 0. Else it is one class of every index.
+    h is decomposed by one ``eigh`` per class of ``charge_groups(h[None])``: the popcount
+    classes when its entries of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its
+    largest (a nonzero Hermitian matrix can be pure in charge 0 only), else one class of all.
     ``spectral(f)`` is the block-diagonal V f(w) V* of those decompositions, exactly zero
     between classes; on one class it is the dense V f(w) V*, bit for bit.
     """
-    charge = popcount_charges(len(h))
-    moduli = np.abs(h)
-    pure = (charge is not None and
-            moduli[charge != 0].max(initial=0.0) <= CHARGE_LEAKAGE_TOL * moduli.max())
-    classes = popcount_classes(len(h)) if pure else [np.arange(len(h))]
+    classes = charge_groups(h[None])[0]
     eighs = [np.linalg.eigh(h[np.ix_(c, c)]) for c in classes]
 
     def spectral(f):
@@ -221,14 +218,14 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def popcount_charges(d: int) -> np.ndarray | None:
-    """The d x d array popcount(a) - popcount(b); None unless d is a power of two >= 2.
+def popcount_charges(d: int) -> np.ndarray:
+    """The d x d array popcount(a) - popcount(b) for d = 2^k; zeros for any other d, one class.
 
     Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
     index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
     """
-    if d < 2 or d & (d - 1):
-        return None
+    if d & (d - 1):
+        return np.zeros((d, d), dtype=int)
     pop = np.array([k.bit_count() for k in range(d)])
     return pop[:, None] - pop[None, :]
 
@@ -237,34 +234,32 @@ def popcount_classes(d: int) -> list:
     """``[C_0, ..., C_k]`` for d = 2^k: C_m holds the basis states with m bits set, ascending.
 
     C_m is the total-S^Z sector k/2 - m (|0> is S^Z = +1/2). Every term of the
-    chain Hamiltonian maps each sector to itself.
+    chain Hamiltonian maps each sector to itself. Any other d is the one class C_0 of all.
     """
     pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
     return [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
 
 
-def charge_groups(stack: np.ndarray) -> list:
-    """``[(s, indices), ...]``: a (k, d, d) stack's operators grouped by S^Z charge s, ascending.
+def charge_groups(stack: np.ndarray) -> tuple:
+    """``(classes, groups)``: how a (k, d, d) stack splits by S^Z charge.
 
-    Each operator must carry one charge popcount(row) - popcount(column):
-    its entries of any other charge are at most ``CHARGE_LEAKAGE_TOL`` of its
-    largest entry, whose charge it takes. If any operator fails, and when d
-    is not a power of two, all operators form the one group ``(None, all)``.
+    When every operator carries one charge popcount(row) - popcount(column), its
+    entries of any other charge at most ``CHARGE_LEAKAGE_TOL`` of its largest entry,
+    whose charge it takes, ``classes`` are the :func:`popcount_classes` and ``groups``
+    ``[(s, indices), ...]`` the operators by charge s, ascending. Otherwise the stack
+    is one class of all basis states in which every operator has charge 0:
+    ``([arange(d)], [(0, all)])``.
     """
     k, d, _ = stack.shape
-    charge = popcount_charges(d)
-    whole = [(None, np.arange(k))]
-    if charge is None:
-        return whole
-    charge = charge.reshape(-1)
+    charge = popcount_charges(d).reshape(-1)
     moduli = np.abs(stack).reshape(k, -1)
     peak = moduli.argmax(axis=1)
     q = charge[peak]
     leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
     if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
-        return whole
+        return [np.arange(d)], [(0, np.arange(k))]
     # not np.unique, whose first call imports numpy.ma
-    return [(c, np.flatnonzero(q == c)) for c in sorted(set(q.tolist()))]
+    return popcount_classes(d), [(c, np.flatnonzero(q == c)) for c in sorted(set(q.tolist()))]
 
 
 def assemble(blocks, classes) -> np.ndarray:

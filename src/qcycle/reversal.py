@@ -77,7 +77,7 @@ def kraus_from_stack(stack):
     gram = f.conj() @ f.T
     norms = np.linalg.norm(f, axis=1)
     pairs = []  # (weight, group, eigenvector)
-    for _, idx in charge_groups(stack):
+    for _, idx in charge_groups(stack)[1]:
         w, v = np.linalg.eigh(gram[np.ix_(idx, idx)])
         pairs += [(lam, idx, col) for lam, col in zip(w, v.T)]
     weights = np.array([lam for lam, _, _ in pairs])

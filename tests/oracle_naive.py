@@ -37,8 +37,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from qcycle.limitcycle import STALL_WINDOW, hermitian_frame, stalled
-from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, popcount_classes,
-                           trace_distance, unitary_from_eigh)
+from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, trace_distance,
+                           unitary_from_eigh)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -235,15 +235,10 @@ def tile_sector_blocks(ch):
     slices them from one class-ordered copy instead, with the same bits.
     """
     stack, d = ch.kraus, ch.dim
-    groups = charge_groups(stack)
-    if groups[0][0] is None:
-        classes, charges, by_charge = [np.arange(d)], [None], {0: groups[0][1]}
-    else:
-        classes = popcount_classes(d)
-        charges, by_charge = range(len(classes)), dict(groups)
-    for q in charges:
-        shift = q or 0
-        pairs = [(m, m - shift) for m in range(shift, len(classes))]
+    classes, groups = charge_groups(stack)
+    by_charge = dict(groups)
+    for q in [*range(1, len(classes)), 0]:
+        pairs = [(m, m - q) for m in range(q, len(classes))]
         cells = [(classes[m][:, None] * d + classes[mb]).reshape(-1) for m, mb in pairs]
         order = np.sort(np.concatenate(cells))
         if q == 0:

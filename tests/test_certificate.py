@@ -15,8 +15,8 @@ import pytest
 import qcycle.limitcycle
 from qcycle import (Channel, ChainSpec, CycleParams, DegenerateFixedPointError, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral)
-from qcycle.limitcycle import (DENSE_SECTOR_SIZE, RITZ_TOL, is_near_unit, sector_blocks,
-                               sector_spectra, spectral_summary, top_ritz_value)
+from qcycle.limitcycle import (DENSE_SECTOR_SIZE, RITZ_AHEAD_ROSE, RITZ_TOL, is_near_unit,
+                               sector_blocks, sector_spectra, spectral_summary, top_ritz_value)
 from qcycle.linalg import popcount_classes
 from conftest import carnot_point, point_operators, random_engine_point
 from test_sectors import random_unitary
@@ -209,6 +209,19 @@ class TestTopRitzValue:
         dense = np.linalg.eigvals(block)
         assert abs(top - dense[np.abs(dense).argmax()]) <= RITZ_TOL
         assert top_ritz_value(block) == top  # the same bits every call
+
+    def test_residual_rise_checks_sooner(self, rng, monkeypatch):
+        # scripted residuals: step 10's 0.1 schedules the next check RITZ_AHEAD[1] = 20 steps on,
+        # the 0.5 there rose, so the one after comes RITZ_AHEAD_ROSE steps on and accepts
+        residuals, steps = iter([0.1, 0.5, RITZ_TOL]), []
+
+        def scripted(h, beta):
+            steps.append(len(h))
+            return 0.25, next(residuals)
+
+        monkeypatch.setattr(qcycle.limitcycle, "_top_ritz_pair", scripted)
+        assert top_ritz_value(rng.normal(size=(100, 100))) == 0.25
+        assert steps == [10, 30, 30 + RITZ_AHEAD_ROSE]
 
     def test_ci_n6_decompositions(self, monkeypatch):
         # one certificate pass on the n = 6 config of the CI Large chain step: its three Arnoldi

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ import qcycle.limitcycle
 import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, random_density_matrix, run_cycle, trace_distance)
+                    fixed_point_spectral, random_density_matrix, run_cycle, sequence_probability,
+                    trace_distance)
 from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
 from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
@@ -144,9 +146,15 @@ class TestConfigParsing:
         ("chain.F", "0.3", "chain.F: must be a list of numbers"),
         ("cycle.beta1", "1.0", "cycle.beta1: must be a number, got '1.0'"),
         ("cycle.tau2", None, "cycle.tau2: must be a number, got None"),
+        ("chain.E", [1.0, 1.3, 0.0],
+         "chain.E[2]: must be nonzero (end qubit B needs a finite gap)"),
+        ("solver", [1e-11], "solver: must be an object, got list"),
+        ("initial_state", 3, "initial_state: must be a path string"),
+        ("output.format", "xml", "output.format: must be json or csv, got 'xml'"),
+        ("output.path", 5, "output.path: must be a path string"),
     ])
     def test_wrong_json_type_named(self, tmp_path, field, value, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(write_config(tmp_path, variant(**{field: value})))
 
     @pytest.mark.parametrize("field", ["chain.n", "chain.K", "cycle.tau1"])
@@ -161,6 +169,15 @@ class TestConfigParsing:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="config"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "config: cannot read "), ("[1, 2]", "config: top level must be a JSON object")])
+    def test_unusable_config_file_named(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config(str(path))
 
 
@@ -325,6 +342,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("qcycle: config error: initial_state: expected a numeric array")
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda rho: rho + np.triu(np.full_like(rho, 1e-9), 1), "not Hermitian"),
+        (lambda rho: 2.0 * rho, "trace (2+0j) differs from 1"),
+        (lambda rho: rho - 0.25 * np.diag(np.eye(8)[0]) + 0.25 * np.diag(np.eye(8)[1]),
+         "not PSD"),
+    ], ids=["hermiticity", "trace", "psd"])
+    def test_invalid_initial_state_named(self, tmp_path, capsys, change, message):
+        np.save(tmp_path / "init.npy", change(np.eye(8) / 8))
+        cfg = write_config(tmp_path, variant(initial_state=str(tmp_path / "init.npy")))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"qcycle: config error: initial_state: {message}")
+
     @pytest.mark.parametrize("kind", ["text", "npz", "empty"])
     def test_unreadable_initial_state_named(self, tmp_path, capsys, kind):
         path = tmp_path / "init.npy"
@@ -473,6 +502,34 @@ class TestReverse:
             assert section["max_detailed_balance_violation"] < 1e-9
             assert section["choi_output_trace_residual"] < 1e-10
             assert section["kraus_count"] >= 1
+
+    def test_detailed_balance_over_every_pair(self, tmp_path, capsys, monkeypatch):
+        # with the forward set standing in for the reversed one, the violation is the forward
+        # path probabilities' asymmetry, far above rounding, and the field is its largest value
+        # over every ordered pair of operators
+        reverse, seen = qcycle.cli.reverse_channel, []
+
+        def unreversed(forward, rho_star, fp_tol):
+            rho_star = reverse(forward, rho_star, fp_tol)[1]
+            seen.append((forward.kraus, rho_star))
+            return forward, rho_star
+
+        monkeypatch.setattr(qcycle.cli, "reverse_channel", unreversed)
+        assert main(["reverse", "--config", write_config(tmp_path, GENERIC)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for side, (ops, rho) in zip(("cb", "ac"), seen):
+            want = max(abs(sequence_probability([a, b], rho) - sequence_probability([b, a], rho))
+                       for a in ops for b in ops)
+            assert want > 1e-6
+            assert abs(doc[side]["max_detailed_balance_violation"] - want) <= 1e-14
+
+    def test_seed_leaves_document_unchanged(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GENERIC)
+        docs = []
+        for seed in ("7", "1"):
+            assert main(["reverse", "--config", cfg, "--seed", seed]) == 0
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1]
 
     def test_discarded_weight_is_a_float(self, tmp_path, capsys):
         # an exact 0.0 was written as the integer 0

@@ -173,8 +173,8 @@ class TestPopcountBlocks:
             assert np.count_nonzero(u[between]) == 0
         charge = popcount_charges(2 ** (n - 1))
         for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops)):
-            groups = charge_groups(ch.kraus)
-            assert groups[0][0] is not None
+            classes, groups = charge_groups(ch.kraus)
+            assert len(classes) == n  # the channel splits: popcount 0 to n - 1 of the CB chain
             for s, ks in groups:
                 assert np.count_nonzero(ch.kraus[ks][:, charge != s]) == 0
 

@@ -108,8 +108,8 @@ class TestChannelMatrix:
     """The channel matrix as the solvers build it, sector by sector from the Kraus stack."""
 
     def test_identity_channel(self):
-        (q, _, block), = sector_blocks(identity_channel(3))  # d = 3 does not split
-        assert q is None
+        (q, _, block), = sector_blocks(identity_channel(3))  # d = 3 is one class: one sector
+        assert q == 0
         assert np.abs(block - np.eye(9)).max() == 0.0
 
     def test_unitary_channel_moduli(self, rng):

@@ -261,6 +261,13 @@ class TestReverseChannel:
         with pytest.raises(NotFixedPointError):
             reverse_channel(kraus, random_density_matrix(kraus.dim, rng))
 
+    def test_rejects_incomplete_reversed_set(self, small_point):
+        # the maximally mixed state passes the pre-check at fp_tol = 1, but the channel does not
+        # fix it, so the reversed set is not trace preserving
+        _, _, kraus = engine_fixture(small_point, cycle_channel_cb)
+        with pytest.raises(NotFixedPointError, match="completeness of the reversed set"):
+            reverse_channel(kraus, np.eye(kraus.dim) / kraus.dim, fp_tol=1.0)
+
     def test_rejects_rank_deficient_state(self, rng, small_point):
         _, _, kraus = engine_fixture(small_point, cycle_channel_cb)
         psi = np.zeros(kraus.dim, dtype=complex)

@@ -3,8 +3,8 @@
 The dense route (the tabulated ``naive_channel_matrix`` and ``naive_choi``
 of ``tests/oracle_naive.py``, and one ``eig``/``eigh``/2-norm over the
 whole d^2 x d^2 matrix) is the reference: the blocks must reproduce it on
-covariant cycle channels and be it on maps that do not split, where the
-fixed point is also the solver's own inverse iteration on the whole matrix.
+covariant cycle channels, and on maps that do not split, whose one sector
+q = 0 is the whole matrix in the Hermitian frame.
 The Gram route's Kraus operators (``kraus_from_stack``) are checked against
 the same references, by count and by the 2-norm bound they report.
 """
@@ -20,8 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from qcycle import (Channel, DegenerateFixedPointError, cold_half_cycle, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral, kraus_from_stack, reverse_channel,
                     to_state, trace_distance)
-from qcycle.limitcycle import (_unit_vector, from_hermitian_frame, hermitian_frame, sector_blocks,
-                               sector_spectra, swap_index, to_hermitian_frame, unvec)
+from qcycle.limitcycle import (DENSE_SECTOR_SIZE, from_hermitian_frame, hermitian_frame,
+                               sector_blocks, sector_spectra, swap_index, to_hermitian_frame)
 from qcycle.linalg import charge_groups
 from conftest import point_operators, random_engine_point
 from oracle_naive import dense_kraus, naive_channel_matrix, naive_choi, tile_sector_blocks
@@ -71,13 +71,14 @@ class TestCycleChannelsSplit:
         ch = cycle_channel_cb(point_operators(spec, params))
         k = n - 1  # qubits in the reduced chain; a sector is q = popcount(a) - popcount(b)
         sectors = list(sector_blocks(ch))
-        assert [q for q, _, _ in sectors] == list(range(k + 1))
-        assert [len(order) for _, order, _ in sectors] == [comb(2 * k, k + q) for q in range(k + 1)]
+        assert [q for q, _, _ in sectors] == [*range(1, k + 1), 0]  # q = 0, the largest, last
+        assert [len(order) for q, order, _ in sectors] == [comb(2 * k, k + q)
+                                                          for q, _, _ in sectors]
         assert Counter(sector_spectra(ch, certificate=False)[1]) == {q: comb(2 * k, k + q)
                                                      for q in range(-k, k + 1)}
         # rho[0, 1] sits at column-stacked index 1*d + 0; its row |0...00> has one more
         # S^Z = +1/2 spin than its column |0...01>, so q = m_row - m_col = +1
-        assert 2**k in sectors[1][1]
+        assert 2**k in sectors[0][1]
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]),
@@ -177,7 +178,7 @@ class TestSlicedTiles:
     @pytest.mark.parametrize("d", [4, 8])
     def test_unsplit(self, rng, d):
         ch = stinespring_channel(random_unitary(rng, 4 * d), d)
-        assert len(charge_groups(ch.kraus)) == 1  # a power-of-two d that does not split
+        assert len(charge_groups(ch.kraus)[0]) == 1  # a power-of-two d that does not split
         self.assert_same_blocks(ch)
 
 
@@ -206,38 +207,46 @@ class TestHermitianFrame:
         assert np.abs(to_hermitian_frame(block, nd) - expected).max() < 1e-14
 
 
-class TestFallbackIsDense:
+class TestUnsplitIsOneSector:
+    """A stack that does not split is one class: its one sector q = 0 is the whole matrix."""
+
     @pytest.mark.parametrize("make", [
         lambda rng: stinespring_channel(random_unitary(rng, 4), 2),
         lambda rng: werner_holevo_channel(2),
         lambda rng: stinespring_channel(random_unitary(rng, 9), 3),
-    ], ids=["qubit-random-unitary", "qubit-transpose", "qutrit-random-unitary"])
-    def test_bit_identical(self, rng, make):
+        lambda rng: stinespring_channel(random_unitary(rng, 8), 4),
+        lambda rng: stinespring_channel(random_unitary(rng, 16), 8),
+        lambda rng: stinespring_channel(random_unitary(rng, 24), 12),
+    ], ids=["qubit-random-unitary", "qubit-transpose", "qutrit-random-unitary",
+            "d4-random-unitary", "d8-random-unitary", "d12-random-unitary"])
+    def test_matches_dense(self, rng, make):
         ch = make(rng)
+        d = ch.dim
         cm = naive_channel_matrix(ch)
-        assert len(charge_groups(ch.kraus)) == 1
+        assert len(charge_groups(ch.kraus)[0]) == 1
         (q, order, block), = sector_blocks(ch)  # one class, one tile: the whole matrix
-        assert q is None and np.array_equal(order, np.arange(ch.dim**2))
-        assert np.abs(block - cm).max() <= 1e-14 * np.abs(cm).max()
+        assert q == 0 and np.array_equal(order, hermitian_frame(np.arange(d * d), d))
+        assert np.abs(block - cm[np.ix_(order, order)]).max() <= 1e-14 * np.abs(cm).max()
 
         evals, charges, _ = sector_spectra(ch, certificate=False)
-        assert np.array_equal(evals, np.linalg.eigvals(block))
-        assert charges == [None] * len(evals)
+        assert charges == [0] * d**2
+        assert multiset_distance(evals, np.linalg.eigvals(cm)) < 1e-13
+        # d = 12's 144 entries are above DENSE_SECTOR_SIZE: the certificate lists 1 and the
+        # Arnoldi's top, and the gap is that top's
+        certified = sector_spectra(ch, certificate=True)[0]
+        assert len(certified) == (2 if d**2 > DENSE_SECTOR_SIZE else d**2)
         result = fixed_point_spectral(ch)
-        rho, gap = dense_fixed_point(block, ch.dim)
-        assert result.spectral_gap == gap
+        rho, gap = dense_fixed_point(cm, d)
+        assert abs(result.spectral_gap - gap) < 1e-12
         assert trace_distance(result.rho_star, rho) < 1e-12
-        # the solver's inverse iteration on the whole matrix, with no frame or pairing
-        d = ch.dim
-        rho = to_state(unvec(_unit_vector(block.copy(), np.arange(d) * (d + 1)), d))
-        assert np.array_equal(result.rho_star, rho)
 
         gram, _, bound = kraus_from_stack(ch.kraus)
         assert len(gram.kraus) == len(dense_kraus(naive_choi(ch))[0])
         exact = float(np.linalg.norm(cm - naive_channel_matrix(gram), 2))
         assert exact <= bound < 1e-10
 
-    def test_unsplit_degeneracy_has_no_charges(self):
+    def test_unsplit_degeneracy_is_charge_zero(self):
         with pytest.raises(DegenerateFixedPointError) as err:
             fixed_point_spectral(Channel(np.eye(3)[None]))
-        assert err.value.charges == [None] * 9
+        assert len(err.value.eigenvalues) == 9
+        assert err.value.charges == [0] * 9
