@@ -31,15 +31,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chain import ChainSpec, build_hamiltonian
-from .engine import CycleParams, cycle_operators, run_cycle
+from .engine import CycleParams, cycle_ledger, cycle_operators, start_energies, stroke_4
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
                      NotFixedPointError, RankDeficientError, integer, real)
 from .limitcycle import (CLOSURE_FACTOR, DEFAULT_MAX_ITER, DEFAULT_TOL, STALL_DROP, STALL_WINDOW,
                          cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
-                         fixed_point_spectral, limit_cycle_states, sector_spectra,
+                         fixed_point_spectral, hot_half_cycle, limit_cycle_states, sector_spectra,
                          spectral_summary, stalled)
-from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
-                     random_density_matrix, to_state, trace_distance)
+from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, hermitize,
+                     partial_trace, random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, path_probabilities, reverse_channel
 from .thermo import limit_cycle_report
 
@@ -215,7 +215,7 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
             check_density_matrix(rho, herm_atol=HERMITICITY_ATOL, trace_atol=1e-10)
         except ValueError as exc:
             raise ConfigError("initial_state", str(exc)) from exc
-        return hermitian_part(rho)  # exact, so run_cycle's check sees none of the drift accepted
+        return hermitian_part(rho)  # exact, so stroke 1's check sees none of the drift accepted
     rng = np.random.default_rng(cfg.seed)
     return random_density_matrix(dim, rng)
 
@@ -227,29 +227,39 @@ def _operators(cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig):
-    """Iterate full-chain cycles; returns (exit_status, csv_text).
+    """Iterate cycles on the reduced chain; returns (exit_status, csv_text).
 
-    From cycle 3 on, both start states that ``delta_prev`` compares are
-    U2 (Z (x) sigma_b) U2* with Z = Tr_B rho2. The trace distance ignores the
-    unitary and the sigma_b factor, so it is taken between the two Z.
+    After stroke 1 the chain is sigma_a (x) X and after stroke 3 Z (x) sigma_b,
+    so the run carries the 2^(n-1) CB state X and AC state Z and steps them with
+    the half-cycle channels: Z is the cold half-cycle's image of X, and the next
+    X the hot half-cycle's image of Z. Each record is read off X and Z through
+    the point's :class:`~qcycle.engine.CycleLedger`, so its ledger identity
+    holds to rounding; cycle 1 reads the terms of its start state off the
+    initial state. From cycle 3 on, both start states that ``delta_prev``
+    compares are U2 (Z (x) sigma_b) U2* for successive Z. The trace distance
+    ignores the unitary and the sigma_b factor, so it is taken between the two Z.
     Cycle 2 compares with the initial state, on the full chain. The later
     distances never grow, and a run exits 2 where they stall (:func:`~qcycle.limitcycle.stalled`).
     """
     parts, ops = _operators(cfg)
-    rho0 = initial = _initial_full_state(cfg)
+    initial = _initial_full_state(cfg)
     n = cfg.spec.n
+    ledger, cold, hot = cycle_ledger(parts, ops), cold_half_cycle(ops), hot_half_cycle(ops)
+    start = start_energies(initial, parts)
+    x = hermitize(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
 
     lines = [",".join(TRACE_COLUMNS)]
     ac = prev_ac = None  # the AC states of the last two cycles
     window = deque(maxlen=STALL_WINDOW + 1)  # the last delta_prev values between AC states
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
-        state, rec = run_cycle(rho0, parts, ops)
+        z = hermitian_part(cold.apply(x))
+        rec, start = ledger.record(start, x, z)
         if prev_ac is not None:
             rec.delta_prev = trace_distance(ac, prev_ac)
             window.append(rec.delta_prev)
         elif cycle_idx == 2:
-            rec.delta_prev = trace_distance(rho0, initial)
+            rec.delta_prev = trace_distance(stroke_4(ac, ops), initial)
         lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
                                                   for c in TRACE_COLUMNS[1:]]))
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
@@ -259,8 +269,8 @@ def cmd_simulate(cfg: RunConfig):
             print(f"qcycle: simulate stalled at cycle {cycle_idx}: delta_prev fell by less than "
                   f"{STALL_DROP:.0e} over {STALL_WINDOW} cycles; see spectrum", file=sys.stderr)
             break
-        prev_ac, ac = ac, partial_trace(state.rho2, range(n - 1), [2] * n)
-        rho0 = state.rho4
+        prev_ac, ac = ac, z
+        x = hermitian_part(hot.apply(z))
     status = EXIT_OK if converged else EXIT_NO_CONVERGENCE
     return status, "\n".join(lines) + "\n"
 

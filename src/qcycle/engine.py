@@ -17,13 +17,17 @@ Sign conventions in the accounting:
     states; their sum is reported but does not close the first law.
   * ``w_ledger`` books the coupling-switch energies at the instants the
     switches actually happen, so -q_c - q_h + w_ledger equals the cycle's
-    total energy change identically, for any input state.
+    total energy change identically, for any input state. :func:`cycle_record`
+    reads every term off the full-chain states; :class:`CycleLedger` reads the
+    same terms off the reduced states through eight observables, so there the
+    identity holds to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,7 +103,7 @@ class CycleOperators:
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
-    classes: list
+    classes: tuple
     u1_blocks: list
     u2_blocks: list
 
@@ -172,6 +176,19 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.vdot(op, rho).real)
 
 
+def _record(q_c, q_h, ac0, ac1, ac2, cb2, cb3, cb4) -> CycleRecord:
+    """The record of a cycle's heats, <h_ac> at rho0, rho1 and rho2, and <h_cb> at rho2, 3 and 4."""
+    w1, w2, w3, w4 = ac1, -ac2, cb3, -cb4
+    w_total = w1 + w2 + w3 + w4
+    w_ledger = w1 - ac0 + w3 - cb2
+    return CycleRecord(
+        q_c=q_c, q_h=q_h,
+        w1=w1, w2=w2, w3=w3, w4=w4, w_total=w_total, w_ledger=w_ledger,
+        first_law_residual_paper=abs(q_c + q_h + w_total),
+        first_law_residual_ledger=abs(-q_c - q_h + w_ledger),
+    )
+
+
 def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators) -> CycleRecord:
     """Heat/work bookkeeping for one traversed cycle."""
     n = parts.n
@@ -179,23 +196,86 @@ def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators
 
     rho_a0 = partial_trace(state.rho0, [0], dims)       # A as the cold bath sees it
     rho_b2 = partial_trace(state.rho2, [n - 1], dims)   # B as the hot bath sees it
-    q_c = _expect(parts.h_a_local, rho_a0 - ops.sigma_a)
-    q_h = _expect(parts.h_b_local, rho_b2 - ops.sigma_b)
-
-    w1 = _expect(parts.h_ac, state.rho1)
-    w2 = -_expect(parts.h_ac, state.rho2)
-    w3 = _expect(parts.h_cb, state.rho3)
-    w4 = -_expect(parts.h_cb, state.rho4)
-    w_total = w1 + w2 + w3 + w4
-
-    w_ledger = w1 - _expect(parts.h_ac, state.rho0) + w3 - _expect(parts.h_cb, state.rho2)
-
-    return CycleRecord(
-        q_c=q_c, q_h=q_h,
-        w1=w1, w2=w2, w3=w3, w4=w4, w_total=w_total, w_ledger=w_ledger,
-        first_law_residual_paper=abs(q_c + q_h + w_total),
-        first_law_residual_ledger=abs(-q_c - q_h + w_ledger),
+    return _record(
+        q_c=_expect(parts.h_a_local, rho_a0 - ops.sigma_a),
+        q_h=_expect(parts.h_b_local, rho_b2 - ops.sigma_b),
+        ac0=_expect(parts.h_ac, state.rho0), ac1=_expect(parts.h_ac, state.rho1),
+        ac2=_expect(parts.h_ac, state.rho2), cb2=_expect(parts.h_cb, state.rho2),
+        cb3=_expect(parts.h_cb, state.rho3), cb4=_expect(parts.h_cb, state.rho4),
     )
+
+
+def start_energies(rho0: np.ndarray, parts: HamiltonianParts) -> tuple:
+    """``(<h_a>, <h_ac>)`` at a full-chain cycle-start state: the record terms it alone sets."""
+    n = parts.n
+    return (_expect(parts.h_a_local, partial_trace(rho0, [0], [2] * n)),
+            _expect(parts.h_ac, rho0))
+
+
+@dataclass
+class CycleLedger:
+    """A point's cycle record as linear functionals of its reduced states.
+
+    After stroke 1 the chain is sigma_a (x) X, with X the CB state (sites 2..n),
+    and after stroke 3 it is Z (x) sigma_b, with Z the AC state (sites 1..n-1).
+    Each energy the record reads is therefore Re Tr(M X) or Re Tr(M Z) for a
+    d x d observable M, d = 2^(n-1): Tr_A[(sigma_a (x) I) G] for G = h_ac,
+    U1^* h_ac U1, U1^* h_cb U1 and U1^* (I (x) h_b) U1, the rows of ``on_cb``,
+    and Tr_B[(I (x) sigma_b) G] for G = h_cb, U2^* h_cb U2, U2^* h_ac U2 and
+    U2^* (h_a (x) I) U2, the rows of ``on_ac``, the last two the next cycle's
+    :func:`start_energies`. Each row holds conj(M) flattened, so a state's
+    four energies are one matrix-vector product. ``bath_energies`` are
+    Tr(h_a sigma_a) and Tr(h_b sigma_b).
+    """
+
+    on_cb: np.ndarray
+    on_ac: np.ndarray
+    bath_energies: tuple
+
+    def record(self, start, x: np.ndarray, z: np.ndarray):
+        """``(record, next start)`` of the cycle from CB state x to AC state z.
+
+        ``start`` is :func:`start_energies` at the cycle's rho0; the next start
+        is the same pair at its rho4, read off z.
+        """
+        ac1, ac2, cb2, b2 = (self.on_cb @ x.reshape(-1)).real.tolist()
+        cb3, cb4, ac4, a4 = (self.on_ac @ z.reshape(-1)).real.tolist()
+        a0, ac0 = start
+        e_a, e_b = self.bath_energies
+        rec = _record(q_c=a0 - e_a, q_h=b2 - e_b, ac0=ac0, ac1=ac1, ac2=ac2, cb2=cb2,
+                      cb3=cb3, cb4=cb4)
+        return rec, (a4, ac4)
+
+
+def cycle_ledger(parts: HamiltonianParts, ops: CycleOperators) -> CycleLedger:
+    """The point's :class:`CycleLedger`, each U^* G U formed by the unitary's popcount blocks."""
+    d = 2 ** (parts.n - 1)
+    eye = np.eye(d)
+
+    def heisenberg(blocks, *terms):
+        """U^* g U for each g, one at a time: _evolve's V g V^* for V = U^*, of adjoint blocks."""
+        adjoints = [b.conj().T for b in blocks]
+        return (_evolve(g, adjoints, ops.classes) for g in terms)
+
+    # Tr_A[(sigma (x) I) g] sums sigma[i, a] g[(a, r), (i, c)]; Tr_B likewise on the last qubit.
+    # Each 2^n x 2^n g is reduced before the next is formed.
+    on_cb = [np.einsum("ia,aric->rc", ops.sigma_a, g.reshape(2, d, 2, d))
+             for g in chain([parts.h_ac], heisenberg(ops.u1_blocks, parts.h_ac, parts.h_cb,
+                                                     kron(eye, parts.h_b_local)))]
+    on_ac = [np.einsum("ia,raci->rc", ops.sigma_b, g.reshape(d, 2, d, 2))
+             for g in chain([parts.h_cb], heisenberg(ops.u2_blocks, parts.h_cb, parts.h_ac,
+                                                     kron(parts.h_a_local, eye)))]
+    return CycleLedger(
+        on_cb=np.array([hermitian_part(m).conj().reshape(-1) for m in on_cb]),
+        on_ac=np.array([hermitian_part(m).conj().reshape(-1) for m in on_ac]),
+        bath_energies=(_expect(parts.h_a_local, ops.sigma_a),
+                       _expect(parts.h_b_local, ops.sigma_b)),
+    )
+
+
+def stroke_4(z: np.ndarray, ops: CycleOperators) -> np.ndarray:
+    """The post-stroke-4 state U2 (Z (x) sigma_b) U2^* of the AC state Z."""
+    return _evolve(kron(z, ops.sigma_b), ops.u2_blocks, ops.classes)
 
 
 def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, ops: CycleOperators):

@@ -20,7 +20,8 @@ multiplicity. Both half-cycles preserve the S^Z charge below, so this holds
 sector by sector. The cold half-cycle also carries fixed points: if
 Phi_CB(rho) = rho then Phi_AC(Phi_cold(rho)) = Phi_cold(Phi_hot(Phi_cold(rho)))
 = Phi_cold(rho), so Phi_cold(rho*_CB) is AC's fixed point, unique when
-CB's is. :func:`cold_half_cycle` exposes Phi_cold as a channel.
+CB's is. :func:`cold_half_cycle` and :func:`hot_half_cycle` expose Phi_cold
+and Phi_hot as channels; ``simulate`` steps its reduced states with them.
 
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
@@ -238,6 +239,11 @@ def cycle_channel_ac(ops: CycleOperators) -> Channel:
 def cold_half_cycle(ops: CycleOperators) -> Channel:
     """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
     return Channel(_half_cycle_kraus(ops, cold=True))
+
+
+def hot_half_cycle(ops: CycleOperators) -> Channel:
+    """The hot half-cycle AC -> CB (strokes 3 and 4, then A traced out): Kraus {B}."""
+    return Channel(_half_cycle_kraus(ops, cold=False))
 
 
 def swap_index(indices: np.ndarray, d: int) -> np.ndarray:

@@ -21,6 +21,8 @@ exact zeros between them and each class's own relative accuracy.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import RankDeficientError
@@ -138,8 +140,8 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
-    For a state a caller hands in (``run_cycle``'s Tr_A rho0,
-    ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
+    For a state a caller hands in (the Tr_A rho0 of ``run_cycle`` and of
+    ``simulate``'s initial state, ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
     mean it is no state and raise instead of being papered over. Returns
     :func:`hermitian_part`'s value, formed the same way.
     """
@@ -179,10 +181,15 @@ def _class_eigh(h: np.ndarray):
     h is decomposed by one ``eigh`` per class of ``charge_groups(h[None])``: the popcount
     classes when its entries of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its
     largest (a nonzero Hermitian matrix can be pure in charge 0 only), else one class of all.
-    ``spectral(f)`` is the block-diagonal V f(w) V* of those decompositions, exactly zero
-    between classes; on one class it is the dense V f(w) V*, bit for bit.
+    That test is made here on the memoized mask of those entries, the same decision, ties
+    and the zero matrix included. ``spectral(f)`` is the block-diagonal V f(w) V* of those
+    decompositions, exactly zero between classes; on one class it is the dense V f(w) V*, bit
+    for bit.
     """
-    classes = charge_groups(h[None])[0]
+    d = len(h)
+    moduli = np.abs(h)
+    leak = moduli[_charged_entries(d)].max(initial=0.0)
+    classes = (np.arange(d),) if leak > CHARGE_LEAKAGE_TOL * moduli.max() else popcount_classes(d)
     eighs = [np.linalg.eigh(h[np.ix_(c, c)]) for c in classes]
 
     def spectral(f):
@@ -218,26 +225,45 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+# The popcount tables are memoized per d and read-only: a run asks for a few sizes, the
+# chain's 2^n and the reduced chain's 2^(n - 1), many times over.
+@lru_cache(maxsize=32)
 def popcount_charges(d: int) -> np.ndarray:
     """The d x d array popcount(a) - popcount(b) for d = 2^k; zeros for any other d, one class.
 
     Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
-    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
+    index pairs a*d + b, the entries of a d^2 x d^2 superoperator. Read-only.
     """
     if d & (d - 1):
-        return np.zeros((d, d), dtype=int)
-    pop = np.array([k.bit_count() for k in range(d)])
-    return pop[:, None] - pop[None, :]
+        charges = np.zeros((d, d), dtype=int)
+    else:
+        pop = np.array([k.bit_count() for k in range(d)])
+        charges = pop[:, None] - pop[None, :]
+    charges.flags.writeable = False
+    return charges
 
 
-def popcount_classes(d: int) -> list:
-    """``[C_0, ..., C_k]`` for d = 2^k: C_m holds the basis states with m bits set, ascending.
+@lru_cache(maxsize=32)
+def popcount_classes(d: int) -> tuple:
+    """``(C_0, ..., C_k)`` for d = 2^k: C_m holds the basis states with m bits set, ascending.
 
     C_m is the total-S^Z sector k/2 - m (|0> is S^Z = +1/2). Every term of the
     chain Hamiltonian maps each sector to itself. Any other d is the one class C_0 of all.
+    The arrays are read-only.
     """
     pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
-    return [np.flatnonzero(pop == m) for m in range(pop.max() + 1)]
+    classes = tuple(np.flatnonzero(pop == m) for m in range(pop.max() + 1))
+    for c in classes:
+        c.flags.writeable = False
+    return classes
+
+
+@lru_cache(maxsize=32)
+def _charged_entries(d: int) -> np.ndarray:
+    """The read-only d x d mask of the entries of nonzero charge."""
+    mask = popcount_charges(d) != 0
+    mask.flags.writeable = False
+    return mask
 
 
 def charge_groups(stack: np.ndarray) -> tuple:
@@ -248,7 +274,7 @@ def charge_groups(stack: np.ndarray) -> tuple:
     whose charge it takes, ``classes`` are the :func:`popcount_classes` and ``groups``
     ``[(s, indices), ...]`` the operators by charge s, ascending. Otherwise the stack
     is one class of all basis states in which every operator has charge 0:
-    ``([arange(d)], [(0, all)])``.
+    ``((arange(d),), [(0, all)])``.
     """
     k, d, _ = stack.shape
     charge = popcount_charges(d).reshape(-1)
@@ -257,7 +283,7 @@ def charge_groups(stack: np.ndarray) -> tuple:
     q = charge[peak]
     leak = np.where(charge[None, :] != q[:, None], moduli, 0.0).max(axis=1)
     if (leak > CHARGE_LEAKAGE_TOL * moduli[np.arange(k), peak]).any():
-        return [np.arange(d)], [(0, np.arange(k))]
+        return (np.arange(d),), [(0, np.arange(k))]
     # not np.unique, whose first call imports numpy.ma
     return popcount_classes(d), [(c, np.flatnonzero(q == c)) for c in sorted(set(q.tolist()))]
 

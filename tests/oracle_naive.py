@@ -26,6 +26,13 @@ distance taken every step. It calls the package's ``hermitize``,
 reference that ``fixed_point_iterate``, which skips the steps a Frobenius
 bound rules out, must match bit for bit.
 
+``full_chain_simulate`` is ``simulate``'s loop as it ran before it carried
+the reduced states: ``run_cycle`` on the 2^n x 2^n state every cycle, and
+``delta_prev`` between the full cycle-start states of cycle 2 and the AC
+states from cycle 3 on. It calls the package's ``run_cycle``,
+``trace_distance`` and stall rule on purpose: it is the reference that the
+reduced loop must match within ``cli_documents.TOLERANCE``.
+
 ``total_magnetization``, ``commutator_norm`` and ``expm_unitary`` are the
 helpers the tests need and the package does not call. ``expm_unitary``
 composes the package's ``eigh_hermitian`` and ``unitary_from_eigh``, the two
@@ -33,12 +40,18 @@ halves that ``cycle_operators`` runs per popcount class, so that its tests
 keep covering them on whole matrices.
 """
 
+import math
+import sys
+from collections import deque
+
 import numpy as np
 from scipy.linalg import expm
 
-from qcycle.limitcycle import STALL_WINDOW, hermitian_frame, stalled
-from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, trace_distance,
-                           unitary_from_eigh)
+from qcycle.cli import EXIT_NO_CONVERGENCE, EXIT_OK, TRACE_COLUMNS, _initial_full_state, _operators
+from qcycle.engine import run_cycle
+from qcycle.limitcycle import STALL_DROP, STALL_WINDOW, hermitian_frame, stalled
+from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, partial_trace,
+                           trace_distance, unitary_from_eigh)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -317,3 +330,36 @@ def exact_fixed_point_iterate(ch, rho_init, tol, max_iter):
             break
     converged = bool(deltas) and deltas[-1] < tol
     return rho, len(deltas), (deltas[-1] if deltas else 0.0), converged
+
+
+def full_chain_simulate(cfg):
+    """``(exit_status, csv_text)`` of ``simulate`` on ``cfg`` by full-chain ``run_cycle`` steps.
+
+    The stall message goes to stderr, as ``simulate`` prints it.
+    """
+    parts, ops = _operators(cfg)
+    rho0 = initial = _initial_full_state(cfg)
+    n = cfg.spec.n
+    lines = [",".join(TRACE_COLUMNS)]
+    ac = prev_ac = None
+    window = deque(maxlen=STALL_WINDOW + 1)
+    converged = False
+    for cycle_idx in range(1, cfg.max_iter + 1):
+        state, rec = run_cycle(rho0, parts, ops)
+        if prev_ac is not None:
+            rec.delta_prev = trace_distance(ac, prev_ac)
+            window.append(rec.delta_prev)
+        elif cycle_idx == 2:
+            rec.delta_prev = trace_distance(rho0, initial)
+        lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
+                                                  for c in TRACE_COLUMNS[1:]]))
+        if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
+            converged = True
+            break
+        if len(window) > STALL_WINDOW and stalled(window[0], window[-1]):
+            print(f"qcycle: simulate stalled at cycle {cycle_idx}: delta_prev fell by less than "
+                  f"{STALL_DROP:.0e} over {STALL_WINDOW} cycles; see spectrum", file=sys.stderr)
+            break
+        prev_ac, ac = ac, partial_trace(state.rho2, range(n - 1), [2] * n)
+        rho0 = state.rho4
+    return (EXIT_OK if converged else EXIT_NO_CONVERGENCE), "\n".join(lines) + "\n"

@@ -21,6 +21,8 @@ from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_co
 from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
+from cli_documents import compare, parse
+from oracle_naive import full_chain_simulate
 
 GENERIC = {
     "chain": {"n": 3, "E": [1.0, 1.3, 2.0], "J": [0.4, 0.5], "K": [0.2, 0.1], "F": [0.3, 0.2]},
@@ -262,6 +264,34 @@ class TestSimulate:
         # the second cycle's distance is to the initial state, on the full chain
         rows = self.assert_full_chain_deltas(tmp_path, variant(**{"solver.max_iter": 2}), status=2)
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("case", ["n3", "n4", "n5", "n6", "initial-state", "matched-bath",
+                                      "decoupled-stall"])
+    def test_matches_full_chain_loop(self, tmp_path, capsys, case):
+        # simulate steps the reduced states with the half-cycle channels and reads its records
+        # through the ledger observables; the full-chain run_cycle loop must give the same run
+        if case == "initial-state":
+            np.save(tmp_path / "init.npy", random_density_matrix(16, np.random.default_rng(5)))
+            doc = variant(chain=chain_of(4), initial_state=str(tmp_path / "init.npy"))
+        elif case == "matched-bath":
+            doc = variant(**{"cycle.beta2": 0.5})  # beta1 E_1 = beta2 E_N
+        elif case == "decoupled-stall":
+            doc = DECOUPLED
+        else:
+            doc = variant(chain=chain_of(int(case[1:])))
+        cfg_path = write_config(tmp_path, doc)
+        status = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        want_status, want_text = full_chain_simulate(parse_config(cfg_path))
+        assert (status, err) == (want_status, capsys.readouterr().err)
+        want = parse("simulate", want_text)
+        got = parse("simulate", (tmp_path / "t.csv").read_text())
+        assert len(got) == len(want)
+        worst, errors = {}, []
+        compare(want, got, case, worst, errors)
+        assert not errors, errors[:5]
+        if case == "decoupled-stall":
+            assert status == 2 and "simulate stalled" in err
 
     def test_generic_run_converges(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GENERIC)

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
                     check_density_matrix, cycle_operators, gibbs_state, kron,
                     partial_trace, random_density_matrix, run_cycle, trace_distance)
-from qcycle.engine import replace_last_factor
-from qcycle.linalg import HERMITICITY_ATOL, charge_groups, hermitian_part, popcount_charges
-from qcycle.limitcycle import (cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
-                               fixed_point_spectral, limit_cycle_states)
+from qcycle.engine import cycle_ledger, replace_last_factor, start_energies
+from qcycle.linalg import (HERMITICITY_ATOL, charge_groups, hermitian_part, hermitize,
+                           popcount_charges)
+from qcycle.limitcycle import (cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
+                               fixed_point_iterate, fixed_point_spectral, hot_half_cycle,
+                               limit_cycle_states)
 from conftest import dense_unitaries, point_operators, random_chain_spec, random_engine_point
 from oracle_naive import NaiveCycle, total_magnetization
 
@@ -310,3 +313,34 @@ class TestRunCycle:
         state_b, rec_b = run_cycle(rho0, parts, ops)
         assert np.abs(state_a.rho4 - state_b.rho4).max() == 0.0
         assert rec_a.q_c == rec_b.q_c
+
+
+class TestCycleLedger:
+    RECORD_FIELDS = ("q_c", "q_h", "w1", "w2", "w3", "w4", "w_total", "w_ledger")
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
+    def test_matches_full_chain_records(self, seed, n):
+        # two cycles read off the CB states X and the AC states Z through the eight
+        # observables, against cycle_record on run_cycle's full states; the second cycle's
+        # start terms come from the first cycle's Z
+        rng = np.random.default_rng(seed)
+        spec, params = random_engine_point(rng, n)
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        ledger = cycle_ledger(parts, ops)
+        cold, hot = cold_half_cycle(ops), hot_half_cycle(ops)
+        rho0 = full_random_state(rng, n)
+        x = hermitize(partial_trace(rho0, range(1, n), [2] * n))
+        start = start_energies(rho0, parts)
+        for _ in range(2):
+            state, want = run_cycle(rho0, parts, ops)
+            z = hermitian_part(cold.apply(x))
+            got, start = ledger.record(start, x, z)
+            for name in self.RECORD_FIELDS:
+                assert abs(getattr(got, name) - getattr(want, name)) < 1e-13, name
+            # the two <h> terms of w_ledger: <h_cb> at rho2, and <h_ac> at rho4, the next rho0
+            cb2 = float((ledger.on_cb[2] @ x.reshape(-1)).real)
+            assert abs(cb2 - np.trace(parts.h_cb @ state.rho2).real) < 1e-13
+            assert abs(start[1] - np.trace(parts.h_ac @ state.rho4).real) < 1e-13
+            rho0, x = state.rho4, hermitian_part(hot.apply(z))
