@@ -103,8 +103,8 @@ import numpy as np
 from .chain import HamiltonianParts
 from .engine import CycleOperators, CycleState, strokes_2_to_4
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import (assemble, charge_groups, hermitian_part, hermitize, kron, partial_trace,
-                     to_state, trace_distance)
+from .linalg import (assemble, charge_groups, class_layout, hermitize, kron, partial_trace,
+                     popcount_classes, to_state, trace_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -139,6 +139,12 @@ RITZ_FIRST_CHECK = 10
 RITZ_AHEAD = (3, 20)
 RITZ_AHEAD_ROSE = 5
 ARNOLDI_MAX_STEPS = 400  # top_ritz_value's largest basis; above it the sector goes dense
+# Channel applies a stage of at least CLASS_BLOCK_DIM rows that splits by charge by its popcount
+# class blocks, and any other stage row-interleaved dense. One half-cycle stage (best of 9
+# timeit repeats, 2-core Xeon, OpenBLAS 0.3.31) ran 0.46x as fast by blocks as dense at d = 32
+# and 0.89x at d = 64, where the per-class calls and gathers dominate, but 1.57x at d = 128
+# (1.04 -> 0.66 ms) and 2.35x at d = 256 (7.65 -> 3.25 ms).
+CLASS_BLOCK_DIM = 128
 
 
 class Channel:
@@ -148,16 +154,19 @@ class Channel:
     stages in turn: 2 (4 + 4) dim^3 multiply-adds for the two half-cycles, not 2 * 16 dim^3 for
     their products. ``kraus`` is the product stack, the later stage's index slow, from which the
     spectral solvers build their sector blocks (:func:`sector_blocks`); ``dim`` is its size.
+
+    Each stage is held only in the layout its ``apply`` reads, chosen once here: by popcount
+    class blocks (:class:`_ClassBlockStage`) where the stage has at least ``CLASS_BLOCK_DIM``
+    rows and splits by charge (:func:`~qcycle.linalg.charge_groups`), else row-interleaved
+    dense (:class:`_DenseStage`).
     """
 
     def __init__(self, *stages):
-        self._stages = [np.asarray(stack, dtype=complex) for stack in stages]
-        self.kraus = self._stages[0]
-        for stack in self._stages[1:]:
+        stages = [np.asarray(stack, dtype=complex) for stack in stages]
+        self.kraus = stages[0]
+        for stack in stages[1:]:
             self.kraus = (stack[:, None] @ self.kraus[None, :]).reshape(-1, *stack.shape[1:])
-        # row (k, m) of a stage's adjoints is row m of K_k^*, which apply's stacked product needs
-        self._adjoints = [stack.conj().transpose(0, 2, 1).reshape(-1, stack.shape[2])
-                          for stack in self._stages]
+        self._stages = [_stage(stack) for stack in stages]
 
     @property
     def dim(self) -> int:
@@ -165,10 +174,8 @@ class Channel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
-        for stack, adjoints in zip(self._stages, self._adjoints):
-            k, d, _ = stack.shape
-            left = (stack.reshape(k * d, d) @ rho).reshape(k, d, d)
-            rho = left.transpose(1, 0, 2).reshape(d, k * d) @ adjoints
+        for stage in self._stages:
+            rho = stage.apply(rho)
         return rho
 
     def completeness_residual(self) -> float:
@@ -179,6 +186,97 @@ class Channel:
     def adjoint(self) -> Channel:
         """The adjoint map x -> sum_k K_k^* x K_k, w.r.t. the trace inner product."""
         return Channel(self.kraus.conj().transpose(0, 2, 1))
+
+
+def _stage(stack: np.ndarray):
+    """A (k, d, d) stage in the layout ``Channel.apply`` reads: class blocks where d is at least
+    ``CLASS_BLOCK_DIM`` and the stack splits by charge, else dense."""
+    if stack.shape[1] >= CLASS_BLOCK_DIM:
+        classes, groups = charge_groups(stack)
+        if len(classes) > 1:
+            return _ClassBlockStage(stack, groups)
+    return _DenseStage(stack)
+
+
+class _DenseStage:
+    """A stage as two matrices, its operators' rows interleaved and their adjoints stacked.
+
+    Row (i, k) of ``rows`` is row i of K_k and row (k, m) of ``adjoints`` row m of K_k^*.
+    (rows @ rho) reshaped to (d, k d) holds K_k rho in its column block k, so two products
+    apply the stage: 2 k d^3 multiply-adds and no copy between them.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        k, d, _ = stack.shape
+        self.rows = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(d * k, d)
+        self.adjoints = stack.conj().transpose(0, 2, 1).reshape(k * d, d)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        d = rho.shape[0]
+        return (self.rows @ rho).reshape(d, -1) @ self.adjoints
+
+
+class _ClassBlockStage:
+    """A charge-split stage as its popcount class blocks.
+
+    An operator K of charge s maps class C_c to C_{c+s} and is zero elsewhere, so K rho needs
+    only its blocks K[C_{c+s}, C_c] and (K rho) K^* only the conjugates of the same blocks:
+    per operator sum_c |C_{c+s}| |C_c| d multiply-adds a side, against d^3 dense (3432 d
+    against 16384 d at d = 128).
+
+    Left: for each input class c, one product of the blocks K_k[C_{c+s_k}, C_c] of every
+    operator, stacked, with the rows C_c of rho, written into a contiguous slice of one buffer
+    whose rows run (c, k, i). Right: for each output class b, one product of the buffer's
+    entries (K_k rho)[i, l] for l in C_{b-s_k}, gathered by one ``take`` through a
+    precomputed index (rows i in natural order, a zero row where K_k rho vanishes), with the
+    stacked blocks conj(K_k[C_b, C_{b-s_k}])^T, written into the columns of class b; the
+    columns are put back in natural order last.
+    """
+
+    def __init__(self, stack: np.ndarray, groups):
+        k, d, _ = stack.shape
+        classes = popcount_classes(d)
+        order, spans = class_layout(d)
+        self.inverse = np.argsort(order)
+        # row_of[k, i] is the buffer row of (K_k rho)[i], or the zero row after the last
+        self.left, blocks, top = [], {}, 0
+        row_of = np.full((k, d), -1, dtype=np.intp)
+        for c, cls in enumerate(classes):
+            start, parts = top, [np.empty((0, len(cls)), dtype=complex)]
+            for s, ks in groups:
+                if 0 <= c + s < len(classes):
+                    out = classes[c + s]
+                    blocks[s, c] = stack[np.ix_(ks, out, cls)]
+                    parts.append(blocks[s, c].reshape(-1, len(cls)))
+                    row_of[np.ix_(ks, out)] = np.arange(top, top + len(ks) * len(out)).reshape(
+                        len(ks), len(out))
+                    top += len(ks) * len(out)
+            self.left.append((cls, np.concatenate(parts), slice(start, top)))
+        self.zero_row = top
+        row_of[row_of < 0] = top  # the rows of K_k rho that no input class reaches
+        self.right = []
+        for b, span in enumerate(spans):
+            index = [np.empty((d, 0), dtype=np.intp)]
+            weights = [np.empty((0, len(classes[b])), dtype=complex)]
+            for s, ks in groups:
+                if (s, b - s) in blocks:  # K_k[C_b, C_{b-s}]
+                    index.append((row_of[ks].T[:, :, None] * d
+                                  + classes[b - s][None, None, :]).reshape(d, -1))
+                    weights.append(blocks[s, b - s].conj().transpose(0, 2, 1)
+                                   .reshape(-1, len(classes[b])))
+            self.right.append((span, np.concatenate(index, axis=1), np.concatenate(weights)))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        d = rho.shape[0]
+        rows = np.empty((self.zero_row + 1, d), dtype=complex)
+        rows[-1] = 0.0
+        for cls, weights, place in self.left:
+            np.matmul(weights, rho[cls], out=rows[place])
+        flat = rows.reshape(-1)
+        out = np.empty((d, d), dtype=complex)
+        for span, index, weights in self.right:
+            np.matmul(np.take(flat, index), weights, out=out[:, span])
+        return out[:, self.inverse]
 
 
 @dataclass
@@ -510,6 +608,7 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     (not that of nxt - rho, whose anti-Hermitian rounding can exceed H at the rounding floor).
     The step is traceless, so ||H||_F <= ||H||_tr / sqrt(2), a margin far above either norm's
     rounding: the loop stops at the step, with the bits, of one taking the exact distance always.
+    The bound is formed in three calls, step + step^* = 2H and its root of ``vdot``.
 
     Every ``STALL_WINDOW`` steps the exact distance is taken too, and the loop stops unconverged
     where it has :func:`stalled` against the last window's. Under a CPTP map the distances never
@@ -531,9 +630,12 @@ def fixed_point_iterate(ch: Channel, rho_init: np.ndarray, tol: float = DEFAULT_
     for iterations in range(1, max_iter + 1):
         rho, prev = ch.apply(rho), rho
         window_end = iterations % STALL_WINDOW == 0
-        if (not window_end and iterations < max_iter
-                and 0.5 * np.linalg.norm(hermitian_part(rho - prev)) >= tol):
-            continue  # the step cannot pass the stop test
+        if not window_end and iterations < max_iter:
+            step = rho - prev
+            step += step.conj().T  # 2 H
+            # the root is kept: tol squared underflows to 0 for a tiny tol
+            if 0.25 * np.sqrt(np.vdot(step, step).real) >= tol:
+                continue  # the step cannot pass the stop test
         delta = trace_distance(rho, prev)
         if delta < tol:
             converged = True

@@ -101,10 +101,23 @@ def psd_sqrt_invsqrt(rho: np.ndarray):
     as zero; any such raises :class:`RankDeficientError`.
     """
     w, spectral = _class_eigh(hermitian_part(rho))
+    _require_full_rank(w)
+    return spectral(np.sqrt), spectral(lambda x: 1.0 / np.sqrt(x))
+
+
+def require_full_rank(rho: np.ndarray) -> None:
+    """Raise :class:`RankDeficientError` where :func:`psd_sqrt_invsqrt` would, from eigenvalues.
+
+    The same per-class split and cutoff, with ``eigvalsh`` in place of ``eigh``.
+    """
+    _, spans, h = _class_split(hermitian_part(rho))
+    _require_full_rank(np.concatenate([np.linalg.eigvalsh(h[s, s]) for s in spans]))
+
+
+def _require_full_rank(w: np.ndarray) -> None:
     rank = int((w > RANK_TOL * max(float(w.max()), 0.0)).sum())
     if rank < len(w):
         raise RankDeficientError(rank, len(w))
-    return spectral(np.sqrt), spectral(lambda x: 1.0 / np.sqrt(x))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -175,25 +188,45 @@ def to_state(m: np.ndarray) -> np.ndarray:
     return hermitian_part(m / np.trace(m).real)
 
 
-def _class_eigh(h: np.ndarray):
-    """``(w, spectral)``: the eigenvalues of the Hermitian h, and f -> f(h) from its eigenvectors.
+def _class_split(h: np.ndarray):
+    """``(order, spans, h)``: the classes :func:`_class_eigh` decomposes the Hermitian h by.
 
-    h is decomposed by one ``eigh`` per class of ``charge_groups(h[None])``: the popcount
-    classes when its entries of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its
-    largest (a nonzero Hermitian matrix can be pure in charge 0 only), else one class of all.
-    That test is made here on the memoized mask of those entries, the same decision, ties
-    and the zero matrix included. ``spectral(f)`` is the block-diagonal V f(w) V* of those
-    decompositions, exactly zero between classes; on one class it is the dense V f(w) V*, bit
-    for bit.
+    The popcount classes (:func:`class_layout`), with h gathered into their order, when h's
+    entries of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its largest; else
+    ``(None, (all,), h)``, one class in h's own order. That is ``charge_groups(h[None])``'s
+    decision, made on the memoized mask of those entries, ties and the zero matrix included.
     """
     d = len(h)
     moduli = np.abs(h)
-    leak = moduli[_charged_entries(d)].max(initial=0.0)
-    classes = (np.arange(d),) if leak > CHARGE_LEAKAGE_TOL * moduli.max() else popcount_classes(d)
-    eighs = [np.linalg.eigh(h[np.ix_(c, c)]) for c in classes]
+    if moduli[_charged_entries(d)].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
+        return None, (slice(0, d),), h
+    order, spans = class_layout(d)
+    return order, spans, h[np.ix_(order, order)]
+
+
+def _class_eigh(h: np.ndarray):
+    """``(w, spectral)``: the eigenvalues of the Hermitian h, and f -> f(h) from its eigenvectors.
+
+    h is decomposed by one ``eigh`` per class of :func:`_class_split`: the popcount classes
+    when h is charge-0 pure (a nonzero Hermitian matrix can be pure in charge 0 only), else one
+    class of all. h is gathered into class order once, each class's ``eigh`` reads its
+    contiguous diagonal block, and ``spectral(f)``, the block-diagonal V f(w) V* of those
+    decompositions, exactly zero between classes, is scattered back once. On one class it is
+    the dense V f(w) V*, bit for bit.
+    """
+    order, spans, h = _class_split(h)
+    eighs = [np.linalg.eigh(h[s, s]) for s in spans]
 
     def spectral(f):
-        return assemble([(v * f(w)) @ v.conj().T for w, v in eighs], classes)
+        if order is None:
+            (w, v), = eighs
+            return (v * f(w)) @ v.conj().T
+        blocks = np.zeros(h.shape, dtype=complex)
+        for s, (w, v) in zip(spans, eighs):
+            blocks[s, s] = (v * f(w)) @ v.conj().T
+        out = np.empty_like(blocks)
+        out[np.ix_(order, order)] = blocks
+        return out
 
     return np.concatenate([w for w, _ in eighs]), spectral
 
@@ -256,6 +289,19 @@ def popcount_classes(d: int) -> tuple:
     for c in classes:
         c.flags.writeable = False
     return classes
+
+
+@lru_cache(maxsize=32)
+def class_layout(d: int) -> tuple:
+    """``(order, spans)``: the basis states in popcount-class order, and each class's slice of it.
+
+    ``order`` is the concatenated :func:`popcount_classes`, read-only, and ``spans`` a tuple.
+    """
+    classes = popcount_classes(d)
+    order = np.concatenate(classes)
+    order.flags.writeable = False
+    edges = np.cumsum([0] + [len(c) for c in classes]).tolist()
+    return order, tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 @lru_cache(maxsize=32)

@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import NotFixedPointError
 from .limitcycle import DEFAULT_TOL, Channel
-from .linalg import RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, trace_distance
+from .linalg import (RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, require_full_rank,
+                     trace_distance)
 
 
 def _dot_rounding(m: int) -> float:
@@ -151,7 +152,7 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     into the smallest class, which the inverse root then amplifies.
     """
     rho_star = np.asarray(rho_star, dtype=complex)
-    psd_sqrt_invsqrt(rho_star)  # rank check
+    require_full_rank(rho_star)
     image = forward.apply(rho_star)
     residual = trace_distance(image, rho_star)
     if residual > 100.0 * fp_tol:
@@ -164,7 +165,8 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     rho_star = rho_star / np.trace(rho_star).real
     sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
 
-    rev = Channel(sqrt @ forward.adjoint().kraus @ invsqrt)
+    # the adjoint's operators K^*, without the Channel that adjoint() would lay out for apply
+    rev = Channel(sqrt @ forward.kraus.conj().transpose(0, 2, 1) @ invsqrt)
     tp_residual = rev.completeness_residual()
     if tp_residual > 1e-9:
         raise NotFixedPointError(tp_residual, 1e-9, what="completeness of the reversed set")

@@ -20,11 +20,16 @@ Choi matrix: the references for the Choi eigenvalues and Kraus operators
 that ``kraus_from_stack`` takes from the Gram matrix, and for the channel
 matrix that ``sector_blocks`` builds sector by sector.
 
+``stacked_apply`` is ``Channel.apply`` as it ran on the (k, d, d) stacks
+before each stage kept its own layout: the stacked left product, a
+transposed copy, and the product with the stacked adjoints. The dense
+layout must match it bit for bit, the class-block layout to rounding.
+
 ``exact_fixed_point_iterate`` is the iteration with the exact trace
-distance taken every step. It calls the package's ``hermitize``,
-``trace_distance`` and stall rule (``stalled``) on purpose: it is the
-reference that ``fixed_point_iterate``, which skips the steps a Frobenius
-bound rules out, must match bit for bit.
+distance taken every step, by ``stacked_apply``. It calls the package's
+``hermitize``, ``trace_distance`` and stall rule (``stalled``) on purpose:
+it is the reference that ``fixed_point_iterate``, which skips the steps a
+Frobenius bound rules out, must match bit for bit.
 
 ``full_chain_simulate`` is ``simulate``'s loop as it ran before it carried
 the reduced states: ``run_cycle`` on the 2^n x 2^n state every cycle, and
@@ -310,17 +315,30 @@ def expm_unitary(h, t):
     return unitary_from_eigh(*eigh_hermitian(h), t)
 
 
-def exact_fixed_point_iterate(ch, rho_init, tol, max_iter):
+def stacked_apply(stages, rho):
+    """sum_k K_k rho K_k^* of each (k, d, d) stack in turn, through the stacked products."""
+    rho = np.asarray(rho, dtype=complex)
+    for stack in stages:
+        stack = np.asarray(stack, dtype=complex)
+        k, d, _ = stack.shape
+        adjoints = stack.conj().transpose(0, 2, 1).reshape(-1, d)
+        left = (stack.reshape(k * d, d) @ rho).reshape(k, d, d)
+        rho = left.transpose(1, 0, 2).reshape(d, k * d) @ adjoints
+    return rho
+
+
+def exact_fixed_point_iterate(stages, rho_init, tol, max_iter):
     """(rho, iterations, final_delta, converged) of the iteration with the exact stop test.
 
-    ``rho`` is the last iterate, before ``to_state``. After the stop test, a step that ends a
-    window of ``STALL_WINDOW`` stops the loop where its delta has ``stalled`` against the one
-    ``STALL_WINDOW`` steps before.
+    The map is :func:`stacked_apply` of the (k, d, d) ``stages``. ``rho`` is the last iterate,
+    before ``to_state``. After the stop test, a step that ends a window of ``STALL_WINDOW``
+    stops the loop where its delta has ``stalled`` against the one ``STALL_WINDOW`` steps
+    before.
     """
     rho = hermitize(np.asarray(rho_init, dtype=complex))
     deltas = []
     for step in range(1, max_iter + 1):
-        nxt = ch.apply(rho)
+        nxt = stacked_apply(stages, rho)
         deltas.append(trace_distance(nxt, rho))
         rho = nxt
         if deltas[-1] < tol:

@@ -8,16 +8,33 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, trace_distance, unvec, vec)
 from qcycle import ansatz_state
-from qcycle.limitcycle import (DEFAULT_MAX_ITER, _half_cycle_kraus, sector_blocks, sector_spectra,
-                               swap_index)
+from qcycle import limitcycle
+from qcycle.limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, _ClassBlockStage, _DenseStage,
+                               _half_cycle_kraus, sector_blocks, sector_spectra, swap_index)
 from qcycle.linalg import hermitize, to_state
 from conftest import carnot_point, point_operators, random_engine_point
 from oracle_naive import (NaiveCycle, commutator_norm, exact_fixed_point_iterate,
-                          naive_channel_matrix, total_magnetization)
+                          naive_channel_matrix, stacked_apply, total_magnetization)
 
 
 def identity_channel(d):
     return Channel(np.eye(d)[None])
+
+
+def cycle_stages(maker, ops):
+    """The two half-cycle stacks of ``maker``'s channel, in the order it applies them."""
+    cold, hot = _half_cycle_kraus(ops, cold=True), _half_cycle_kraus(ops, cold=False)
+    return (cold, hot) if maker is cycle_channel_cb else (hot, cold)
+
+
+def layout_cases(n):
+    """``(stages, x)``: the 1- and 2-stage channels of a random point at n, with an operator x."""
+    rng = np.random.default_rng(n)
+    ops = point_operators(*random_engine_point(rng, n))
+    cold, hot = cycle_stages(cycle_channel_cb, ops)
+    d = cold.shape[1]
+    for stages in ((cold,), (hot,), (cold, hot), (hot, cold)):
+        yield stages, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
 def replacement_channel(sigma):
@@ -87,6 +104,54 @@ class TestChannelMethods:
         assert np.abs(ch.adjoint().apply(x) - sum(a.conj().T @ x @ a for a in ops)).max() < 1e-13
         loop = float(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(ch.dim)).max())
         assert abs(ch.completeness_residual() - loop) < 1e-14
+
+
+class TestChannelLayouts:
+    """Each stage's layout against the stacked products it replaced (``stacked_apply``)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_dense_is_stacked_apply(self, n):
+        for stages, x in layout_cases(n):
+            ch = Channel(*stages)
+            assert all(isinstance(stage, _DenseStage) for stage in ch._stages)
+            assert np.array_equal(ch.apply(x), stacked_apply(stages, x))
+
+    def test_class_blocks_at_n8(self):
+        for stages, x in layout_cases(8):
+            ch = Channel(*stages)
+            assert all(isinstance(stage, _ClassBlockStage) for stage in ch._stages)
+            expected = stacked_apply(stages, x)
+            assert np.abs(ch.apply(x) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_class_blocks_below_the_crossover(self, monkeypatch, n):
+        monkeypatch.setattr(limitcycle, "CLASS_BLOCK_DIM", 1)
+        for stages, x in layout_cases(n):
+            ch = Channel(*stages)
+            assert all(isinstance(stage, _ClassBlockStage) for stage in ch._stages)
+            expected = stacked_apply(stages, x)
+            assert np.abs(ch.apply(x) - expected).max() <= 1e-14 * np.abs(expected).max()
+        # a stack that does not split by charge stays dense
+        rng = np.random.default_rng(n)
+        d = 2 ** (n - 1)
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        stack = np.array([u / np.sqrt(2), np.eye(d) / np.sqrt(2)])
+        ch = Channel(stack)
+        assert isinstance(ch._stages[0], _DenseStage)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.array_equal(ch.apply(x), stacked_apply([stack], x))
+
+    def test_class_blocks_with_an_unreached_class(self, monkeypatch):
+        # one raising operator: nothing maps into class 0 or out of the top class, whose rows
+        # and columns of the image are zero
+        monkeypatch.setattr(limitcycle, "CLASS_BLOCK_DIM", 1)
+        rng = np.random.default_rng(3)
+        stack = np.zeros((1, 8, 8), dtype=complex)
+        stack[0, 1, 0], stack[0, 3, 2], stack[0, 7, 5] = 1.0, 0.5j, -2.0
+        ch = Channel(stack)
+        assert isinstance(ch._stages[0], _ClassBlockStage)
+        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        assert np.array_equal(ch.apply(x), stacked_apply([stack], x))
 
 
 def full_matrix(ch):
@@ -169,9 +234,10 @@ class TestKrausForm:
 class TestFixedPointIterate:
     def test_identity_converges_immediately(self, rng):
         rho = random_density_matrix(4, rng)
-        res = fixed_point_iterate(identity_channel(4), rho)
-        assert res.converged and res.iterations == 1
-        assert trace_distance(res.rho_star, rho) < 1e-12
+        for tol in (DEFAULT_TOL, 1e-200):  # 1e-200: the bound must not compare tol^2, which is 0
+            res = fixed_point_iterate(identity_channel(4), rho, tol=tol)
+            assert res.converged and res.iterations == 1
+            assert trace_distance(res.rho_star, rho) < 1e-12
 
     def test_unique_fixed_point_from_two_starts(self, rng, small_point):
         spec, params = small_point
@@ -226,13 +292,14 @@ class TestFixedPointIterate:
         # the Frobenius bound skips only steps the exact trace distance could not stop at: the
         # same step count, convergence, final delta and fixed point, bit for bit
         rng = np.random.default_rng(n)
-        ch = maker(point_operators(*random_engine_point(rng, n)))
+        ops = point_operators(*random_engine_point(rng, n))
+        ch, stages = maker(ops), cycle_stages(maker, ops)
         init = random_density_matrix(ch.dim, rng)
         for tol, max_iter in ((1e-6, 1000), (1e-10, 1000), (1e-10, 5), (1e-15, 1000),
                               (1e-17, 1000), (1e-17, 300)):
             res = fixed_point_iterate(ch, init, tol=tol, max_iter=max_iter)
             rho, iterations, final_delta, converged = exact_fixed_point_iterate(
-                ch, init, tol, max_iter)
+                stages, init, tol, max_iter)
             assert (res.iterations, res.converged) == (iterations, converged), tol
             assert res.final_delta == final_delta
             assert np.array_equal(res.rho_star, to_state(rho))
@@ -246,12 +313,13 @@ class TestFixedPointIterate:
         # a generic engine point's distances fall by far more than STALL_DROP per window until
         # they pass a tol above the rounding floor: the run converges, as the exact loop does
         rng = np.random.default_rng(seed)
-        ch = maker(point_operators(*random_engine_point(rng, n)))
+        ops = point_operators(*random_engine_point(rng, n))
+        ch = maker(ops)
         init = random_density_matrix(ch.dim, rng)
         tol = 10.0 ** -exponent
         res = fixed_point_iterate(ch, init, tol=tol)
         rho, iterations, final_delta, converged = exact_fixed_point_iterate(
-            ch, init, tol, DEFAULT_MAX_ITER)
+            cycle_stages(maker, ops), init, tol, DEFAULT_MAX_ITER)
         assert res.converged and converged
         assert (res.iterations, res.final_delta) == (iterations, final_delta)
         assert np.array_equal(res.rho_star, to_state(rho))

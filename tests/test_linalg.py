@@ -6,7 +6,7 @@ import pytest
 from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
                     random_density_matrix, to_state, trace_distance)
 from qcycle.linalg import (STATE_PSD_ATOL, hermitian_part, hermitize, popcount_charges,
-                           popcount_classes)
+                           popcount_classes, require_full_rank)
 from oracle_naive import commutator_norm, expm_unitary, naive_partial_trace
 
 
@@ -122,11 +122,16 @@ class TestPsdRoots:
         assert np.abs(sqrt @ sqrt - rho).max() <= 1e-12
 
     def test_rank_deficiency_signalled(self, rng):
+        # require_full_rank, reverse_channel's pre-check, raises as psd_sqrt_invsqrt does
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        with pytest.raises(RankDeficientError) as err:
-            psd_sqrt_invsqrt(np.outer(psi, psi.conj()))
-        assert err.value.effective_rank == 1
+        # the second state is charge-0 pure with one class 1e-14 below the largest eigenvalue
+        for rho, rank in ((np.outer(psi, psi.conj()), 1), (np.diag([1.0, 1e-14, 0.5, 0.5]), 3)):
+            for check in (psd_sqrt_invsqrt, require_full_rank):
+                with pytest.raises(RankDeficientError) as err:
+                    check(rho)
+                assert (err.value.effective_rank, err.value.dim) == (rank, 4)
+        require_full_rank(random_density_matrix(8, rng))  # full rank: no error
 
 
 class TestTraceDistance:
