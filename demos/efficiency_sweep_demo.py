@@ -16,6 +16,7 @@ import numpy as np
 from qcycle import (ChainSpec, CycleParams, ansatz_state, build_hamiltonian, cycle_channel_cb,
                     cycle_operators, fixed_point_spectral, limit_cycle_report,
                     limit_cycle_states, partial_trace, trace_distance)
+from qcycle.engine import cycle_ledger
 
 spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0.4, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
 beta1 = 1.5
@@ -33,8 +34,8 @@ for beta2 in (0.30, 0.45, 0.60, 0.70, 0.74, matched_beta2, 0.76, 0.90):
     parts = build_hamiltonian(spec)
     ops = cycle_operators(parts, params)
     fp = fixed_point_spectral(cycle_channel_cb(ops))
-    cycle = limit_cycle_states(fp.rho_star, parts, ops)
-    report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
+    x, z = limit_cycle_states(fp.rho_star, ops)
+    report = limit_cycle_report(x, z, cycle_ledger(parts, ops), spec, params, fp.spectral_gap)
     eta = "   undefined" if np.isnan(report.eta) else f"{report.eta:12.9f}"
     if abs(report.q_h_star) < 1e-12:
         mode = "matched"

@@ -1,18 +1,26 @@
 """Convergence to the limit cycle, watched from two unrelated starting states.
 
-A four-qubit chain is driven through repeated four-stroke cycles. The trace
-distance between successive cycle-start states shrinks geometrically at a
-rate set by the channel's spectral gap, and both trajectories land on the
-same limit cycle, where the heat/work ledger closes the first law.
+A four-qubit chain is driven through repeated four-stroke cycles, stepped as
+``qcycle simulate`` steps them: after stroke 1 the chain is sigma_a (x) X and
+after stroke 3 Z (x) sigma_b, so each cycle maps the CB state X (sites
+2..n) to the AC state Z (sites 1..n-1) by the cold half-cycle and Z to the
+next X by the hot one, and its heats and works are read off X and Z by the
+point's ledger. The trace distance between successive AC states shrinks
+geometrically at a rate set by the channel's spectral gap, and both
+trajectories land on the same limit cycle, where the heat/work ledger
+closes the first law.
 
 Run:  python3 demos/limit_cycle_demo.py
 """
 
 import numpy as np
 
-from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cycle_channel_cb,
-                    cycle_operators, fixed_point_spectral,
-                    random_density_matrix, run_cycle, trace_distance)
+from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cold_half_cycle, cycle_channel_cb,
+                    cycle_operators, fixed_point_spectral, partial_trace,
+                    random_density_matrix, trace_distance)
+from qcycle.engine import cycle_ledger, start_energies
+from qcycle.limitcycle import hot_half_cycle
+from qcycle.linalg import hermitian_part
 
 spec = ChainSpec(n=4,
                  E=[1.0, 1.6, 0.9, 2.4],
@@ -23,6 +31,7 @@ params = CycleParams(beta1=1.2, beta2=0.55, tau1=0.9, tau2=1.4)
 
 parts = build_hamiltonian(spec)
 ops = cycle_operators(parts, params)
+ledger, cold, hot = cycle_ledger(parts, ops), cold_half_cycle(ops), hot_half_cycle(ops)
 
 print(f"chain: {spec.n} qubits, end gaps E_1={spec.E[0]}, E_N={spec.E[-1]}")
 print(f"baths: beta1={params.beta1} (cold side), beta2={params.beta2} (hot side)")
@@ -32,20 +41,23 @@ print()
 trajectories = []
 for seed in (1, 2):
     rng = np.random.default_rng(seed)
-    rho = random_density_matrix(2**spec.n, rng)
+    rho0 = random_density_matrix(2**spec.n, rng)
+    start = start_energies(rho0, parts)  # the record terms only the full start state sets
+    x = partial_trace(rho0, range(1, spec.n), [2] * spec.n)  # stroke 1 keeps Tr_A rho0
     history = []
     prev = None
     for cycle_idx in range(1, 2001):
-        state, rec = run_cycle(rho, parts, ops)
+        z = hermitian_part(cold.apply(x))  # strokes 1 and 2, then B traced out
+        rec, start = ledger.record(x, z, start)
         if prev is not None:
-            history.append(trace_distance(rho, prev))
+            history.append(trace_distance(z, prev))
             if history[-1] < 1e-12:
                 break
-        prev = rho
-        rho = state.rho4
-    trajectories.append((rho, history, rec))
+        prev = z
+        x = hermitian_part(hot.apply(z))  # strokes 3 and 4, then A traced out
+    trajectories.append((x, history, rec))
 
-print("trace distance between successive cycle-start states:")
+print("trace distance between successive AC states:")
 print(f"{'cycle':>6} {'start A':>12} {'start B':>12}")
 hist_a, hist_b = trajectories[0][1], trajectories[1][1]
 for idx in range(0, max(len(hist_a), len(hist_b)), 3):
@@ -53,7 +65,7 @@ for idx in range(0, max(len(hist_a), len(hist_b)), 3):
     print(f"{idx + 2:>6} {cell(hist_a)} {cell(hist_b)}")
 
 meeting = trace_distance(trajectories[0][0], trajectories[1][0])
-print(f"\ndistance between the two converged states: {meeting:.3e}")
+print(f"\ndistance between the two converged CB states: {meeting:.3e}")
 
 ch = cycle_channel_cb(ops)
 gap = fixed_point_spectral(ch).spectral_gap

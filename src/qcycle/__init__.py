@@ -10,8 +10,7 @@ time-reversed channel that shares the forward fixed point.
 """
 
 from .chain import ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state, site_operator
-from .engine import (CycleOperators, CycleParams, CycleRecord, CycleState,
-                     cycle_operators, cycle_record, run_cycle)
+from .engine import CycleOperators, CycleParams, CycleRecord, cycle_operators
 from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
                      DegenerateFixedPointError, NotFixedPointError, QcycleError,
                      RankDeficientError)
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainSpec", "HamiltonianParts", "build_hamiltonian", "gibbs_state",
     "site_operator",
-    "CycleOperators", "CycleParams", "CycleRecord", "CycleState",
-    "cycle_operators", "cycle_record", "run_cycle",
+    "CycleOperators", "CycleParams", "CycleRecord", "cycle_operators",
     "Channel", "FixedPointResult",
     "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",

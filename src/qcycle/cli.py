@@ -9,9 +9,10 @@ certificate (cycle closure, reversal fixed point).
 ``--sweep`` runs its configs one after another, in the order given.
 
 Config checks refuse, with exit 1 and the field named, a ``solver.tol``
-below ``TOL_FLOOR``, and a chain the dense route cannot run: ``report``
-and ``reverse`` when the q = 0 sector block exceeds
-``DENSE_BLOCK_MAX_BYTES`` (n >= 10), ``spectrum`` above n = 8.
+below ``TOL_FLOOR``, and a chain a command cannot run: ``report`` and
+``reverse`` when the q = 0 sector block exceeds ``MEMORY_BOUND_BYTES``
+(n >= 10), ``simulate`` when its projected peak does (n >= 13), and
+``spectrum`` above n = 8.
 
 Floats are written in the shortest form that reads back as the same double
 (``0.1``, ``0.0``, ``-0.0``); identical config and seed give bit-identical
@@ -54,15 +55,22 @@ EXIT_DEGENERATE = 3
 EXIT_RANK_DEFICIENT = 4
 EXIT_CERTIFICATE = 5
 
-# solver.tol's least value. limit_cycle_states checks the closure distance against
-# CLOSURE_FACTOR (10) times tol, and at the spectral fixed point that distance is rounding:
-# 0.9e-16 to 7.9e-16 over the stored documents' configs and the n = 6 to 8 probe chains, the
-# largest at n = 8. 10 x 1e-15 clears it twelvefold; tol = 1e-17 failed the closure at 3.5e-16.
+# solver.tol's least value. limit_cycle_states checks the closure distance, between the hot
+# half-cycle's image of the AC state and the CB fixed point, against CLOSURE_FACTOR (10) times
+# tol, and at the spectral fixed point that distance is rounding: 3.3e-17 to 5.9e-16 over the
+# stored documents' configs and the CI n = 6 to 8 chains, the largest at n = 8. 10 x 1e-15
+# clears it seventeenfold; tol = 1e-17 would accept 1e-16, below most of them.
 TOL_FLOOR = 1e-15
 # report and reverse build each S^Z sector's block densely, the largest being q = 0's complex
 # C(2n - 2, n - 1)^2 at 16 bytes an entry. n = 9's 2.5 GiB block runs, at a 3.9 GB peak; n =
 # 10's 35 GiB cannot be allocated. The bound admits n = 9 with room and refuses n = 10.
-DENSE_BLOCK_MAX_BYTES = 8 * 2**30
+MEMORY_BOUND_BYTES = 8 * 2**30
+# simulate holds a few 2^n x 2^n complex arrays at once (h_s and its bond terms, the initial
+# state, the ledger's Heisenberg terms), so its peak grows as 4^n. On the CI configs its peak
+# RSS was 18.5, 69.0 and 267.2 MiB above the interpreter's 37.4 MiB at n = 8, 9 and 10: 18.5,
+# 17.3 and 16.7 such arrays. Projected at 17, n = 12 needs 4.3 GiB and runs within the bound;
+# n = 13 needs 17 GiB and is refused.
+SIMULATE_FULL_ARRAYS = 17
 
 
 @dataclass
@@ -254,7 +262,7 @@ def cmd_simulate(cfg: RunConfig):
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
         z = hermitian_part(cold.apply(x))
-        rec, start = ledger.record(start, x, z)
+        rec, start = ledger.record(x, z, start)
         if prev_ac is not None:
             rec.delta_prev = trace_distance(ac, prev_ac)
             window.append(rec.delta_prev)
@@ -311,9 +319,9 @@ def cmd_report(cfg: RunConfig):
     rho_star, spectral = _solve_fixed_point(cfg, cycle_channel_cb(ops))
     if rho_star is None:
         return EXIT_NO_CONVERGENCE, None
-    cycle = limit_cycle_states(rho_star, parts, ops, tol=cfg.tol)
-    report = limit_cycle_report(cycle, parts, cfg.spec, cfg.params, spectral.spectral_gap, ops,
-                                tol=cfg.tol)
+    x, z = limit_cycle_states(rho_star, ops, tol=cfg.tol)
+    report = limit_cycle_report(x, z, cycle_ledger(parts, ops), cfg.spec, cfg.params,
+                                spectral.spectral_gap, tol=cfg.tol)
     return EXIT_OK, report.to_dict()  # an undefined eta is NaN, emitted as null
 
 
@@ -396,13 +404,19 @@ def _check_output(cfg: RunConfig, command: str, sweep: bool) -> None:
 
 
 def _check_size(cfg: RunConfig, command: str) -> None:
-    """Refuse a chain whose dense sector blocks cannot be held or decomposed in practice."""
+    """Refuse a chain whose arrays cannot be held, or sector blocks decomposed, in practice."""
     n = cfg.spec.n
+    peak = SIMULATE_FULL_ARRAYS * 16 * 4**n
+    if command == "simulate" and peak > MEMORY_BOUND_BYTES:
+        raise ConfigError("chain.n", f"simulate cannot run at n = {n}: its peak is projected "
+                                     f"at {SIMULATE_FULL_ARRAYS} complex 2^{n} x 2^{n} arrays, "
+                                     f"{peak / 2**30:.1f} GiB, above the "
+                                     f"{MEMORY_BOUND_BYTES / 2**30:g} GiB bound")
     block = math.comb(2 * n - 2, n - 1)  # the q = 0 sector's size
     size = f"its q = 0 sector block is {block}^2 complex, {16 * block**2 / 2**30:.1f} GiB"
-    if command in ("report", "reverse") and 16 * block**2 > DENSE_BLOCK_MAX_BYTES:
+    if command in ("report", "reverse") and 16 * block**2 > MEMORY_BOUND_BYTES:
         raise ConfigError("chain.n", f"{command} cannot run at n = {n}: {size}, above the "
-                                     f"{DENSE_BLOCK_MAX_BYTES / 2**30:g} GiB bound")
+                                     f"{MEMORY_BOUND_BYTES / 2**30:g} GiB bound")
     # dense eigvals on n = 9's 12870-entry q = 0 block ran past 600 s
     if command == "spectrum" and n > 8:
         raise ConfigError("chain.n", f"spectrum decomposes every sector densely and runs up to "

@@ -1,13 +1,15 @@
-"""The four-stroke cycle on full-chain states and its energy accounting.
+"""The four-stroke cycle, its operators and its energy accounting on the reduced states.
 
 Stroke order: thermalize end qubit A against the beta1 bath, evolve
 unitarily for tau1, thermalize end qubit B against the beta2 bath, evolve
 for tau2. Thermalization is total replacement (trace out the end qubit,
-tensor the local Gibbs state back in), not a finite-rate relaxation.
+tensor the local Gibbs state back in), not a finite-rate relaxation. After
+stroke 1 the chain is sigma_a (x) X, with X the CB state (sites 2..n), and
+after stroke 3 it is Z (x) sigma_b, with Z the AC state (sites 1..n-1), so
+a cycle is carried by X and Z (:mod:`qcycle.limitcycle`'s half-cycles) and
+its record is read off them by :class:`CycleLedger`.
 
-Tensor ordering is always site order 1..n. The B thermalization therefore
-stores the fresh Gibbs factor last, keeping the chain Hamiltonian applicable
-without any permutation bookkeeping.
+Tensor ordering is always site order 1..n.
 
 Sign conventions in the accounting:
   * ``q_c``/``q_h`` are bath-side heats: the energy deposited into the cold
@@ -17,10 +19,8 @@ Sign conventions in the accounting:
     states; their sum is reported but does not close the first law.
   * ``w_ledger`` books the coupling-switch energies at the instants the
     switches actually happen, so -q_c - q_h + w_ledger equals the cycle's
-    total energy change identically, for any input state. :func:`cycle_record`
-    reads every term off the full-chain states; :class:`CycleLedger` reads the
-    same terms off the reduced states through eight observables, so there the
-    identity holds to rounding.
+    total energy change identically, for any input state; read through the
+    ledger's observables, the identity holds to rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError, real
-from .linalg import (eigh_hermitian, hermitian_part, hermitize, kron, partial_trace,
+from .linalg import (eigh_hermitian, hermitian_part, kron, partial_trace,
                      popcount_charges, popcount_classes, unitary_from_eigh)
 
 
@@ -60,17 +60,6 @@ class CycleParams:
                 raise ConfigError(name, "must be strictly positive")
             if name.startswith("tau") and val < 0.0:
                 raise ConfigError(name, "must be non-negative")
-
-
-@dataclass
-class CycleState:
-    """State at the start of stroke 1 plus the four post-stroke states."""
-
-    rho0: np.ndarray
-    rho1: np.ndarray
-    rho2: np.ndarray
-    rho3: np.ndarray
-    rho4: np.ndarray
 
 
 @dataclass
@@ -134,11 +123,6 @@ def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperat
     )
 
 
-def replace_last_factor(m: np.ndarray, sigma: np.ndarray, dims) -> np.ndarray:
-    """Linear map m -> Tr_last[m] (x) sigma; building block of stroke 3."""
-    return kron(partial_trace(m, range(0, len(dims) - 1), dims), sigma)
-
-
 def _left_multiply(m: np.ndarray, blocks, classes) -> np.ndarray:
     """U m for the block-diagonal U of ``blocks``: each class's rows of m times its block."""
     out = np.empty(m.shape, dtype=complex)
@@ -157,52 +141,9 @@ def _evolve(rho: np.ndarray, blocks, classes) -> np.ndarray:
     return hermitian_part(_left_multiply(u_rho.conj().T, blocks, classes))
 
 
-def strokes_2_to_4(rho1: np.ndarray, ops: CycleOperators, dims):
-    """Post-stroke states (rho2, rho3, rho4) from the post-stroke-1 state rho1.
-
-    Stroke 2 evolves by u1, stroke 3 replaces the last qubit with sigma_b,
-    stroke 4 evolves by u2, each evolution by the unitary's popcount blocks
-    (:func:`_evolve`). rho3 needs no symmetrizing: Tr_B of the exactly
-    Hermitian rho2, tensored with the real diagonal sigma_b, is exactly Hermitian.
-    """
-    rho2 = _evolve(rho1, ops.u1_blocks, ops.classes)
-    rho3 = replace_last_factor(rho2, ops.sigma_b, dims)
-    rho4 = _evolve(rho3, ops.u2_blocks, ops.classes)
-    return rho2, rho3, rho4
-
-
 def _expect(op: np.ndarray, rho: np.ndarray) -> float:
     """Re Tr(op rho) for a Hermitian op: the O(D^2) sum of conj(op) * rho, no matmul."""
     return float(np.vdot(op, rho).real)
-
-
-def _record(q_c, q_h, ac0, ac1, ac2, cb2, cb3, cb4) -> CycleRecord:
-    """The record of a cycle's heats, <h_ac> at rho0, rho1 and rho2, and <h_cb> at rho2, 3 and 4."""
-    w1, w2, w3, w4 = ac1, -ac2, cb3, -cb4
-    w_total = w1 + w2 + w3 + w4
-    w_ledger = w1 - ac0 + w3 - cb2
-    return CycleRecord(
-        q_c=q_c, q_h=q_h,
-        w1=w1, w2=w2, w3=w3, w4=w4, w_total=w_total, w_ledger=w_ledger,
-        first_law_residual_paper=abs(q_c + q_h + w_total),
-        first_law_residual_ledger=abs(-q_c - q_h + w_ledger),
-    )
-
-
-def cycle_record(state: CycleState, parts: HamiltonianParts, ops: CycleOperators) -> CycleRecord:
-    """Heat/work bookkeeping for one traversed cycle."""
-    n = parts.n
-    dims = [2] * n
-
-    rho_a0 = partial_trace(state.rho0, [0], dims)       # A as the cold bath sees it
-    rho_b2 = partial_trace(state.rho2, [n - 1], dims)   # B as the hot bath sees it
-    return _record(
-        q_c=_expect(parts.h_a_local, rho_a0 - ops.sigma_a),
-        q_h=_expect(parts.h_b_local, rho_b2 - ops.sigma_b),
-        ac0=_expect(parts.h_ac, state.rho0), ac1=_expect(parts.h_ac, state.rho1),
-        ac2=_expect(parts.h_ac, state.rho2), cb2=_expect(parts.h_cb, state.rho2),
-        cb3=_expect(parts.h_cb, state.rho3), cb4=_expect(parts.h_cb, state.rho4),
-    )
 
 
 def start_energies(rho0: np.ndarray, parts: HamiltonianParts) -> tuple:
@@ -232,18 +173,24 @@ class CycleLedger:
     on_ac: np.ndarray
     bath_energies: tuple
 
-    def record(self, start, x: np.ndarray, z: np.ndarray):
+    def record(self, x: np.ndarray, z: np.ndarray, start=None):
         """``(record, next start)`` of the cycle from CB state x to AC state z.
 
         ``start`` is :func:`start_energies` at the cycle's rho0; the next start
-        is the same pair at its rho4, read off z.
+        is the same pair at its rho4, read off z. Left out, the start is that
+        next start: the closed cycle rho0 = rho4 of a limit cycle.
         """
         ac1, ac2, cb2, b2 = (self.on_cb @ x.reshape(-1)).real.tolist()
         cb3, cb4, ac4, a4 = (self.on_ac @ z.reshape(-1)).real.tolist()
-        a0, ac0 = start
+        a0, ac0 = (a4, ac4) if start is None else start
         e_a, e_b = self.bath_energies
-        rec = _record(q_c=a0 - e_a, q_h=b2 - e_b, ac0=ac0, ac1=ac1, ac2=ac2, cb2=cb2,
-                      cb3=cb3, cb4=cb4)
+        q_c, q_h = a0 - e_a, b2 - e_b
+        w1, w2, w3, w4 = ac1, -ac2, cb3, -cb4
+        w_total = w1 + w2 + w3 + w4
+        w_ledger = w1 - ac0 + w3 - cb2
+        rec = CycleRecord(q_c=q_c, q_h=q_h, w1=w1, w2=w2, w3=w3, w4=w4, w_total=w_total,
+                          w_ledger=w_ledger, first_law_residual_paper=abs(q_c + q_h + w_total),
+                          first_law_residual_ledger=abs(-q_c - q_h + w_ledger))
         return rec, (a4, ac4)
 
 
@@ -276,19 +223,3 @@ def cycle_ledger(parts: HamiltonianParts, ops: CycleOperators) -> CycleLedger:
 def stroke_4(z: np.ndarray, ops: CycleOperators) -> np.ndarray:
     """The post-stroke-4 state U2 (Z (x) sigma_b) U2^* of the AC state Z."""
     return _evolve(kron(z, ops.sigma_b), ops.u2_blocks, ops.classes)
-
-
-def run_cycle(rho0: np.ndarray, parts: HamiltonianParts, ops: CycleOperators):
-    """One full cycle from rho0 with the point's operators; returns (CycleState, CycleRecord).
-
-    Stroke 1 keeps Tr_A rho0, which :func:`~qcycle.linalg.hermitize` checks and symmetrizes.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    n = parts.n
-    if rho0.shape != (2**n, 2**n):
-        raise ValueError(f"expected a state on the chain's {n} qubits, got shape {rho0.shape}")
-    dims = [2] * n
-
-    rho1 = kron(ops.sigma_a, hermitize(partial_trace(rho0, range(1, n), dims)))
-    state = CycleState(rho0, rho1, *strokes_2_to_4(rho1, ops, dims))
-    return state, cycle_record(state, parts, ops)

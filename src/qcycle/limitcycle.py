@@ -21,7 +21,8 @@ sector by sector. The cold half-cycle also carries fixed points: if
 Phi_CB(rho) = rho then Phi_AC(Phi_cold(rho)) = Phi_cold(Phi_hot(Phi_cold(rho)))
 = Phi_cold(rho), so Phi_cold(rho*_CB) is AC's fixed point, unique when
 CB's is. :func:`cold_half_cycle` and :func:`hot_half_cycle` expose Phi_cold
-and Phi_hot as channels; ``simulate`` steps its reduced states with them.
+and Phi_hot as channels; ``simulate`` steps its reduced states with them, and
+:func:`limit_cycle_states` reads the limit cycle's CB and AC states through them.
 
 Both are completely positive and trace preserving, and for generic
 parameters mixing, so repeated application converges to a unique fixed
@@ -100,10 +101,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianParts
-from .engine import CycleOperators, CycleState, strokes_2_to_4
+from .engine import CycleOperators
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import (assemble, charge_groups, class_layout, hermitize, kron, partial_trace,
+from .linalg import (assemble, charge_groups, class_layout, hermitian_part, hermitize,
                      popcount_classes, to_state, trace_distance)
 
 DEFAULT_TOL = 1e-10
@@ -697,22 +697,16 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     return result
 
 
-def limit_cycle_states(rho_cb_star: np.ndarray, parts: HamiltonianParts, ops: CycleOperators,
-                       tol: float = DEFAULT_TOL) -> CycleState:
-    """Reconstruct the four full-chain stroke states from a CB fixed point.
+def limit_cycle_states(rho_cb_star: np.ndarray, ops: CycleOperators, tol: float = DEFAULT_TOL):
+    """The limit cycle's CB and AC states ``(x, z)`` from a CB fixed point x, closure checked.
 
-    Verifies closure: tracing A out of the post-stroke-4 state must return
-    the input fixed point within ``CLOSURE_FACTOR`` times the solver tolerance. The cycle-start
-    state ``rho0`` is the post-stroke-4 state, which is what closing the
-    loop means. ``ops`` are the point's :func:`~qcycle.engine.cycle_operators`.
+    z is the cold half-cycle's image of x, cleaned as ``simulate`` cleans it, and the hot
+    half-cycle's image of z must return x within ``CLOSURE_FACTOR`` times the solver
+    tolerance, else :class:`ClosureViolationError`. ``ops`` are the point's
+    :func:`~qcycle.engine.cycle_operators`.
     """
-    n = parts.n
-    dims = [2] * n
-
-    rho1 = kron(ops.sigma_a, rho_cb_star)
-    rho2, rho3, rho4 = strokes_2_to_4(rho1, ops, dims)
-
-    closure = trace_distance(partial_trace(rho4, range(1, n), dims), rho_cb_star)
+    z = hermitian_part(cold_half_cycle(ops).apply(rho_cb_star))
+    closure = trace_distance(hot_half_cycle(ops).apply(z), rho_cb_star)
     if closure > CLOSURE_FACTOR * tol:
         raise ClosureViolationError(closure, CLOSURE_FACTOR * tol)
-    return CycleState(rho0=rho4, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4)
+    return rho_cb_star, z

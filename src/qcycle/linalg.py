@@ -153,8 +153,8 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
-    For a state a caller hands in (the Tr_A rho0 of ``run_cycle`` and of
-    ``simulate``'s initial state, ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
+    For a state a caller hands in (the Tr_A rho0 of ``simulate``'s initial state,
+    ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
     mean it is no state and raise instead of being papered over. Returns
     :func:`hermitian_part`'s value, formed the same way.
     """
@@ -191,16 +191,15 @@ def to_state(m: np.ndarray) -> np.ndarray:
 def _class_split(h: np.ndarray):
     """``(order, spans, h)``: the classes :func:`_class_eigh` decomposes the Hermitian h by.
 
-    The popcount classes (:func:`class_layout`), with h gathered into their order, when h's
-    entries of nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its largest; else
-    ``(None, (all,), h)``, one class in h's own order. That is ``charge_groups(h[None])``'s
-    decision, made on the memoized mask of those entries, ties and the zero matrix included.
+    The popcount classes (:func:`class_layout`), with h gathered into their order, where
+    ``charge_groups(h[None])`` splits h into more than one class; else ``(None, (all,), h)``,
+    one class in h's own order. For Hermitian h that split is the test that h's entries of
+    nonzero charge are at most ``CHARGE_LEAKAGE_TOL`` of its largest: a charged largest entry
+    has a conjugate of equal modulus and another charge.
     """
-    d = len(h)
-    moduli = np.abs(h)
-    if moduli[_charged_entries(d)].max(initial=0.0) > CHARGE_LEAKAGE_TOL * moduli.max():
-        return None, (slice(0, d),), h
-    order, spans = class_layout(d)
+    if len(charge_groups(h[None])[0]) == 1:
+        return None, (slice(0, len(h)),), h
+    order, spans = class_layout(len(h))
     return order, spans, h[np.ix_(order, order)]
 
 
@@ -302,14 +301,6 @@ def class_layout(d: int) -> tuple:
     order.flags.writeable = False
     edges = np.cumsum([0] + [len(c) for c in classes]).tolist()
     return order, tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
-
-
-@lru_cache(maxsize=32)
-def _charged_entries(d: int) -> np.ndarray:
-    """The read-only d x d mask of the entries of nonzero charge."""
-    mask = popcount_charges(d) != 0
-    mask.flags.writeable = False
-    return mask
 
 
 def charge_groups(stack: np.ndarray) -> tuple:

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, HamiltonianParts
-from .engine import CycleOperators, CycleParams, CycleState, cycle_record
+from .chain import ChainSpec
+from .engine import CycleLedger, CycleParams
 from .errors import CriteriaViolatedError
 from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL
 from .linalg import partial_trace, trace_distance
@@ -79,29 +79,27 @@ def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
     return magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
 
 
-def limit_cycle_report(cycle: CycleState, parts: HamiltonianParts, spec: ChainSpec,
-                       params: CycleParams, gap: float, ops: CycleOperators,
-                       tol: float = DEFAULT_TOL) -> LimitCycleReport:
+def limit_cycle_report(x: np.ndarray, z: np.ndarray, ledger: CycleLedger, spec: ChainSpec,
+                       params: CycleParams, gap: float, tol: float = DEFAULT_TOL) -> LimitCycleReport:
     """Thermodynamic report at a converged limit cycle.
 
-    ``ops`` are the point's :func:`~qcycle.engine.cycle_operators` and
-    ``tol`` the tolerance the fixed point was solved and closed at
-    (:func:`~qcycle.limitcycle.limit_cycle_states`). ``eta`` is NaN when
+    ``(x, z)`` are the limit cycle's CB and AC states
+    (:func:`~qcycle.limitcycle.limit_cycle_states`), read through the point's
+    :func:`~qcycle.engine.cycle_ledger` as the closed cycle rho0 = rho4, and
+    ``tol`` the tolerance the fixed point was solved and closed at. ``eta`` is NaN when
     |q_h| <= ``CLOSURE_FACTOR`` tol |E_N|: closure accepts a state within
     trace distance ``CLOSURE_FACTOR`` tol, and a state within delta moves
     q_h by at most delta |E_N|, since the hot-side site Hamiltonian has norm
     |E_N| / 2.
     """
-    rec = cycle_record(cycle, parts, ops)
+    rec, _ = ledger.record(x, z)
     e_1, e_n = spec.E[0], spec.E[-1]
     zero_heat = CLOSURE_FACTOR * tol * abs(e_n)
 
     ansatz_distance = None
     if bath_criteria_mismatch(spec, params) <= CRITERIA_ATOL:
-        dims = [2] * spec.n
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), dims)
-        rho_cb_star = partial_trace(cycle.rho1, range(1, spec.n), dims)
-        ansatz_distance = trace_distance(rho_cb_star, ansatz_cb)
+        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+        ansatz_distance = trace_distance(x, ansatz_cb)
 
     return LimitCycleReport(
         q_c_star=rec.q_c,

@@ -31,12 +31,15 @@ distance taken every step, by ``stacked_apply``. It calls the package's
 it is the reference that ``fixed_point_iterate``, which skips the steps a
 Frobenius bound rules out, must match bit for bit.
 
-``full_chain_simulate`` is ``simulate``'s loop as it ran before it carried
-the reduced states: ``run_cycle`` on the 2^n x 2^n state every cycle, and
-``delta_prev`` between the full cycle-start states of cycle 2 and the AC
-states from cycle 3 on. It calls the package's ``run_cycle``,
-``trace_distance`` and stall rule on purpose: it is the reference that the
-reduced loop must match within ``cli_documents.TOLERANCE``.
+``NaiveCycle.record`` reads a cycle's heats and works off its four
+post-stroke states by their defining traces: the full-chain reference for
+the package's ``CycleLedger``, which reads them off the reduced states.
+``full_chain_simulate`` is ``simulate``'s loop on the full chain:
+``NaiveCycle.run`` on the 2^n x 2^n state every cycle, and ``delta_prev``
+between the full cycle-start states of cycle 2 and the AC states from cycle
+3 on. It calls the package's ``trace_distance`` and stall rule on purpose:
+it is the reference that the reduced loop must match within
+``cli_documents.TOLERANCE``.
 
 ``total_magnetization``, ``commutator_norm`` and ``expm_unitary`` are the
 helpers the tests need and the package does not call. ``expm_unitary``
@@ -52,11 +55,9 @@ from collections import deque
 import numpy as np
 from scipy.linalg import expm
 
-from qcycle.cli import EXIT_NO_CONVERGENCE, EXIT_OK, TRACE_COLUMNS, _initial_full_state, _operators
-from qcycle.engine import run_cycle
+from qcycle.cli import EXIT_NO_CONVERGENCE, EXIT_OK, TRACE_COLUMNS, _initial_full_state
 from qcycle.limitcycle import STALL_DROP, STALL_WINDOW, hermitian_frame, stalled
-from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, partial_trace,
-                           trace_distance, unitary_from_eigh)
+from qcycle.linalg import charge_groups, eigh_hermitian, hermitize, trace_distance, unitary_from_eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -179,17 +180,18 @@ def naive_gibbs(h, beta):
 class NaiveCycle:
     """Full stroke pipeline for one (spec, params) point, oracle edition.
 
-    ``run`` is the full-chain cycle; ``apply_cb``, ``apply_cold`` and ``apply_ac``
-    are the reduced-chain channels.
+    ``run`` is the full-chain cycle and ``record`` its accounting; ``apply_cb``,
+    ``apply_cold`` and ``apply_ac`` are the reduced-chain channels.
     """
 
     def __init__(self, spec, params):
         self.n = spec.n
-        h_s = naive_hamiltonian(spec)["h_s"]
-        self.sigma_a = naive_gibbs(spec.E[0] * SZ / 2.0, params.beta1)
-        self.sigma_b = naive_gibbs(spec.E[-1] * SZ / 2.0, params.beta2)
-        self.u1 = expm(-1j * h_s * params.tau1)
-        self.u2 = expm(-1j * h_s * params.tau2)
+        self.parts = naive_hamiltonian(spec)
+        self.h_a, self.h_b = spec.E[0] * SZ / 2.0, spec.E[-1] * SZ / 2.0
+        self.sigma_a = naive_gibbs(self.h_a, params.beta1)
+        self.sigma_b = naive_gibbs(self.h_b, params.beta2)
+        self.u1 = expm(-1j * self.parts["h_s"] * params.tau1)
+        self.u2 = expm(-1j * self.parts["h_s"] * params.tau2)
 
     def run(self, rho0):
         """The post-stroke states (rho1, rho2, rho3, rho4) of one full-chain cycle from rho0."""
@@ -200,6 +202,34 @@ class NaiveCycle:
         rho3 = naive_kron(naive_ptrace_last(rho2, d_rest, 2), self.sigma_b)
         rho4 = self.u2 @ rho3 @ self.u2.conj().T
         return rho1, rho2, rho3, rho4
+
+    def record(self, rho0, states):
+        """``{field: value}`` of ``CycleRecord`` for the cycle from rho0 through ``states``.
+
+        ``states`` are :meth:`run`'s (rho1, rho2, rho3, rho4); each term is Re Tr(op rho), with
+        the end qubits' states traced out by index loops. ``energy_change`` is <h_s> at rho4
+        minus at rho0, which -q_c - q_h + w_ledger equals.
+        """
+        rho1, rho2, rho3, rho4 = states
+        d_rest = 2 ** (self.n - 1)
+        h_ac, h_cb = self.parts["h_ac"], self.parts["h_cb"]
+
+        def expect(op, rho):
+            return np.trace(op @ rho).real
+
+        rec = {
+            "q_c": expect(self.h_a, naive_ptrace_last(rho0, 2, d_rest) - self.sigma_a),
+            "q_h": expect(self.h_b, naive_ptrace_first(rho2, d_rest, 2) - self.sigma_b),
+            "w1": expect(h_ac, rho1), "w2": -expect(h_ac, rho2),
+            "w3": expect(h_cb, rho3), "w4": -expect(h_cb, rho4),
+            "w_ledger": (expect(h_ac, rho1) - expect(h_ac, rho0)
+                         + expect(h_cb, rho3) - expect(h_cb, rho2)),
+            "energy_change": expect(self.parts["h_s"], rho4 - rho0),
+        }
+        rec["w_total"] = rec["w1"] + rec["w2"] + rec["w3"] + rec["w4"]
+        rec["first_law_residual_paper"] = abs(rec["q_c"] + rec["q_h"] + rec["w_total"])
+        rec["first_law_residual_ledger"] = abs(-rec["q_c"] - rec["q_h"] + rec["w_ledger"])
+        return rec
 
     def apply_cb(self, rho_cb):
         full = naive_kron(self.sigma_a, np.asarray(rho_cb, dtype=complex))
@@ -351,33 +381,33 @@ def exact_fixed_point_iterate(stages, rho_init, tol, max_iter):
 
 
 def full_chain_simulate(cfg):
-    """``(exit_status, csv_text)`` of ``simulate`` on ``cfg`` by full-chain ``run_cycle`` steps.
+    """``(exit_status, csv_text)`` of ``simulate`` on ``cfg`` by full-chain ``NaiveCycle`` steps.
 
     The stall message goes to stderr, as ``simulate`` prints it.
     """
-    parts, ops = _operators(cfg)
+    oracle = NaiveCycle(cfg.spec, cfg.params)
     rho0 = initial = _initial_full_state(cfg)
-    n = cfg.spec.n
     lines = [",".join(TRACE_COLUMNS)]
     ac = prev_ac = None
     window = deque(maxlen=STALL_WINDOW + 1)
     converged = False
     for cycle_idx in range(1, cfg.max_iter + 1):
-        state, rec = run_cycle(rho0, parts, ops)
+        states = oracle.run(rho0)
+        rec = oracle.record(rho0, states)
+        rec["delta_prev"] = math.nan
         if prev_ac is not None:
-            rec.delta_prev = trace_distance(ac, prev_ac)
-            window.append(rec.delta_prev)
+            rec["delta_prev"] = trace_distance(ac, prev_ac)
+            window.append(rec["delta_prev"])
         elif cycle_idx == 2:
-            rec.delta_prev = trace_distance(rho0, initial)
-        lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
-                                                  for c in TRACE_COLUMNS[1:]]))
-        if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:
+            rec["delta_prev"] = trace_distance(rho0, initial)
+        lines.append(",".join([str(cycle_idx)] + [repr(float(rec[c])) for c in TRACE_COLUMNS[1:]]))
+        if not math.isnan(rec["delta_prev"]) and rec["delta_prev"] < cfg.tol:
             converged = True
             break
         if len(window) > STALL_WINDOW and stalled(window[0], window[-1]):
             print(f"qcycle: simulate stalled at cycle {cycle_idx}: delta_prev fell by less than "
                   f"{STALL_DROP:.0e} over {STALL_WINDOW} cycles; see spectrum", file=sys.stderr)
             break
-        prev_ac, ac = ac, partial_trace(state.rho2, range(n - 1), [2] * n)
-        rho0 = state.rho4
+        prev_ac, ac = ac, naive_ptrace_last(states[1], 2 ** (cfg.spec.n - 1), 2)
+        rho0 = states[3]
     return (EXIT_OK if converged else EXIT_NO_CONVERGENCE), "\n".join(lines) + "\n"

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from qcycle import (DegenerateFixedPointError, build_hamiltonian,
-                    cycle_channel_ac, cycle_channel_cb, cycle_operators, cycle_record,
+                    cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     fixed_point_iterate, fixed_point_spectral, kraus_from_stack,
                     limit_cycle_states, partial_trace,
                     random_density_matrix, reverse_channel, sequence_probability,
                     trace_distance)
 from qcycle import ChainSpec, CycleParams, ansatz_state
 from qcycle.cli import main as cli_main
+from qcycle.engine import cycle_ledger
 from conftest import carnot_point, dense_unitaries, point_operators, random_engine_point
 from oracle_naive import (NaiveCycle, commutator_norm, dense_kraus, naive_channel_matrix,
                           naive_choi, total_magnetization)
@@ -46,11 +47,11 @@ def ensemble():
         iterated = fixed_point_iterate(channel, random_density_matrix(channel.dim, rng),
                                        tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
         spectral = fixed_point_spectral(channel)
-        cycle = limit_cycle_states(iterated.rho_star, parts, ops, tol=1e-10)
-        record = cycle_record(cycle, parts, ops)
+        x, z = limit_cycle_states(iterated.rho_star, ops, tol=1e-10)
+        record, _ = cycle_ledger(parts, ops).record(x, z)
         points.append(SimpleNamespace(n=n, spec=spec, params=params, parts=parts,
                                       channel=channel, iterated=iterated,
-                                      spectral=spectral, cycle=cycle, record=record))
+                                      spectral=spectral, record=record))
     return points
 
 

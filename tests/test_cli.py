@@ -15,14 +15,14 @@ import qcycle.limitcycle
 import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, random_density_matrix, run_cycle, sequence_probability,
+                    fixed_point_spectral, random_density_matrix, sequence_probability,
                     trace_distance)
 from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
 from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
 from cli_documents import compare, parse
-from oracle_naive import full_chain_simulate
+from oracle_naive import NaiveCycle, full_chain_simulate
 
 GENERIC = {
     "chain": {"n": 3, "E": [1.0, 1.3, 2.0], "J": [0.4, 0.5], "K": [0.2, 0.1], "F": [0.3, 0.2]},
@@ -209,13 +209,16 @@ class TestChainSize:
         ("reverse", 10, "reverse cannot run at n = 10"),
         ("spectrum", 9, "spectrum decomposes every sector densely and runs up to n = 8, got "
                         "n = 9: its q = 0 sector block is 12870^2 complex, 2.5 GiB"),
+        ("simulate", 16, "simulate cannot run at n = 16: its peak is projected at 17 complex "
+                         "2^16 x 2^16 arrays, 1088.0 GiB, above the 8 GiB bound"),
+        ("simulate", 13, "simulate cannot run at n = 13"),
     ])
     def test_refused(self, tmp_path, capsys, command, n, message):
         assert main([command, "--config", write_config(tmp_path, long_chain(n))]) == 1
         assert capsys.readouterr().err.startswith(f"qcycle: config error: chain.n: {message}")
 
     @pytest.mark.parametrize("command, n", [("report", 9), ("reverse", 9), ("spectrum", 8),
-                                            ("simulate", 10)])
+                                            ("simulate", 10), ("simulate", 12)])
     def test_admitted(self, tmp_path, command, n):
         with pytest.raises(Unreachable):
             main([command, "--config", write_config(tmp_path, long_chain(n))])
@@ -232,21 +235,20 @@ class TestSimulate:
     @staticmethod
     def assert_full_chain_deltas(tmp_path, doc, status):
         """Run simulate; each row's delta_prev must be the full-chain trace distance
-        between the run_cycle start states of its cycle and the one before."""
+        between the full-chain start states (NaiveCycle.run) of its cycle and the one before."""
         cfg_path = write_config(tmp_path, doc)
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == status
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         cfg = parse_config(cfg_path)
-        parts = build_hamiltonian(cfg.spec)
-        ops = cycle_operators(parts, cfg.params)
+        oracle = NaiveCycle(cfg.spec, cfg.params)
         rho0, prev = qcycle.cli._initial_full_state(cfg), None
         for row in rows:
             if prev is None:
                 assert row[1] == "nan"
             else:
                 assert abs(float(row[1]) - trace_distance(rho0, prev)) <= 1e-14, row[0]
-            prev, rho0 = rho0, run_cycle(rho0, parts, ops)[0].rho4
+            prev, rho0 = rho0, oracle.run(rho0)[3]
         return rows
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -269,7 +271,7 @@ class TestSimulate:
                                       "decoupled-stall"])
     def test_matches_full_chain_loop(self, tmp_path, capsys, case):
         # simulate steps the reduced states with the half-cycle channels and reads its records
-        # through the ledger observables; the full-chain run_cycle loop must give the same run
+        # through the ledger observables; the full-chain NaiveCycle loop must give the same run
         if case == "initial-state":
             np.save(tmp_path / "init.npy", random_density_matrix(16, np.random.default_rng(5)))
             doc = variant(chain=chain_of(4), initial_state=str(tmp_path / "init.npy"))
@@ -848,10 +850,10 @@ class TestSweep:
         good = write_config(tmp_path, GENERIC, "good.json")
         states = qcycle.cli.limit_cycle_states
 
-        def limit_cycle_states(rho, parts, ops, tol):
+        def limit_cycle_states(rho, ops, tol):
             if tol == 2e-15:
                 raise ClosureViolationError(3.5e-14, 10.0 * tol)
-            return states(rho, parts, ops, tol=tol)
+            return states(rho, ops, tol=tol)
 
         monkeypatch.setattr(qcycle.cli, "limit_cycle_states", limit_cycle_states)
         assert main(["report", "--config", unclosed, good, "--sweep"]) == 5

@@ -1,20 +1,20 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, ConfigError, CycleParams, build_hamiltonian,
-                    check_density_matrix, cycle_operators, gibbs_state, kron,
-                    partial_trace, random_density_matrix, run_cycle, trace_distance)
-from qcycle.engine import cycle_ledger, replace_last_factor, start_energies
-from qcycle.linalg import (HERMITICITY_ATOL, charge_groups, hermitian_part, hermitize,
-                           popcount_charges)
+from qcycle import (ChainSpec, ConfigError, CycleParams, CycleRecord, build_hamiltonian,
+                    check_density_matrix, cycle_operators, gibbs_state, kron, partial_trace,
+                    random_density_matrix)
+from qcycle.engine import cycle_ledger, start_energies, stroke_4
+from qcycle.linalg import charge_groups, hermitian_part, hermitize, popcount_charges
 from qcycle.limitcycle import (cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
                                fixed_point_iterate, fixed_point_spectral, hot_half_cycle,
                                limit_cycle_states)
-from conftest import dense_unitaries, point_operators, random_chain_spec, random_engine_point
-from oracle_naive import NaiveCycle, total_magnetization
+from conftest import (carnot_point, dense_unitaries, point_operators, random_chain_spec,
+                      random_engine_point)
+from oracle_naive import NaiveCycle, naive_ptrace_first, naive_ptrace_last, total_magnetization
 
 DIMS = [2, 2, 2]
 
@@ -24,8 +24,17 @@ def full_random_state(rng, n):
 
 
 def evolve(u, rho):
-    """The unitary strokes of run_cycle: rho -> u rho u^*."""
+    """A unitary stroke: rho -> u rho u^*."""
     return u @ rho @ u.conj().T
+
+
+def reduced_cycle(rho0, parts, ops):
+    """One cycle from rho0 as simulate runs it: ``(x, z, record)`` on the CB and AC states."""
+    n = parts.n
+    x = hermitize(partial_trace(rho0, range(1, n), [2] * n))
+    z = hermitian_part(cold_half_cycle(ops).apply(x))
+    rec, _ = cycle_ledger(parts, ops).record(x, z, start_energies(rho0, parts))
+    return x, z, rec
 
 
 class TestCycleParams:
@@ -50,80 +59,75 @@ class TestCycleParams:
                 CycleParams(**fields)
 
 
-def stroke_1(rho, parts, ops):
-    """run_cycle's post-stroke-1 state rho1."""
-    return run_cycle(rho, parts, ops)[0].rho1
-
-
 class TestThermalizeStrokes:
-    """Strokes 1 and 3 as run_cycle runs them, with the bath states of cycle_operators."""
+    """Strokes 1 and 3 as the reduced states carry them: sigma_a (x) X and Z (x) sigma_b."""
 
     def test_idempotent_on_product_input(self, rng, small_point):
+        # stroke 1 leaves sigma_a (x) X as it is: no heat reaches the cold bath, and the
+        # switch-on term <h_ac> at rho1 is the start's <h_ac> at rho0
         spec, params = small_point
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
-        rho = kron(ops.sigma_a, random_density_matrix(4, rng))
-        out = stroke_1(rho, parts, ops)
-        assert np.abs(out - rho).max() <= 1e-14
+        rho0 = kron(ops.sigma_a, random_density_matrix(4, rng))
+        x, _, rec = reduced_cycle(rho0, parts, ops)
+        assert np.abs(kron(ops.sigma_a, x) - rho0).max() <= 1e-14
+        assert abs(rec.q_c) <= 1e-14
+        assert abs(rec.w1 - start_energies(rho0, parts)[1]) <= 1e-14
 
     def test_projection_property(self, rng, small_point):
+        # starting from rho1 instead of rho0 keeps X and Z, so every term but the start's
         spec, params = small_point
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
-        once = stroke_1(full_random_state(rng, 3), parts, ops)
-        twice = stroke_1(once, parts, ops)
-        assert np.abs(twice - once).max() <= 1e-14
+        rho0 = random_density_matrix(8, rng)
+        x, z, rec = reduced_cycle(rho0, parts, ops)
+        x1, z1, rec1 = reduced_cycle(kron(ops.sigma_a, x), parts, ops)
+        assert np.abs(x1 - x).max() <= 1e-14 and np.abs(z1 - z).max() <= 1e-14
+        for name in ("q_h", "w1", "w2", "w3", "w4"):
+            assert abs(getattr(rec1, name) - getattr(rec, name)) <= 1e-14, name
+        assert abs(rec1.q_c) <= 1e-14
 
     def test_infinite_temperature_bath(self, rng, small_point):
+        # with stroke 2 the identity, the AC state's A marginal is the bath's I/2
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        ops = replace(cycle_operators(parts, params), sigma_a=gibbs_state(parts.h_a_local, 0.0))
-        out = stroke_1(full_random_state(rng, 3), parts, ops)
-        reduced_a = partial_trace(out, [0], DIMS)
-        assert np.abs(reduced_a - np.eye(2) / 2).max() < 1e-14
+        ops = replace(cycle_operators(parts, replace(params, tau1=0.0)),
+                      sigma_a=gibbs_state(parts.h_a_local, 0.0))
+        z = cold_half_cycle(ops).apply(random_density_matrix(4, rng))
+        assert np.abs(partial_trace(z, [0], [2, 2]) - np.eye(2) / 2).max() < 1e-14
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_stroke_1_is_kron_of_reduced_state(self, rng, n):
-        # run_cycle symmetrizes Tr_A rho0, which returns the same bits for an exactly
-        # Hermitian rho0, and tensors sigma_a in without a second pass over rho1
+        # simulate symmetrizes Tr_A rho0, which returns the same bits for an exactly Hermitian
+        # rho0; sigma_a (x) X is the oracle's rho1, and the ledger reads <h_ac> there
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
-        rho0 = hermitian_part(full_random_state(rng, n))
-        expected = kron(ops.sigma_a, partial_trace(rho0, range(1, n), [2] * n))
-        assert np.array_equal(stroke_1(rho0, parts, ops), expected)
-
-    def test_stroke_1_rejects_non_hermitian_reduced_state(self, rng, small_point):
-        # drift is judged on Tr_A rho0, the state stroke 1 keeps: 0.6 ATOL on each of the
-        # two entries Tr_A sums into its [0, 1] is 1.2 ATOL there
-        spec, params = small_point
-        parts = build_hamiltonian(spec)
-        ops = cycle_operators(parts, params)
-        rho0 = hermitian_part(full_random_state(rng, 3))
-        rho0[0, 1] += 0.6 * HERMITICITY_ATOL
-        rho0[4, 5] += 0.6 * HERMITICITY_ATOL
-        with pytest.raises(ValueError, match="deviates from Hermitian"):
-            run_cycle(rho0, parts, ops)
+        rho0 = hermitian_part(random_density_matrix(2**n, rng))
+        x, _, rec = reduced_cycle(rho0, parts, ops)
+        assert np.array_equal(x, partial_trace(rho0, range(1, n), [2] * n))
+        oracle = NaiveCycle(spec, params)
+        states = oracle.run(rho0)
+        assert np.abs(kron(ops.sigma_a, x) - states[0]).max() <= 1e-14
+        assert abs(rec.w1 - oracle.record(rho0, states)["w1"]) <= 1e-13
 
     def test_b_stroke_sets_gibbs_and_keeps_rest(self, rng, small_point):
+        # with stroke 4 the identity, stroke_4's state is stroke 3's Z (x) sigma_b
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        rho = full_random_state(rng, 3)
-        out = replace_last_factor(rho, cycle_operators(parts, params).sigma_b, DIMS)
+        z = random_density_matrix(4, rng)
+        out = stroke_4(z, cycle_operators(parts, replace(params, tau2=0.0)))
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
-        assert trace_distance(partial_trace(out, [2], DIMS), sigma_b) < 1e-12
-        before = partial_trace(rho, [0, 1], DIMS)
-        after = partial_trace(out, [0, 1], DIMS)
-        assert trace_distance(before, after) < 1e-12
+        assert np.abs(partial_trace(out, [2], DIMS) - sigma_b).max() < 1e-14
+        assert np.abs(partial_trace(out, [0, 1], DIMS) - z).max() < 1e-14
 
     def test_outputs_are_density_matrices(self, rng, small_point):
         spec, params = small_point
-        parts = build_hamiltonian(spec)
-        ops = cycle_operators(parts, params)
-        rho = full_random_state(rng, 3)
-        for out in (stroke_1(rho, parts, ops),
-                    replace_last_factor(rho, ops.sigma_b, DIMS),
-                    evolve(dense_unitaries(ops)[0], rho)):
+        ops = point_operators(spec, params)
+        x = random_density_matrix(4, rng)
+        z = cold_half_cycle(ops).apply(x)
+        for out in (z, hot_half_cycle(ops).apply(z), stroke_4(z, ops),
+                    evolve(dense_unitaries(ops)[0], random_density_matrix(8, rng))):
             check_density_matrix(out)
 
 
@@ -190,20 +194,26 @@ class TestPopcountBlocks:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_stroke_states_match_oracle(self, rng, n):
-        # the oracle evolves by expm's dense unitaries and uses explicit kron and trace loops
+        # the states simulate carries against the oracle's four post-stroke states; the oracle
+        # evolves by expm's dense unitaries and uses explicit kron and trace loops
         spec, params = random_engine_point(rng, n)
         rho0 = full_random_state(rng, n)
         charge = popcount_charges(2**n)
         for q in np.unique(charge):  # every charge sector starts populated
             assert np.abs(rho0[charge == q]).max() > 1e-4
-        parts = build_hamiltonian(spec)
-        state, _ = run_cycle(rho0, parts, cycle_operators(parts, params))
-        expected = NaiveCycle(spec, params).run(rho0)
-        for got, want in zip((state.rho1, state.rho2, state.rho3, state.rho4), expected):
+        ops = point_operators(spec, params)
+        x, z, _ = reduced_cycle(rho0, build_hamiltonian(spec), ops)
+        rho1, rho2, rho3, rho4 = NaiveCycle(spec, params).run(rho0)
+        d = 2 ** (n - 1)
+        for got, want in ((kron(ops.sigma_a, x), rho1), (z, naive_ptrace_last(rho2, d, 2)),
+                          (kron(z, ops.sigma_b), rho3), (stroke_4(z, ops), rho4),
+                          (hot_half_cycle(ops).apply(z), naive_ptrace_first(rho4, 2, d))):
             assert np.abs(got - want).max() < 1e-12
 
 
 class TestRunCycle:
+    """One cycle on the reduced states as simulate runs it, read through the ledger."""
+
     def test_decoupled_equilibrium_is_quiet(self, rng):
         spec = ChainSpec(n=3, E=[1.0, 1.5, 2.0], J=[0, 0], K=[0, 0], F=[0, 0])
         params = CycleParams(beta1=1.2, beta2=0.6, tau1=0.8, tau2=1.1)
@@ -211,7 +221,7 @@ class TestRunCycle:
         sigma_a = gibbs_state(parts.h_a_local, params.beta1)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
         rho0 = kron(kron(sigma_a, random_density_matrix(2, rng)), sigma_b)
-        _, rec = run_cycle(rho0, parts, cycle_operators(parts, params))
+        _, _, rec = reduced_cycle(rho0, parts, cycle_operators(parts, params))
         assert abs(rec.q_c) < 1e-14
         assert abs(rec.q_h) < 1e-14
         for w in (rec.w1, rec.w2, rec.w3, rec.w4, rec.w_ledger):
@@ -221,47 +231,54 @@ class TestRunCycle:
         spec, _ = small_point
         params = CycleParams(beta1=1.0, beta2=0.75, tau1=0.0, tau2=0.0)
         parts = build_hamiltonian(spec)
-        state, rec = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
-        assert np.abs(state.rho2 - state.rho1).max() < 1e-14
-        assert np.abs(state.rho4 - state.rho3).max() < 1e-14
+        ops = cycle_operators(parts, params)
+        x, z, _ = reduced_cycle(full_random_state(rng, 3), parts, ops)
+        assert np.abs(z - kron(ops.sigma_a, partial_trace(x, [0], [2, 2]))).max() < 1e-14
+        rho4 = stroke_4(z, ops)
+        assert np.abs(rho4 - kron(z, ops.sigma_b)).max() < 1e-14
         sigma_a = gibbs_state(parts.h_a_local, params.beta1)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
-        assert trace_distance(partial_trace(state.rho4, [0], [2, 2, 2]), sigma_a) < 1e-12
-        assert trace_distance(partial_trace(state.rho4, [2], [2, 2, 2]), sigma_b) < 1e-12
+        assert np.abs(partial_trace(rho4, [0], DIMS) - sigma_a).max() < 1e-12
+        assert np.abs(partial_trace(rho4, [2], DIMS) - sigma_b).max() < 1e-12
 
     def test_work_sum_consistency(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        _, rec = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
+        _, _, rec = reduced_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
         assert abs(rec.w_total - (rec.w1 + rec.w2 + rec.w3 + rec.w4)) <= 1e-12
 
     def test_ledger_closes_for_any_state(self, rng):
-        # heat inflows plus switch work must equal the cycle's energy change
-        # exactly, far from the fixed point included
+        # heat inflows plus switch work must equal the cycle's energy change, which the oracle
+        # takes off its full-chain rho0 and rho4, far from the fixed point included
         for trial in range(5):
             spec, params = random_engine_point(rng, n=3 + trial % 2)
             parts = build_hamiltonian(spec)
             rho0 = full_random_state(rng, spec.n)
-            state, rec = run_cycle(rho0, parts, cycle_operators(parts, params))
-            energy_change = np.trace(parts.h_s @ (state.rho4 - rho0)).real
-            assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) < 1e-9
+            _, _, rec = reduced_cycle(rho0, parts, cycle_operators(parts, params))
+            oracle = NaiveCycle(spec, params)
+            energy_change = oracle.record(rho0, oracle.run(rho0))["energy_change"]
+            assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_hot_stroke_output_exactly_hermitian(self, rng, n):
-        # rho3 is not symmetrized: Tr_B of the exactly Hermitian rho2, tensored with the
-        # real diagonal sigma_b, equals its conjugate transpose entry for entry
+        # Z (x) sigma_b, the state after stroke 3, needs no symmetrizing: the exactly Hermitian
+        # Z tensored with the real diagonal sigma_b equals its conjugate transpose entry for
+        # entry; so does every state simulate carries
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         assert np.array_equal(ops.sigma_b, np.diag(np.diag(ops.sigma_b).real))
-        state, _ = run_cycle(full_random_state(rng, n), parts, ops)
-        assert np.array_equal(state.rho3, state.rho3.conj().T)
+        x, z, _ = reduced_cycle(full_random_state(rng, n), parts, ops)
+        for rho in (x, z, kron(z, ops.sigma_b), stroke_4(z, ops),
+                    hermitian_part(hot_half_cycle(ops).apply(z))):
+            assert np.array_equal(rho, rho.conj().T)
 
     def test_stroke_states_validity(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        state, _ = run_cycle(full_random_state(rng, 3), parts, cycle_operators(parts, params))
-        for rho in (state.rho1, state.rho2, state.rho3, state.rho4):
+        ops = cycle_operators(parts, params)
+        x, z, _ = reduced_cycle(full_random_state(rng, 3), parts, ops)
+        for rho in (x, z, stroke_4(z, ops), hot_half_cycle(ops).apply(z)):
             check_density_matrix(rho)
 
     def test_ledger_residual_vanishes_at_fixed_point(self, rng, small_point):
@@ -270,49 +287,36 @@ class TestRunCycle:
         ops = cycle_operators(parts, params)
         ch = cycle_channel_cb(ops)
         fp = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-13)
-        cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=1e-13)
-        _, rec = run_cycle(cycle.rho0, parts, ops)
+        x, z = limit_cycle_states(fp.rho_star, ops, tol=1e-13)
+        rec, _ = cycle_ledger(parts, ops).record(x, z)
         assert rec.first_law_residual_ledger < 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_record_matches_matmul_definition(self, rng, n):
+        # the ledger's record against the defining traces on the oracle's full-chain states
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
-        state, rec = run_cycle(full_random_state(rng, n), parts, ops)
-
-        def expect(op, rho):
-            return np.trace(op @ rho).real
-
-        dims = [2] * n
-        reference = {
-            "q_c": expect(parts.h_a_local, partial_trace(state.rho0, [0], dims) - ops.sigma_a),
-            "q_h": expect(parts.h_b_local, partial_trace(state.rho2, [n - 1], dims) - ops.sigma_b),
-            "w1": expect(parts.h_ac, state.rho1),
-            "w2": -expect(parts.h_ac, state.rho2),
-            "w3": expect(parts.h_cb, state.rho3),
-            "w4": -expect(parts.h_cb, state.rho4),
-            "w_ledger": (expect(parts.h_ac, state.rho1) - expect(parts.h_ac, state.rho0)
-                         + expect(parts.h_cb, state.rho3) - expect(parts.h_cb, state.rho2)),
-        }
-        for name, value in reference.items():
-            assert abs(getattr(rec, name) - value) <= 1e-14, name
-        energy_change = expect(parts.h_s, state.rho4 - state.rho0)
-        assert abs(-rec.q_c - rec.q_h + rec.w_ledger - energy_change) <= 1e-12
+        rho0 = full_random_state(rng, n)
+        _, _, rec = reduced_cycle(rho0, parts, ops)
+        oracle = NaiveCycle(spec, params)
+        reference = oracle.record(rho0, oracle.run(rho0))
+        for name in ("q_c", "q_h", "w1", "w2", "w3", "w4", "w_ledger"):
+            assert abs(getattr(rec, name) - reference[name]) <= 1e-13, name
+        assert abs(-rec.q_c - rec.q_h + rec.w_ledger - reference["energy_change"]) <= 1e-12
 
         fp = fixed_point_spectral(cycle_channel_cb(ops))
-        cycle = limit_cycle_states(fp.rho_star, parts, ops)
-        assert run_cycle(cycle.rho0, parts, ops)[1].first_law_residual_ledger <= 1e-12
+        closed, _ = cycle_ledger(parts, ops).record(*limit_cycle_states(fp.rho_star, ops))
+        assert closed.first_law_residual_ledger <= 1e-12
 
     def test_reuses_precomputed_operators(self, rng, small_point):
         spec, params = small_point
         parts = build_hamiltonian(spec)
-        ops = cycle_operators(parts, params)
-        rho0 = full_random_state(rng, 3)
-        state_a, rec_a = run_cycle(rho0, parts, cycle_operators(parts, params))
-        state_b, rec_b = run_cycle(rho0, parts, ops)
-        assert np.abs(state_a.rho4 - state_b.rho4).max() == 0.0
-        assert rec_a.q_c == rec_b.q_c
+        ledger_a = cycle_ledger(parts, cycle_operators(parts, params))
+        ledger_b = cycle_ledger(parts, cycle_operators(parts, params))
+        assert np.array_equal(ledger_a.on_cb, ledger_b.on_cb)
+        assert np.array_equal(ledger_a.on_ac, ledger_b.on_ac)
+        assert ledger_a.bath_energies == ledger_b.bath_energies
 
 
 class TestCycleLedger:
@@ -322,25 +326,49 @@ class TestCycleLedger:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
     def test_matches_full_chain_records(self, seed, n):
         # two cycles read off the CB states X and the AC states Z through the eight
-        # observables, against cycle_record on run_cycle's full states; the second cycle's
-        # start terms come from the first cycle's Z
+        # observables, against the oracle's defining traces on its full-chain states; the
+        # second cycle's start terms come from the first cycle's Z
         rng = np.random.default_rng(seed)
         spec, params = random_engine_point(rng, n)
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         ledger = cycle_ledger(parts, ops)
         cold, hot = cold_half_cycle(ops), hot_half_cycle(ops)
+        oracle = NaiveCycle(spec, params)
         rho0 = full_random_state(rng, n)
         x = hermitize(partial_trace(rho0, range(1, n), [2] * n))
         start = start_energies(rho0, parts)
         for _ in range(2):
-            state, want = run_cycle(rho0, parts, ops)
+            states = oracle.run(rho0)
+            want = oracle.record(rho0, states)
             z = hermitian_part(cold.apply(x))
-            got, start = ledger.record(start, x, z)
+            got, start = ledger.record(x, z, start)
             for name in self.RECORD_FIELDS:
-                assert abs(getattr(got, name) - getattr(want, name)) < 1e-13, name
+                assert abs(getattr(got, name) - want[name]) < 1e-13, name
             # the two <h> terms of w_ledger: <h_cb> at rho2, and <h_ac> at rho4, the next rho0
             cb2 = float((ledger.on_cb[2] @ x.reshape(-1)).real)
-            assert abs(cb2 - np.trace(parts.h_cb @ state.rho2).real) < 1e-13
-            assert abs(start[1] - np.trace(parts.h_ac @ state.rho4).real) < 1e-13
-            rho0, x = state.rho4, hermitian_part(hot.apply(z))
+            assert abs(cb2 - np.trace(oracle.parts["h_cb"] @ states[1]).real) < 1e-13
+            assert abs(start[1] - np.trace(oracle.parts["h_ac"] @ states[3]).real) < 1e-13
+            rho0, x = states[3], hermitian_part(hot.apply(z))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5]),
+           point=st.sampled_from(["generic", "matched", "tau1=0", "tau2=0"]))
+    def test_closed_record_matches_full_chain_fixed_point(self, seed, n, point):
+        # report's record: limit_cycle_states, then the ledger's closed cycle rho0 = rho4,
+        # against the oracle's cycle from sigma_a (x) x, whose rho4 is its rho0
+        rng = np.random.default_rng(seed)
+        spec, params = (carnot_point if point == "matched" else random_engine_point)(rng, n)
+        if point.endswith("=0"):
+            params = replace(params, **{point[:4]: 0.0})
+        parts = build_hamiltonian(spec)
+        ops = cycle_operators(parts, params)
+        x, z = limit_cycle_states(fixed_point_spectral(cycle_channel_cb(ops)).rho_star, ops)
+        got, _ = cycle_ledger(parts, ops).record(x, z)
+        oracle = NaiveCycle(spec, params)
+        states = oracle.run(kron(ops.sigma_a, x))
+        want = oracle.record(states[3], states)
+        for f in fields(CycleRecord):
+            if f.name != "delta_prev":
+                assert abs(getattr(got, f.name) - want[f.name]) <= 1e-13, f.name
+        assert got.first_law_residual_ledger <= 1e-12

@@ -354,30 +354,33 @@ class TestFixedPointSpectral:
 
 class TestLimitCycleStates:
     def test_closure_at_converged_point(self, rng, small_point):
+        # the hot half-cycle returns x; so does the oracle's full-chain cycle from sigma_a (x) x
         spec, params = small_point
-        parts = build_hamiltonian(spec)
-        ops = cycle_operators(parts, params)
-        ch = cycle_channel_cb(ops)
-        res = fixed_point_iterate(ch, random_density_matrix(4, rng), tol=1e-12)
-        cycle = limit_cycle_states(res.rho_star, parts, ops, tol=1e-10)
-        assert trace_distance(partial_trace(cycle.rho4, [1, 2], [2, 2, 2]), res.rho_star) <= 1e-9
-        for rho in (cycle.rho1, cycle.rho2, cycle.rho3, cycle.rho4):
+        ops = point_operators(spec, params)
+        res = fixed_point_iterate(cycle_channel_cb(ops), random_density_matrix(4, rng), tol=1e-12)
+        x, z = limit_cycle_states(res.rho_star, ops, tol=1e-10)
+        assert x is res.rho_star
+        assert trace_distance(limitcycle.hot_half_cycle(ops).apply(z), x) <= 1e-9
+        rho4 = NaiveCycle(spec, params).run(kron(ops.sigma_a, x))[3]
+        assert trace_distance(partial_trace(rho4, [1, 2], [2, 2, 2]), x) <= 1e-9
+        for rho in (x, z):
             check_density_matrix(rho)
 
     def test_matched_bath_states_commute_with_magnetization(self, rng):
         spec, params = carnot_point(rng, 3)
-        parts = build_hamiltonian(spec)
+        ops = point_operators(spec, params)
         ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
-        cycle = limit_cycle_states(ansatz_cb, parts, cycle_operators(parts, params), tol=1e-10)
+        x, z = limit_cycle_states(ansatz_cb, ops, tol=1e-10)
+        sz = total_magnetization(spec.n - 1)
+        for rho in (x, z):
+            assert commutator_norm(rho, sz) < 1e-10
         sz = total_magnetization(spec.n)
-        for rho in (cycle.rho1, cycle.rho2, cycle.rho3, cycle.rho4):
+        for rho in NaiveCycle(spec, params).run(kron(ops.sigma_a, x)):
             assert commutator_norm(rho, sz) < 1e-10
 
     def test_non_fixed_point_rejected(self, rng, small_point):
-        spec, params = small_point
-        parts = build_hamiltonian(spec)
         with pytest.raises(ClosureViolationError):
-            limit_cycle_states(random_density_matrix(4, rng), parts, cycle_operators(parts, params),
+            limit_cycle_states(random_density_matrix(4, rng), point_operators(*small_point),
                                tol=1e-10)
 
     def test_decoupled_zero_time_any_c_state_closes(self, rng, decoupled_point):
@@ -386,7 +389,7 @@ class TestLimitCycleStates:
         parts = build_hamiltonian(spec)
         sigma_b = gibbs_state(parts.h_b_local, params.beta2)
         rho_cb = kron(random_density_matrix(2, rng), sigma_b)
-        limit_cycle_states(rho_cb, parts, cycle_operators(parts, params), tol=1e-10)
+        limit_cycle_states(rho_cb, cycle_operators(parts, params), tol=1e-10)
 
 
 class TestEnginePoints:

@@ -5,8 +5,8 @@ import pytest
 
 from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
                     random_density_matrix, to_state, trace_distance)
-from qcycle.linalg import (STATE_PSD_ATOL, hermitian_part, hermitize, popcount_charges,
-                           popcount_classes, require_full_rank)
+from qcycle.linalg import (CHARGE_LEAKAGE_TOL, STATE_PSD_ATOL, _class_split, hermitian_part,
+                           hermitize, popcount_charges, popcount_classes, require_full_rank)
 from oracle_naive import commutator_norm, expm_unitary, naive_partial_trace
 
 
@@ -224,6 +224,52 @@ class TestPerClassDecomposition:
         w, v = np.linalg.eigh(hermitian_part(m / complex(np.trace(m))))
         dense = (v * np.clip(w, 0.0, None)) @ v.conj().T
         assert np.array_equal(bits(to_state(m)), bits(hermitian_part(dense / np.trace(dense).real)))
+
+
+    @staticmethod
+    def by_branch(h, split, f):
+        """f(h) for Hermitian h by one eigh per popcount class (``split``) or one of all."""
+        d = len(h)
+        out = np.zeros((d, d), dtype=complex)
+        for c in popcount_classes(d) if split else (np.arange(d),):
+            w, v = np.linalg.eigh(h[np.ix_(c, c)])
+            out[np.ix_(c, c)] = (v * f(w)) @ v.conj().T
+        return out
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 16])
+    @pytest.mark.parametrize("leak", [0.0, 1.0 - 1e-3, 1.0 + 1e-3, 1e3])
+    def test_split_at_the_leakage_tolerance(self, rng, d, leak):
+        # a charge-0 state plus charged entries of leak times CHARGE_LEAKAGE_TOL of its largest
+        # entry splits by class at and below the tolerance, and is one class above it or where
+        # d is no power of two; either way the results are that branch's formula, bit for bit
+        rho, _, _ = self.block_state(rng, d=d, small=0, scale=1.0)
+        charged = popcount_charges(d) != 0
+        noise = np.where(charged, random_hermitian(rng, d), 0.0)
+        if charged.any():
+            noise *= leak * CHARGE_LEAKAGE_TOL * np.abs(rho).max() / np.abs(noise).max()
+        h = rho + noise
+        split = leak <= 1.0 and d != 6
+        assert (_class_split(h)[0] is not None) == split
+        root = np.sqrt
+        sqrt, invsqrt = psd_sqrt_invsqrt(h)
+        herm = hermitian_part(h)
+        assert np.array_equal(bits(sqrt), bits(self.by_branch(herm, split, root)))
+        assert np.array_equal(bits(invsqrt), bits(self.by_branch(herm, split,
+                                                                 lambda w: 1.0 / root(w))))
+        clipped = self.by_branch(hermitian_part(h / complex(np.trace(h))), split,
+                                 lambda w: np.clip(w, 0.0, None))
+        assert np.array_equal(bits(to_state(h)),
+                              bits(hermitian_part(clipped / np.trace(clipped).real)))
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_zero_matrix_splits(self, d):
+        # no entry exceeds the tolerance times the largest, 0: the classes where d = 2^k
+        zero = np.zeros((d, d), dtype=complex)
+        assert (_class_split(zero)[0] is not None) == (d != 6)
+        with pytest.raises(ValueError, match="zero trace"):
+            to_state(zero)
+        with pytest.raises(RankDeficientError):
+            psd_sqrt_invsqrt(zero)
 
 
 class TestHygiene:

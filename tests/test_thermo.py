@@ -10,6 +10,7 @@ from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ansatz_state,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
                     random_density_matrix, trace_distance)
+from qcycle.engine import cycle_ledger
 from qcycle.thermo import LimitCycleReport
 from conftest import carnot_point, point_operators, random_chain_spec, random_engine_point
 from oracle_naive import commutator_norm, total_magnetization
@@ -19,8 +20,8 @@ def solved_report(spec, params, tol=1e-12):
     parts = build_hamiltonian(spec)
     ops = cycle_operators(parts, params)
     fp = fixed_point_spectral(cycle_channel_cb(ops))
-    cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=tol)
-    return limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
+    x, z = limit_cycle_states(fp.rho_star, ops, tol=tol)
+    return limit_cycle_report(x, z, cycle_ledger(parts, ops), spec, params, fp.spectral_gap)
 
 
 class TestCycleIdentities:
@@ -35,8 +36,8 @@ class TestCycleIdentities:
         for maker in (cycle_channel_cb, cycle_channel_ac, cold_half_cycle):
             assert maker(ops).completeness_residual() <= 1e-12
         fp = fixed_point_spectral(cycle_channel_cb(ops))
-        cycle = limit_cycle_states(fp.rho_star, parts, ops)
-        report = limit_cycle_report(cycle, parts, spec, params, fp.spectral_gap, ops)
+        x, z = limit_cycle_states(fp.rho_star, ops)
+        report = limit_cycle_report(x, z, cycle_ledger(parts, ops), spec, params, fp.spectral_gap)
         assert report.first_law_residual <= 1e-9  # the ledger's first law
         assert report.eq18_residual <= 1e-8  # |q_c/E_1 + q_h/E_N|
 
@@ -69,8 +70,8 @@ class TestLimitCycleReport:
         ops = cycle_operators(parts, params)
         fp = fixed_point_iterate(cycle_channel_cb(ops), random_density_matrix(4, rng), tol=1e-12)
         assert fp.converged
-        cycle = limit_cycle_states(fp.rho_star, parts, ops, tol=1e-10)
-        report = limit_cycle_report(cycle, parts, spec, params, float("nan"), ops)
+        x, z = limit_cycle_states(fp.rho_star, ops, tol=1e-10)
+        report = limit_cycle_report(x, z, cycle_ledger(parts, ops), spec, params, float("nan"))
         assert np.isnan(report.eta)
         assert abs(report.q_c_star) < 1e-13
         assert abs(report.q_h_star) < 1e-13
