@@ -4,8 +4,9 @@ A four-qubit chain is driven through repeated four-stroke cycles, stepped as
 ``qcycle simulate`` steps them: after stroke 1 the chain is sigma_a (x) X and
 after stroke 3 Z (x) sigma_b, so each cycle maps the CB state X (sites
 2..n) to the AC state Z (sites 1..n-1) by the cold half-cycle and Z to the
-next X by the hot one, and its heats and works are read off X and Z by the
-point's ledger. The trace distance between successive AC states shrinks
+next X by the hot one (the Kraus stacks ``ops.cold`` and ``ops.hot``), and
+its heats and works are read off X and Z by the point's ledger, through the
+same stacks. The trace distance between successive AC states shrinks
 geometrically at a rate set by the channel's spectral gap, and both
 trajectories land on the same limit cycle, where the heat/work ledger
 closes the first law.
@@ -15,11 +16,10 @@ Run:  python3 demos/limit_cycle_demo.py
 
 import numpy as np
 
-from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cold_half_cycle, cycle_channel_cb,
+from qcycle import (ChainSpec, Channel, CycleParams, build_hamiltonian, cycle_channel_cb,
                     cycle_operators, fixed_point_spectral, partial_trace,
                     random_density_matrix, trace_distance)
 from qcycle.engine import cycle_ledger, start_energies
-from qcycle.limitcycle import hot_half_cycle
 from qcycle.linalg import hermitian_part
 
 spec = ChainSpec(n=4,
@@ -30,8 +30,8 @@ spec = ChainSpec(n=4,
 params = CycleParams(beta1=1.2, beta2=0.55, tau1=0.9, tau2=1.4)
 
 parts = build_hamiltonian(spec)
-ops = cycle_operators(parts, params)
-ledger, cold, hot = cycle_ledger(parts, ops), cold_half_cycle(ops), hot_half_cycle(ops)
+ops = cycle_operators(parts, params)  # cuts the two half-cycles' Kraus stacks once
+ledger, cold, hot = cycle_ledger(parts, ops), Channel(ops.cold), Channel(ops.hot)
 
 print(f"chain: {spec.n} qubits, end gaps E_1={spec.E[0]}, E_N={spec.E[-1]}")
 print(f"baths: beta1={params.beta1} (cold side), beta2={params.beta2} (hot side)")

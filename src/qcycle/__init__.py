@@ -14,9 +14,8 @@ from .engine import CycleOperators, CycleParams, CycleRecord, cycle_operators
 from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
                      DegenerateFixedPointError, NotFixedPointError, QcycleError,
                      RankDeficientError)
-from .limitcycle import (Channel, FixedPointResult, cold_half_cycle, cycle_channel_ac,
-                         cycle_channel_cb, fixed_point_iterate, fixed_point_spectral,
-                         limit_cycle_states, unvec, vec)
+from .limitcycle import (Channel, FixedPointResult, cycle_channel_ac, cycle_channel_cb,
+                         fixed_point_iterate, fixed_point_spectral, limit_cycle_states, unvec, vec)
 from .linalg import (check_density_matrix, kron, partial_trace, psd_sqrt_invsqrt,
                      random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
@@ -30,7 +29,7 @@ __all__ = [
     "site_operator",
     "CycleOperators", "CycleParams", "CycleRecord", "cycle_operators",
     "Channel", "FixedPointResult",
-    "cold_half_cycle", "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
+    "cycle_channel_ac", "cycle_channel_cb", "fixed_point_iterate",
     "fixed_point_spectral", "limit_cycle_states", "vec", "unvec",
     "kron", "partial_trace", "psd_sqrt_invsqrt", "trace_distance", "to_state",
     "check_density_matrix", "random_density_matrix",

@@ -36,11 +36,11 @@ from .engine import CycleParams, cycle_ledger, cycle_operators, start_energies, 
 from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
                      NotFixedPointError, RankDeficientError, integer, real)
 from .limitcycle import (CLOSURE_FACTOR, DEFAULT_MAX_ITER, DEFAULT_TOL, STALL_DROP, STALL_WINDOW,
-                         cold_half_cycle, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
-                         fixed_point_spectral, hot_half_cycle, limit_cycle_states, sector_spectra,
+                         Channel, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                         fixed_point_spectral, limit_cycle_states, sector_spectra,
                          spectral_summary, stalled)
-from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, hermitize,
-                     partial_trace, random_density_matrix, to_state, trace_distance)
+from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
+                     random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, path_probabilities, reverse_channel
 from .thermo import limit_cycle_report
 
@@ -65,10 +65,10 @@ TOL_FLOOR = 1e-15
 # C(2n - 2, n - 1)^2 at 16 bytes an entry. n = 9's 2.5 GiB block runs, at a 3.9 GB peak; n =
 # 10's 35 GiB cannot be allocated. The bound admits n = 9 with room and refuses n = 10.
 MEMORY_BOUND_BYTES = 8 * 2**30
-# simulate holds a few 2^n x 2^n complex arrays at once (h_s and its bond terms, the initial
-# state, the ledger's Heisenberg terms), so its peak grows as 4^n. On the CI configs its peak
-# RSS was 18.5, 69.0 and 267.2 MiB above the interpreter's 37.4 MiB at n = 8, 9 and 10: 18.5,
-# 17.3 and 16.7 such arrays. Projected at 17, n = 12 needs 4.3 GiB and runs within the bound;
+# simulate holds a few 2^n x 2^n complex arrays at once (h_s, its bond terms, the initial state,
+# each half-cycle stack), and peaks in cycle 2's full-chain stroke 4. On the CI configs its peak
+# RSS was 18.6, 68.8 and 267.4 MiB above the interpreter's 37.4 MiB at n = 8, 9 and 10: 18.6,
+# 17.2 and 16.7 such arrays. Projected at 17, n = 12 needs 4.3 GiB and runs within the bound;
 # n = 13 needs 17 GiB and is refused.
 SIMULATE_FULL_ARRAYS = 17
 
@@ -252,9 +252,9 @@ def cmd_simulate(cfg: RunConfig):
     parts, ops = _operators(cfg)
     initial = _initial_full_state(cfg)
     n = cfg.spec.n
-    ledger, cold, hot = cycle_ledger(parts, ops), cold_half_cycle(ops), hot_half_cycle(ops)
+    ledger, cold, hot = cycle_ledger(parts, ops), Channel(ops.cold), Channel(ops.hot)
     start = start_energies(initial, parts)
-    x = hermitize(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
+    x = hermitian_part(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
 
     lines = [",".join(TRACE_COLUMNS)]
     ac = prev_ac = None  # the AC states of the last two cycles
@@ -362,7 +362,7 @@ def cmd_reverse(cfg: RunConfig):
     _, ops = _operators(cfg)
     cb = cycle_channel_cb(ops)
     rho_star = fixed_point_spectral(cb).rho_star
-    rho_ac = to_state(cold_half_cycle(ops).apply(rho_star))
+    rho_ac = to_state(Channel(ops.cold).apply(rho_star))
     return EXIT_OK, {"cb": _reverse_one(cfg, cb, rho_star),
                      "ac": _reverse_one(cfg, cycle_channel_ac(ops), rho_ac)}
 

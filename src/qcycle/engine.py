@@ -6,8 +6,9 @@ for tau2. Thermalization is total replacement (trace out the end qubit,
 tensor the local Gibbs state back in), not a finite-rate relaxation. After
 stroke 1 the chain is sigma_a (x) X, with X the CB state (sites 2..n), and
 after stroke 3 it is Z (x) sigma_b, with Z the AC state (sites 1..n-1), so
-a cycle is carried by X and Z (:mod:`qcycle.limitcycle`'s half-cycles) and
-its record is read off them by :class:`CycleLedger`.
+a cycle is carried by X and Z. :class:`CycleOperators` cuts the half-cycles
+X -> Z (``cold``) and Z -> next X (``hot``) once per point as Kraus stacks;
+every cycle map composes them and :class:`CycleLedger` reads through them.
 
 Tensor ordering is always site order 1..n.
 
@@ -26,14 +27,13 @@ Sign conventions in the accounting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError, real
-from .linalg import (eigh_hermitian, hermitian_part, kron, partial_trace,
+from .linalg import (assemble, eigh_hermitian, hermitian_part, kron, partial_trace,
                      popcount_charges, popcount_classes, unitary_from_eigh)
 
 
@@ -81,13 +81,13 @@ class CycleRecord:
 
 @dataclass
 class CycleOperators:
-    """Precomputed per-cycle operators: end-qubit Gibbs states and unitaries.
+    """Precomputed per-cycle operators: end-qubit Gibbs states, unitaries and half-cycle stacks.
 
     h_s conserves total S^Z, so both unitaries are block diagonal over the
     popcount ``classes`` of :func:`~qcycle.linalg.popcount_classes`, and
     ``u1_blocks``/``u2_blocks`` hold one block per class, the unitaries' only form.
-    The dense matrices are assembled only where the half-cycle Kraus operators are
-    cut (:mod:`qcycle.limitcycle`).
+    ``cold`` and ``hot`` are the half-cycles' (4, d, d) Kraus stacks, d = 2^(n-1), cut from
+    the other fields on construction (:func:`_half_cycle_kraus`), so ``replace`` re-cuts them.
     """
 
     sigma_a: np.ndarray
@@ -95,6 +95,12 @@ class CycleOperators:
     classes: tuple
     u1_blocks: list
     u2_blocks: list
+    cold: np.ndarray = field(init=False)
+    hot: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.cold = _half_cycle_kraus(self, cold=True)
+        self.hot = _half_cycle_kraus(self, cold=False)
 
 
 def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperators:
@@ -121,6 +127,23 @@ def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperat
         u1_blocks=u1_blocks,
         u2_blocks=u2_blocks,
     )
+
+
+def _half_cycle_kraus(ops: CycleOperators, cold: bool) -> np.ndarray:
+    """The cold (A, the bath entering as site 1) or hot (B, as site n) half-cycle's 4 operators.
+
+    Each is sqrt(p_e) <t|_out U |v_e>_bath, with U the stroke unitary, assembled dense only here
+    from its popcount blocks; operator e * 2 + t is that of bath vector e and traced-out state t.
+    """
+    blocks, sigma = (ops.u1_blocks, ops.sigma_a) if cold else (ops.u2_blocks, ops.sigma_b)
+    p, v = np.linalg.eigh(sigma)  # a Gibbs state of a diagonal h_local: p are its weights, >= 0
+    bath = v * np.sqrt(p)  # column e is sqrt(p_e) v_e
+    u = assemble(blocks, ops.classes)
+    d = u.shape[0] // 2
+    # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
+    # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
+    shape, spec = ((d, 2, 2, d), "itxj,xe->etij") if cold else ((2, d, d, 2), "tijx,xe->etij")
+    return np.einsum(spec, u.reshape(shape), bath).reshape(4, d, d)
 
 
 def _left_multiply(m: np.ndarray, blocks, classes) -> np.ndarray:
@@ -194,24 +217,28 @@ class CycleLedger:
         return rec, (a4, ac4)
 
 
+def _dual(pairs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_e S_e^* g S_e = sum_{e,t,t'} K_{e,t}^* <t|g|t'> K_{e,t'}, a half-cycle's dual map of g.
+
+    ``pairs[e]`` stacks bath vector e's operators K_{e,t} as one 2d x d matrix S_e, its rows
+    indexed as g's, traced-out site t included (Nielsen & Chuang, Sec. 8.2).
+    """
+    return sum(s.conj().T @ (g @ s) for s in pairs)
+
+
 def cycle_ledger(parts: HamiltonianParts, ops: CycleOperators) -> CycleLedger:
-    """The point's :class:`CycleLedger`, each U^* G U formed by the unitary's popcount blocks."""
+    """The point's :class:`CycleLedger`, each evolved term a half-cycle's :func:`_dual` map."""
     d = 2 ** (parts.n - 1)
     eye = np.eye(d)
-
-    def heisenberg(blocks, *terms):
-        """U^* g U for each g, one at a time: _evolve's V g V^* for V = U^*, of adjoint blocks."""
-        adjoints = [b.conj().T for b in blocks]
-        return (_evolve(g, adjoints, ops.classes) for g in terms)
-
-    # Tr_A[(sigma (x) I) g] sums sigma[i, a] g[(a, r), (i, c)]; Tr_B likewise on the last qubit.
-    # Each 2^n x 2^n g is reduced before the next is formed.
-    on_cb = [np.einsum("ia,aric->rc", ops.sigma_a, g.reshape(2, d, 2, d))
-             for g in chain([parts.h_ac], heisenberg(ops.u1_blocks, parts.h_ac, parts.h_cb,
-                                                     kron(eye, parts.h_b_local)))]
-    on_ac = [np.einsum("ia,raci->rc", ops.sigma_b, g.reshape(d, 2, d, 2))
-             for g in chain([parts.h_cb], heisenberg(ops.u2_blocks, parts.h_cb, parts.h_ac,
-                                                     kron(parts.h_a_local, eye)))]
+    # each bath vector's two operators, their rows in the chain's site order: the cold stack's
+    # traced site n last, (i, t), and the hot stack's traced site 1 first, (t, i)
+    cold = ops.cold.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(2, 2 * d, d)
+    hot = ops.hot.reshape(2, 2 * d, d)
+    # Tr_A[(sigma (x) I) g] sums sigma[i, a] g[(a, r), (i, c)]; Tr_B likewise on the last qubit
+    on_cb = [np.einsum("ia,aric->rc", ops.sigma_a, parts.h_ac.reshape(2, d, 2, d))]
+    on_cb += [_dual(cold, g) for g in (parts.h_ac, parts.h_cb, kron(eye, parts.h_b_local))]
+    on_ac = [np.einsum("ia,raci->rc", ops.sigma_b, parts.h_cb.reshape(d, 2, d, 2))]
+    on_ac += [_dual(hot, g) for g in (parts.h_cb, parts.h_ac, kron(parts.h_a_local, eye))]
     return CycleLedger(
         on_cb=np.array([hermitian_part(m).conj().reshape(-1) for m in on_cb]),
         on_ac=np.array([hermitian_part(m).conj().reshape(-1) for m in on_ac]),

@@ -4,7 +4,8 @@ The CB (sites 2..n) and AC (sites 1..n-1) cycle channels compose the same
 two half-cycles, each of which tensors in one bath qubit, evolves the chain
 and traces out the qubit at the other end. With sigma_a = sum_a p_a
 |v_a><v_a| and sigma_b = sum_b q_b |w_b><w_b|, the half-cycles have the
-d x d (d = 2^(n-1)) Kraus operators
+d x d (d = 2^(n-1)) Kraus operators, cut once per point into
+:class:`~qcycle.engine.CycleOperators`' ``cold`` and ``hot`` stacks:
 
     cold, CB -> AC:  A_{a beta}  = sqrt(p_a) <beta|_B  U1 |v_a>_A
     hot,  AC -> CB:  B_{b alpha} = sqrt(q_b) <alpha|_A U2 |w_b>_B
@@ -20,8 +21,8 @@ multiplicity. Both half-cycles preserve the S^Z charge below, so this holds
 sector by sector. The cold half-cycle also carries fixed points: if
 Phi_CB(rho) = rho then Phi_AC(Phi_cold(rho)) = Phi_cold(Phi_hot(Phi_cold(rho)))
 = Phi_cold(rho), so Phi_cold(rho*_CB) is AC's fixed point, unique when
-CB's is. :func:`cold_half_cycle` and :func:`hot_half_cycle` expose Phi_cold
-and Phi_hot as channels; ``simulate`` steps its reduced states with them, and
+CB's is. ``Channel(ops.cold)`` and ``Channel(ops.hot)`` are Phi_cold and
+Phi_hot; ``simulate`` steps its reduced states with them, and
 :func:`limit_cycle_states` reads the limit cycle's CB and AC states through them.
 
 Both are completely positive and trace preserving, and for generic
@@ -103,8 +104,8 @@ import numpy as np
 
 from .engine import CycleOperators
 from .errors import ClosureViolationError, DegenerateFixedPointError
-from .linalg import (assemble, charge_groups, class_layout, hermitian_part, hermitize,
-                     popcount_classes, to_state, trace_distance)
+from .linalg import (charge_groups, class_layout, hermitian_part, hermitize, popcount_classes,
+                     to_state, trace_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -182,10 +183,6 @@ class Channel:
         """Max-abs deviation of sum_k K_k^* K_k from the identity."""
         f = self.kraus.reshape(-1, self.dim)  # row (k, i) is row i of K_k
         return float(np.abs(f.conj().T @ f - np.eye(self.dim)).max())
-
-    def adjoint(self) -> Channel:
-        """The adjoint map x -> sum_k K_k^* x K_k, w.r.t. the trace inner product."""
-        return Channel(self.kraus.conj().transpose(0, 2, 1))
 
 
 def _stage(stack: np.ndarray):
@@ -307,41 +304,14 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def _half_cycle_kraus(ops: CycleOperators, cold: bool) -> np.ndarray:
-    """The cold (A, the bath entering as site 1) or hot (B, as site n) half-cycle's 4 operators.
-
-    Each is sqrt(p_e) <t|_out U |v_e>_bath, with U the stroke unitary, assembled dense only here
-    from its popcount blocks.
-    """
-    blocks, sigma = (ops.u1_blocks, ops.sigma_a) if cold else (ops.u2_blocks, ops.sigma_b)
-    p, v = np.linalg.eigh(sigma)  # a Gibbs state of a diagonal h_local: p are its weights, >= 0
-    bath = v * np.sqrt(p)  # column e is sqrt(p_e) v_e
-    u = assemble(blocks, ops.classes)
-    d = u.shape[0] // 2
-    # u[out, in] as u[(i, t), (x, j)] with the bath x entering as site 1 and t leaving as
-    # site n, or as u[(t, i), (j, x)] with the bath entering as site n and t leaving as site 1
-    shape, spec = ((d, 2, 2, d), "itxj,xe->etij") if cold else ((2, d, d, 2), "tijx,xe->etij")
-    return np.einsum(spec, u.reshape(shape), bath).reshape(4, d, d)
-
-
 def cycle_channel_cb(ops: CycleOperators) -> Channel:
     """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}."""
-    return Channel(_half_cycle_kraus(ops, cold=True), _half_cycle_kraus(ops, cold=False))
+    return Channel(ops.cold, ops.hot)
 
 
 def cycle_channel_ac(ops: CycleOperators) -> Channel:
     """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}."""
-    return Channel(_half_cycle_kraus(ops, cold=False), _half_cycle_kraus(ops, cold=True))
-
-
-def cold_half_cycle(ops: CycleOperators) -> Channel:
-    """The cold half-cycle CB -> AC (strokes 1 and 2, then B traced out): Kraus {A}."""
-    return Channel(_half_cycle_kraus(ops, cold=True))
-
-
-def hot_half_cycle(ops: CycleOperators) -> Channel:
-    """The hot half-cycle AC -> CB (strokes 3 and 4, then A traced out): Kraus {B}."""
-    return Channel(_half_cycle_kraus(ops, cold=False))
+    return Channel(ops.hot, ops.cold)
 
 
 def swap_index(indices: np.ndarray, d: int) -> np.ndarray:
@@ -705,8 +675,8 @@ def limit_cycle_states(rho_cb_star: np.ndarray, ops: CycleOperators, tol: float 
     tolerance, else :class:`ClosureViolationError`. ``ops`` are the point's
     :func:`~qcycle.engine.cycle_operators`.
     """
-    z = hermitian_part(cold_half_cycle(ops).apply(rho_cb_star))
-    closure = trace_distance(hot_half_cycle(ops).apply(z), rho_cb_star)
+    z = hermitian_part(Channel(ops.cold).apply(rho_cb_star))
+    closure = trace_distance(Channel(ops.hot).apply(z), rho_cb_star)
     if closure > CLOSURE_FACTOR * tol:
         raise ClosureViolationError(closure, CLOSURE_FACTOR * tol)
     return rho_cb_star, z

@@ -153,10 +153,9 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize floating-point drift away; reject genuine non-Hermiticity.
 
-    For a state a caller hands in (the Tr_A rho0 of ``simulate``'s initial state,
-    ``fixed_point_iterate``'s start): deviations above ``HERMITICITY_ATOL``
-    mean it is no state and raise instead of being papered over. Returns
-    :func:`hermitian_part`'s value, formed the same way.
+    For a state a caller hands in (``fixed_point_iterate``'s start): deviations above
+    ``HERMITICITY_ATOL`` mean it is no state and raise instead of being papered over.
+    Returns :func:`hermitian_part`'s value, formed the same way.
     """
     m = np.asarray(m, dtype=complex)
     h = _adjoint(m)

@@ -165,7 +165,7 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     rho_star = rho_star / np.trace(rho_star).real
     sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
 
-    # the adjoint's operators K^*, without the Channel that adjoint() would lay out for apply
+    # the Petz reversal's operators rho*^(1/2) K_k^* rho*^(-1/2)
     rev = Channel(sqrt @ forward.kraus.conj().transpose(0, 2, 1) @ invsqrt)
     tp_residual = rev.completeness_residual()
     if tp_residual > 1e-9:

@@ -713,6 +713,39 @@ class TestOneSolvePerConfig:
         assert calls == {"cycle_operators": 1, "certificate": 1, "dense": 0}
 
 
+class TestOneCutPerPoint:
+    """Each half-cycle's Kraus stack is cut once per point, into the point's CycleOperators.
+
+    Every cycle map composes the two stacks and the ledger reads through them, so no command
+    cuts them again.
+    """
+
+    @staticmethod
+    def count_cuts(monkeypatch):
+        cuts = {"cold": 0, "hot": 0}
+        cut = qcycle.engine._half_cycle_kraus
+
+        def counted(ops, cold):
+            cuts["cold" if cold else "hot"] += 1
+            return cut(ops, cold)
+
+        monkeypatch.setattr(qcycle.engine, "_half_cycle_kraus", counted)
+        return cuts
+
+    @pytest.mark.parametrize("command", ["simulate", "report", "reverse", "spectrum"])
+    def test_once_per_point(self, tmp_path, capsys, monkeypatch, command):
+        cuts = self.count_cuts(monkeypatch)
+        assert main([command, "--config", write_config(tmp_path, GENERIC)]) == 0
+        assert cuts == {"cold": 1, "hot": 1}
+
+    def test_sweep_once_per_config(self, tmp_path, capsys, monkeypatch):
+        configs = [write_config(tmp_path, variant(**{"cycle.tau1": tau}), f"{k}.json")
+                   for k, tau in enumerate((0.7, 0.9, 1.1))]
+        cuts = self.count_cuts(monkeypatch)
+        assert main(["report", "--config", *configs, "--sweep"]) == 0
+        assert cuts == {"cold": 3, "hot": 3}
+
+
 # the n = 6 config of the CI Large chain step: its q = 0, 1 and 2 sectors take the Arnoldi
 N6 = {"chain": {"n": 6, "E": [1.0, 1.3, 0.9, 1.6, 1.1, 2.0], "J": [0.4, 0.5, -0.3, 0.6, 0.45],
                 "K": [0.2, 0.1, 0.25, -0.15, 0.3], "F": [0.3, 0.2, -0.25, 0.35, 0.15]},

@@ -1,17 +1,17 @@
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, ConfigError, CycleParams, CycleRecord, build_hamiltonian,
-                    check_density_matrix, cycle_operators, gibbs_state, kron, partial_trace,
-                    random_density_matrix)
-from qcycle.engine import cycle_ledger, start_energies, stroke_4
+from qcycle import (ChainSpec, Channel, ConfigError, CycleParams, CycleRecord,
+                    build_hamiltonian, check_density_matrix, cycle_operators, gibbs_state, kron,
+                    partial_trace, random_density_matrix)
+from qcycle.engine import _half_cycle_kraus, cycle_ledger, start_energies, stroke_4
 from qcycle.linalg import charge_groups, hermitian_part, hermitize, popcount_charges
-from qcycle.limitcycle import (cold_half_cycle, cycle_channel_ac, cycle_channel_cb,
-                               fixed_point_iterate, fixed_point_spectral, hot_half_cycle,
-                               limit_cycle_states)
+from qcycle.limitcycle import (cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
+                               fixed_point_spectral, limit_cycle_states)
 from conftest import (carnot_point, dense_unitaries, point_operators, random_chain_spec,
                       random_engine_point)
 from oracle_naive import NaiveCycle, naive_ptrace_first, naive_ptrace_last, total_magnetization
@@ -32,7 +32,7 @@ def reduced_cycle(rho0, parts, ops):
     """One cycle from rho0 as simulate runs it: ``(x, z, record)`` on the CB and AC states."""
     n = parts.n
     x = hermitize(partial_trace(rho0, range(1, n), [2] * n))
-    z = hermitian_part(cold_half_cycle(ops).apply(x))
+    z = hermitian_part(Channel(ops.cold).apply(x))
     rec, _ = cycle_ledger(parts, ops).record(x, z, start_energies(rho0, parts))
     return x, z, rec
 
@@ -93,7 +93,7 @@ class TestThermalizeStrokes:
         parts = build_hamiltonian(spec)
         ops = replace(cycle_operators(parts, replace(params, tau1=0.0)),
                       sigma_a=gibbs_state(parts.h_a_local, 0.0))
-        z = cold_half_cycle(ops).apply(random_density_matrix(4, rng))
+        z = Channel(ops.cold).apply(random_density_matrix(4, rng))
         assert np.abs(partial_trace(z, [0], [2, 2]) - np.eye(2) / 2).max() < 1e-14
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -125,8 +125,8 @@ class TestThermalizeStrokes:
         spec, params = small_point
         ops = point_operators(spec, params)
         x = random_density_matrix(4, rng)
-        z = cold_half_cycle(ops).apply(x)
-        for out in (z, hot_half_cycle(ops).apply(z), stroke_4(z, ops),
+        z = Channel(ops.cold).apply(x)
+        for out in (z, Channel(ops.hot).apply(z), stroke_4(z, ops),
                     evolve(dense_unitaries(ops)[0], random_density_matrix(8, rng))):
             check_density_matrix(out)
 
@@ -207,8 +207,25 @@ class TestPopcountBlocks:
         d = 2 ** (n - 1)
         for got, want in ((kron(ops.sigma_a, x), rho1), (z, naive_ptrace_last(rho2, d, 2)),
                           (kron(z, ops.sigma_b), rho3), (stroke_4(z, ops), rho4),
-                          (hot_half_cycle(ops).apply(z), naive_ptrace_first(rho4, 2, d))):
+                          (Channel(ops.hot).apply(z), naive_ptrace_first(rho4, 2, d))):
             assert np.abs(got - want).max() < 1e-12
+
+
+class TestHalfCycleStacks:
+    """``CycleOperators.cold`` and ``hot``, cut from the other fields on construction."""
+
+    def test_replace_recuts_the_stacks(self, rng):
+        # with both unitaries replaced by their adjoints, the stacks are those of the adjoint
+        # blocks bit for bit, not the forward stacks left stale
+        ops = point_operators(*random_engine_point(rng, 4))
+        adjoints = {name: [b.conj().T for b in getattr(ops, name)]
+                    for name in ("u1_blocks", "u2_blocks")}
+        swapped = replace(ops, **adjoints)
+        direct = SimpleNamespace(sigma_a=ops.sigma_a, sigma_b=ops.sigma_b, classes=ops.classes,
+                                 **adjoints)
+        for name, cold in (("cold", True), ("hot", False)):
+            assert np.array_equal(getattr(swapped, name), _half_cycle_kraus(direct, cold=cold))
+            assert not np.allclose(getattr(swapped, name), getattr(ops, name))
 
 
 class TestRunCycle:
@@ -270,7 +287,7 @@ class TestRunCycle:
         assert np.array_equal(ops.sigma_b, np.diag(np.diag(ops.sigma_b).real))
         x, z, _ = reduced_cycle(full_random_state(rng, n), parts, ops)
         for rho in (x, z, kron(z, ops.sigma_b), stroke_4(z, ops),
-                    hermitian_part(hot_half_cycle(ops).apply(z))):
+                    hermitian_part(Channel(ops.hot).apply(z))):
             assert np.array_equal(rho, rho.conj().T)
 
     def test_stroke_states_validity(self, rng, small_point):
@@ -278,7 +295,7 @@ class TestRunCycle:
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         x, z, _ = reduced_cycle(full_random_state(rng, 3), parts, ops)
-        for rho in (x, z, stroke_4(z, ops), hot_half_cycle(ops).apply(z)):
+        for rho in (x, z, stroke_4(z, ops), Channel(ops.hot).apply(z)):
             check_density_matrix(rho)
 
     def test_ledger_residual_vanishes_at_fixed_point(self, rng, small_point):
@@ -333,7 +350,7 @@ class TestCycleLedger:
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
         ledger = cycle_ledger(parts, ops)
-        cold, hot = cold_half_cycle(ops), hot_half_cycle(ops)
+        cold, hot = Channel(ops.cold), Channel(ops.hot)
         oracle = NaiveCycle(spec, params)
         rho0 = full_random_state(rng, n)
         x = hermitize(partial_trace(rho0, range(1, n), [2] * n))

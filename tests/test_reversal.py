@@ -235,13 +235,15 @@ class TestReverseChannel:
             assert np.abs(back.apply(rho) - ch.apply(rho)).max() <= 1e-8
 
     def test_adjoint_route_agrees(self, rng, small_point):
-        # the Kraus route against rho^{1/2} ch^*(rho^{-1/2} X rho^{-1/2}) rho^{1/2}
+        # the Kraus route against rho^{1/2} ch^*(rho^{-1/2} X rho^{-1/2}) rho^{1/2}, with the
+        # adjoint map ch^*(y) = sum_k K_k^* y K_k summed explicitly
         _, fp, kraus = engine_fixture(small_point, cycle_channel_cb)
         rev, rho_star = reverse_channel(kraus, fp.rho_star)
         sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
         for _ in range(3):
             rho = random_density_matrix(kraus.dim, rng)
-            sandwich = sqrt @ kraus.adjoint().apply(invsqrt @ rho @ invsqrt) @ sqrt
+            y = invsqrt @ rho @ invsqrt
+            sandwich = sqrt @ sum(k.conj().T @ y @ k for k in kraus.kraus) @ sqrt
             assert np.abs(rev.apply(rho) - sandwich).max() <= 1e-9
 
     @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from qcycle import (Channel, DegenerateFixedPointError, cold_half_cycle, cycle_channel_ac,
+from qcycle import (Channel, DegenerateFixedPointError, cycle_channel_ac,
                     cycle_channel_cb, fixed_point_spectral, kraus_from_stack, reverse_channel,
                     to_state, trace_distance)
 from qcycle.limitcycle import (DENSE_SECTOR_SIZE, from_hermitian_frame, hermitian_frame,
@@ -64,6 +64,11 @@ def werner_holevo_channel(d):
                     for i in range(d) for j in range(d)])
 
 
+def cold_channel(ops):
+    """The cold half-cycle alone, CB -> AC: one stage of 4 operators."""
+    return Channel(ops.cold)
+
+
 class TestCycleChannelsSplit:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sector_sizes(self, rng, n):
@@ -82,7 +87,7 @@ class TestCycleChannelsSplit:
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]),
-           maker=st.sampled_from([cycle_channel_cb, cycle_channel_ac, cold_half_cycle]))
+           maker=st.sampled_from([cycle_channel_cb, cycle_channel_ac, cold_channel]))
     def test_matches_dense(self, seed, n, maker):
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         ch = maker(point_operators(spec, params))
@@ -103,7 +108,7 @@ class TestCycleChannelsSplit:
 
         dense_moduli = np.sort(np.abs(np.linalg.eigvals(cm)))
         assert np.abs(np.sort(np.abs(evals)) - dense_moduli).max() < 1e-12
-        if maker is not cold_half_cycle:
+        if maker is not cold_channel:
             result = fixed_point_spectral(ch)
             rho, gap = dense_fixed_point(cm, ch.dim)
             assert abs(result.spectral_gap - gap) < 1e-12
@@ -150,7 +155,7 @@ class TestOneLoopTwoAnchors:
         rho_ac = fixed_point_spectral(ac).rho_star
         rho_cb = fixed_point_spectral(cb).rho_star
         refined = reverse_channel(kraus_from_stack(cb.kraus)[0], rho_cb)[1]
-        cold = cold_half_cycle(ops)
+        cold = Channel(ops.cold)
         for rho in (rho_cb, refined):
             assert trace_distance(to_state(cold.apply(rho)), rho_ac) < 1e-12
 
@@ -169,7 +174,7 @@ class TestSlicedTiles:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_generic(self, rng, n):
         ops = point_operators(*random_engine_point(rng, n))
-        for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops), cold_half_cycle(ops)):
+        for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops), Channel(ops.cold)):
             self.assert_same_blocks(ch)
 
     def test_decoupled(self, decoupled_point):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, CriteriaViolatedError, CycleParams, ansatz_state,
-                    build_hamiltonian, cold_half_cycle, cycle_channel_ac,
+from qcycle import (ChainSpec, Channel, CriteriaViolatedError, CycleParams, ansatz_state,
+                    build_hamiltonian, cycle_channel_ac,
                     cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
@@ -33,8 +33,8 @@ class TestCycleIdentities:
         spec, params = random_engine_point(np.random.default_rng(seed), n)
         parts = build_hamiltonian(spec)
         ops = cycle_operators(parts, params)
-        for maker in (cycle_channel_cb, cycle_channel_ac, cold_half_cycle):
-            assert maker(ops).completeness_residual() <= 1e-12
+        for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops), Channel(ops.cold)):
+            assert ch.completeness_residual() <= 1e-12
         fp = fixed_point_spectral(cycle_channel_cb(ops))
         x, z = limit_cycle_states(fp.rho_star, ops)
         report = limit_cycle_report(x, z, cycle_ledger(parts, ops), spec, params, fp.spectral_gap)
