@@ -66,10 +66,10 @@ TOL_FLOOR = 1e-15
 # 10's 35 GiB cannot be allocated. The bound admits n = 9 with room and refuses n = 10.
 MEMORY_BOUND_BYTES = 8 * 2**30
 # simulate holds a few 2^n x 2^n complex arrays at once (h_s, its bond terms, the initial state,
-# each half-cycle stack), and peaks in cycle 2's full-chain stroke 4. On the CI configs its peak
-# RSS was 18.6, 68.8 and 267.4 MiB above the interpreter's 37.4 MiB at n = 8, 9 and 10: 18.6,
-# 17.2 and 16.7 such arrays. Projected at 17, n = 12 needs 4.3 GiB and runs within the bound;
-# n = 13 needs 17 GiB and is refused.
+# the ledger), and peaks in cycle 2's full-chain stroke 4: tracemalloc reads 15.3 to 16.2 such
+# arrays there at n = 8 to 10. On the CI configs its peak RSS was 17.9, 66.7 and 255.4 MiB above
+# the interpreter's 37.4 MiB at n = 8, 9 and 10: 17.9, 16.7 and 16.0 such arrays. Projected at
+# 17, n = 12 needs 4.3 GiB and runs within the bound; n = 13 needs 17 GiB and is refused.
 SIMULATE_FULL_ARRAYS = 17
 
 
@@ -250,9 +250,10 @@ def cmd_simulate(cfg: RunConfig):
     distances never grow, and a run exits 2 where they stall (:func:`~qcycle.limitcycle.stalled`).
     """
     parts, ops = _operators(cfg)
+    # built before the initial state, so that their temporaries are not held on top of it
+    ledger, cold, hot = cycle_ledger(parts, ops), Channel(ops.cold), Channel(ops.hot)
     initial = _initial_full_state(cfg)
     n = cfg.spec.n
-    ledger, cold, hot = cycle_ledger(parts, ops), Channel(ops.cold), Channel(ops.hot)
     start = start_energies(initial, parts)
     x = hermitian_part(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
 

@@ -8,7 +8,9 @@ stroke 1 the chain is sigma_a (x) X, with X the CB state (sites 2..n), and
 after stroke 3 it is Z (x) sigma_b, with Z the AC state (sites 1..n-1), so
 a cycle is carried by X and Z. :class:`CycleOperators` cuts the half-cycles
 X -> Z (``cold``) and Z -> next X (``hot``) once per point as Kraus stacks;
-every cycle map composes them and :class:`CycleLedger` reads through them.
+every cycle map composes them, and :class:`CycleLedger` and :func:`stroke_4`
+read through them, reshaped to each half-cycle's dilation (:func:`_dilation`).
+Every Kraus map is applied by :class:`~qcycle.limitcycle.Channel`.
 
 Tensor ordering is always site order 1..n.
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError, real
+from .limitcycle import Channel
 from .linalg import (assemble, eigh_hermitian, hermitian_part, kron, partial_trace,
                      popcount_charges, popcount_classes, unitary_from_eigh)
 
@@ -87,7 +90,8 @@ class CycleOperators:
     popcount ``classes`` of :func:`~qcycle.linalg.popcount_classes`, and
     ``u1_blocks``/``u2_blocks`` hold one block per class, the unitaries' only form.
     ``cold`` and ``hot`` are the half-cycles' (4, d, d) Kraus stacks, d = 2^(n-1), cut from
-    the other fields on construction (:func:`_half_cycle_kraus`), so ``replace`` re-cuts them.
+    the other fields on construction (:func:`_half_cycle_kraus`), so ``replace`` re-cuts them;
+    that cut is the only reader of the blocks.
     """
 
     sigma_a: np.ndarray
@@ -146,22 +150,18 @@ def _half_cycle_kraus(ops: CycleOperators, cold: bool) -> np.ndarray:
     return np.einsum(spec, u.reshape(shape), bath).reshape(4, d, d)
 
 
-def _left_multiply(m: np.ndarray, blocks, classes) -> np.ndarray:
-    """U m for the block-diagonal U of ``blocks``: each class's rows of m times its block."""
-    out = np.empty(m.shape, dtype=complex)
-    for c, block in zip(classes, blocks):
-        out[c] = block @ m[c]
-    return out
+def _dilation(ops: CycleOperators, cold: bool) -> np.ndarray:
+    """A half-cycle before its partial trace: the (2, 2d, d) stack S_e = U (sqrt(p_e) |v_e> (x) I).
 
-
-def _evolve(rho: np.ndarray, blocks, classes) -> np.ndarray:
-    """The Hermitian part of U rho U*, for the block-diagonal U of ``blocks``.
-
-    A matrix and its adjoint have the same Hermitian part, so the adjoint
-    (U rho U*)* = U (U rho)* is formed instead: both its products multiply rows by blocks.
+    S_e stacks bath vector e's two operators, its rows in site order (the cold stack's traced
+    site n last, the hot stack's site 1 first). ``Channel(S)`` maps rho to U (sigma (x) rho) U^*
+    (hot: U (rho (x) sigma) U^*), and that of the adjoint stack maps a full-chain G to
+    sum_e S_e^* G S_e, the half-cycle's dual map (Nielsen & Chuang, Sec. 8.2).
     """
-    u_rho = _left_multiply(rho, blocks, classes)
-    return hermitian_part(_left_multiply(u_rho.conj().T, blocks, classes))
+    d = ops.cold.shape[1]
+    if cold:
+        return ops.cold.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(2, 2 * d, d)
+    return ops.hot.reshape(2, 2 * d, d)
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> float:
@@ -217,28 +217,23 @@ class CycleLedger:
         return rec, (a4, ac4)
 
 
-def _dual(pairs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_e S_e^* g S_e = sum_{e,t,t'} K_{e,t}^* <t|g|t'> K_{e,t'}, a half-cycle's dual map of g.
-
-    ``pairs[e]`` stacks bath vector e's operators K_{e,t} as one 2d x d matrix S_e, its rows
-    indexed as g's, traced-out site t included (Nielsen & Chuang, Sec. 8.2).
-    """
-    return sum(s.conj().T @ (g @ s) for s in pairs)
-
-
 def cycle_ledger(parts: HamiltonianParts, ops: CycleOperators) -> CycleLedger:
-    """The point's :class:`CycleLedger`, each evolved term a half-cycle's :func:`_dual` map."""
+    """The point's :class:`CycleLedger`, each evolved term a half-cycle's dual map of G.
+
+    Each side's dual map, the ``Channel`` of its :func:`_dilation`'s adjoint, is dropped before
+    the other side's is built."""
     d = 2 ** (parts.n - 1)
     eye = np.eye(d)
-    # each bath vector's two operators, their rows in the chain's site order: the cold stack's
-    # traced site n last, (i, t), and the hot stack's traced site 1 first, (t, i)
-    cold = ops.cold.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(2, 2 * d, d)
-    hot = ops.hot.reshape(2, 2 * d, d)
+
+    def dual(cold: bool, gs) -> list:
+        ch = Channel(_dilation(ops, cold).conj().transpose(0, 2, 1))
+        return [ch.apply(g) for g in gs]
+
     # Tr_A[(sigma (x) I) g] sums sigma[i, a] g[(a, r), (i, c)]; Tr_B likewise on the last qubit
     on_cb = [np.einsum("ia,aric->rc", ops.sigma_a, parts.h_ac.reshape(2, d, 2, d))]
-    on_cb += [_dual(cold, g) for g in (parts.h_ac, parts.h_cb, kron(eye, parts.h_b_local))]
+    on_cb += dual(True, (parts.h_ac, parts.h_cb, kron(eye, parts.h_b_local)))
     on_ac = [np.einsum("ia,raci->rc", ops.sigma_b, parts.h_cb.reshape(d, 2, d, 2))]
-    on_ac += [_dual(hot, g) for g in (parts.h_cb, parts.h_ac, kron(parts.h_a_local, eye))]
+    on_ac += dual(False, (parts.h_cb, parts.h_ac, kron(parts.h_a_local, eye)))
     return CycleLedger(
         on_cb=np.array([hermitian_part(m).conj().reshape(-1) for m in on_cb]),
         on_ac=np.array([hermitian_part(m).conj().reshape(-1) for m in on_ac]),
@@ -248,5 +243,5 @@ def cycle_ledger(parts: HamiltonianParts, ops: CycleOperators) -> CycleLedger:
 
 
 def stroke_4(z: np.ndarray, ops: CycleOperators) -> np.ndarray:
-    """The post-stroke-4 state U2 (Z (x) sigma_b) U2^* of the AC state Z."""
-    return _evolve(kron(z, ops.sigma_b), ops.u2_blocks, ops.classes)
+    """The post-stroke-4 state U2 (Z (x) sigma_b) U2^* of the AC state Z, by the hot dilation."""
+    return hermitian_part(Channel(_dilation(ops, cold=False)).apply(z))

@@ -102,7 +102,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CycleOperators
 from .errors import ClosureViolationError, DegenerateFixedPointError
 from .linalg import (charge_groups, class_layout, hermitian_part, hermitize, popcount_classes,
                      to_state, trace_distance)
@@ -140,38 +139,40 @@ RITZ_FIRST_CHECK = 10
 RITZ_AHEAD = (3, 20)
 RITZ_AHEAD_ROSE = 5
 ARNOLDI_MAX_STEPS = 400  # top_ritz_value's largest basis; above it the sector goes dense
-# Channel applies a stage of at least CLASS_BLOCK_DIM rows that splits by charge by its popcount
-# class blocks, and any other stage row-interleaved dense. One half-cycle stage (best of 9
-# timeit repeats, 2-core Xeon, OpenBLAS 0.3.31) ran 0.46x as fast by blocks as dense at d = 32
-# and 0.89x at d = 64, where the per-class calls and gathers dominate, but 1.57x at d = 128
-# (1.04 -> 0.66 ms) and 2.35x at d = 256 (7.65 -> 3.25 ms).
+# Channel applies a stage that splits by charge, both of whose sizes are at least CLASS_BLOCK_DIM,
+# by its popcount class blocks, and any other row-interleaved dense. By blocks, a half-cycle stage
+# (best of 9 timeit repeats, 2-core Xeon, OpenBLAS 0.3.31) ran 0.46x as fast as dense at d = 32,
+# 0.89x at 64, 1.57x at 128 (1.04 -> 0.66 ms) and 2.35x at 256 (7.65 -> 3.25 ms); at n = 7,
+# stroke_4's 128 x 64 stage 0.70x (0.52 -> 0.74 ms), the ledger's 64 x 128 ones 0.74x (2.5 -> 3.4).
 CLASS_BLOCK_DIM = 128
 
 
 class Channel:
-    """The Kraus map of one or more (k, dim, dim) operator stacks, applied in the order given.
+    """The Kraus map of one or more (k, m, d) operator stacks, applied in the order given.
 
-    ``Channel(first, second)`` is rho -> sum_jk S_j F_k rho F_k^* S_j^*. ``apply`` runs the
-    stages in turn: 2 (4 + 4) dim^3 multiply-adds for the two half-cycles, not 2 * 16 dim^3 for
+    A stack takes a d x d matrix rho to the m x m sum_k K_k rho K_k^*; the solvers see square
+    ones only, and :mod:`qcycle.engine` applies a half-cycle's (2, 2d, d) dilation and its
+    adjoint. ``Channel(first, second)`` is rho -> sum_jk S_j F_k rho F_k^* S_j^*. ``apply`` runs
+    the stages in turn: 2 (4 + 4) d^3 multiply-adds for the two half-cycles, not 2 * 16 d^3 for
     their products. ``kraus`` is the product stack, the later stage's index slow, from which the
-    spectral solvers build their sector blocks (:func:`sector_blocks`); ``dim`` is its size.
+    spectral solvers build their sector blocks (:func:`sector_blocks`); ``dim`` is its d.
 
     Each stage is held only in the layout its ``apply`` reads, chosen once here: by popcount
-    class blocks (:class:`_ClassBlockStage`) where the stage has at least ``CLASS_BLOCK_DIM``
-    rows and splits by charge (:func:`~qcycle.linalg.charge_groups`), else row-interleaved
-    dense (:class:`_DenseStage`).
+    class blocks (:class:`_ClassBlockStage`) where both sides of the stage are at least
+    ``CLASS_BLOCK_DIM`` and it splits by charge (:func:`~qcycle.linalg.charge_groups`), else
+    row-interleaved dense (:class:`_DenseStage`).
     """
 
     def __init__(self, *stages):
         stages = [np.asarray(stack, dtype=complex) for stack in stages]
         self.kraus = stages[0]
         for stack in stages[1:]:
-            self.kraus = (stack[:, None] @ self.kraus[None, :]).reshape(-1, *stack.shape[1:])
+            self.kraus = (stack[:, None] @ self.kraus[None, :]).reshape(-1, len(stack[0]), self.dim)
         self._stages = [_stage(stack) for stack in stages]
 
     @property
     def dim(self) -> int:
-        return self.kraus.shape[1]
+        return self.kraus.shape[2]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -186,9 +187,9 @@ class Channel:
 
 
 def _stage(stack: np.ndarray):
-    """A (k, d, d) stage in the layout ``Channel.apply`` reads: class blocks where d is at least
-    ``CLASS_BLOCK_DIM`` and the stack splits by charge, else dense."""
-    if stack.shape[1] >= CLASS_BLOCK_DIM:
+    """A (k, m, d) stage in the layout ``Channel.apply`` reads: class blocks where m and d are at
+    least ``CLASS_BLOCK_DIM`` and the stack splits by charge, else dense."""
+    if min(stack.shape[1:]) >= CLASS_BLOCK_DIM:
         classes, groups = charge_groups(stack)
         if len(classes) > 1:
             return _ClassBlockStage(stack, groups)
@@ -198,51 +199,51 @@ def _stage(stack: np.ndarray):
 class _DenseStage:
     """A stage as two matrices, its operators' rows interleaved and their adjoints stacked.
 
-    Row (i, k) of ``rows`` is row i of K_k and row (k, m) of ``adjoints`` row m of K_k^*.
-    (rows @ rho) reshaped to (d, k d) holds K_k rho in its column block k, so two products
-    apply the stage: 2 k d^3 multiply-adds and no copy between them.
+    Row (i, k) of ``rows`` is row i of K_k and row (k, l) of ``adjoints`` row l of K_k^*.
+    (rows @ rho) reshaped to (m, k d) holds K_k rho in its column block k, so two products
+    apply the stage: k m d (d + m) multiply-adds and no copy between them.
     """
 
     def __init__(self, stack: np.ndarray):
-        k, d, _ = stack.shape
-        self.rows = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(d * k, d)
-        self.adjoints = stack.conj().transpose(0, 2, 1).reshape(k * d, d)
+        k, m, d = stack.shape
+        self.rows = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(m * k, d)
+        self.adjoints = stack.conj().transpose(0, 2, 1).reshape(k * d, m)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = rho.shape[0]
-        return (self.rows @ rho).reshape(d, -1) @ self.adjoints
+        return (self.rows @ rho).reshape(self.adjoints.shape[1], -1) @ self.adjoints
 
 
 class _ClassBlockStage:
-    """A charge-split stage as its popcount class blocks.
+    """A charge-split (k, m, d) stage as its popcount class blocks.
 
-    An operator K of charge s maps class C_c to C_{c+s} and is zero elsewhere, so K rho needs
-    only its blocks K[C_{c+s}, C_c] and (K rho) K^* only the conjugates of the same blocks:
-    per operator sum_c |C_{c+s}| |C_c| d multiply-adds a side, against d^3 dense (3432 d
-    against 16384 d at d = 128).
+    With C_c the input classes (of d) and C'_b the output classes (of m), an operator K of
+    charge s maps C_c to C'_{c+s} and is zero elsewhere, so K rho needs only its blocks
+    K[C'_{c+s}, C_c] and (K rho) K^* only the conjugates of the same blocks: per operator
+    sum_c |C'_{c+s}| |C_c| d multiply-adds a side, against m d^2 dense (3432 d against 16384 d
+    for a square stage at d = 128).
 
-    Left: for each input class c, one product of the blocks K_k[C_{c+s_k}, C_c] of every
+    Left: for each input class c, one product of the blocks K_k[C'_{c+s_k}, C_c] of every
     operator, stacked, with the rows C_c of rho, written into a contiguous slice of one buffer
     whose rows run (c, k, i). Right: for each output class b, one product of the buffer's
     entries (K_k rho)[i, l] for l in C_{b-s_k}, gathered by one ``take`` through a
     precomputed index (rows i in natural order, a zero row where K_k rho vanishes), with the
-    stacked blocks conj(K_k[C_b, C_{b-s_k}])^T, written into the columns of class b; the
+    stacked blocks conj(K_k[C'_b, C_{b-s_k}])^T, written into the columns of class b; the
     columns are put back in natural order last.
     """
 
     def __init__(self, stack: np.ndarray, groups):
-        k, d, _ = stack.shape
-        classes = popcount_classes(d)
-        order, spans = class_layout(d)
+        k, m, d = stack.shape
+        classes, out_classes = popcount_classes(d), popcount_classes(m)
+        order, spans = class_layout(m)
         self.inverse = np.argsort(order)
         # row_of[k, i] is the buffer row of (K_k rho)[i], or the zero row after the last
         self.left, blocks, top = [], {}, 0
-        row_of = np.full((k, d), -1, dtype=np.intp)
+        row_of = np.full((k, m), -1, dtype=np.intp)
         for c, cls in enumerate(classes):
             start, parts = top, [np.empty((0, len(cls)), dtype=complex)]
             for s, ks in groups:
-                if 0 <= c + s < len(classes):
-                    out = classes[c + s]
+                if 0 <= c + s < len(out_classes):
+                    out = out_classes[c + s]
                     blocks[s, c] = stack[np.ix_(ks, out, cls)]
                     parts.append(blocks[s, c].reshape(-1, len(cls)))
                     row_of[np.ix_(ks, out)] = np.arange(top, top + len(ks) * len(out)).reshape(
@@ -253,24 +254,24 @@ class _ClassBlockStage:
         row_of[row_of < 0] = top  # the rows of K_k rho that no input class reaches
         self.right = []
         for b, span in enumerate(spans):
-            index = [np.empty((d, 0), dtype=np.intp)]
-            weights = [np.empty((0, len(classes[b])), dtype=complex)]
+            index = [np.empty((m, 0), dtype=np.intp)]
+            weights = [np.empty((0, len(out_classes[b])), dtype=complex)]
             for s, ks in groups:
-                if (s, b - s) in blocks:  # K_k[C_b, C_{b-s}]
+                if (s, b - s) in blocks:  # K_k[C'_b, C_{b-s}]
                     index.append((row_of[ks].T[:, :, None] * d
-                                  + classes[b - s][None, None, :]).reshape(d, -1))
+                                  + classes[b - s][None, None, :]).reshape(m, -1))
                     weights.append(blocks[s, b - s].conj().transpose(0, 2, 1)
-                                   .reshape(-1, len(classes[b])))
+                                   .reshape(-1, len(out_classes[b])))
             self.right.append((span, np.concatenate(index, axis=1), np.concatenate(weights)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = rho.shape[0]
+        d, m = rho.shape[0], len(self.inverse)
         rows = np.empty((self.zero_row + 1, d), dtype=complex)
         rows[-1] = 0.0
         for cls, weights, place in self.left:
             np.matmul(weights, rho[cls], out=rows[place])
         flat = rows.reshape(-1)
-        out = np.empty((d, d), dtype=complex)
+        out = np.empty((m, m), dtype=complex)
         for span, index, weights in self.right:
             np.matmul(np.take(flat, index), weights, out=out[:, span])
         return out[:, self.inverse]
@@ -304,12 +305,12 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def cycle_channel_cb(ops: CycleOperators) -> Channel:
+def cycle_channel_cb(ops) -> Channel:
     """Cycle map on the CB subsystem (sites 2..n), anchored after stroke 1: Kraus {B A}."""
     return Channel(ops.cold, ops.hot)
 
 
-def cycle_channel_ac(ops: CycleOperators) -> Channel:
+def cycle_channel_ac(ops) -> Channel:
     """Cycle map on the AC subsystem (sites 1..n-1), anchored after stroke 3: Kraus {A B}."""
     return Channel(ops.hot, ops.cold)
 
@@ -667,7 +668,7 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     return result
 
 
-def limit_cycle_states(rho_cb_star: np.ndarray, ops: CycleOperators, tol: float = DEFAULT_TOL):
+def limit_cycle_states(rho_cb_star: np.ndarray, ops, tol: float = DEFAULT_TOL):
     """The limit cycle's CB and AC states ``(x, z)`` from a CB fixed point x, closure checked.
 
     z is the cold half-cycle's image of x, cleaned as ``simulate`` cleans it, and the hot

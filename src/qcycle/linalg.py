@@ -303,17 +303,18 @@ def class_layout(d: int) -> tuple:
 
 
 def charge_groups(stack: np.ndarray) -> tuple:
-    """``(classes, groups)``: how a (k, d, d) stack splits by S^Z charge.
+    """``(classes, groups)``: how a (k, m, d) stack, m x d operators, splits by S^Z charge.
 
     When every operator carries one charge popcount(row) - popcount(column), its
     entries of any other charge at most ``CHARGE_LEAKAGE_TOL`` of its largest entry,
-    whose charge it takes, ``classes`` are the :func:`popcount_classes` and ``groups``
-    ``[(s, indices), ...]`` the operators by charge s, ascending. Otherwise the stack
-    is one class of all basis states in which every operator has charge 0:
-    ``((arange(d),), [(0, all)])``.
+    whose charge it takes, ``classes`` are the :func:`popcount_classes` of its input
+    size d and ``groups`` ``[(s, indices), ...]`` the operators by charge s, ascending.
+    Otherwise the stack is one class of all basis states in which every operator has
+    charge 0: ``((arange(d),), [(0, all)])``. The charges of a rectangular stack are the
+    top-left m x d block of the table of the larger size.
     """
-    k, d, _ = stack.shape
-    charge = popcount_charges(d).reshape(-1)
+    k, m, d = stack.shape
+    charge = popcount_charges(max(m, d))[:m, :d].reshape(-1)
     moduli = np.abs(stack).reshape(k, -1)
     peak = moduli.argmax(axis=1)
     q = charge[peak]

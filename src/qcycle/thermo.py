@@ -19,7 +19,7 @@ from .chain import ChainSpec
 from .engine import CycleLedger, CycleParams
 from .errors import CriteriaViolatedError
 from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL
-from .linalg import partial_trace, trace_distance
+from .linalg import trace_distance
 
 CRITERIA_ATOL = 1e-9   # |beta1 E_1 - beta2 E_N| below this counts as matched baths
 
@@ -98,7 +98,8 @@ def limit_cycle_report(x: np.ndarray, z: np.ndarray, ledger: CycleLedger, spec: 
 
     ansatz_distance = None
     if bath_criteria_mismatch(spec, params) <= CRITERIA_ATOL:
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+        # the ansatz is a product state, so its CB marginal is the same state on n - 1 qubits
+        ansatz_cb = magnetization_gibbs(spec.n - 1, params.beta1 * spec.E[0])
         ansatz_distance = trace_distance(x, ansatz_cb)
 
     return LimitCycleReport(

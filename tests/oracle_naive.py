@@ -22,8 +22,9 @@ matrix that ``sector_blocks`` builds sector by sector.
 
 ``stacked_apply`` is ``Channel.apply`` as it ran on the (k, d, d) stacks
 before each stage kept its own layout: the stacked left product, a
-transposed copy, and the product with the stacked adjoints. The dense
-layout must match it bit for bit, the class-block layout to rounding.
+transposed copy, and the product with the stacked adjoints, here also for
+a rectangular (k, m, d) stack. The dense layout must match it bit for bit,
+the class-block layout to rounding.
 
 ``exact_fixed_point_iterate`` is the iteration with the exact trace
 distance taken every step, by ``stacked_apply``. It calls the package's
@@ -346,14 +347,14 @@ def expm_unitary(h, t):
 
 
 def stacked_apply(stages, rho):
-    """sum_k K_k rho K_k^* of each (k, d, d) stack in turn, through the stacked products."""
+    """sum_k K_k rho K_k^* of each (k, m, d) stack in turn, through the stacked products."""
     rho = np.asarray(rho, dtype=complex)
     for stack in stages:
         stack = np.asarray(stack, dtype=complex)
-        k, d, _ = stack.shape
-        adjoints = stack.conj().transpose(0, 2, 1).reshape(-1, d)
-        left = (stack.reshape(k * d, d) @ rho).reshape(k, d, d)
-        rho = left.transpose(1, 0, 2).reshape(d, k * d) @ adjoints
+        k, m, d = stack.shape
+        adjoints = stack.conj().transpose(0, 2, 1).reshape(-1, m)
+        left = (stack.reshape(k * m, d) @ rho).reshape(k, m, d)
+        rho = left.transpose(1, 0, 2).reshape(m, k * d) @ adjoints
     return rho
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qcycle import (ChainSpec, Channel, ConfigError, CycleParams, CycleRecord,
                     build_hamiltonian, check_density_matrix, cycle_operators, gibbs_state, kron,
                     partial_trace, random_density_matrix)
+from qcycle import limitcycle
 from qcycle.engine import _half_cycle_kraus, cycle_ledger, start_energies, stroke_4
 from qcycle.linalg import charge_groups, hermitian_part, hermitize, popcount_charges
 from qcycle.limitcycle import (cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
@@ -17,6 +18,10 @@ from conftest import (carnot_point, dense_unitaries, point_operators, random_cha
 from oracle_naive import NaiveCycle, naive_ptrace_first, naive_ptrace_last, total_magnetization
 
 DIMS = [2, 2, 2]
+# n = 3 to 5 in the layout the CLI applies there, dense, and with every Kraus stage by class
+# blocks, which the CLI reaches only from n = 8
+LAYOUTS = ([pytest.param(n, False, id=str(n)) for n in (3, 4, 5)]
+           + [pytest.param(n, True, id=f"{n}-class-blocks") for n in (3, 4, 5)])
 
 
 def full_random_state(rng, n):
@@ -192,10 +197,12 @@ class TestPopcountBlocks:
         with pytest.raises(ValueError, match="S\\^Z is not conserved"):
             cycle_operators(parts, params)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_stroke_states_match_oracle(self, rng, n):
+    @pytest.mark.parametrize("n, class_blocks", LAYOUTS)
+    def test_stroke_states_match_oracle(self, rng, monkeypatch, n, class_blocks):
         # the states simulate carries against the oracle's four post-stroke states; the oracle
         # evolves by expm's dense unitaries and uses explicit kron and trace loops
+        if class_blocks:
+            monkeypatch.setattr(limitcycle, "CLASS_BLOCK_DIM", 1)
         spec, params = random_engine_point(rng, n)
         rho0 = full_random_state(rng, n)
         charge = popcount_charges(2**n)
@@ -342,6 +349,17 @@ class TestCycleLedger:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
     def test_matches_full_chain_records(self, seed, n):
+        self.check_full_chain_records(seed, n)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5, 6]))
+    def test_matches_full_chain_records_by_class_blocks(self, seed, n):
+        # the same, with every Kraus stage applied by class blocks (LAYOUTS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(limitcycle, "CLASS_BLOCK_DIM", 1)
+            self.check_full_chain_records(seed, n)
+
+    def check_full_chain_records(self, seed, n):
         # two cycles read off the CB states X and the AC states Z through the eight
         # observables, against the oracle's defining traces on its full-chain states; the
         # second cycle's start terms come from the first cycle's Z

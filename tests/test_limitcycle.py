@@ -9,9 +9,10 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     partial_trace, random_density_matrix, trace_distance, unvec, vec)
 from qcycle import ansatz_state
 from qcycle import limitcycle
+from qcycle.engine import _dilation
 from qcycle.limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, _ClassBlockStage, _DenseStage,
                                sector_blocks, sector_spectra, swap_index)
-from qcycle.linalg import hermitize, to_state
+from qcycle.linalg import charge_groups, hermitize, popcount_classes, to_state
 from conftest import carnot_point, point_operators, random_engine_point
 from oracle_naive import (NaiveCycle, commutator_norm, exact_fixed_point_iterate,
                           naive_channel_matrix, stacked_apply, total_magnetization)
@@ -27,12 +28,15 @@ def cycle_stages(maker, ops):
 
 
 def layout_cases(n):
-    """``(stages, x)``: the 1- and 2-stage channels of a random point at n, with an operator x."""
+    """``(stages, x)``: the 1- and 2-stage channels of a random point at n, and each half-cycle's
+    (2, 2d, d) dilation and its (2, d, 2d) adjoint alone, with an operator x of the input size."""
     rng = np.random.default_rng(n)
     ops = point_operators(*random_engine_point(rng, n))
     cold, hot = cycle_stages(cycle_channel_cb, ops)
-    d = cold.shape[1]
-    for stages in ((cold,), (hot,), (cold, hot), (hot, cold)):
+    dilations = [_dilation(ops, cold=side) for side in (True, False)]
+    rectangular = [(s,) for s in dilations] + [(s.conj().transpose(0, 2, 1),) for s in dilations]
+    for stages in ((cold,), (hot,), (cold, hot), (hot, cold), *rectangular):
+        d = stages[0].shape[2]
         yield stages, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
@@ -137,6 +141,42 @@ class TestChannelLayouts:
         assert isinstance(ch._stages[0], _DenseStage)
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         assert np.array_equal(ch.apply(x), stacked_apply([stack], x))
+        # so does a rectangular one, d x d to 2d x 2d as a dilation
+        stack = rng.normal(size=(2, 2 * d, d)) + 1j * rng.normal(size=(2, 2 * d, d))
+        ch = Channel(stack)
+        assert isinstance(ch._stages[0], _DenseStage) and ch.dim == d
+        assert np.array_equal(ch.apply(x), stacked_apply([stack], x))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_dilations_are_the_loop_sums(self, monkeypatch, n):
+        # each dilation and its adjoint in both layouts against sum_k K x K^*: the native layout
+        # is dense below n = 8 and class blocks at n = 8, and below n = 8 blocks are forced too
+        for block_dim in (limitcycle.CLASS_BLOCK_DIM, 1)[:1 if n == 8 else 2]:
+            monkeypatch.setattr(limitcycle, "CLASS_BLOCK_DIM", block_dim)
+            layout = _ClassBlockStage if block_dim == 1 or n == 8 else _DenseStage
+            for (stack, *later), x in layout_cases(n):
+                if later or stack.shape[1] == stack.shape[2]:
+                    continue
+                ch = Channel(stack)
+                assert isinstance(ch._stages[0], layout)
+                got, expected = ch.apply(x), sum(k @ x @ k.conj().T for k in stack)
+                assert got.shape == expected.shape
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rectangular_charge_groups_are_the_input_classes(self, n):
+        # a (2, 2d, d) dilation: one operator per bath vector, of charge 0 or 1 (its bit), and
+        # the classes of its d input states; its adjoint has the opposite charges and the
+        # classes of its 2d input states
+        ops = point_operators(*random_engine_point(np.random.default_rng(n), n))
+        for side in (True, False):
+            stack = _dilation(ops, cold=side)
+            for s, sign in ((stack, 1), (stack.conj().transpose(0, 2, 1), -1)):
+                classes, groups = charge_groups(s)
+                assert len(classes) == len(popcount_classes(s.shape[2])) > 1
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(classes, popcount_classes(s.shape[2])))
+                assert sorted(q * sign for q, ks in groups for _ in ks) == [0, 1]
 
     def test_class_blocks_with_an_unreached_class(self, monkeypatch):
         # one raising operator: nothing maps into class 0 or out of the top class, whose rows
