@@ -40,7 +40,7 @@ from .limitcycle import (CLOSURE_FACTOR, DEFAULT_MAX_ITER, DEFAULT_TOL, STALL_DR
                          fixed_point_spectral, limit_cycle_states, sector_spectra,
                          spectral_summary, stalled)
 from .linalg import (HERMITICITY_ATOL, check_density_matrix, hermitian_part, partial_trace,
-                     random_density_matrix, to_state, trace_distance)
+                     random_density_matrix, trace_distance)
 from .reversal import kraus_from_stack, path_probabilities, reverse_channel
 from .thermo import limit_cycle_report
 
@@ -353,19 +353,17 @@ def _reverse_one(cfg: RunConfig, channel, rho_star):
 
 
 def cmd_reverse(cfg: RunConfig):
-    """Time-reversal certificates for both cycle channels.
+    """Time-reversal certificates for both cycle channels, around the limit cycle's two states.
 
-    Only CB is solved spectrally, which raises
-    :class:`DegenerateFixedPointError` on a degenerate channel. AC's fixed
-    point is the cold half-cycle's image of CB's, and its uniqueness is CB's
-    (the :mod:`qcycle.limitcycle` docstring).
+    Only CB is solved, spectrally, which raises :class:`DegenerateFixedPointError` on a
+    degenerate channel; AC's state comes from :func:`limit_cycle_states`, closure checked, as
+    in ``report``. Its uniqueness is CB's (the :mod:`qcycle.limitcycle` docstring).
     """
     _, ops = _operators(cfg)
     cb = cycle_channel_cb(ops)
-    rho_star = fixed_point_spectral(cb).rho_star
-    rho_ac = to_state(Channel(ops.cold).apply(rho_star))
-    return EXIT_OK, {"cb": _reverse_one(cfg, cb, rho_star),
-                     "ac": _reverse_one(cfg, cycle_channel_ac(ops), rho_ac)}
+    x, z = limit_cycle_states(fixed_point_spectral(cb).rho_star, ops, tol=cfg.tol)
+    return EXIT_OK, {"cb": _reverse_one(cfg, cb, x),
+                     "ac": _reverse_one(cfg, cycle_channel_ac(ops), z)}
 
 
 def _spectrum_one(channel):

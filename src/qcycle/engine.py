@@ -37,7 +37,7 @@ from .chain import HamiltonianParts, gibbs_state
 from .errors import ConfigError, real
 from .limitcycle import Channel
 from .linalg import (assemble, eigh_hermitian, hermitian_part, kron, partial_trace,
-                     popcount_charges, popcount_classes, unitary_from_eigh)
+                     popcount_classes, popcounts, unitary_from_eigh)
 
 
 @dataclass
@@ -114,7 +114,7 @@ def cycle_operators(parts: HamiltonianParts, params: CycleParams) -> CycleOperat
     whose phases (eigenvalue times duration) overflow raises ConfigError naming it.
     """
     d = parts.h_s.shape[0]
-    if np.any(parts.h_s[popcount_charges(d) != 0]):
+    if np.any(parts.h_s[popcounts(d)[:, None] != popcounts(d)]):
         raise ValueError("h_s couples basis states of different popcount: S^Z is not conserved")
     classes = popcount_classes(d)
     eigs = [eigh_hermitian(parts.h_s[np.ix_(c, c)]) for c in classes]

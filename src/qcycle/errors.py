@@ -53,19 +53,17 @@ class RankDeficientError(QcycleError):
 class DegenerateFixedPointError(QcycleError):
     """More than one channel eigenvalue sits on the unit circle.
 
-    Carries every near-unit eigenvalue, the S^Z charge sector q of each (all
-    0 where the map does not split: its one sector is q = 0) and, when
-    available, the (arbitrary) candidate result so callers can inspect the
-    degenerate sector instead of silently trusting one of many fixed points.
+    Carries every near-unit eigenvalue and the S^Z charge sector q of each (all
+    0 where the map does not split: its one sector is q = 0). It is raised before
+    any fixed point is formed, so it carries none of the many.
     """
 
-    def __init__(self, eigenvalues, charges, result=None):
+    def __init__(self, eigenvalues, charges):
         super().__init__(
             f"{len(eigenvalues)} eigenvalues within tolerance of unit modulus; "
             "the fixed point is not unique"
         )
         self.eigenvalues = eigenvalues
-        self.result = result
         self.charges = list(charges)
 
 

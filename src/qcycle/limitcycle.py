@@ -281,17 +281,15 @@ class _ClassBlockStage:
 class FixedPointResult:
     """Outcome of a fixed-point solve.
 
-    ``spectral_gap`` is 1 - |second eigenvalue| for the spectral solver
-    and NaN for the iterative one, which does not estimate it.
-    ``final_delta`` is the trace distance between the last two iterates (or,
-    for the spectral solver, between the fixed point and its image).
+    Each solver leaves NaN in the field it does not measure: ``spectral_gap``, 1 - |second
+    eigenvalue|, for the iterative one, and ``final_delta``, the trace distance between the
+    last two iterates, for the spectral one.
     """
 
     rho_star: np.ndarray
     iterations: int
     final_delta: float
     spectral_gap: float
-    degenerate: bool = False
     converged: bool = True
 
 
@@ -650,8 +648,9 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     the q = 0 sector runs without the trace's eigenvalue 1, so a second 1
     there, like one in any other sector, is a second candidate. More than
     one raises :class:`DegenerateFixedPointError` carrying all of them,
-    from the same pass (sector by sector), their charges, and the
-    (arbitrary) candidate it would have returned.
+    from the same pass (sector by sector), and their charges, before any
+    state is formed. ``final_delta`` is NaN: closure is measured once per
+    point, by :func:`limit_cycle_states`.
 
     ``report`` and ``reverse`` certify with it; ``spectrum`` lists every
     eigenvalue by :func:`sector_spectra` without the certificate instead.
@@ -659,13 +658,10 @@ def fixed_point_spectral(ch: Channel) -> FixedPointResult:
     """
     evals, charges, vector = sector_spectra(ch, certificate=True)
     _, gap, near_unit, near_charges, degenerate = spectral_summary(evals, charges)
-    rho = to_state(unvec(vector, ch.dim))
-    result = FixedPointResult(rho_star=rho, iterations=0,
-                              final_delta=trace_distance(ch.apply(rho), rho), spectral_gap=gap,
-                              degenerate=degenerate, converged=not degenerate)
     if degenerate:
-        raise DegenerateFixedPointError(near_unit, near_charges, result=result)
-    return result
+        raise DegenerateFixedPointError(near_unit, near_charges)
+    return FixedPointResult(rho_star=to_state(unvec(vector, ch.dim)), iterations=0,
+                            final_delta=float("nan"), spectral_gap=gap)
 
 
 def limit_cycle_states(rho_cb_star: np.ndarray, ops, tol: float = DEFAULT_TOL):
@@ -674,7 +670,7 @@ def limit_cycle_states(rho_cb_star: np.ndarray, ops, tol: float = DEFAULT_TOL):
     z is the cold half-cycle's image of x, cleaned as ``simulate`` cleans it, and the hot
     half-cycle's image of z must return x within ``CLOSURE_FACTOR`` times the solver
     tolerance, else :class:`ClosureViolationError`. ``ops`` are the point's
-    :func:`~qcycle.engine.cycle_operators`.
+    :func:`~qcycle.engine.cycle_operators`. ``report`` and ``reverse`` read their cycle here.
     """
     z = hermitian_part(Channel(ops.cold).apply(rho_cb_star))
     closure = trace_distance(Channel(ops.hot).apply(z), rho_cb_star)

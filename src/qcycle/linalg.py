@@ -2,7 +2,7 @@
 
 Units are hbar = k_B = 1 throughout. All matrix functions go through a
 Hermitian eigendecomposition rather than series expansions; dimensions stay
-at or below 2**10, where exact diagonalization is cheap and stable.
+at or below 2**12: ``simulate``'s full chain and cycle-2 ``eigvalsh`` at n = 12.
 
 Popcount classes. With |0> the S^Z = +1/2 state, the basis states of d = 2^k
 fall into the classes C_m of popcount m (:func:`popcount_classes`), the
@@ -256,22 +256,23 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-# The popcount tables are memoized per d and read-only: a run asks for a few sizes, the
-# chain's 2^n and the reduced chain's 2^(n - 1), many times over.
+# The popcount vectors are memoized per d: a run asks for a few sizes, the chain's 2^n and the
+# reduced chain's 2^(n - 1), many times over. No d x d table is cached (160 MiB at n = 12).
 @lru_cache(maxsize=32)
+def popcounts(d: int) -> np.ndarray:
+    """Each basis state's popcount for d = 2^k, zeros for any other d (one class); read-only."""
+    pop = np.array([k.bit_count() for k in range(d)] if not d & (d - 1) else [0] * d, dtype=int)
+    pop.flags.writeable = False
+    return pop
+
+
 def popcount_charges(d: int) -> np.ndarray:
-    """The d x d array popcount(a) - popcount(b) for d = 2^k; zeros for any other d, one class.
+    """The d x d array popcount(a) - popcount(b) of :func:`popcounts`, formed anew per call.
 
     Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
-    index pairs a*d + b, the entries of a d^2 x d^2 superoperator. Read-only.
+    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
     """
-    if d & (d - 1):
-        charges = np.zeros((d, d), dtype=int)
-    else:
-        pop = np.array([k.bit_count() for k in range(d)])
-        charges = pop[:, None] - pop[None, :]
-    charges.flags.writeable = False
-    return charges
+    return popcounts(d)[:, None] - popcounts(d)
 
 
 @lru_cache(maxsize=32)
@@ -282,7 +283,7 @@ def popcount_classes(d: int) -> tuple:
     chain Hamiltonian maps each sector to itself. Any other d is the one class C_0 of all.
     The arrays are read-only.
     """
-    pop = popcount_charges(d)[:, 0]  # popcount(a) - popcount(0)
+    pop = popcounts(d)
     classes = tuple(np.flatnonzero(pop == m) for m in range(pop.max() + 1))
     for c in classes:
         c.flags.writeable = False
@@ -310,11 +311,12 @@ def charge_groups(stack: np.ndarray) -> tuple:
     whose charge it takes, ``classes`` are the :func:`popcount_classes` of its input
     size d and ``groups`` ``[(s, indices), ...]`` the operators by charge s, ascending.
     Otherwise the stack is one class of all basis states in which every operator has
-    charge 0: ``((arange(d),), [(0, all)])``. The charges of a rectangular stack are the
-    top-left m x d block of the table of the larger size.
+    charge 0: ``((arange(d),), [(0, all)])``. The charges of a rectangular stack are read
+    off the :func:`popcounts` of the larger size, its first m for rows and first d for columns.
     """
     k, m, d = stack.shape
-    charge = popcount_charges(max(m, d))[:m, :d].reshape(-1)
+    pop = popcounts(max(m, d))
+    charge = (pop[:m, None] - pop[None, :d]).reshape(-1)
     moduli = np.abs(stack).reshape(k, -1)
     peak = moduli.argmax(axis=1)
     q = charge[peak]

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotFixedPointError
-from .limitcycle import DEFAULT_TOL, Channel
+from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL, Channel
 from .linalg import (RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, require_full_rank,
                      trace_distance)
 
@@ -138,8 +138,8 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     ----------
     forward : the forward channel.
     rho_star : claimed fixed point; must be full rank to ``RANK_TOL`` (else
-        :class:`RankDeficientError`) and moved by less than 100 * ``fp_tol``
-        (else :class:`NotFixedPointError`). It is refined by one step of the
+        :class:`RankDeficientError`) and moved by at most ``CLOSURE_FACTOR`` * ``fp_tol``, the
+        closure bound (else :class:`NotFixedPointError`). It is refined by one step of the
         forward map, and the reversal is built around the refined state.
     fp_tol : solver tolerance the fixed point was computed at.
 
@@ -155,8 +155,8 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     require_full_rank(rho_star)
     image = forward.apply(rho_star)
     residual = trace_distance(image, rho_star)
-    if residual > 100.0 * fp_tol:
-        raise NotFixedPointError(residual, 100.0 * fp_tol)
+    if residual > CLOSURE_FACTOR * fp_tol:
+        raise NotFixedPointError(residual, CLOSURE_FACTOR * fp_tol)
 
     # The solver's absolute error reaches the reversed set amplified by cond(rho_star); one step
     # of the map leaves only the map's own rounding. It stays linear, so a covariant state keeps

@@ -19,7 +19,7 @@ from .chain import ChainSpec
 from .engine import CycleLedger, CycleParams
 from .errors import CriteriaViolatedError
 from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL
-from .linalg import trace_distance
+from .linalg import popcounts, trace_distance
 
 CRITERIA_ATOL = 1e-9   # |beta1 E_1 - beta2 E_N| below this counts as matched baths
 
@@ -55,7 +55,7 @@ class LimitCycleReport:
 
 def magnetization_gibbs(n: int, kappa: float) -> np.ndarray:
     """The product state e^{-kappa S_Z} / Z on n qubits."""
-    sz = np.array([n / 2 - k.bit_count() for k in range(2**n)])  # diagonal; |0> is S^Z = +1/2
+    sz = n / 2 - popcounts(2**n)  # diagonal; |0> is S^Z = +1/2
     w = np.exp(-kappa * sz)
     w /= w.sum()
     return np.diag(w).astype(complex)

@@ -15,10 +15,9 @@ import qcycle.limitcycle
 import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
-                    fixed_point_spectral, random_density_matrix, sequence_probability,
-                    trace_distance)
+                    random_density_matrix, sequence_probability, trace_distance)
 from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
-from qcycle.errors import ClosureViolationError, ConfigError, DegenerateFixedPointError
+from qcycle.errors import ClosureViolationError, ConfigError
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
 from cli_documents import compare, parse
@@ -651,19 +650,19 @@ class TestSpectrum:
         cfg = parse_config(cfg_path)
         ops = cycle_operators(build_hamiltonian(cfg.spec), cfg.params)
         for key, build in (("cb", cycle_channel_cb), ("ac", cycle_channel_ac)):
-            try:
-                result = fixed_point_spectral(build(ops))
-            except DegenerateFixedPointError as exc:
-                result = exc.result
-            assert out[key]["degenerate"] is result.degenerate
+            # the verdict and gap of fixed_point_spectral's certificate pass, degenerate or not
+            _, gap, _, _, degenerate = spectral_summary(
+                *sector_spectra(build(ops), certificate=True)[:2])
+            assert out[key]["degenerate"] is degenerate
             # eigvals and eig are separate LAPACK calls, equal to rounding
-            assert out[key]["spectral_gap"] == pytest.approx(result.spectral_gap, abs=1e-12)
+            assert out[key]["spectral_gap"] == pytest.approx(gap, abs=1e-12)
 
 
 def count_calls(monkeypatch):
-    """Calls of cycle_operators, and of sector_spectra per certificate mode, counted from now."""
-    calls = {"cycle_operators": 0, "certificate": 0, "dense": 0}
+    """Calls of cycle_operators, limit_cycle_states, and sector_spectra per certificate mode."""
+    calls = {"cycle_operators": 0, "limit_cycle_states": 0, "certificate": 0, "dense": 0}
     keys = {"cycle_operators": lambda *args, **kwargs: "cycle_operators",
+            "limit_cycle_states": lambda *args, **kwargs: "limit_cycle_states",
             "sector_spectra": lambda ch, certificate: "certificate" if certificate else "dense"}
 
     def counted(fn, key):
@@ -685,7 +684,8 @@ class TestOneSolvePerConfig:
 
     ``report`` and ``reverse`` decompose by the certificate (top eigenvalues,
     and every eigenvalue of a sector whose top is near unit), ``spectrum`` by
-    the full dense listing.
+    the full dense listing. ``report`` and ``reverse`` read their limit cycle
+    through one ``limit_cycle_states`` call per config; ``spectrum`` reads none.
     """
 
     @pytest.mark.parametrize("command", ["report", "spectrum", "reverse"])
@@ -698,6 +698,8 @@ class TestOneSolvePerConfig:
         assert all(entry["status"] == 0 for entry in json.loads(capsys.readouterr().out))
         expected = {name: 0 for name in calls}
         expected.update({"cycle_operators": 2, decomposition: 2})  # one each per config
+        if command != "spectrum":
+            expected["limit_cycle_states"] = 2
         assert calls == expected
 
     @pytest.mark.parametrize("command", ["report", "reverse"])
@@ -710,7 +712,8 @@ class TestOneSolvePerConfig:
         assert main([command, "--config", write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err.startswith(
             "qcycle: degenerate fixed point; near-unit eigenvalues: [")
-        assert calls == {"cycle_operators": 1, "certificate": 1, "dense": 0}
+        assert calls == {"cycle_operators": 1, "limit_cycle_states": 0, "certificate": 1,
+                         "dense": 0}
 
 
 class TestOneCutPerPoint:
@@ -877,7 +880,8 @@ class TestSweep:
         assert doc[0]["status"] == 0 and "document" in doc[0]
         assert doc[1]["status"] == 3 and "document" not in doc[1]
 
-    def test_failing_member_keeps_other_documents(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["report", "reverse"])
+    def test_failing_member_keeps_other_documents(self, tmp_path, capsys, monkeypatch, command):
         # no tol at or above the floor fails the closure at rounding, so the failure is forced
         unclosed = write_config(tmp_path, variant(**{"solver.tol": 2e-15}), "unclosed.json")
         good = write_config(tmp_path, GENERIC, "good.json")
@@ -889,7 +893,7 @@ class TestSweep:
             return states(rho, ops, tol=tol)
 
         monkeypatch.setattr(qcycle.cli, "limit_cycle_states", limit_cycle_states)
-        assert main(["report", "--config", unclosed, good, "--sweep"]) == 5
+        assert main([command, "--config", unclosed, good, "--sweep"]) == 5
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert [entry["config"] for entry in doc] == [unclosed, good]
