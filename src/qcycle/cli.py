@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,12 +65,13 @@ TOL_FLOOR = 1e-15
 # C(2n - 2, n - 1)^2 at 16 bytes an entry. n = 9's 2.5 GiB block runs, at a 3.9 GB peak; n =
 # 10's 35 GiB cannot be allocated. The bound admits n = 9 with room and refuses n = 10.
 MEMORY_BOUND_BYTES = 8 * 2**30
-# simulate holds a few 2^n x 2^n complex arrays at once (h_s, its bond terms, the initial state,
-# the ledger), and peaks in cycle 2's full-chain stroke 4: tracemalloc reads 15.3 to 16.2 such
-# arrays there at n = 8 to 10. On the CI configs its peak RSS was 17.9, 66.7 and 255.4 MiB above
-# the interpreter's 37.4 MiB at n = 8, 9 and 10: 17.9, 16.7 and 16.0 such arrays. Projected at
-# 17, n = 12 needs 4.3 GiB and runs within the bound; n = 13 needs 17 GiB and is refused.
-SIMULATE_FULL_ARRAYS = 17
+# simulate holds a few 2^n x 2^n complex arrays at once (the ledger, the half-cycle stacks and,
+# up to cycle 2, the initial state; each Hamiltonian part only up to its last reader), and peaks
+# in cycle 2's full-chain stroke 4: tracemalloc reads 12.6, 11.9 and 11.7 such arrays there at
+# n = 8, 9 and 10. On the CI configs its peak RSS was 14.2, 51.0 and 196.4 MiB above the
+# interpreter's 37.4 MiB at n = 8, 9 and 10: 14.2, 12.8 and 12.3 such arrays. Projected at 13,
+# n = 12 needs 3.3 GiB and runs within the bound; n = 13 needs 13 GiB and is refused.
+SIMULATE_FULL_ARRAYS = 13
 
 
 @dataclass
@@ -229,9 +230,13 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
 
 
 def _operators(cfg: RunConfig):
-    """The point's (parts, ops); an overflowing stroke phase is a config error under ``cycle.``."""
+    """The point's (parts, ops); an overflowing stroke phase is a config error under ``cycle.``.
+
+    The parts come back without h_s: the unitaries' cut in ``cycle_operators`` is its one reader.
+    """
     parts = build_hamiltonian(cfg.spec)
-    return parts, _build("cycle", cycle_operators, parts=parts, params=cfg.params)
+    ops = _build("cycle", cycle_operators, parts=parts, params=cfg.params)
+    return replace(parts, h_s=None), ops
 
 
 def cmd_simulate(cfg: RunConfig):
@@ -255,6 +260,9 @@ def cmd_simulate(cfg: RunConfig):
     initial = _initial_full_state(cfg)
     n = cfg.spec.n
     start = start_energies(initial, parts)
+    # Each 2^n x 2^n array goes after its last reader: the bond terms here, and the initial
+    # state and the unitary blocks once cycle 2's distance is formed in stroke 4's output.
+    del parts
     x = hermitian_part(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
 
     lines = [",".join(TRACE_COLUMNS)]
@@ -268,7 +276,8 @@ def cmd_simulate(cfg: RunConfig):
             rec.delta_prev = trace_distance(ac, prev_ac)
             window.append(rec.delta_prev)
         elif cycle_idx == 2:
-            rec.delta_prev = trace_distance(stroke_4(ac, ops), initial)
+            rec.delta_prev = trace_distance(stroke_4(ac, ops), initial, overwrite_a=True)
+            initial = ops = None
         lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
                                                   for c in TRACE_COLUMNS[1:]]))
         if not math.isnan(rec.delta_prev) and rec.delta_prev < cfg.tol:

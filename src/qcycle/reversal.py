@@ -119,14 +119,12 @@ def path_probabilities(stack, rho: np.ndarray) -> np.ndarray:
     """P[b, a] = ``sequence_probability([K_a, K_b], rho)`` for every pair of a (k, d, d) stack.
 
     Tr[K_b K_a rho K_a* K_b*] = Tr[Q_b P_a] = sum_ij Re(Q_b[i, j] conj(P_a[i, j])) for the
-    Hermitian Q_b = K_b* K_b and P_a = K_a rho K_a*, formed one operator at a time: 3k products.
+    Hermitian Q_b = K_b* K_b and P_a = K_a rho K_a*, formed as three stacked products, each
+    operator's the same as its own ``adjoint @ op`` and ``op @ rho @ adjoint``.
     """
     stack = np.asarray(stack, dtype=complex)
-    grams, images = np.empty_like(stack), np.empty_like(stack)
-    for a, op in enumerate(stack):
-        adjoint = op.conj().T
-        grams[a] = adjoint @ op
-        images[a] = op @ rho @ adjoint
+    adjoints = stack.conj().transpose(0, 2, 1)
+    grams, images = adjoints @ stack, stack @ rho @ adjoints
     k = len(stack)
     return grams.reshape(k, -1).view(float) @ images.reshape(k, -1).view(float).T
 

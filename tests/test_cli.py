@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +209,8 @@ class TestChainSize:
         ("reverse", 10, "reverse cannot run at n = 10"),
         ("spectrum", 9, "spectrum decomposes every sector densely and runs up to n = 8, got "
                         "n = 9: its q = 0 sector block is 12870^2 complex, 2.5 GiB"),
-        ("simulate", 16, "simulate cannot run at n = 16: its peak is projected at 17 complex "
-                         "2^16 x 2^16 arrays, 1088.0 GiB, above the 8 GiB bound"),
+        ("simulate", 16, "simulate cannot run at n = 16: its peak is projected at 13 complex "
+                         "2^16 x 2^16 arrays, 832.0 GiB, above the 8 GiB bound"),
         ("simulate", 13, "simulate cannot run at n = 13"),
     ])
     def test_refused(self, tmp_path, capsys, command, n, message):
@@ -402,6 +403,34 @@ class TestSimulate:
     def test_output_format_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, variant(**{"output.format": "json"}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+
+
+class TestSimulateMemory:
+    """simulate drops each 2^n x 2^n array after its last reader. In units of one such complex
+    array, tracemalloc reads 11.7 to 12.6 at the peak, cycle 2's stroke 4, at n = 8 and 9, and
+    6.8 to 7.5 live from cycle 3 on; while the Hamiltonian parts and the initial state were held
+    for the whole run, 14.7 to 15.6 and 11.1 to 11.9."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_full_chain_arrays_released(self, tmp_path, monkeypatch, n):
+        cfg = parse_config(write_config(tmp_path, {**long_chain(n), "solver": {"max_iter": 3}}))
+        unit = 16 * 4**n
+        live = []
+
+        def sampled(a, b, **kwargs):
+            if len(a) < 2**n:  # from cycle 3 on, between AC states
+                live.append(tracemalloc.get_traced_memory()[0] / unit)
+            return trace_distance(a, b, **kwargs)
+
+        monkeypatch.setattr(qcycle.cli, "trace_distance", sampled)
+        tracemalloc.start()
+        try:
+            qcycle.cli.cmd_simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.0
+        assert len(live) == 1 and live[0] <= 8.0
 
 
 class TestReport:
