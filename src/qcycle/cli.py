@@ -68,9 +68,10 @@ MEMORY_BOUND_BYTES = 8 * 2**30
 # simulate holds a few 2^n x 2^n complex arrays at once (the ledger, the half-cycle stacks and,
 # up to cycle 2, the initial state; each Hamiltonian part only up to its last reader), and peaks
 # in cycle 2's full-chain stroke 4: tracemalloc reads 12.6, 11.9 and 11.7 such arrays there at
-# n = 8, 9 and 10. On the CI configs its peak RSS was 14.2, 51.0 and 196.4 MiB above the
-# interpreter's 37.4 MiB at n = 8, 9 and 10: 14.2, 12.8 and 12.3 such arrays. Projected at 13,
-# n = 12 needs 3.3 GiB and runs within the bound; n = 13 needs 13 GiB and is refused.
+# n = 8, 9 and 10. On the CI configs its peak RSS was 14.5, 52.2 and 198.4 MiB above the
+# interpreter's 37.4 MiB at n = 8, 9 and 10: 14.5, 13.1 and 12.4 such arrays, falling toward
+# tracemalloc's count as n grows. Projected at 13, n = 12 needs 3.3 GiB and runs within the
+# bound; n = 13 needs 13 GiB and is refused.
 SIMULATE_FULL_ARRAYS = 13
 
 
@@ -230,13 +231,9 @@ def _initial_full_state(cfg: RunConfig) -> np.ndarray:
 
 
 def _operators(cfg: RunConfig):
-    """The point's (parts, ops); an overflowing stroke phase is a config error under ``cycle.``.
-
-    The parts come back without h_s: the unitaries' cut in ``cycle_operators`` is its one reader.
-    """
+    """The point's (parts, ops); an overflowing stroke phase is a config error under ``cycle.``."""
     parts = build_hamiltonian(cfg.spec)
-    ops = _build("cycle", cycle_operators, parts=parts, params=cfg.params)
-    return replace(parts, h_s=None), ops
+    return parts, _build("cycle", cycle_operators, parts=parts, params=cfg.params)
 
 
 def cmd_simulate(cfg: RunConfig):
@@ -255,13 +252,14 @@ def cmd_simulate(cfg: RunConfig):
     distances never grow, and a run exits 2 where they stall (:func:`~qcycle.limitcycle.stalled`).
     """
     parts, ops = _operators(cfg)
+    parts = replace(parts, h_s=None)  # cycle_operators' cut of the unitaries was its one reader
     # built before the initial state, so that their temporaries are not held on top of it
     ledger, cold, hot = cycle_ledger(parts, ops), Channel(ops.cold), Channel(ops.hot)
     initial = _initial_full_state(cfg)
     n = cfg.spec.n
     start = start_energies(initial, parts)
     # Each 2^n x 2^n array goes after its last reader: the bond terms here, and the initial
-    # state and the unitary blocks once cycle 2's distance is formed in stroke 4's output.
+    # state and the unitary blocks once cycle 2's distance is taken.
     del parts
     x = hermitian_part(partial_trace(initial, range(1, n), [2] * n))  # stroke 1 keeps Tr_A rho0
 
@@ -276,7 +274,7 @@ def cmd_simulate(cfg: RunConfig):
             rec.delta_prev = trace_distance(ac, prev_ac)
             window.append(rec.delta_prev)
         elif cycle_idx == 2:
-            rec.delta_prev = trace_distance(stroke_4(ac, ops), initial, overwrite_a=True)
+            rec.delta_prev = trace_distance(stroke_4(ac, ops), initial)
             initial = ops = None
         lines.append(",".join([str(cycle_idx)] + [repr(float(getattr(rec, c)))
                                                   for c in TRACE_COLUMNS[1:]]))

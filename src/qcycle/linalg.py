@@ -120,23 +120,13 @@ def _require_full_rank(w: np.ndarray) -> None:
         raise RankDeficientError(rank, len(w))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> float:
-    """Half the sum of |eigenvalues| of (a - b); zero iff a = b.
-
-    With ``overwrite_a`` the difference is formed in ``a`` itself, a complex array, and
-    ``eigvalsh`` reads its lower triangle as the Hermitian part, so neither a new difference nor
-    its Hermitian copy is allocated. That is for two states Hermitian to rounding, as
-    ``simulate``'s full-chain ones are.
-    """
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the sum of |eigenvalues| of (a - b); zero iff a = b."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if overwrite_a:
-        a -= b
-    else:
-        a = hermitian_part(a - b)
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(hermitian_part(a - b))
     return 0.5 * float(np.abs(w).sum())
 
 
