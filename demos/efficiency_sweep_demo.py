@@ -13,9 +13,9 @@ Run:  python3 demos/efficiency_sweep_demo.py
 
 import numpy as np
 
-from qcycle import (ChainSpec, CycleParams, ansatz_state, build_hamiltonian, cycle_channel_cb,
-                    cycle_operators, fixed_point_spectral, limit_cycle_report,
-                    limit_cycle_states, partial_trace, trace_distance)
+from qcycle import (ChainSpec, CycleParams, build_hamiltonian, cycle_channel_cb, cycle_operators,
+                    fixed_point_spectral, limit_cycle_report, limit_cycle_states,
+                    magnetization_gibbs, partial_trace, trace_distance)
 from qcycle.engine import cycle_ledger
 
 spec = ChainSpec(n=3, E=[1.0, 1.3, 2.0], J=[0.4, 0.5], K=[0.2, 0.1], F=[0.3, 0.2])
@@ -49,7 +49,8 @@ for beta2 in (0.30, 0.45, 0.60, 0.70, 0.74, matched_beta2, 0.76, 0.90):
 print()
 params = CycleParams(beta1=beta1, beta2=matched_beta2, tau1=0.7, tau2=1.3)
 fp = fixed_point_spectral(cycle_channel_cb(cycle_operators(build_hamiltonian(spec), params)))
-ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+ansatz = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])  # e^{-kappa S_Z}/Z, kappa = beta1 E_1
+ansatz_cb = partial_trace(ansatz, range(1, spec.n), [2] * spec.n)
 print("at the matched point:")
 print(f"  solver fixed point vs closed-form magnetization state: "
       f"{trace_distance(fp.rho_star, ansatz_cb):.3e}")

@@ -11,16 +11,15 @@ time-reversed channel that shares the forward fixed point.
 
 from .chain import ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state, site_operator
 from .engine import CycleOperators, CycleParams, CycleRecord, cycle_operators
-from .errors import (ClosureViolationError, ConfigError, CriteriaViolatedError,
-                     DegenerateFixedPointError, NotFixedPointError, QcycleError,
-                     RankDeficientError)
+from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
+                     NotFixedPointError, QcycleError, RankDeficientError)
 from .limitcycle import (Channel, FixedPointResult, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states, unvec, vec)
 from .linalg import (check_density_matrix, kron, partial_trace, psd_sqrt_invsqrt,
                      random_density_matrix, to_state, trace_distance)
 from .reversal import kraus_from_stack, reverse_channel, sequence_probability
-from .thermo import (LimitCycleReport, ansatz_state, bath_criteria_mismatch,
-                     limit_cycle_report, magnetization_gibbs)
+from .thermo import (LimitCycleReport, bath_criteria_mismatch, limit_cycle_report,
+                     magnetization_gibbs)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,8 @@ __all__ = [
     "kron", "partial_trace", "psd_sqrt_invsqrt", "trace_distance", "to_state",
     "check_density_matrix", "random_density_matrix",
     "kraus_from_stack", "reverse_channel", "sequence_probability",
-    "LimitCycleReport", "ansatz_state", "bath_criteria_mismatch",
+    "LimitCycleReport", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",
     "QcycleError", "ConfigError", "RankDeficientError", "DegenerateFixedPointError",
-    "NotFixedPointError", "CriteriaViolatedError", "ClosureViolationError",
+    "NotFixedPointError", "ClosureViolationError",
 ]

@@ -1,7 +1,8 @@
 """Typed error families shared across the package.
 
-Each family maps to a distinct CLI exit status; library code raises these
-directly and the command layer translates.
+Each family maps to a CLI exit status, and the two failed certificates,
+``NotFixedPointError`` and ``ClosureViolationError``, share status 5; library
+code raises these directly and the command layer translates.
 """
 
 import numbers
@@ -76,18 +77,6 @@ class NotFixedPointError(QcycleError):
             "reversal is defined only at a fixed point"
         )
         self.residual = residual
-        self.tolerance = tolerance
-
-
-class CriteriaViolatedError(QcycleError):
-    """Closed-form fixed-point ansatz requested outside its validity regime."""
-
-    def __init__(self, mismatch: float, tolerance: float):
-        super().__init__(
-            f"bath criteria violated: |beta1*E_1 - beta2*E_N| = {mismatch:.3e} "
-            f"exceeds {tolerance:.3e}"
-        )
-        self.mismatch = mismatch
         self.tolerance = tolerance
 
 

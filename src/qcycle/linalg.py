@@ -33,7 +33,8 @@ HERMITICITY_ATOL = 1e-10
 # negative. A last iterate lies about solver tol / gap from the fixed point, so where that
 # has zero eigenvalues the iterate's can be that negative.
 STATE_PSD_ATOL = 1e-6
-# Eigenvalues at or below this fraction of the largest count as zero in rank checks and Kraus cuts.
+# Rank checks count eigenvalues at or below this fraction of the largest as zero; Kraus cuts
+# drop weights below it, and any weight <= 0, and keep a weight equal to it.
 RANK_TOL = 1e-12
 # Entries of a Kraus operator or a state outside its own S^Z charge, up to this fraction of
 # its largest |entry|, are rounding; above it the stack or the state is not covariant.
@@ -82,10 +83,15 @@ def eigh_hermitian(h: np.ndarray):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    dev = float(np.abs(h - h.conj().T).max())
-    if dev > 1e-12:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    _require_hermitian(h, 1e-12)
     return np.linalg.eigh(h)
+
+
+def _require_hermitian(m: np.ndarray, atol: float) -> None:
+    """Raise ValueError where max |m - m*| exceeds atol: the one Hermiticity check."""
+    dev = float(np.abs(m - m.conj().T).max())
+    if dev > atol:
+        raise ValueError(f"not Hermitian: max deviation {dev:.3e} (allowed {atol:.3e})")
 
 
 def unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -133,21 +139,16 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m*) / 2, unconditionally.
 
-    Formed in the one array of :func:`_adjoint`, added to and halved in place.
-    The sum commutes and halving is exact, so this is ``(m + m.conj().T) / 2``
+    Formed in one new C-ordered array, written with m* in one pass, added to and halved in
+    place. The sum commutes and halving is exact, so this is ``(m + m.conj().T) / 2``
     bit for bit, except that an exactly zero real or imaginary part may carry
     the other sign.
     """
     m = np.asarray(m, dtype=complex)
-    h = _adjoint(m)
+    h = np.conjugate(m.T, out=np.empty(m.T.shape, dtype=complex))
     h += m
     h *= 0.5
     return h
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """m* as a new C-ordered array, written in one pass."""
-    return np.conjugate(m.T, out=np.empty(m.T.shape, dtype=complex))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -155,17 +156,11 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
     For a state a caller hands in (``fixed_point_iterate``'s start): deviations above
     ``HERMITICITY_ATOL`` mean it is no state and raise instead of being papered over.
-    Returns :func:`hermitian_part`'s value, formed the same way.
+    Returns :func:`hermitian_part`'s value.
     """
     m = np.asarray(m, dtype=complex)
-    h = _adjoint(m)
-    dev = float(np.abs(m - h).max())
-    if dev > HERMITICITY_ATOL:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} "
-                         f"(allowed {HERMITICITY_ATOL:.3e})")
-    h += m
-    h *= 0.5
-    return h
+    _require_hermitian(m, HERMITICITY_ATOL)
+    return hermitian_part(m)
 
 
 def to_state(m: np.ndarray) -> np.ndarray:
@@ -230,7 +225,7 @@ def _class_eigh(h: np.ndarray):
 
 
 def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-12,
-                         trace_atol: float = 1e-12, psd_atol: float = 1e-10) -> None:
+                         trace_atol: float = 1e-12) -> None:
     """Raise ValueError unless rho is finite, Hermitian, unit-trace, and PSD."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -238,14 +233,12 @@ def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-12,
     if not np.isfinite(rho).all():
         # every comparison with NaN is false, so the checks below would pass it
         raise ValueError("entries must be finite")
-    dev = float(np.abs(rho - rho.conj().T).max())
-    if dev > herm_atol:
-        raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
+    _require_hermitian(rho, herm_atol)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > trace_atol:
         raise ValueError(f"trace {tr} differs from 1 beyond {trace_atol:.1e}")
     w_min = float(np.linalg.eigvalsh(hermitian_part(rho)).min())
-    if w_min < -psd_atol:
+    if w_min < -1e-10:
         raise ValueError(f"not PSD: min eigenvalue {w_min:.3e}")
 
 
@@ -253,7 +246,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random state G G* / Tr[G G*] with G complex Gaussian."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    rho /= np.trace(rho).real
+    return rho
 
 
 # The popcount vectors are memoized per d: a run asks for a few sizes, the chain's 2^n and the
@@ -264,15 +258,6 @@ def popcounts(d: int) -> np.ndarray:
     pop = np.array([k.bit_count() for k in range(d)] if not d & (d - 1) else [0] * d, dtype=int)
     pop.flags.writeable = False
     return pop
-
-
-def popcount_charges(d: int) -> np.ndarray:
-    """The d x d array popcount(a) - popcount(b) of :func:`popcounts`, formed anew per call.
-
-    Entry [a, b] labels the matrix unit |a><b| of a d x d operator and, over
-    index pairs a*d + b, the entries of a d^2 x d^2 superoperator.
-    """
-    return popcounts(d)[:, None] - popcounts(d)
 
 
 @lru_cache(maxsize=32)

@@ -28,10 +28,15 @@ conjugates each Kraus operator:
 
     reversed A = r^{1/2} A* r^{-1/2}
 
-which is trace preserving exactly when r is a fixed point, shares r as its
-own fixed point, and reverses two-step path probabilities started from r.
-It maps X to r^{1/2} ch^*(r^{-1/2} X r^{-1/2}) r^{1/2}, with ch^* the adjoint
-map (Crooks, PRA 77, 034101, 2008; the Petz map at a fixed point).
+which is trace preserving exactly when r is a fixed point. It maps X to
+r^{1/2} ch^*(r^{-1/2} X r^{-1/2}) r^{1/2}, with ch^* the adjoint map (Crooks,
+PRA 77, 034101, 2008; the Petz map at a fixed point). Two of its properties
+hold around any full-rank r, fixed or not, since sum_k K_k^* K_k = I: it maps
+r to r^{1/2} (sum_k K_k^* K_k) r^{1/2} = r, and it reverses two-step path
+probabilities from r, Tr[K_b K_a r K_a^* K_b^*] both ways. So ``reverse``'s
+``reversed_fixed_point_distance`` and ``max_detailed_balance_violation`` are
+identities checked to rounding; only the reversed set's completeness and
+:class:`NotFixedPointError`'s pre-check depend on r being a fixed point.
 """
 
 from __future__ import annotations

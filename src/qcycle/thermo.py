@@ -17,7 +17,6 @@ import numpy as np
 
 from .chain import ChainSpec
 from .engine import CycleLedger, CycleParams
-from .errors import CriteriaViolatedError
 from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL
 from .linalg import popcounts, trace_distance
 
@@ -66,19 +65,6 @@ def bath_criteria_mismatch(spec: ChainSpec, params: CycleParams) -> float:
     return abs(params.beta1 * spec.E[0] - params.beta2 * spec.E[-1])
 
 
-def ansatz_state(spec: ChainSpec, params: CycleParams) -> np.ndarray:
-    """Closed-form full-chain fixed point in the matched-bath regime.
-
-    Valid only when beta1 E_1 = beta2 E_N (within ``CRITERIA_ATOL``); the exponent
-    kappa = beta1 E_1 is forced by matching the A factor to its bath Gibbs
-    state. Outside the regime raises :class:`CriteriaViolatedError`.
-    """
-    mismatch = bath_criteria_mismatch(spec, params)
-    if mismatch > CRITERIA_ATOL:
-        raise CriteriaViolatedError(mismatch, CRITERIA_ATOL)
-    return magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
-
-
 def limit_cycle_report(x: np.ndarray, z: np.ndarray, ledger: CycleLedger, spec: ChainSpec,
                        params: CycleParams, gap: float, tol: float = DEFAULT_TOL) -> LimitCycleReport:
     """Thermodynamic report at a converged limit cycle.
@@ -90,7 +76,9 @@ def limit_cycle_report(x: np.ndarray, z: np.ndarray, ledger: CycleLedger, spec: 
     |q_h| <= ``CLOSURE_FACTOR`` tol |E_N|: closure accepts a state within
     trace distance ``CLOSURE_FACTOR`` tol, and a state within delta moves
     q_h by at most delta |E_N|, since the hot-side site Hamiltonian has norm
-    |E_N| / 2.
+    |E_N| / 2. Where the baths match within ``CRITERIA_ATOL``, ``ansatz_distance`` is x's
+    trace distance from the closed form, kappa = beta1 E_1 being forced by matching the A
+    factor to its bath Gibbs state.
     """
     rec, _ = ledger.record(x, z)
     e_1, e_n = spec.E[0], spec.E[-1]

@@ -58,7 +58,8 @@ from scipy.linalg import expm
 
 from qcycle.cli import EXIT_NO_CONVERGENCE, EXIT_OK, TRACE_COLUMNS, _initial_full_state
 from qcycle.limitcycle import STALL_DROP, STALL_WINDOW, hermitian_frame, stalled
-from qcycle.linalg import charge_groups, eigh_hermitian, hermitize, trace_distance, unitary_from_eigh
+from qcycle.linalg import (charge_groups, eigh_hermitian, hermitize, popcounts, trace_distance,
+                           unitary_from_eigh)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -330,6 +331,12 @@ def total_magnetization(n):
     if n < 1:
         raise ValueError("n must be at least 1")
     return sum(naive_site_operator(SZ, i, n) for i in range(1, n + 1))
+
+
+def charge_labels(d):
+    """The d x d popcount(a) - popcount(b), entry [a, b] the charge of the matrix unit |a><b|."""
+    pop = popcounts(d)
+    return pop[:, None] - pop
 
 
 def commutator_norm(a, b):

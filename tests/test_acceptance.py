@@ -17,7 +17,7 @@ from qcycle import (DegenerateFixedPointError, build_hamiltonian,
                     limit_cycle_states, partial_trace,
                     random_density_matrix, reverse_channel, sequence_probability,
                     trace_distance)
-from qcycle import ChainSpec, CycleParams, ansatz_state
+from qcycle import ChainSpec, CycleParams, magnetization_gibbs
 from qcycle.cli import main as cli_main
 from qcycle.engine import cycle_ledger
 from conftest import carnot_point, dense_unitaries, point_operators, random_engine_point
@@ -148,7 +148,8 @@ def test_criterion_06_matched_bath_regime():
         channel = cycle_channel_cb(point_operators(spec, params))
         res = fixed_point_iterate(channel, random_density_matrix(channel.dim, rng),
                                   tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, n), [2] * n)
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        ansatz_cb = partial_trace(full, range(1, n), [2] * n)
         dist = trace_distance(res.rho_star, ansatz_cb)
         if not res.converged or dist >= 1e-8:
             failures.append(f"trial {trial} (n={n}): ansatz distance {dist:.3e}")

@@ -17,8 +17,9 @@ import qcycle.reversal
 import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     random_density_matrix, sequence_probability, trace_distance)
-from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, dumps, main, parse_config
-from qcycle.errors import ClosureViolationError, ConfigError
+from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, _run_one, dumps, main, parse_config
+from qcycle.errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
+                           NotFixedPointError, QcycleError, RankDeficientError)
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
 from cli_documents import compare, parse
@@ -854,6 +855,38 @@ class TestParser:
             main(["bogus", "--config", write_config(tmp_path, GENERIC)])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def error_classes(cls=QcycleError):
+    """Every subclass of cls, however deep."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+# constructor arguments of each error class; a class missing here fails the test below
+ERROR_ARGS = {
+    ConfigError: ("chain.n", "must be >= 2, got 1"),
+    RankDeficientError: (1, 4),
+    DegenerateFixedPointError: ([1.0, 1.0], [0, 0]),
+    NotFixedPointError: (1e-3, 1e-9),
+    ClosureViolationError: (1e-3, 1e-9),
+}
+
+
+class TestExitStatuses:
+    @pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+    def test_every_error_maps_to_a_status(self, tmp_path, monkeypatch, capsys, cls):
+        error = cls(*ERROR_ARGS[cls])
+
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setitem(COMMANDS, "report", fail)
+        status, payload, _ = _run_one("report", write_config(tmp_path, GENERIC), None, sweep=False)
+        assert status in {1, 3, 4, 5} and payload is None
+        err = capsys.readouterr().err
+        assert err.startswith("qcycle: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestUnwritableOutput:

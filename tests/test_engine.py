@@ -10,12 +10,13 @@ from qcycle import (ChainSpec, Channel, ConfigError, CycleParams, CycleRecord,
                     partial_trace, random_density_matrix)
 from qcycle import limitcycle
 from qcycle.engine import _half_cycle_kraus, cycle_ledger, start_energies, stroke_4
-from qcycle.linalg import charge_groups, hermitian_part, hermitize, popcount_charges
+from qcycle.linalg import charge_groups, hermitian_part, hermitize
 from qcycle.limitcycle import (cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                                fixed_point_spectral, limit_cycle_states)
 from conftest import (carnot_point, dense_unitaries, point_operators, random_chain_spec,
                       random_engine_point)
-from oracle_naive import NaiveCycle, naive_ptrace_first, naive_ptrace_last, total_magnetization
+from oracle_naive import (NaiveCycle, charge_labels, naive_ptrace_first, naive_ptrace_last,
+                          total_magnetization)
 
 DIMS = [2, 2, 2]
 # n = 3 to 5 in the layout the CLI applies there, dense, and with every Kraus stage by class
@@ -180,10 +181,10 @@ class TestPopcountBlocks:
     def test_unitaries_exactly_block_diagonal(self, rng, n):
         # a dense eigh of h_s would leave rounding of about 1e-16 between the blocks
         ops = point_operators(*random_engine_point(rng, n))
-        between = popcount_charges(2**n) != 0
+        between = charge_labels(2**n) != 0
         for u in dense_unitaries(ops):
             assert np.count_nonzero(u[between]) == 0
-        charge = popcount_charges(2 ** (n - 1))
+        charge = charge_labels(2 ** (n - 1))
         for ch in (cycle_channel_cb(ops), cycle_channel_ac(ops)):
             classes, groups = charge_groups(ch.kraus)
             assert len(classes) == n  # the channel splits: popcount 0 to n - 1 of the CB chain
@@ -205,7 +206,7 @@ class TestPopcountBlocks:
             monkeypatch.setattr(limitcycle, "CLASS_BLOCK_DIM", 1)
         spec, params = random_engine_point(rng, n)
         rho0 = full_random_state(rng, n)
-        charge = popcount_charges(2**n)
+        charge = charge_labels(2**n)
         for q in np.unique(charge):  # every charge sector starts populated
             assert np.abs(rho0[charge == q]).max() > 1e-4
         ops = point_operators(spec, params)

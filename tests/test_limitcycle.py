@@ -7,7 +7,7 @@ from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
                     cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
                     partial_trace, random_density_matrix, trace_distance, unvec, vec)
-from qcycle import ansatz_state
+from qcycle import magnetization_gibbs
 from qcycle import limitcycle
 from qcycle.engine import _dilation
 from qcycle.limitcycle import (DEFAULT_MAX_ITER, DEFAULT_TOL, _ClassBlockStage, _DenseStage,
@@ -290,7 +290,8 @@ class TestFixedPointIterate:
         ch = cycle_channel_cb(point_operators(spec, params))
         tol = 1e-11
         res = fixed_point_iterate(ch, random_density_matrix(ch.dim, rng), tol=tol)
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        ansatz_cb = partial_trace(full, range(1, spec.n), [2] * spec.n)
         assert trace_distance(res.rho_star, ansatz_cb) <= 10 * tol
 
     def test_non_convergence_returns_history(self, rng, small_point):
@@ -408,7 +409,8 @@ class TestLimitCycleStates:
     def test_matched_bath_states_commute_with_magnetization(self, rng):
         spec, params = carnot_point(rng, 3)
         ops = point_operators(spec, params)
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        ansatz_cb = partial_trace(full, range(1, spec.n), [2] * spec.n)
         x, z = limit_cycle_states(ansatz_cb, ops, tol=1e-10)
         sz = total_magnetization(spec.n - 1)
         for rho in (x, z):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from qcycle import (RankDeficientError, kron, partial_trace, psd_sqrt_invsqrt,
-                    random_density_matrix, to_state, trace_distance)
-from qcycle.linalg import (CHARGE_LEAKAGE_TOL, STATE_PSD_ATOL, _class_split, hermitian_part,
-                           hermitize, popcount_charges, popcount_classes, require_full_rank)
-from oracle_naive import commutator_norm, expm_unitary, naive_partial_trace
+from qcycle import (RankDeficientError, check_density_matrix, kron, partial_trace,
+                    psd_sqrt_invsqrt, random_density_matrix, to_state, trace_distance)
+from qcycle.linalg import (CHARGE_LEAKAGE_TOL, HERMITICITY_ATOL, STATE_PSD_ATOL, _class_split,
+                           eigh_hermitian, hermitian_part, hermitize, popcount_classes,
+                           require_full_rank)
+from oracle_naive import charge_labels, commutator_norm, expm_unitary, naive_partial_trace
 
 
 def random_hermitian(rng, d):
@@ -197,7 +198,7 @@ class TestPerClassDecomposition:
 
     def test_exact_zeros_between_classes(self, rng):
         rho, _, _ = self.block_state(rng)
-        between = popcount_charges(16) != 0
+        between = charge_labels(16) != 0
         for out in (to_state(rho), *psd_sqrt_invsqrt(rho)):
             assert not out[between].any()
 
@@ -243,7 +244,7 @@ class TestPerClassDecomposition:
         # entry splits by class at and below the tolerance, and is one class above it or where
         # d is no power of two; either way the results are that branch's formula, bit for bit
         rho, _, _ = self.block_state(rng, d=d, small=0, scale=1.0)
-        charged = popcount_charges(d) != 0
+        charged = charge_labels(d) != 0
         noise = np.where(charged, random_hermitian(rng, d), 0.0)
         if charged.any():
             noise *= leak * CHARGE_LEAKAGE_TOL * np.abs(rho).max() / np.abs(noise).max()
@@ -292,6 +293,19 @@ class TestHygiene:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(ValueError):
             hermitize(m)
+
+    @pytest.mark.parametrize("check, atol", [(eigh_hermitian, 1e-12),
+                                             (hermitize, HERMITICITY_ATOL),
+                                             (check_density_matrix, 1e-12)])
+    def test_one_hermiticity_check_at_each_tolerance(self, check, atol):
+        # each caller keeps its own tolerance, and all three give the one message
+        rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        skew = np.zeros_like(rho)
+        skew[0, 1] = 1.0
+        check(rho + 0.99 * atol * skew)
+        with pytest.raises(ValueError, match=r"^not Hermitian: max deviation 1\.010e-\d+ "
+                                             rf"\(allowed {atol:.3e}\)$"):
+            check(rho + 1.01 * atol * skew)
 
     @staticmethod
     def with_least_eigenvalue(rng, least):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (ChainSpec, Channel, CriteriaViolatedError, CycleParams, ansatz_state,
-                    build_hamiltonian, cycle_channel_ac,
+from qcycle import (ChainSpec, Channel, CycleParams, build_hamiltonian, cycle_channel_ac,
                     cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_report,
                     limit_cycle_states, magnetization_gibbs, partial_trace,
@@ -132,7 +131,8 @@ class TestAnsatz:
         site = np.diag([np.exp(-kappa / 2), np.exp(kappa / 2)]).astype(complex)
         site /= np.trace(site)
         expected = kron(kron(site, site), site)
-        assert np.abs(ansatz_state(spec, params) - expected).max() < 1e-14
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        assert np.abs(full - expected).max() < 1e-14
 
     def test_kappa_zero_is_maximally_mixed(self):
         assert np.abs(magnetization_gibbs(3, 0.0) - np.eye(8) / 8).max() < 1e-15
@@ -143,26 +143,23 @@ class TestAnsatz:
         w = np.exp(-0.8 * np.diag(total_magnetization(n)).real)
         assert np.array_equal(magnetization_gibbs(n, 0.8), np.diag(w / w.sum()).astype(complex))
 
-    def test_criteria_enforced(self, small_point):
-        spec, params = small_point  # beta1 E_1 = 1.0, beta2 E_N = 1.5
-        with pytest.raises(CriteriaViolatedError):
-            ansatz_state(spec, params)
-
     def test_commutes_with_chain_hamiltonian(self, rng):
         spec, params = carnot_point(rng, 4)
         parts = build_hamiltonian(spec)
-        assert commutator_norm(ansatz_state(spec, params), parts.h_s) < 1e-10
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        assert commutator_norm(full, parts.h_s) < 1e-10
 
     def test_invariant_under_cycle_channel(self, rng):
         spec, params = carnot_point(rng, 3)
         ch = cycle_channel_cb(point_operators(spec, params))
-        ansatz_cb = partial_trace(ansatz_state(spec, params), range(1, spec.n), [2] * spec.n)
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
+        ansatz_cb = partial_trace(full, range(1, spec.n), [2] * spec.n)
         assert trace_distance(ch.apply(ansatz_cb), ansatz_cb) < 1e-12
 
     def test_matches_end_bath_gibbs_factors(self, rng):
         spec, params = carnot_point(rng, 3)
         parts = build_hamiltonian(spec)
-        full = ansatz_state(spec, params)
+        full = magnetization_gibbs(spec.n, params.beta1 * spec.E[0])
         assert trace_distance(partial_trace(full, [0], [2, 2, 2]),
                               gibbs_state(parts.h_a_local, params.beta1)) < 1e-12
         assert trace_distance(partial_trace(full, [2], [2, 2, 2]),
