@@ -11,8 +11,8 @@ time-reversed channel that shares the forward fixed point.
 
 from .chain import ChainSpec, HamiltonianParts, build_hamiltonian, gibbs_state, site_operator
 from .engine import CycleOperators, CycleParams, CycleRecord, cycle_operators
-from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                     NotFixedPointError, QcycleError, RankDeficientError)
+from .errors import (ConfigError, DegenerateFixedPointError, NotFixedPointError, QcycleError,
+                     RankDeficientError)
 from .limitcycle import (Channel, FixedPointResult, cycle_channel_ac, cycle_channel_cb,
                          fixed_point_iterate, fixed_point_spectral, limit_cycle_states, unvec, vec)
 from .linalg import (check_density_matrix, kron, partial_trace, psd_sqrt_invsqrt,
@@ -36,5 +36,5 @@ __all__ = [
     "LimitCycleReport", "bath_criteria_mismatch",
     "limit_cycle_report", "magnetization_gibbs",
     "QcycleError", "ConfigError", "RankDeficientError", "DegenerateFixedPointError",
-    "NotFixedPointError", "ClosureViolationError",
+    "NotFixedPointError",
 ]

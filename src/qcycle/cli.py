@@ -33,8 +33,8 @@ import numpy as np
 
 from .chain import ChainSpec, build_hamiltonian
 from .engine import CycleParams, cycle_ledger, cycle_operators, start_energies, stroke_4
-from .errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                     NotFixedPointError, RankDeficientError, integer, real)
+from .errors import (ConfigError, DegenerateFixedPointError, NotFixedPointError,
+                     RankDeficientError, integer, real)
 from .limitcycle import (CLOSURE_FACTOR, DEFAULT_MAX_ITER, DEFAULT_TOL, STALL_DROP, STALL_WINDOW,
                          Channel, cycle_channel_ac, cycle_channel_cb, fixed_point_iterate,
                          fixed_point_spectral, limit_cycle_states, sector_spectra,
@@ -333,10 +333,10 @@ def cmd_report(cfg: RunConfig):
     return EXIT_OK, report.to_dict()  # an undefined eta is NaN, emitted as null
 
 
-def _reverse_one(cfg: RunConfig, channel, rho_star):
+def _reverse_one(channel, rho_star):
     """Certificates of one channel, reversed around its fixed point ``rho_star``."""
     forward, discarded, recon = kraus_from_stack(channel.kraus)
-    rev, rho_star = reverse_channel(forward, rho_star, fp_tol=cfg.tol)
+    rev, rho_star = reverse_channel(forward, rho_star)
     rev_fp_dist = trace_distance(rev.apply(rho_star), rho_star)
 
     ops = forward.kraus
@@ -369,8 +369,7 @@ def cmd_reverse(cfg: RunConfig):
     _, ops = _operators(cfg)
     cb = cycle_channel_cb(ops)
     x, z = limit_cycle_states(fixed_point_spectral(cb).rho_star, ops, tol=cfg.tol)
-    return EXIT_OK, {"cb": _reverse_one(cfg, cb, x),
-                     "ac": _reverse_one(cfg, cycle_channel_ac(ops), z)}
+    return EXIT_OK, {"cb": _reverse_one(cb, x), "ac": _reverse_one(cycle_channel_ac(ops), z)}
 
 
 def _spectrum_one(channel):
@@ -454,7 +453,7 @@ def _run_one(command: str, config_path: str, seed_override: int | None, sweep: b
     except RankDeficientError as exc:
         print(f"qcycle: {exc}", file=sys.stderr)
         return EXIT_RANK_DEFICIENT, None, None
-    except (ClosureViolationError, NotFixedPointError) as exc:
+    except NotFixedPointError as exc:
         print(f"qcycle: certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE, None, None
 

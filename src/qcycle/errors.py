@@ -1,8 +1,7 @@
 """Typed error families shared across the package.
 
-Each family maps to a CLI exit status, and the two failed certificates,
-``NotFixedPointError`` and ``ClosureViolationError``, share status 5; library
-code raises these directly and the command layer translates.
+Each family maps to its own CLI exit status; library code raises these
+directly and the command layer translates.
 """
 
 import numbers
@@ -69,23 +68,13 @@ class DegenerateFixedPointError(QcycleError):
 
 
 class NotFixedPointError(QcycleError):
-    """Channel reversal requested around a state the channel does not fix."""
+    """A fixed-point certificate failed: ``what`` reads ``residual``, above ``tolerance``.
 
-    def __init__(self, residual: float, tolerance: float, what: str = "conjugating state"):
-        super().__init__(
-            f"channel moves the {what} by {residual:.3e} (allowed {tolerance:.3e}); "
-            "reversal is defined only at a fixed point"
-        )
+    Raised when replaying the strokes from a claimed fixed point does not close the loop,
+    and when the set reversed around a state the channel does not fix is not complete.
+    """
+
+    def __init__(self, residual: float, tolerance: float, what: str):
+        super().__init__(f"{what} {residual:.3e} exceeds {tolerance:.3e}")
         self.residual = residual
-        self.tolerance = tolerance
-
-
-class ClosureViolationError(QcycleError):
-    """Replaying the strokes from a claimed fixed point did not close the loop."""
-
-    def __init__(self, distance: float, tolerance: float):
-        super().__init__(
-            f"cycle closure violated: distance {distance:.3e} exceeds {tolerance:.3e}"
-        )
-        self.distance = distance
         self.tolerance = tolerance

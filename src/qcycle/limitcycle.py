@@ -102,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosureViolationError, DegenerateFixedPointError
+from .errors import DegenerateFixedPointError, NotFixedPointError
 from .linalg import (charge_groups, class_layout, hermitian_part, hermitize, popcount_classes,
                      to_state, trace_distance)
 
@@ -669,11 +669,11 @@ def limit_cycle_states(rho_cb_star: np.ndarray, ops, tol: float = DEFAULT_TOL):
 
     z is the cold half-cycle's image of x, cleaned as ``simulate`` cleans it, and the hot
     half-cycle's image of z must return x within ``CLOSURE_FACTOR`` times the solver
-    tolerance, else :class:`ClosureViolationError`. ``ops`` are the point's
+    tolerance, else :class:`NotFixedPointError`. ``ops`` are the point's
     :func:`~qcycle.engine.cycle_operators`. ``report`` and ``reverse`` read their cycle here.
     """
     z = hermitian_part(Channel(ops.cold).apply(rho_cb_star))
     closure = trace_distance(Channel(ops.hot).apply(z), rho_cb_star)
     if closure > CLOSURE_FACTOR * tol:
-        raise ClosureViolationError(closure, CLOSURE_FACTOR * tol)
+        raise NotFixedPointError(closure, CLOSURE_FACTOR * tol, "cycle closure violated: distance")
     return rho_cb_star, z

@@ -107,23 +107,10 @@ def psd_sqrt_invsqrt(rho: np.ndarray):
     as zero; any such raises :class:`RankDeficientError`.
     """
     w, spectral = _class_eigh(hermitian_part(rho))
-    _require_full_rank(w)
-    return spectral(np.sqrt), spectral(lambda x: 1.0 / np.sqrt(x))
-
-
-def require_full_rank(rho: np.ndarray) -> None:
-    """Raise :class:`RankDeficientError` where :func:`psd_sqrt_invsqrt` would, from eigenvalues.
-
-    The same per-class split and cutoff, with ``eigvalsh`` in place of ``eigh``.
-    """
-    _, spans, h = _class_split(hermitian_part(rho))
-    _require_full_rank(np.concatenate([np.linalg.eigvalsh(h[s, s]) for s in spans]))
-
-
-def _require_full_rank(w: np.ndarray) -> None:
     rank = int((w > RANK_TOL * max(float(w.max()), 0.0)).sum())
     if rank < len(w):
         raise RankDeficientError(rank, len(w))
+    return spectral(np.sqrt), spectral(lambda x: 1.0 / np.sqrt(x))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

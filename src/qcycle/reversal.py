@@ -35,8 +35,8 @@ hold around any full-rank r, fixed or not, since sum_k K_k^* K_k = I: it maps
 r to r^{1/2} (sum_k K_k^* K_k) r^{1/2} = r, and it reverses two-step path
 probabilities from r, Tr[K_b K_a r K_a^* K_b^*] both ways. So ``reverse``'s
 ``reversed_fixed_point_distance`` and ``max_detailed_balance_violation`` are
-identities checked to rounding; only the reversed set's completeness and
-:class:`NotFixedPointError`'s pre-check depend on r being a fixed point.
+identities checked to rounding; only the reversed set's completeness depends on r
+being a fixed point, and it is the one fixed-point check (:class:`NotFixedPointError`).
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotFixedPointError
-from .limitcycle import CLOSURE_FACTOR, DEFAULT_TOL, Channel
-from .linalg import (RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt, require_full_rank,
-                     trace_distance)
+from .limitcycle import Channel
+from .linalg import RANK_TOL, charge_groups, hermitian_part, psd_sqrt_invsqrt
 
 
 def _dot_rounding(m: int) -> float:
@@ -134,37 +133,26 @@ def path_probabilities(stack, rho: np.ndarray) -> np.ndarray:
     return grams.reshape(k, -1).view(float) @ images.reshape(k, -1).view(float).T
 
 
-def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFAULT_TOL):
+def reverse_channel(forward: Channel, rho_star: np.ndarray):
     """Build the time-reversed channel around a full-rank fixed point.
 
-    Parameters
-    ----------
-    forward : the forward channel.
-    rho_star : claimed fixed point; must be full rank to ``RANK_TOL`` (else
-        :class:`RankDeficientError`) and moved by at most ``CLOSURE_FACTOR`` * ``fp_tol``, the
-        closure bound (else :class:`NotFixedPointError`). It is refined by one step of the
-        forward map, and the reversal is built around the refined state.
-    fp_tol : solver tolerance the fixed point was computed at.
+    ``rho_star``, the claimed fixed point of ``forward``, is refined by one step of the
+    forward map, and the reversal is built around the refined state. That state must be
+    full rank to ``RANK_TOL`` (else :class:`RankDeficientError`), and the reversed set
+    must be trace preserving within 1e-9, which is equivalent to the fixed-point
+    property (else :class:`NotFixedPointError`).
 
     Returns ``(reversed, rho_star)``: the reversed :class:`Channel` and the
-    refined state. The reversed set is verified trace preserving within 1e-9,
-    which is equivalent to the fixed-point property. The square roots of a
-    covariant fixed point are taken per popcount class
-    (:func:`~qcycle.linalg.psd_sqrt_invsqrt`): its classes can differ in scale
-    by 1e8, and one dense ``eigh`` would spread the whole matrix's rounding
-    into the smallest class, which the inverse root then amplifies.
+    refined state. The square roots of a covariant fixed point are taken per
+    popcount class (:func:`~qcycle.linalg.psd_sqrt_invsqrt`): its classes can
+    differ in scale by 1e8, and one dense ``eigh`` would spread the whole
+    matrix's rounding into the smallest class, which the inverse root then
+    amplifies.
     """
-    rho_star = np.asarray(rho_star, dtype=complex)
-    require_full_rank(rho_star)
-    image = forward.apply(rho_star)
-    residual = trace_distance(image, rho_star)
-    if residual > CLOSURE_FACTOR * fp_tol:
-        raise NotFixedPointError(residual, CLOSURE_FACTOR * fp_tol)
-
     # The solver's absolute error reaches the reversed set amplified by cond(rho_star); one step
     # of the map leaves only the map's own rounding. It stays linear, so a covariant state keeps
     # its exact zeros between popcount classes.
-    rho_star = hermitian_part(image)
+    rho_star = hermitian_part(forward.apply(np.asarray(rho_star, dtype=complex)))
     rho_star = rho_star / np.trace(rho_star).real
     sqrt, invsqrt = psd_sqrt_invsqrt(rho_star)
 
@@ -172,5 +160,5 @@ def reverse_channel(forward: Channel, rho_star: np.ndarray, fp_tol: float = DEFA
     rev = Channel(sqrt @ forward.kraus.conj().transpose(0, 2, 1) @ invsqrt)
     tp_residual = rev.completeness_residual()
     if tp_residual > 1e-9:
-        raise NotFixedPointError(tp_residual, 1e-9, what="completeness of the reversed set")
+        raise NotFixedPointError(tp_residual, 1e-9, "completeness of the reversed set: residual")
     return rev, rho_star

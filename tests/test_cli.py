@@ -18,8 +18,8 @@ import qcycle.thermo
 from qcycle import (build_hamiltonian, cycle_channel_ac, cycle_channel_cb, cycle_operators,
                     random_density_matrix, sequence_probability, trace_distance)
 from qcycle.cli import COMMANDS, TOL_FLOOR, TRACE_COLUMNS, _run_one, dumps, main, parse_config
-from qcycle.errors import (ClosureViolationError, ConfigError, DegenerateFixedPointError,
-                           NotFixedPointError, QcycleError, RankDeficientError)
+from qcycle.errors import (ConfigError, DegenerateFixedPointError, NotFixedPointError,
+                           QcycleError, RankDeficientError)
 from qcycle.limitcycle import DEFAULT_MAX_ITER, DEFAULT_TOL, sector_spectra, spectral_summary
 from qcycle.linalg import hermitian_part
 from cli_documents import compare, parse
@@ -573,8 +573,8 @@ class TestReverse:
         # over every ordered pair of operators
         reverse, seen = qcycle.cli.reverse_channel, []
 
-        def unreversed(forward, rho_star, fp_tol):
-            rho_star = reverse(forward, rho_star, fp_tol)[1]
+        def unreversed(forward, rho_star):
+            rho_star = reverse(forward, rho_star)[1]
             seen.append((forward.kraus, rho_star))
             return forward, rho_star
 
@@ -869,8 +869,7 @@ ERROR_ARGS = {
     ConfigError: ("chain.n", "must be >= 2, got 1"),
     RankDeficientError: (1, 4),
     DegenerateFixedPointError: ([1.0, 1.0], [0, 0]),
-    NotFixedPointError: (1e-3, 1e-9),
-    ClosureViolationError: (1e-3, 1e-9),
+    NotFixedPointError: (1e-3, 1e-9, "cycle closure violated: distance"),
 }
 
 
@@ -954,7 +953,7 @@ class TestSweep:
 
         def limit_cycle_states(rho, ops, tol):
             if tol == 2e-15:
-                raise ClosureViolationError(3.5e-14, 10.0 * tol)
+                raise NotFixedPointError(3.5e-14, 10.0 * tol, "cycle closure violated: distance")
             return states(rho, ops, tol=tol)
 
         monkeypatch.setattr(qcycle.cli, "limit_cycle_states", limit_cycle_states)

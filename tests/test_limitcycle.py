@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcycle import (Channel, ClosureViolationError, DegenerateFixedPointError,
+from qcycle import (Channel, DegenerateFixedPointError, NotFixedPointError,
                     build_hamiltonian, check_density_matrix, cycle_channel_ac,
                     cycle_channel_cb, cycle_operators, fixed_point_iterate,
                     fixed_point_spectral, gibbs_state, kron, limit_cycle_states,
@@ -420,7 +420,7 @@ class TestLimitCycleStates:
             assert commutator_norm(rho, sz) < 1e-10
 
     def test_non_fixed_point_rejected(self, rng, small_point):
-        with pytest.raises(ClosureViolationError):
+        with pytest.raises(NotFixedPointError, match="^cycle closure violated: distance "):
             limit_cycle_states(random_density_matrix(4, rng), point_operators(*small_point),
                                tol=1e-10)
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from qcycle import (ChainSpec, Channel, CycleParams, NotFixedPointError, RankDeficientError,
                     cycle_channel_ac, cycle_channel_cb, fixed_point_spectral, kraus_from_stack,
-                    partial_trace, psd_sqrt_invsqrt, random_density_matrix, reverse_channel,
-                    sequence_probability, trace_distance)
+                    limit_cycle_states, partial_trace, psd_sqrt_invsqrt, random_density_matrix,
+                    reverse_channel, sequence_probability, trace_distance)
+from qcycle.cli import TOL_FLOOR
+from qcycle.limitcycle import CLOSURE_FACTOR
 from qcycle.reversal import path_probabilities
 from cli_documents import DOCUMENTS
 from conftest import point_operators, random_engine_point
@@ -280,18 +282,45 @@ class TestReverseChannel:
             reverse_channel(kraus, random_density_matrix(kraus.dim, rng))
 
     def test_rejects_incomplete_reversed_set(self, small_point):
-        # the maximally mixed state passes the pre-check at fp_tol = 1, but the channel does not
-        # fix it, so the reversed set is not trace preserving
+        # the maximally mixed state is full rank, but the channel does not fix it, so the set
+        # reversed around its one-step image is not trace preserving
         _, _, kraus = engine_fixture(small_point, cycle_channel_cb)
         with pytest.raises(NotFixedPointError, match="completeness of the reversed set"):
-            reverse_channel(kraus, np.eye(kraus.dim) / kraus.dim, fp_tol=1.0)
+            reverse_channel(kraus, np.eye(kraus.dim) / kraus.dim)
 
-    def test_rejects_rank_deficient_state(self, rng, small_point):
+    @pytest.mark.parametrize("maker", [cycle_channel_cb, cycle_channel_ac])
+    def test_rejects_rank_deficient_fixed_point(self, maker):
+        # the rank-deficient document's baths are near zero temperature, so each map fixes a
+        # state of rank 1, and the one-step refinement keeps it so
+        doc = json.loads((DOCUMENTS / "rank-deficient.json").read_text())
+        ch = maker(point_operators(ChainSpec(**doc["chain"]), CycleParams(**doc["cycle"])))
+        forward, _, _ = kraus_from_stack(ch.kraus)
+        with pytest.raises(RankDeficientError) as err:
+            reverse_channel(forward, fixed_point_spectral(ch).rho_star)
+        assert (err.value.effective_rank, err.value.dim) == (1, 4)
+
+    def test_rejects_moved_pure_state(self, small_point):
+        # rank is checked on the one-step image, which the baths make full rank, so a pure
+        # state the map moves fails the fixed-point check and not the rank check
         _, _, kraus = engine_fixture(small_point, cycle_channel_cb)
         psi = np.zeros(kraus.dim, dtype=complex)
         psi[0] = 1.0
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(NotFixedPointError, match="completeness of the reversed set"):
             reverse_channel(kraus, np.outer(psi, psi.conj()))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6))
+    def test_limit_cycle_states_are_fixed_by_the_kraus_maps(self, seed, n):
+        # every state the reverse command hands to reverse_channel comes from
+        # limit_cycle_states, and the Kraus map extracted from its cycle map moves it by
+        # rounding, below the closure bound at the least solver tolerance; so reverse_channel
+        # needs no closure check of its own
+        ops = point_operators(*random_engine_point(np.random.default_rng(seed), n))
+        cb = cycle_channel_cb(ops)
+        x, z = limit_cycle_states(fixed_point_spectral(cb).rho_star, ops)
+        for ch, state in ((cb, x), (cycle_channel_ac(ops), z)):
+            forward, _, _ = kraus_from_stack(ch.kraus)
+            assert trace_distance(forward.apply(state), state) <= CLOSURE_FACTOR * TOL_FLOOR
 
 
 class TestStrokeOrder:
